@@ -2,8 +2,9 @@
 
 An observation model maps a parameter vector to an ideal observation; an
 estimator maps a (noisy) observation back to a parameter estimate. Both
-carry a point evaluator and a box evaluator, and the box evaluator must be
-a sound inclusion of the point one: x in X implies eval_point(x) in
+carry a point evaluator, a row-batched form of it (`eval_points`, which
+defaults to one `eval_point` call per row), and a box evaluator that must
+be a sound inclusion of the point one: x in X implies eval_point(x) in
 eval_box(X). `ErrorObjective` composes the two into the estimation error
 e(x, e) = ||x - estimate(observe(x) + e)|| and its negation, the objective
 handed to the branch-and-bound minimizer.
@@ -14,9 +15,10 @@ boxes concurrently.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .interval import Interval, IntervalBox, iadd, ineg, isqr, isqrt, isub
 
@@ -38,6 +40,11 @@ class ObservationModel(ABC):
     @abstractmethod
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         """Sound, isotone inclusion of eval_point over a parameter box."""
+
+    def eval_points(self, rows: np.ndarray) -> np.ndarray:
+        """eval_point of each row of a (k, n_params) array, stacked into a
+        (k, n_obs) array. Overrides must return the same floats."""
+        return np.array([self.eval_point(r) for r in rows.tolist()], dtype=np.float64)
 
     def deviation_box(self, box: IntervalBox) -> IntervalBox:
         """Enclosure of eval_point(x) - x over the box.
@@ -82,6 +89,11 @@ class EstimatorModel(ABC):
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         """Sound inclusion of eval_point over an observation box."""
 
+    def eval_points(self, rows: np.ndarray) -> np.ndarray:
+        """eval_point of each row of a (k, n_obs) array, stacked into a
+        (k, n_params) array. Overrides must return the same floats."""
+        return np.array([self.eval_point(r) for r in rows.tolist()], dtype=np.float64)
+
     def error_vector_box(
         self,
         observation: ObservationModel,
@@ -110,14 +122,6 @@ class EstimatorModel(ABC):
             raise ValueError(
                 f"observation box has dim {box.dim}, estimator expects {self.n_obs}"
             )
-
-
-def _norm(diff: Sequence[float]) -> float:
-    # Sequential sum of squares, mirroring the interval evaluation order.
-    acc = 0.0
-    for d in diff:
-        acc += d * d
-    return math.sqrt(acc)
 
 
 class ErrorObjective:
@@ -177,10 +181,30 @@ class ErrorObjective:
         y = self.observation.eval_point(x)
         return tuple(yi + ei for yi, ei in zip(y, e))
 
-    def error_point(self, x: Sequence[float], e: Sequence[float]) -> float:
-        """Euclidean distance between x and its estimate under noise e."""
-        estimate = self.estimator.eval_point(self.observe(x, e))
-        return _norm([xi - xh for xi, xh in zip(x, estimate)])
+    def error_point(
+        self, x: Sequence[float] | np.ndarray, e: Sequence[float] | np.ndarray
+    ) -> float | np.ndarray:
+        """Euclidean distance between x and its estimate under noise e.
+
+        x and e are either one sample each, giving a float, or 2-D arrays
+        holding one sample per row, giving a 1-D array of distances.
+        """
+        xs = np.asarray(x, dtype=np.float64)
+        es = np.asarray(e, dtype=np.float64)
+        if es.shape[-1] != self.n_obs:
+            raise ValueError(
+                f"noise vector has dim {es.shape[-1]}, expected {self.n_obs}"
+            )
+        rows = np.atleast_2d(xs)
+        diff = rows - self.estimator.eval_points(
+            self.observation.eval_points(rows) + es
+        )
+        # Sequential sum of squares, mirroring the interval evaluation order.
+        acc = 0.0
+        for d in diff.T:
+            acc = acc + d * d
+        dist = np.sqrt(acc)
+        return float(dist[0]) if xs.ndim == 1 else dist
 
     def error_box(self, param_box: IntervalBox, noise_box: IntervalBox) -> Interval:
         """Enclosure of error_point over param_box x noise_box; lb >= 0."""

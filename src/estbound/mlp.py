@@ -1,10 +1,18 @@
 """Dense relu networks as estimators: forward pass, interval forward pass,
 serialization, and a small full-batch trainer for building fixtures.
 
-The interval forward pass propagates one interval per neuron through each
-affine layer using the outward-rounded elementary operations, then applies
-the exact relu image. This is the plainest possible bound propagation; it
-gets looser as networks grow deeper, which is acceptable here because the
+Both passes are numpy kernels that vectorise only over independent values,
+so they round exactly as a one-value-at-a-time loop would. The forward
+pass takes a batch of rows; per layer it sums the weighted inputs of every
+output in column order, starting from 0.0, adds the bias and applies relu.
+
+The interval forward pass propagates one interval per neuron. Per layer,
+each input's bounds are scaled by the weights, taking the lower or upper
+bound by the weight's sign, and each product is rounded outward. The
+products are summed one input column at a time, rounding outward after
+every add, then the bias is added, rounded outward, and the exact relu
+image is taken. This is the plainest possible bound propagation; it gets
+looser as networks grow deeper, which is acceptable here because the
 validation method only needs soundness, not tightness.
 """
 
@@ -19,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .framework import EstimatorModel, Vector
-from .interval import Interval, IntervalBox, _mul_scalar, iadd, irelu
+from .interval import IntervalBox, _make
 
 __all__ = ["MlpLayer", "MlpModel", "load_mlp", "save_mlp", "train_mlp"]
 
@@ -85,45 +93,63 @@ class MlpModel(EstimatorModel):
         self.meta = dict(meta or {})
         self.n_obs = layers[0].cols
         self.n_params = layers[-1].rows
-        self._bias_ivs: tuple[tuple[Interval, ...], ...] | None = None
+        # Per layer: weights transposed to (cols, rows), bias, relu flag.
+        self._arrays = tuple(
+            (np.array(l.weights).T.copy(), np.array(l.bias), l.activation == "relu")
+            for l in layers
+        )
+        # The box pass holds a layer's negated lower bounds and its upper
+        # bounds in one array, so one upward rounding serves both: negation
+        # is exact and round-to-nearest is symmetric. Per layer: weights
+        # (cols, 2 * rows) for that array, where each term takes its input's
+        # lower bound rather than its upper one (lower bounds for w >= 0,
+        # upper bounds for w < 0, as _mul_scalar does), bias, relu flag.
+        self._box_arrays = tuple(
+            (
+                np.concatenate((-wt, wt), axis=1),
+                np.concatenate((wt >= 0.0, wt < 0.0), axis=1),
+                np.concatenate((-bias, bias)),
+                relu,
+            )
+            for wt, bias, relu in self._arrays
+        )
 
     def eval_point(self, y: Sequence[float]) -> Vector:
-        self._check_point(y)
-        values = [float(v) for v in y]
-        for layer in self.layers:
-            out = []
-            for row, b in zip(layer.weights, layer.bias):
-                acc = 0.0
-                for w, v in zip(row, values):
-                    acc += w * v
-                acc += b
-                if layer.activation == "relu" and acc < 0.0:
-                    acc = 0.0
-                out.append(acc)
-            values = out
-        return tuple(values)
+        return tuple(self.eval_points(np.array([y], dtype=np.float64))[0].tolist())
+
+    def eval_points(self, rows: np.ndarray) -> np.ndarray:
+        self._check_point(rows.T)  # len(rows.T) is the row width
+        h = rows
+        for wt, bias, relu in self._arrays:
+            acc = np.zeros((len(h), len(bias)))
+            for column, w in zip(h.T[:, :, None], wt):
+                acc += column * w
+            acc += bias
+            if relu:
+                acc[acc < 0.0] = 0.0
+            h = acc
+        return h
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         self._check_box(box)
-        if self._bias_ivs is None:
-            self._bias_ivs = tuple(
-                tuple(Interval.point(b) for b in layer.bias)
-                for layer in self.layers
-            )
-        values = list(box.components)
-        for layer, bias_ivs in zip(self.layers, self._bias_ivs):
-            out = []
-            relu = layer.activation == "relu"
-            for row, b_iv in zip(layer.weights, bias_ivs):
-                acc = _mul_scalar(row[0], values[0])
-                for w, v in zip(row[1:], values[1:]):
-                    acc = iadd(acc, _mul_scalar(w, v))
-                acc = iadd(acc, b_iv)
-                if relu:
-                    acc = irelu(acc)
-                out.append(acc)
-            values = out
-        return IntervalBox(values)
+        lb = np.array([c.lb for c in box.components])
+        ub = np.array([c.ub for c in box.components])
+        for w2, take_lb, bias2, relu in self._box_arrays:
+            # Row j holds the terms of input j, rounded as _mul_scalar rounds
+            # them; they are summed one input at a time, rounding each add.
+            terms = w2 * np.where(take_lb, lb[:, None], ub[:, None])
+            np.nextafter(terms, np.inf, out=terms)
+            acc = terms[0]
+            for t in terms[1:]:
+                np.add(acc, t, out=acc)
+                np.nextafter(acc, np.inf, out=acc)
+            acc = np.nextafter(acc + bias2, np.inf)
+            rows = len(bias2) // 2
+            lb, ub = -acc[:rows], acc[rows:]
+            if relu:
+                lb = np.where(lb > 0.0, lb, 0.0)
+                ub = np.where(ub > 0.0, ub, 0.0)
+        return IntervalBox(map(_make, lb.tolist(), ub.tolist()))
 
 
 def save_mlp(model: MlpModel, path: str | Path) -> None:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .framework import EstimatorModel, ObservationModel, Vector
 from .interval import (
     Interval,
@@ -90,6 +92,16 @@ class TrilaterationModel(ObservationModel):
             dy = ay - x1
             out.append(math.sqrt(dx * dx + dy * dy))
         return tuple(out)
+
+    def eval_points(self, rows: np.ndarray) -> np.ndarray:
+        self._check_point(rows.T)  # len(rows.T) is the row width
+        x0, x1 = rows[:, 0], rows[:, 1]
+        out = np.empty((len(rows), self.n_obs))
+        for i, (ax, ay) in enumerate(self.landmarks):
+            dx = ax - x0
+            dy = ay - x1
+            out[:, i] = np.sqrt(dx * dx + dy * dy)
+        return out
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         self._check_box(box)

@@ -155,6 +155,11 @@ def _evaluate(f: BoxObjective, box: IntervalBox) -> CoverEntry:
         raise ObjectiveError(
             f"objective returned {enclosure!r} (not an Interval) on {box!r}"
         )
+    # Also false for NaN bounds, which would corrupt the cover's heap order.
+    if not enclosure.lb <= enclosure.ub:
+        raise ObjectiveError(
+            f"objective returned the invalid enclosure {enclosure!r} on {box!r}"
+        )
     return CoverEntry(box, enclosure)
 
 

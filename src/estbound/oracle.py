@@ -7,7 +7,13 @@ the reported bound is proof of one. The oracle never claims tightness.
 
 Random sampling uses numpy's PCG64 generator so that a (seed, sample count)
 pair reproduces the exact same sample sequence, and a longer run with the
-same seed extends the shorter one.
+same seed extends the shorter one. Samples are drawn and evaluated in
+chunks of CHUNK rows, one `ErrorObjective.error_point` call per chunk, so
+memory stays bounded for any sample count. Drawing the stream in row
+chunks yields the same rows as drawing it in one call, and the batched
+error evaluation gives the same floats as one call per sample, so the
+result is the same as a sample-by-sample scan: the first occurrence of the
+largest error.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ import numpy as np
 from .framework import ErrorObjective
 
 __all__ = ["OracleConfig", "OracleResult", "sample_max_error", "certify"]
+
+# Samples drawn and evaluated per call; bounds the oracle's memory use.
+CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -58,39 +67,52 @@ def _grid_points(lows, highs, dim, budget):
         yield from itertools.product(*axes)
 
 
+def _random_chunks(lows, highs, samples, seed):
+    # Row-wise chunks of one PCG64 stream: each value takes one draw, in
+    # row-major order, so the rows equal a single draw of all samples.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for start in range(0, samples, CHUNK):
+        size = min(CHUNK, samples - start)
+        yield rng.uniform(lows, highs, size=(size, len(lows)))
+
+
+def _grid_chunks(lows, highs, budget):
+    points = _grid_points(lows, highs, len(lows), budget)
+    while chunk := list(itertools.islice(points, CHUNK)):
+        yield np.array(chunk, dtype=np.float64)
+
+
 def sample_max_error(obj: ErrorObjective, cfg: OracleConfig) -> OracleResult:
     """Evaluate the error at sampled (parameter, noise) points and return
-    the maximum. Random mode draws uniformly over the search box; grid mode
-    evaluates every corner of the box plus a regular interior grid."""
+    the maximum, at its first occurrence; NaN errors are never the maximum.
+    Random mode draws uniformly over the search box; grid mode evaluates
+    every corner of the box plus a regular interior grid."""
     n = obj.n_params
     box = obj.initial_box()
     lows = [c.lb for c in box]
     highs = [c.ub for c in box]
 
     if cfg.mode == "random":
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        points = rng.uniform(lows, highs, size=(cfg.samples, box.dim))
-        iterator = (tuple(row) for row in points.tolist())
+        chunks = _random_chunks(lows, highs, cfg.samples, cfg.seed)
     else:
-        iterator = _grid_points(lows, highs, box.dim, cfg.samples)
+        chunks = _grid_chunks(lows, highs, cfg.samples)
 
     best = -math.inf
-    best_x: tuple[float, ...] = ()
-    best_e: tuple[float, ...] = ()
+    best_point: list[float] = []
     used = 0
-    for p in iterator:
-        x = p[:n]
-        e = p[n:]
-        value = obj.error_point(x, e)
-        used += 1
-        if value > best:
-            best = value
-            best_x = tuple(x)
-            best_e = tuple(e)
+    for rows in chunks:
+        values = obj.error_point(rows[:, :n], rows[:, n:])
+        # argmax picks the first of equal maxima; later chunks must beat
+        # the best strictly, as a sample-by-sample scan would.
+        i = int(np.argmax(np.where(np.isnan(values), -math.inf, values)))
+        if values[i] > best:
+            best = float(values[i])
+            best_point = rows[i].tolist()
+        used += len(rows)
     return OracleResult(
         max_observed=best,
-        argmax_x=best_x,
-        argmax_e=best_e,
+        argmax_x=tuple(best_point[:n]),
+        argmax_e=tuple(best_point[n:]),
         samples_used=used,
     )
 

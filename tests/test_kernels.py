@@ -1,0 +1,272 @@
+"""The numpy kernels against plain-Python references.
+
+The network's point and box passes and the batched error evaluation must
+give the same floats, bit for bit, as the scalar loops below, which perform
+the same IEEE operations in the same order one value at a time. The box
+pass must also contain the exact network value, checked against mpmath.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from estbound.interval import Interval, IntervalBox, _mul_scalar, iadd, irelu
+from estbound.mlp import MlpLayer, MlpModel, load_mlp
+from estbound.pipeline import load_scenario
+
+
+def reference_eval_point(model, y):
+    """Scalar forward pass: per output, sum the weighted inputs in column
+    order starting from 0.0, add the bias, then apply relu."""
+    values = [float(v) for v in y]
+    for layer in model.layers:
+        out = []
+        for row, b in zip(layer.weights, layer.bias):
+            acc = 0.0
+            for w, v in zip(row, values):
+                acc += w * v
+            acc += b
+            if layer.activation == "relu" and acc < 0.0:
+                acc = 0.0
+            out.append(acc)
+        values = out
+    return tuple(values)
+
+
+def reference_eval_box(model, box):
+    """Scalar interval forward pass with the outward-rounded operations."""
+    values = list(box.components)
+    for layer in model.layers:
+        out = []
+        for row, b in zip(layer.weights, layer.bias):
+            acc = _mul_scalar(row[0], values[0])
+            for w, v in zip(row[1:], values[1:]):
+                acc = iadd(acc, _mul_scalar(w, v))
+            acc = iadd(acc, Interval.point(b))
+            if layer.activation == "relu":
+                acc = irelu(acc)
+            out.append(acc)
+        values = out
+    return IntervalBox(values)
+
+
+def reference_error(obj, x, e, estimate):
+    """Scalar error_point with the estimator's point pass given."""
+    y = [yi + ei for yi, ei in zip(obj.observation.eval_point(x), e)]
+    acc = 0.0
+    for xi, xh in zip(x, estimate(y)):
+        d = xi - xh
+        acc += d * d
+    return math.sqrt(acc)
+
+
+def bits(values):
+    # float.hex tells -0.0 from 0.0.
+    return [float(v).hex() for v in values]
+
+
+def box_bits(box):
+    return [(c.lb.hex(), c.ub.hex()) for c in box]
+
+
+@pytest.fixture(scope="module")
+def net(scenario_dir):
+    return load_mlp(scenario_dir / "mlp_3x32x32x2.json")
+
+
+def with_layer(model, index, weights=None, bias=None):
+    layers = list(model.layers)
+    old = layers[index]
+    layers[index] = MlpLayer(
+        weights=old.weights if weights is None else weights,
+        bias=old.bias if bias is None else bias,
+        activation=old.activation,
+    )
+    return MlpModel(layers)
+
+
+def boundary_model(model, y, index):
+    """model with layer `index`'s bias chosen so that every pre-activation
+    of that layer is exactly 0.0 at input y."""
+    values = list(y)
+    if index:
+        values = list(reference_eval_point(MlpModel(model.layers[:index]), y))
+    bias = []
+    for row in model.layers[index].weights:
+        acc = 0.0
+        for w, v in zip(row, values):
+            acc += w * v
+        bias.append(-acc)
+    return with_layer(model, index, bias=tuple(bias))
+
+
+def zeroed_model(model):
+    """model with a column of 0.0 weights in layer 0, a row of -0.0 weights
+    in layer 1, and an output whose weights and bias are all -0.0 (the sum
+    starts from 0.0, so it is 0.0, not -0.0)."""
+    w0 = tuple((row[0], 0.0, row[2]) for row in model.layers[0].weights)
+    w1 = list(model.layers[1].weights)
+    w1[3] = tuple(-0.0 for _ in w1[3])
+    last = model.layers[-1]
+    w2 = (last.weights[0], tuple(-0.0 for _ in last.weights[1]))
+    model = with_layer(with_layer(model, 0, weights=w0), 1, weights=tuple(w1))
+    return with_layer(model, 2, weights=w2, bias=(last.bias[0], -0.0))
+
+
+def sample_boxes(rng, center, count):
+    boxes = []
+    for _ in range(count):
+        bounds = []
+        for c in center:
+            w = rng.choice([0.0, 1e-9, rng.uniform(0, 0.5), rng.uniform(0, 5)])
+            lo = c - rng.uniform(0, w)
+            bounds.append((lo, lo + w))
+        boxes.append(IntervalBox.from_bounds(bounds))
+    return boxes
+
+
+class TestNetworkBitIdentity:
+    def check_points(self, model, rows):
+        rows = np.array(rows, dtype=np.float64)
+        batched = model.eval_points(rows)
+        for row, out in zip(rows.tolist(), batched):
+            expected = bits(reference_eval_point(model, row))
+            assert bits(out) == expected
+            assert bits(model.eval_point(row)) == expected
+
+    def check_boxes(self, model, boxes):
+        for box in boxes:
+            expected = box_bits(reference_eval_box(model, box))
+            assert box_bits(model.eval_box(box)) == expected
+
+    def test_random_inputs(self, net):
+        rng = random.Random(3)
+        rows = [[rng.uniform(-50, 50) for _ in range(3)] for _ in range(200)]
+        self.check_points(net, rows)
+        boxes = []
+        for row in rows[:100]:
+            boxes += sample_boxes(rng, row, 1)
+        self.check_boxes(net, boxes)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_relu_boundary(self, net, index):
+        y = (12.5, 7.25, 30.0)
+        model = boundary_model(net, y, index)
+        self.check_points(model, [y, [v + 1e-9 for v in y], [v - 1e-9 for v in y]])
+        rng = random.Random(11 + index)
+        self.check_boxes(model, [IntervalBox.point(y)] + sample_boxes(rng, y, 30))
+
+    def test_signed_zeros_and_zero_weights(self, net):
+        rng = random.Random(5)
+        rows = [
+            (-0.0, 5.0, -0.0),
+            (0.0, -0.0, 0.0),
+            (-0.0, -0.0, -0.0),
+            (3.0, -0.0, 9.5),
+        ]
+        boxes = [
+            IntervalBox.from_bounds([(-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]),
+            IntervalBox.from_bounds([(-0.0, 1.0), (-2.0, -0.0), (0.0, 3.0)]),
+            IntervalBox.from_bounds([(-0.0, -0.0), (4.0, 4.5), (-1.0, -0.0)]),
+        ]
+        for model in (net, zeroed_model(net)):
+            more = [[rng.uniform(-5, 5) for _ in range(3)] for _ in range(20)]
+            self.check_points(model, rows + more)
+            self.check_boxes(model, boxes + sample_boxes(rng, (1.0, -2.0, 3.0), 20))
+
+    def test_degenerate_box_components(self, net):
+        rng = random.Random(7)
+        boxes = []
+        for _ in range(40):
+            y = [rng.uniform(0, 45) for _ in range(3)]
+            flat = rng.randrange(3)
+            bounds = [
+                (v, v) if i == flat else (v, v + rng.uniform(0, 2))
+                for i, v in enumerate(y)
+            ]
+            boxes += [IntervalBox.from_bounds(bounds), IntervalBox.point(y)]
+        self.check_boxes(net, boxes)
+
+
+class TestErrorPointChunks:
+    @pytest.mark.parametrize("name", ["trilat_mlp", "trilat_gd", "identity"])
+    def test_chunk_equals_reference(self, scenario_dir, name):
+        obj = load_scenario(scenario_dir / f"{name}.scn").build_objective()
+        if isinstance(obj.estimator, MlpModel):
+            estimate = lambda y: reference_eval_point(obj.estimator, y)  # noqa: E731
+        else:
+            estimate = obj.estimator.eval_point
+        box = obj.initial_box()
+        rng = np.random.Generator(np.random.PCG64(1))
+        lows, highs = [c.lb for c in box], [c.ub for c in box]
+        rows = rng.uniform(lows, highs, size=(300, box.dim))
+        n = obj.n_params
+        values = obj.error_point(rows[:, :n], rows[:, n:])
+        assert values.shape == (len(rows),)
+        for row, value in zip(rows.tolist(), values):
+            expected = reference_error(obj, row[:n], row[n:], estimate)
+            assert float(value).hex() == expected.hex()
+        x, e = rows[0, :n].tolist(), rows[0, n:].tolist()
+        single = obj.error_point(x, e)
+        assert isinstance(single, float)
+        assert single.hex() == reference_error(obj, x, e, estimate).hex()
+
+    def test_trilateration_rows_equal_eval_point(self, scenario_dir):
+        obj = load_scenario(scenario_dir / "trilat_mlp.scn").build_objective()
+        obs = obj.observation
+        rng = np.random.Generator(np.random.PCG64(2))
+        rows = rng.uniform(-30, 30, size=(200, 2))
+        rows[0] = obs.landmarks[0]
+        rows[1] = (-0.0, 0.0)
+        for row, out in zip(rows.tolist(), obs.eval_points(rows)):
+            assert bits(out) == bits(obs.eval_point(row))
+
+    def test_row_width_checked(self, net):
+        with pytest.raises(ValueError, match="dim 2"):
+            net.eval_points(np.zeros((4, 2)))
+
+
+class TestNetworkContainsExactValue:
+    """The box pass against the network evaluated in mpmath at 60 digits,
+    where the products of doubles are exact and each sum is off by at most
+    1e-60 relative: far below the one-ulp outward steps being checked."""
+
+    @staticmethod
+    def exact(mpmath, model, y):
+        values = [mpmath.mpf(v) for v in y]
+        for layer in model.layers:
+            out = []
+            for row, b in zip(layer.weights, layer.bias):
+                acc = mpmath.mpf(b)
+                for w, v in zip(row, values):
+                    acc += mpmath.mpf(w) * v
+                if layer.activation == "relu" and acc < 0:
+                    acc = mpmath.mpf(0)
+                out.append(acc)
+            values = out
+        return values
+
+    @pytest.mark.parametrize("which", ["bundled", "boundary", "zeroed"])
+    def test_random_boxes(self, net, which):
+        mpmath = pytest.importorskip("mpmath")
+        model = {
+            "bundled": net,
+            "boundary": boundary_model(net, (12.5, 7.25, 30.0), 0),
+            "zeroed": zeroed_model(net),
+        }[which]
+        rng = random.Random(13)
+        with mpmath.workdps(60):
+            for box in sample_boxes(rng, (12.5, 7.25, 30.0), 6) + sample_boxes(
+                rng, (rng.uniform(0, 45), rng.uniform(0, 45), rng.uniform(0, 45)), 6
+            ):
+                out = model.eval_box(box)
+                corner = [rng.choice((c.lb, c.ub)) for c in box]
+                inside = [[rng.uniform(c.lb, c.ub) for c in box] for _ in range(3)]
+                for y in [corner] + inside:
+                    exact = self.exact(mpmath, model, y)
+                    assert all(c.lb <= v <= c.ub for c, v in zip(out, exact))
+                    point_out = model.eval_box(IntervalBox.point(y))
+                    assert all(c.lb <= v <= c.ub for c, v in zip(point_out, exact))
+                    assert point_out.contains(model.eval_point(y))

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from estbound.interval import Interval, IntervalBox, iadd, isqr, isub
+from estbound.interval import Interval, IntervalBox, iadd, imul, isqr, isub
 from estbound.optimizer import (
     CannotSplitError,
     Cover,
@@ -224,6 +224,19 @@ class TestMooreSkelboe:
         with pytest.raises(ObjectiveError, match="not an Interval"):
             moore_skelboe(
                 bad,
+                IntervalBox.from_bounds([(0, 1)]),
+                MsConfig(delta=1e-3, split_dims=(0,)),
+            )
+
+    def test_nan_enclosure_aborts_with_diagnostic(self):
+        # 0 * inf is NaN, so this product has NaN bounds.
+        def nan_objective(box):
+            return imul(Interval(0.0, 0.0), Interval(-math.inf, math.inf))
+
+        assert math.isnan(nan_objective(None).lb)
+        with pytest.raises(ObjectiveError, match="invalid enclosure"):
+            moore_skelboe(
+                nan_objective,
                 IntervalBox.from_bounds([(0, 1)]),
                 MsConfig(delta=1e-3, split_dims=(0,)),
             )

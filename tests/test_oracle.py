@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from estbound.framework import ErrorObjective
@@ -9,7 +11,14 @@ from estbound.models import (
     IdentityEstimator,
     IdentityObservation,
 )
-from estbound.oracle import OracleConfig, OracleResult, certify, sample_max_error
+from estbound.oracle import (
+    CHUNK,
+    OracleConfig,
+    OracleResult,
+    certify,
+    sample_max_error,
+)
+from estbound.pipeline import load_scenario
 
 
 def identity_objective():
@@ -90,6 +99,99 @@ class TestRandomMode:
         obj = identity_objective()
         res = sample_max_error(obj, OracleConfig(samples=5000, seed=4))
         assert res.max_observed <= math.sqrt(0.02)
+
+
+class Recording(ErrorObjective):
+    """Identity objective that records the rows the oracle evaluates and,
+    when given scripted values, returns those instead of the errors."""
+
+    def __init__(self, scripted=None):
+        base = identity_objective()
+        super().__init__(
+            base.observation, base.estimator, base.param_box, base.noise_box
+        )
+        self.scripted = scripted
+        self.chunks = []
+
+    def error_point(self, x, e):
+        start = sum(len(c) for c in self.chunks)
+        self.chunks.append(np.hstack([x, e]))
+        if self.scripted is None:
+            return super().error_point(x, e)
+        return np.asarray(self.scripted[start : start + len(x)], dtype=np.float64)
+
+
+class TestChunking:
+    @pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 10_001])
+    def test_stream_and_result_match_one_shot_scan(self, samples):
+        obj = Recording()
+        res = sample_max_error(obj, OracleConfig(samples=samples, seed=7))
+        box = obj.initial_box()
+        rng = np.random.Generator(np.random.PCG64(7))
+        expected = rng.uniform(
+            [c.lb for c in box], [c.ub for c in box], size=(samples, box.dim)
+        )
+        assert all(len(c) <= CHUNK for c in obj.chunks)
+        assert np.array_equal(np.vstack(obj.chunks), expected)
+        # the sample-by-sample scan the chunked oracle must reproduce, with
+        # the identity pair's error written out in plain Python
+        best, best_row = -math.inf, None
+        for row in expected.tolist():
+            acc = 0.0
+            for xi, ei in zip(row[:2], row[2:]):
+                d = xi - (xi + ei)
+                acc += d * d
+            value = math.sqrt(acc)
+            if value > best:
+                best, best_row = value, row
+        assert res.max_observed == best
+        assert res.argmax_x == tuple(best_row[:2])
+        assert res.argmax_e == tuple(best_row[2:])
+        assert res.samples_used == samples
+
+    def test_grid_mode_is_chunked(self):
+        obj = Recording()
+        res = sample_max_error(obj, OracleConfig(samples=10_000, seed=0, mode="grid"))
+        assert all(len(c) <= CHUNK for c in obj.chunks)
+        assert len(obj.chunks) > 1
+        assert sum(len(c) for c in obj.chunks) == res.samples_used
+
+    def test_ties_pick_the_first_sample(self):
+        obj = Recording(scripted=[0.5] * (2 * CHUNK))
+        res = sample_max_error(obj, OracleConfig(samples=2 * CHUNK, seed=3))
+        first = obj.chunks[0][0].tolist()
+        assert res.max_observed == 0.5
+        assert res.argmax_x + res.argmax_e == tuple(first)
+
+    def test_first_maximum_across_chunks(self):
+        values = [1.0] * (2 * CHUNK)
+        values[5] = values[CHUNK + 3] = 2.0
+        obj = Recording(scripted=values)
+        res = sample_max_error(obj, OracleConfig(samples=2 * CHUNK, seed=3))
+        assert res.argmax_x + res.argmax_e == tuple(obj.chunks[0][5].tolist())
+
+    def test_nan_is_never_the_maximum(self):
+        obj = Recording(scripted=[math.nan, 1.0, math.nan, 3.0, math.nan])
+        res = sample_max_error(obj, OracleConfig(samples=5, seed=0))
+        assert res.max_observed == 3.0
+        assert res.argmax_x + res.argmax_e == tuple(obj.chunks[0][3].tolist())
+        res = sample_max_error(
+            Recording(scripted=[math.nan] * 3), OracleConfig(samples=3, seed=0)
+        )
+        assert res.max_observed == -math.inf
+        assert res.argmax_x == () and res.argmax_e == ()
+
+    def test_memory_stays_bounded(self, scenario_dir):
+        # Drawing and evaluating 200k samples at once takes tens of MB; the
+        # chunked oracle holds a few chunk-sized arrays, about 4 MiB.
+        obj = load_scenario(scenario_dir / "trilat_mlp.scn").build_objective()
+        tracemalloc.start()
+        try:
+            sample_max_error(obj, OracleConfig(samples=200_000, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestCertify:
