@@ -19,7 +19,6 @@ from .interval import (
     isqr,
     isqrt,
     isub,
-    width,
 )
 from .mlp import MlpLayer, MlpModel, load_mlp, save_mlp, train_mlp
 from .models import (
@@ -61,7 +60,6 @@ __all__ = [
     "isqrt",
     "irelu",
     "hull",
-    "width",
     "ObservationModel",
     "EstimatorModel",
     "ErrorObjective",

@@ -118,6 +118,9 @@ def _cmd_train_mlp(args) -> int:
     if not path.exists():
         raise FileNotFoundError(f"training config not found: {path}")
     cfg = json.loads(path.read_text())
+    for key in ("landmarks", "param_box", "noise_box"):
+        if key not in cfg:
+            raise ValueError(f"training config {path} needs {key!r}")
     landmarks = cfg["landmarks"]
     param_bounds = [(float(lo), float(hi)) for lo, hi in cfg["param_box"]]
     noise_bounds = [(float(lo), float(hi)) for lo, hi in cfg["noise_box"]]

@@ -16,7 +16,7 @@ boxes concurrently.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -216,11 +216,15 @@ class ErrorObjective:
             raise ValueError(
                 f"noise box has dim {noise_box.dim}, expected {self.n_obs}"
             )
+        return self._error_box(param_box, noise_box)
+
+    def _error_box(self, param_box: IntervalBox, noise_box: IntervalBox) -> Interval:
+        # error_box for boxes whose dims the caller has checked.
         diff = self.estimator.error_vector_box(
             self.observation, param_box, noise_box
-        )
+        ).components
         acc = isqr(diff[0])
-        for c in diff.components[1:]:
+        for c in diff[1:]:
             acc = iadd(acc, isqr(c))
         return isqrt(acc)
 
@@ -232,7 +236,7 @@ class ErrorObjective:
             raise ValueError(
                 f"search box has dim {box.dim}, expected {n} + {m} = {n + m}"
             )
-        return ineg(self.error_box(box[:n], box[n:]))
+        return ineg(self._error_box(box[:n], box[n:]))
 
     def initial_box(self) -> IntervalBox:
         """The full search box: parameter box then noise box."""
@@ -241,6 +245,3 @@ class ErrorObjective:
     def split_dims(self) -> tuple[int, ...]:
         """Indices the optimizer may split: the parameter components only."""
         return tuple(range(self.n_params))
-
-    def objective(self) -> Callable[[IntervalBox], Interval]:
-        return self.objective_box

@@ -27,7 +27,6 @@ __all__ = [
     "isqrt",
     "irelu",
     "hull",
-    "width",
 ]
 
 _INF = math.inf
@@ -77,18 +76,6 @@ class Interval:
 
     def encloses(self, other: "Interval") -> bool:
         return self.lb <= other.lb and other.ub <= self.ub
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return iadd(self, other)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return isub(self, other)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        return imul(self, other)
-
-    def __neg__(self) -> "Interval":
-        return ineg(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Interval):
@@ -189,10 +176,6 @@ def hull(a: Interval, b: Interval) -> Interval:
     return _make(a.lb if a.lb < b.lb else b.lb, a.ub if a.ub > b.ub else b.ub)
 
 
-def width(a: Interval) -> float:
-    return a.ub - a.lb
-
-
 class IntervalBox:
     """Cartesian product of intervals; a nonempty axis-aligned box."""
 
@@ -231,19 +214,18 @@ class IntervalBox:
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
-            return IntervalBox(self.components[idx])
+            comps = self.components[idx]
+            return _box(comps) if comps else IntervalBox(comps)  # () raises
         return self.components[idx]
 
     def __add__(self, other: "IntervalBox") -> "IntervalBox":
-        if self.dim != other.dim:
+        if len(self.components) != len(other.components):
             raise ValueError(f"box dims differ: {self.dim} vs {other.dim}")
-        return IntervalBox(
-            iadd(a, b) for a, b in zip(self.components, other.components)
-        )
+        return _box(tuple(map(iadd, self.components, other.components)))
 
     def concat(self, other: "IntervalBox") -> "IntervalBox":
         """Cartesian product: the components of self followed by other's."""
-        return IntervalBox(self.components + other.components)
+        return _box(self.components + other.components)
 
     def contains(self, x: Sequence[float]) -> bool:
         if len(x) != self.dim:
@@ -263,12 +245,11 @@ class IntervalBox:
     def widest_dim(self, dims: Iterable[int] | None = None) -> tuple[int, float]:
         """Index and width of the widest component among `dims` (all
         components when omitted); ties go to the lowest index."""
-        indices = range(self.dim) if dims is None else sorted(set(dims))
         best_i = -1
         best_w = -1.0
-        for i in indices:
+        for i in range(self.dim) if dims is None else dims:
             w = self.components[i].width
-            if w > best_w:
+            if w > best_w or (w == best_w and i < best_i):
                 best_i, best_w = i, w
         if best_i < 0:
             raise ValueError("dims must be a non-empty subset of box indices")
@@ -289,7 +270,7 @@ class IntervalBox:
         right = list(self.components)
         left[dim] = _make(c.lb, mid)
         right[dim] = _make(mid, c.ub)
-        return IntervalBox(left), IntervalBox(right)
+        return _box(tuple(left)), _box(tuple(right))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalBox):
@@ -302,3 +283,10 @@ class IntervalBox:
     def __repr__(self) -> str:
         inner = " x ".join(repr(c) for c in self.components)
         return f"Box({inner})"
+
+
+def _box(components: tuple[Interval, ...]) -> IntervalBox:
+    # Unchecked construction from a non-empty tuple of Intervals.
+    box = IntervalBox.__new__(IntervalBox)
+    box.components = components
+    return box

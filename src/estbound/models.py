@@ -18,11 +18,11 @@ from .framework import EstimatorModel, ObservationModel, Vector
 from .interval import (
     Interval,
     IntervalBox,
+    _box,
     _make,
     _mul_scalar,
     iadd,
     imul,
-    ineg,
     isqr,
     isqrt,
     isub,
@@ -46,6 +46,7 @@ class IdentityObservation(ObservationModel):
             raise ValueError("dim must be >= 1")
         self.n_params = dim
         self.n_obs = dim
+        self._zero = IntervalBox.point([0.0] * dim)
 
     def eval_point(self, x: Sequence[float]) -> Vector:
         self._check_point(x)
@@ -58,8 +59,7 @@ class IdentityObservation(ObservationModel):
     def deviation_box(self, box: IntervalBox) -> IntervalBox:
         # g(x) - x is identically zero; exact, no interval subtraction.
         self._check_box(box)
-        zero = Interval.point(0.0)
-        return IntervalBox(zero for _ in range(self.n_params))
+        return self._zero
 
 
 class TrilaterationModel(ObservationModel):
@@ -137,20 +137,19 @@ class IdentityEstimator(EstimatorModel):
         param_box: IntervalBox,
         noise_box: IntervalBox,
     ) -> IntervalBox:
-        # x - estimate = -((g(x) - x) + e). Composing through the
-        # observation's deviation enclosure avoids subtracting the parameter
-        # box from itself, which would double-count its width. The point
-        # evaluation rounds at the magnitude of x, which this composition
-        # never sees, so pad each component by a few ulps of the larger
-        # operand scale to keep the floating-point error values inside.
-        dev = observation.deviation_box(param_box)
-        total = dev + noise_box
+        # x - estimate = -((g(x) - x) + e). Composing through the deviation
+        # enclosure C of g avoids subtracting the parameter box from itself.
+        # The point evaluation rounds at the magnitude of x, which C never
+        # sees. With S = max(|x|, |C|, 1) (max(-lb, ub) as lb <= ub) and an
+        # exact g(x) = y, fl(x - fl(y + e)) is within ulp(S) of x - (y + e)
+        # per rounding (|y + e| <= 2S); the 4 ulp(S) pad loses <= ulp(S) to
+        # its own rounding, so 3 ulp(S) >= 2 ulp(S) remains.
+        total = observation.deviation_box(param_box) + noise_box
         out = []
-        for c, x in zip(total, param_box):
-            scale = max(abs(x.lb), abs(x.ub), abs(c.lb), abs(c.ub), 1.0)
-            pad = 4.0 * math.ulp(scale)
-            out.append(ineg(_make(c.lb - pad, c.ub + pad)))
-        return IntervalBox(out)
+        for c, x in zip(total.components, param_box.components):
+            pad = 4.0 * math.ulp(max(-x.lb, x.ub, -c.lb, c.ub, 1.0))
+            out.append(_make(-(c.ub + pad), -(c.lb - pad)))
+        return _box(tuple(out))
 
 
 class ConstantEstimator(EstimatorModel):

@@ -3,10 +3,10 @@
 The search keeps a cover of the initial box ordered by the lower bound of
 each box's objective enclosure. Each iteration takes the front box (the one
 with the smallest lower bound), splits it along its widest splittable
-dimension, re-evaluates the halves and reinserts them. The front enclosure
-always brackets the global minimum, so the loop may stop at any iteration
-with a sound result; it stops normally once the front enclosure is narrower
-than the configured tolerance.
+dimension, re-evaluates the halves and puts them in its place. The front
+enclosure always brackets the global minimum, so the loop may stop at any
+iteration with a sound result; it stops normally once the front enclosure
+is narrower than the configured tolerance.
 
 No box is ever discarded: without an upper-bound pruning rule the cover
 only grows, and memory is bounded by the iteration cap.
@@ -85,14 +85,15 @@ class Cover:
     def pop(self) -> CoverEntry:
         return heapq.heappop(self._heap)[2]
 
+    def replace_front(self, entry: CoverEntry) -> None:
+        """pop() then insert(entry), in one heap sift."""
+        heapq.heapreplace(self._heap, (entry.enclosure.lb, self._seq, entry))
+        self._seq += 1
+
     def entries(self) -> list[CoverEntry]:
         """All entries, sorted by (lower bound, insertion order)."""
-        return [item[2] for item in sorted(self._heap, key=lambda t: t[:2])]
-
-    def is_sorted(self) -> bool:
-        """Invariant sweep: entries() comes out nondecreasing in lb."""
-        lbs = [e.enclosure.lb for e in self.entries()]
-        return all(a <= b for a, b in zip(lbs, lbs[1:]))
+        # Sequence numbers are unique, so tuple order never reaches the entry.
+        return [item[2] for item in sorted(self._heap)]
 
 
 @dataclass(frozen=True)
@@ -204,9 +205,8 @@ def moore_skelboe(
         except CannotSplitError:
             converged = False
             break
-        cover.pop()
         left, right = front.box.bisect(dim)
-        cover.insert(_evaluate(f, left))
+        cover.replace_front(_evaluate(f, left))
         cover.insert(_evaluate(f, right))
         iterations += 1
         if on_iteration is not None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,9 +49,12 @@ DEFAULT_MAX_ITERATIONS = 1_000_000
 
 def _parse_box(raw, name: str) -> IntervalBox:
     try:
-        return IntervalBox.from_bounds((float(lo), float(hi)) for lo, hi in raw)
+        box = IntervalBox.from_bounds((float(lo), float(hi)) for lo, hi in raw)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid {name}: {exc}") from exc
+    if not all(math.isfinite(c.lb) and math.isfinite(c.ub) for c in box):
+        raise ValueError(f"invalid {name}: bounds must be finite, got {raw!r}")
+    return box
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,10 @@ class Scenario:
             raise ValueError("scenario needs 'param_box' and 'noise_box'")
         ms = doc.get("ms", {})
         oracle_doc = doc.get("oracle", {})
+        if not isinstance(ms, dict) or not isinstance(oracle_doc, (dict, type(None))):
+            raise ValueError(
+                "scenario 'ms' must be an object and 'oracle' an object or null"
+            )
         if oracle_doc is None:
             oracle = None
         else:

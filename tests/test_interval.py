@@ -16,7 +16,6 @@ from estbound.interval import (
     isqr,
     isqrt,
     isub,
-    width,
 )
 
 
@@ -99,14 +98,16 @@ class TestElementaryOps:
     def test_hull(self):
         assert hull(Interval(0, 1), Interval(3, 4)) == Interval(0, 4)
 
-    def test_width(self):
-        assert width(Interval(4, 6)) == 2.0
-
 
 class TestBox:
     def test_widest_dim_tie_break(self):
         b = IntervalBox.from_bounds([(0, 1), (0, 3), (0, 3)])
         assert b.widest_dim({0, 1, 2}) == (1, 3.0)
+
+    def test_widest_dim_tie_break_ignores_dims_order(self):
+        b = IntervalBox.from_bounds([(0, 3), (0, 1), (0, 3), (0, 3)])
+        assert b.widest_dim([3, 2, 1]) == (2, 3.0)
+        assert b.widest_dim((3, 0, 3, 2)) == (0, 3.0)
 
     def test_widest_dim_restricted(self):
         b = IntervalBox.from_bounds([(0, 1), (0, 9)])
@@ -163,6 +164,20 @@ class TestBox:
         c = a.concat(b)
         assert c.dim == 3
         assert c[:1] == a and c[1:] == b
+
+    def test_empty_slice_rejected(self):
+        b = IntervalBox.from_bounds([(0, 1), (2, 3)])
+        with pytest.raises(ValueError):
+            b[2:]
+
+    def test_non_interval_component_rejected(self):
+        with pytest.raises(TypeError):
+            IntervalBox([Interval(0, 1), (2, 3)])
+
+    def test_add_dim_mismatch_rejected(self):
+        a = IntervalBox.from_bounds([(0, 1)])
+        with pytest.raises(ValueError, match="dims differ"):
+            a + IntervalBox.from_bounds([(0, 1), (2, 3)])
 
 
 finite = st.floats(

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from estbound.interval import IntervalBox
@@ -93,6 +94,49 @@ class TestIdentityAndConstant:
     def test_identity_estimator_round_trips(self):
         est = IdentityEstimator(2)
         assert est.eval_point((3.0, 4.0)) == (3.0, 4.0)
+
+
+class TestIdentityErrorVectorContainsExactValue:
+    """IdentityEstimator.error_vector_box against x - (g(x) + e), evaluated in
+    mpmath at 60 digits and in the floats the point evaluators use. Parameter
+    magnitudes reach 1e6, where the point path's roundings (at the scale of
+    x) are far above the ulps of the noise the enclosure is built from."""
+
+    @staticmethod
+    def pick(rng, box):
+        """A corner, edge or inner point of the box."""
+        return [rng.choice((c.lb, c.ub, rng.uniform(c.lb, c.ub))) for c in box]
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1e3, 1e6])
+    def test_random_boxes_and_points(self, magnitude):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(int(magnitude) + 7)
+        dim = 3
+        obs = IdentityObservation(dim)
+        est = IdentityEstimator(dim)
+        with mpmath.workdps(60):
+            for _ in range(200):
+                centers = [rng.uniform(-magnitude, magnitude) for _ in range(dim)]
+                halves = [
+                    rng.choice((0.0, rng.uniform(0, 1e-3 * magnitude)))
+                    for _ in range(dim)
+                ]
+                param_box = IntervalBox.from_bounds(
+                    (c - h, c + h) for c, h in zip(centers, halves)
+                )
+                noise_box = IntervalBox.from_bounds(
+                    sorted((rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
+                    for _ in range(dim)
+                )
+                out = est.error_vector_box(obs, param_box, noise_box)
+                rows = np.array([self.pick(rng, param_box) for _ in range(8)])
+                noise = np.array([self.pick(rng, noise_box) for _ in range(8)])
+                floats = rows - est.eval_points(obs.eval_points(rows) + noise)
+                for x, e, fl in zip(rows.tolist(), noise.tolist(), floats.tolist()):
+                    for c, xi, ei, fi in zip(out, x, e, fl):
+                        exact = mpmath.mpf(xi) - (mpmath.mpf(xi) + mpmath.mpf(ei))
+                        assert c.lb <= exact <= c.ub
+                        assert c.lb <= fi <= c.ub
 
 
 class TestGradientDescentPoint:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -42,7 +43,6 @@ class TestCover:
             c.insert(self.make_entry(lb))
         c.insert(self.make_entry(2.0))
         assert [e.enclosure.lb for e in c.entries()] == [1.0, 2.0, 3.0]
-        assert c.is_sorted()
 
     def test_fifo_tie_break(self):
         c = Cover()
@@ -70,7 +70,32 @@ class TestCover:
         c = Cover()
         for _ in range(200):
             c.insert(self.make_entry(rng.uniform(-10, 10)))
-            assert c.is_sorted()
+            lbs = [e.enclosure.lb for e in c.entries()]
+            assert all(a <= b for a, b in zip(lbs, lbs[1:]))
+
+    def test_entries_keep_insertion_order_within_ties(self):
+        rng = random.Random(5)
+        c = Cover()
+        inserted = [self.make_entry(rng.choice((-1.0, 0.0, 2.5))) for _ in range(600)]
+        for e in inserted:
+            c.insert(e)
+        expected = sorted(inserted, key=lambda e: e.enclosure.lb)  # stable
+        assert [id(e) for e in c.entries()] == [id(e) for e in expected]
+
+    def test_replace_front_is_pop_then_insert(self):
+        rng = random.Random(9)
+        a, b = Cover(), Cover()
+        for _ in range(50):
+            e = self.make_entry(rng.choice((0.0, 1.0, rng.uniform(-3, 3))))
+            a.insert(e)
+            b.insert(e)
+        for _ in range(300):
+            e = self.make_entry(rng.choice((0.0, 1.0, rng.uniform(-3, 3))))
+            a.pop()
+            a.insert(e)
+            b.replace_front(e)
+            assert a.peek() is b.peek()
+        assert [id(e) for e in a.entries()] == [id(e) for e in b.entries()]
 
 
 class TestSelectSplitDim:
@@ -255,3 +280,21 @@ class TestMooreSkelboe:
         assert pieces[0][0] == -5.0 and pieces[-1][1] == 4.0
         for (_, ub), (lb2, _) in zip(pieces, pieces[1:]):
             assert ub == lb2
+
+    def test_equal_lower_bounds_split_and_report_in_insertion_order(self):
+        # Every box has the same enclosure, so the front is always the oldest
+        # box: the search is a breadth-first bisection, and the final cover
+        # lists the boxes in the order they were made.
+        b_init = IntervalBox.from_bounds([(0, 1), (0, 4)])
+        res = moore_skelboe(
+            lambda box: Interval(0.0, 1.0),
+            b_init,
+            MsConfig(delta=0.5, split_dims=(1, 0), max_iterations=400),
+        )
+        queue = deque([b_init])
+        for _ in range(400):
+            front = queue.popleft()
+            queue.extend(front.bisect(front.widest_dim()[0]))
+        assert not res.converged
+        assert [e.box for e in res.final_cover] == list(queue)
+        assert res.witness == queue[0]

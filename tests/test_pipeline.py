@@ -45,6 +45,16 @@ class TestScenarioParsing:
         sc = Scenario.from_dict(doc)
         assert sc.oracle is None
 
+    def test_sections_must_be_objects(self):
+        for override in ({"ms": [1]}, {"ms": None}, {"oracle": "off"}):
+            with pytest.raises(ValueError, match="must be an object"):
+                Scenario.from_dict(dict(BASE_DOC, **override))
+
+    def test_box_bounds_must_be_finite(self):
+        for bad in ([[0, "inf"]], [[-math.inf, 0]], [[0, "nan"]]):
+            with pytest.raises(ValueError, match="param_box"):
+                Scenario.from_dict(dict(BASE_DOC, param_box=bad))
+
     def test_missing_boxes(self):
         with pytest.raises(ValueError, match="param_box"):
             Scenario.from_dict({"noise_box": [[0, 1]]})
@@ -311,6 +321,44 @@ class TestCli:
         assert model.n_obs == 3 and model.n_params == 2
         assert model.meta["seed"] == 1
         capsys.readouterr()
+
+    @staticmethod
+    def assert_one_line_error(capsys, *words):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for word in words:
+            assert word in err
+
+    @pytest.mark.parametrize(
+        "override, words",
+        [
+            ({"ms": 5}, ["'ms'"]),
+            ({"ms": None}, ["'ms'"]),
+            ({"oracle": [1000]}, ["'oracle'"]),
+            ({"param_box": [[0, "inf"], [0, 1]]}, ["param_box", "finite"]),
+            ({"noise_box": [[-0.1, 0.1], [-math.inf, 0.1]]}, ["noise_box", "finite"]),
+        ],
+    )
+    def test_malformed_scenario_exit_1(self, tmp_path, capsys, override, words):
+        p = write_scenario(tmp_path / "bad.scn", dict(BASE_DOC, **override))
+        assert cli.main(["validate", "--scenario", str(p)]) == 1
+        self.assert_one_line_error(capsys, *words)
+
+    @pytest.mark.parametrize("missing", ["landmarks", "param_box", "noise_box"])
+    def test_train_mlp_missing_key_exit_1(self, tmp_path, capsys, missing):
+        cfg = {
+            "landmarks": [[10, -9], [5, 12], [-15, 0]],
+            "param_box": [[5, 25], [5, 25]],
+            "noise_box": [[-0.2, 0.2], [-0.2, 0.2], [-0.2, 0.2]],
+        }
+        del cfg[missing]
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "weights.json"
+        code = cli.main(["train-mlp", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        self.assert_one_line_error(capsys, repr(missing))
+        assert not out.exists()
 
     def test_unknown_flag_exit_1(self, capsys):
         code = cli.main(["validate", "--scenario", "x", "--frobnicate"])
