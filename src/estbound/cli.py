@@ -22,7 +22,7 @@ import numpy as np
 from .mlp import save_mlp, train_mlp
 from .models import TrilaterationModel
 from .oracle import OracleConfig, sample_max_error
-from .pipeline import dump_cover, load_scenario, _run
+from .pipeline import dump_cover, load_scenario, run_validate
 
 __all__ = ["main", "entry"]
 
@@ -70,7 +70,7 @@ def _cmd_validate(args) -> int:
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
 
-    report, result = _run(scenario)
+    report = run_validate(scenario)
     text = report.to_json_text()
     if args.output:
         Path(args.output).write_text(text)
@@ -78,7 +78,7 @@ def _cmd_validate(args) -> int:
 
     if args.dump_cover:
         dump_cover(
-            result.final_cover,
+            report.search.final_cover,
             scenario.param_box.dim,
             scenario.noise_box.dim,
             args.dump_cover,

@@ -6,7 +6,7 @@ carry a point evaluator, a row-batched form of it (`eval_points`, which
 defaults to one `eval_point` call per row), and a box evaluator that must
 be a sound inclusion of the point one: x in X implies eval_point(x) in
 eval_box(X). `ErrorObjective` composes the two into the estimation error
-e(x, e) = ||x - estimate(observe(x) + e)|| and its negation, the objective
+e(x, e) = ||x - estimate(observation(x) + e)|| and its negation, the objective
 handed to the branch-and-bound minimizer.
 
 All models must be stateless per call; objectives may be evaluated on many
@@ -45,22 +45,6 @@ class ObservationModel(ABC):
         """eval_point of each row of a (k, n_params) array, stacked into a
         (k, n_obs) array. Overrides must return the same floats."""
         return np.array([self.eval_point(r) for r in rows.tolist()], dtype=np.float64)
-
-    def deviation_box(self, box: IntervalBox) -> IntervalBox:
-        """Enclosure of eval_point(x) - x over the box.
-
-        Only meaningful for square models (n_obs == n_params). The default
-        composes eval_box with an interval subtraction, which double-counts
-        the box width; models that know their deviation exactly (e.g. the
-        identity) should override with a tighter enclosure.
-        """
-        if self.n_obs != self.n_params:
-            raise ValueError(
-                f"deviation_box needs n_obs == n_params, got "
-                f"{self.n_obs} != {self.n_params}"
-            )
-        out = self.eval_box(box)
-        return IntervalBox(isub(o, b) for o, b in zip(out, box))
 
     def _check_point(self, x: Sequence[float]) -> None:
         if len(x) != self.n_params:
@@ -171,15 +155,6 @@ class ErrorObjective:
     @property
     def n_obs(self) -> int:
         return self.observation.n_obs
-
-    def observe(self, x: Sequence[float], e: Sequence[float]) -> Vector:
-        """Noisy observation: observation(x) + e."""
-        if len(e) != self.n_obs:
-            raise ValueError(
-                f"noise vector has dim {len(e)}, expected {self.n_obs}"
-            )
-        y = self.observation.eval_point(x)
-        return tuple(yi + ei for yi, ei in zip(y, e))
 
     def error_point(
         self, x: Sequence[float] | np.ndarray, e: Sequence[float] | np.ndarray

@@ -5,7 +5,7 @@ the next representable float after the native floating-point computation,
 so real-arithmetic containment survives rounding: if x is in `a` and y is
 in `b`, the exact real value of x op y lies inside the returned interval.
 Exceptions that need no widening because they are exact in IEEE arithmetic:
-negation, relu, hull, and the square root of an exact zero bound.
+negation, relu, and the square root of an exact zero bound.
 
 Intervals and boxes are immutable after construction; all operations are
 pure and safe to call concurrently.
@@ -26,7 +26,6 @@ __all__ = [
     "isqr",
     "isqrt",
     "irelu",
-    "hull",
 ]
 
 _INF = math.inf
@@ -67,23 +66,13 @@ class Interval:
     def width(self) -> float:
         return self.ub - self.lb
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lb + self.ub)
-
     def contains(self, x: float) -> bool:
         return self.lb <= x <= self.ub
-
-    def encloses(self, other: "Interval") -> bool:
-        return self.lb <= other.lb and other.ub <= self.ub
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Interval):
             return NotImplemented
         return self.lb == other.lb and self.ub == other.ub
-
-    def __hash__(self) -> int:
-        return hash((self.lb, self.ub))
 
     def __repr__(self) -> str:
         return f"[{self.lb!r}, {self.ub!r}]"
@@ -171,11 +160,6 @@ def irelu(a: Interval) -> Interval:
     return _make(a.lb if a.lb > 0.0 else 0.0, a.ub if a.ub > 0.0 else 0.0)
 
 
-def hull(a: Interval, b: Interval) -> Interval:
-    """Smallest interval containing both; exact."""
-    return _make(a.lb if a.lb < b.lb else b.lb, a.ub if a.ub > b.ub else b.ub)
-
-
 class IntervalBox:
     """Cartesian product of intervals; a nonempty axis-aligned box."""
 
@@ -206,9 +190,6 @@ class IntervalBox:
     def dim(self) -> int:
         return len(self.components)
 
-    def __len__(self) -> int:
-        return len(self.components)
-
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.components)
 
@@ -232,28 +213,8 @@ class IntervalBox:
             raise ValueError(f"point has dim {len(x)}, box has dim {self.dim}")
         return all(c.lb <= v <= c.ub for c, v in zip(self.components, x))
 
-    def encloses(self, other: "IntervalBox") -> bool:
-        if self.dim != other.dim:
-            raise ValueError(f"box dims differ: {self.dim} vs {other.dim}")
-        return all(
-            a.encloses(b) for a, b in zip(self.components, other.components)
-        )
-
     def midpoint(self) -> tuple[float, ...]:
-        return tuple(c.mid for c in self.components)
-
-    def widest_dim(self, dims: Iterable[int] | None = None) -> tuple[int, float]:
-        """Index and width of the widest component among `dims` (all
-        components when omitted); ties go to the lowest index."""
-        best_i = -1
-        best_w = -1.0
-        for i in range(self.dim) if dims is None else dims:
-            w = self.components[i].width
-            if w > best_w or (w == best_w and i < best_i):
-                best_i, best_w = i, w
-        if best_i < 0:
-            raise ValueError("dims must be a non-empty subset of box indices")
-        return best_i, best_w
+        return tuple(0.5 * (c.lb + c.ub) for c in self.components)
 
     def bisect(self, dim: int) -> tuple["IntervalBox", "IntervalBox"]:
         """Split component `dim` at its midpoint; other components are the
@@ -276,9 +237,6 @@ class IntervalBox:
         if not isinstance(other, IntervalBox):
             return NotImplemented
         return self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash(self.components)
 
     def __repr__(self) -> str:
         inner = " x ".join(repr(c) for c in self.components)

@@ -2,8 +2,7 @@
 
 Range-based localization (distances to fixed landmarks) is the main
 observation model; estimators include the identity and constant baselines
-used in tests, an iterative least-squares estimator, and a deliberately
-broken stub for exercising certification failure paths. The neural-network
+used in tests and an iterative least-squares estimator. The neural-network
 estimator lives in `mlp`.
 """
 
@@ -34,7 +33,6 @@ __all__ = [
     "IdentityEstimator",
     "ConstantEstimator",
     "GradientDescentEstimator",
-    "UnsoundStubEstimator",
 ]
 
 
@@ -46,7 +44,6 @@ class IdentityObservation(ObservationModel):
             raise ValueError("dim must be >= 1")
         self.n_params = dim
         self.n_obs = dim
-        self._zero = IntervalBox.point([0.0] * dim)
 
     def eval_point(self, x: Sequence[float]) -> Vector:
         self._check_point(x)
@@ -55,11 +52,6 @@ class IdentityObservation(ObservationModel):
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         self._check_box(box)
         return box
-
-    def deviation_box(self, box: IntervalBox) -> IntervalBox:
-        # g(x) - x is identically zero; exact, no interval subtraction.
-        self._check_box(box)
-        return self._zero
 
 
 class TrilaterationModel(ObservationModel):
@@ -122,6 +114,7 @@ class IdentityEstimator(EstimatorModel):
             raise ValueError("dim must be >= 1")
         self.n_obs = dim
         self.n_params = dim
+        self._zero = IntervalBox.point([0.0] * dim)
 
     def eval_point(self, y: Sequence[float]) -> Vector:
         self._check_point(y)
@@ -137,14 +130,19 @@ class IdentityEstimator(EstimatorModel):
         param_box: IntervalBox,
         noise_box: IntervalBox,
     ) -> IntervalBox:
-        # x - estimate = -((g(x) - x) + e). Composing through the deviation
-        # enclosure C of g avoids subtracting the parameter box from itself.
+        # x - estimate = -((g(x) - x) + e). For g(x) = x the deviation
+        # g(x) - x is the exact zero box, so C = 0 + e never subtracts the
+        # parameter box from itself. Any other observation, a subclass of
+        # the identity included, takes the generic path, which needs no pad.
+        if type(observation) is not IdentityObservation:
+            return super().error_vector_box(observation, param_box, noise_box)
         # The point evaluation rounds at the magnitude of x, which C never
         # sees. With S = max(|x|, |C|, 1) (max(-lb, ub) as lb <= ub) and an
         # exact g(x) = y, fl(x - fl(y + e)) is within ulp(S) of x - (y + e)
         # per rounding (|y + e| <= 2S); the 4 ulp(S) pad loses <= ulp(S) to
         # its own rounding, so 3 ulp(S) >= 2 ulp(S) remains.
-        total = observation.deviation_box(param_box) + noise_box
+        observation._check_box(param_box)
+        total = self._zero + noise_box
         out = []
         for c, x in zip(total.components, param_box.components):
             pad = 4.0 * math.ulp(max(-x.lb, x.ub, -c.lb, c.ub, 1.0))
@@ -239,16 +237,6 @@ class GradientDescentEstimator(EstimatorModel):
         self.n_obs = observation.n_obs
         self.n_params = 2
 
-    def residual(self, x: Sequence[float], y: Sequence[float]) -> float:
-        """The cost c(x) = sum_i (||x - a_i|| - y_i)^2."""
-        acc = 0.0
-        for (ax, ay), yi in zip(self.observation.landmarks, y):
-            dx = x[0] - ax
-            dy = x[1] - ay
-            r = math.sqrt(dx * dx + dy * dy) - yi
-            acc += r * r
-        return acc
-
     def eval_point(self, y: Sequence[float]) -> Vector:
         self._check_point(y)
         x0, x1 = self.init
@@ -298,27 +286,3 @@ class GradientDescentEstimator(EstimatorModel):
             x1 = isub(x1, _mul_scalar(step, gy))
         return IntervalBox([x0, x1])
 
-
-class UnsoundStubEstimator(EstimatorModel):
-    """Test-only estimator whose box evaluator lies.
-
-    The point evaluator shifts every component by a fixed offset while the
-    box evaluator claims to be the identity, so its interval results do not
-    contain its point results. Exists solely to exercise certification
-    failure paths; never use it for real validation.
-    """
-
-    def __init__(self, dim: int, offset: float = 10.0) -> None:
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.n_obs = dim
-        self.n_params = dim
-        self.offset = float(offset)
-
-    def eval_point(self, y: Sequence[float]) -> Vector:
-        self._check_point(y)
-        return tuple(float(v) + self.offset for v in y)
-
-    def eval_box(self, box: IntervalBox) -> IntervalBox:
-        self._check_box(box)
-        return box

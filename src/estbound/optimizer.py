@@ -141,13 +141,21 @@ class MsResult:
 
 def select_split_dim(box: IntervalBox, split_dims: Iterable[int]) -> int:
     """Widest positive-width dimension among split_dims, lowest index on
-    ties. Raises CannotSplitError when every candidate is degenerate."""
-    idx, w = box.widest_dim(split_dims)
-    if w <= 0.0:
+    ties whatever the order of split_dims. Raises CannotSplitError when
+    every candidate is degenerate."""
+    best_i = -1
+    best_w = -1.0
+    for i in split_dims:
+        w = box.components[i].width
+        if w > best_w or (w == best_w and i < best_i):
+            best_i, best_w = i, w
+    if best_i < 0:
+        raise ValueError("split_dims must be a non-empty subset of box indices")
+    if best_w <= 0.0:
         raise CannotSplitError(
             f"all split dimensions of {box!r} are degenerate"
         )
-    return idx
+    return best_i
 
 
 def _evaluate(f: BoxObjective, box: IntervalBox) -> CoverEntry:

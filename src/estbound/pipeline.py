@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -30,7 +30,6 @@ from .models import (
     IdentityEstimator,
     IdentityObservation,
     TrilaterationModel,
-    UnsoundStubEstimator,
 )
 from .optimizer import CoverEntry, MsConfig, MsResult, moore_skelboe
 from .oracle import OracleConfig, certify, sample_max_error
@@ -45,6 +44,47 @@ __all__ = [
 
 DEFAULT_DELTA = 1e-3
 DEFAULT_MAX_ITERATIONS = 1_000_000
+
+
+# The readers below take doc[key], or default when the key is absent, and
+# name the key, after its section `where`, when the value has a wrong type.
+
+
+def _section(doc: dict, key: str, default, nullable: bool = False):
+    value = doc.get(key, default)
+    if not isinstance(value, dict) and not (nullable and value is None):
+        kind = "an object or null" if nullable else "an object"
+        raise ValueError(f"scenario {key!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _integer(doc: dict, key: str, default, where: str) -> int:
+    value = doc.get(key, default)
+    # A JSON number such as 2000.0 is integral; true and 2.7 are not.
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{where} {key!r} must be an integer, got {value!r}")
+
+
+def _float(doc: dict, key: str, default, where: str) -> float:
+    value = doc.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where} {key!r} must be a number, got {value!r}") from exc
+
+
+def _floats(doc: dict, key: str, default, where: str, dim=None) -> tuple[float, ...]:
+    value = doc.get(key, default)
+    if isinstance(value, list) and dim in (None, len(value)):
+        try:
+            return tuple(float(v) for v in value)
+        except (TypeError, ValueError):
+            pass
+    size = "" if dim is None else f" {dim}"
+    raise ValueError(f"{where} {key!r} must be a list of{size} numbers, got {value!r}")
 
 
 def _parse_box(raw, name: str) -> IntervalBox:
@@ -72,29 +112,25 @@ class Scenario:
 
     @staticmethod
     def from_dict(doc: dict, base_dir: str | Path = ".") -> "Scenario":
-        if "param_box" not in doc or "noise_box" not in doc:
+        if not (isinstance(doc, dict) and "param_box" in doc and "noise_box" in doc):
             raise ValueError("scenario needs 'param_box' and 'noise_box'")
-        ms = doc.get("ms", {})
-        oracle_doc = doc.get("oracle", {})
-        if not isinstance(ms, dict) or not isinstance(oracle_doc, (dict, type(None))):
-            raise ValueError(
-                "scenario 'ms' must be an object and 'oracle' an object or null"
-            )
+        ms = _section(doc, "ms", {})
+        oracle_doc = _section(doc, "oracle", {}, nullable=True)
         if oracle_doc is None:
             oracle = None
         else:
             oracle = OracleConfig(
-                samples=int(oracle_doc.get("samples", 100_000)),
-                seed=int(oracle_doc.get("seed", 0)),
+                samples=_integer(oracle_doc, "samples", 100_000, "oracle"),
+                seed=_integer(oracle_doc, "seed", 0, "oracle"),
                 mode=str(oracle_doc.get("mode", "random")),
             )
         return Scenario(
             param_box=_parse_box(doc["param_box"], "param_box"),
             noise_box=_parse_box(doc["noise_box"], "noise_box"),
-            observation_spec=dict(doc.get("observation", {"type": "identity"})),
-            estimator_spec=dict(doc.get("estimator", {"type": "identity"})),
-            delta=float(ms.get("delta", DEFAULT_DELTA)),
-            max_iterations=int(ms.get("max_iterations", DEFAULT_MAX_ITERATIONS)),
+            observation_spec=dict(_section(doc, "observation", {"type": "identity"})),
+            estimator_spec=dict(_section(doc, "estimator", {"type": "identity"})),
+            delta=_float(ms, "delta", DEFAULT_DELTA, "ms"),
+            max_iterations=_integer(ms, "max_iterations", DEFAULT_MAX_ITERATIONS, "ms"),
             oracle=oracle,
             base_dir=Path(base_dir),
         )
@@ -107,7 +143,10 @@ class Scenario:
         if kind == "trilateration":
             if "landmarks" not in spec:
                 raise ValueError("trilateration observation needs 'landmarks'")
-            return TrilaterationModel(spec["landmarks"])
+            try:
+                return TrilaterationModel(spec["landmarks"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"invalid trilateration 'landmarks': {exc}") from exc
         raise ValueError(f"unknown observation type {kind!r}")
 
     def build_estimator(self, observation: ObservationModel) -> EstimatorModel:
@@ -117,12 +156,10 @@ class Scenario:
         if kind == "identity":
             return IdentityEstimator(m)
         if kind == "constant":
-            if "value" not in spec:
-                raise ValueError("constant estimator needs 'value'")
-            return ConstantEstimator(spec["value"], n_obs=m)
+            return ConstantEstimator(_floats(spec, "value", None, "constant"), n_obs=m)
         if kind == "mlp":
-            if "weights_path" not in spec:
-                raise ValueError("mlp estimator needs 'weights_path'")
+            if not isinstance(spec.get("weights_path"), str):
+                raise ValueError("mlp estimator needs 'weights_path', a string")
             return load_mlp(self.base_dir / spec["weights_path"])
         if kind == "gradient_descent":
             if not isinstance(observation, TrilaterationModel):
@@ -132,12 +169,10 @@ class Scenario:
                 )
             return GradientDescentEstimator(
                 observation,
-                iterations=int(spec.get("iterations", 50)),
-                step=float(spec.get("step", 0.01)),
-                init=spec.get("init", (15.0, 15.0)),
+                iterations=_integer(spec, "iterations", 50, "gradient_descent"),
+                step=_float(spec, "step", 0.01, "gradient_descent"),
+                init=_floats(spec, "init", [15.0, 15.0], "gradient_descent", dim=2),
             )
-        if kind == "unsound_stub":
-            return UnsoundStubEstimator(m, offset=float(spec.get("offset", 10.0)))
         raise ValueError(f"unknown estimator type {kind!r}")
 
     def build_objective(self) -> ErrorObjective:
@@ -145,13 +180,6 @@ class Scenario:
         estimator = self.build_estimator(observation)
         return ErrorObjective(
             observation, estimator, self.param_box, self.noise_box
-        )
-
-    def ms_config(self) -> MsConfig:
-        return MsConfig(
-            delta=self.delta,
-            split_dims=tuple(range(self.param_box.dim)),
-            max_iterations=self.max_iterations,
         )
 
 
@@ -166,10 +194,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return Scenario.from_dict(doc, base_dir=path.parent)
 
 
-def _box_to_pairs(box: IntervalBox) -> list[list[float]]:
-    return [[c.lb, c.ub] for c in box]
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Certified result of one validation run.
@@ -177,7 +201,8 @@ class ValidationReport:
     [eps_low, eps_high] encloses the worst-case estimation error; eps_high
     is the guaranteed (pessimistic) bound. certified is None when the
     oracle was disabled, otherwise whether the sampled maximum stayed
-    below eps_high.
+    below eps_high. search holds the search result, final cover included;
+    the written report leaves it out and equality ignores it.
     """
 
     eps_low: float
@@ -190,6 +215,7 @@ class ValidationReport:
     oracle_max: float | None
     certified: bool | None
     elapsed: float
+    search: MsResult | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -199,7 +225,7 @@ class ValidationReport:
             "converged": self.converged,
             "iterations": self.iterations,
             "cover_size": self.cover_size,
-            "witness_param_box": _box_to_pairs(self.witness_param_box),
+            "witness_param_box": [[c.lb, c.ub] for c in self.witness_param_box],
             "oracle_max": self.oracle_max,
             "certified": self.certified,
             "elapsed": self.elapsed,
@@ -208,34 +234,19 @@ class ValidationReport:
     def to_json_text(self) -> str:
         return json.dumps(self.to_dict(), indent=1) + "\n"
 
-    @staticmethod
-    def from_dict(doc: dict) -> "ValidationReport":
-        return ValidationReport(
-            eps_low=float(doc["eps_low"]),
-            eps_high=float(doc["eps_high"]),
-            delta=float(doc["delta"]),
-            converged=bool(doc["converged"]),
-            iterations=int(doc["iterations"]),
-            cover_size=int(doc["cover_size"]),
-            witness_param_box=IntervalBox.from_bounds(doc["witness_param_box"]),
-            oracle_max=None if doc["oracle_max"] is None else float(doc["oracle_max"]),
-            certified=None if doc["certified"] is None else bool(doc["certified"]),
-            elapsed=float(doc["elapsed"]),
-        )
 
-    @staticmethod
-    def from_json_text(text: str) -> "ValidationReport":
-        return ValidationReport.from_dict(json.loads(text))
-
-
-def _run(scenario: Scenario, on_iteration=None) -> tuple[ValidationReport, MsResult]:
+def run_validate(scenario: Scenario) -> ValidationReport:
+    """Run the full validation pipeline for one scenario."""
     start = time.perf_counter()
     objective = scenario.build_objective()
     result = moore_skelboe(
         objective.objective_box,
         objective.initial_box(),
-        scenario.ms_config(),
-        on_iteration=on_iteration,
+        MsConfig(
+            delta=scenario.delta,
+            split_dims=objective.split_dims(),
+            max_iterations=scenario.max_iterations,
+        ),
     )
     n = objective.n_params
     eps_high = -result.enclosure.lb + 0.0
@@ -248,7 +259,7 @@ def _run(scenario: Scenario, on_iteration=None) -> tuple[ValidationReport, MsRes
         oracle_max = oracle_result.max_observed
         certified = certify(eps_high, oracle_result)
 
-    report = ValidationReport(
+    return ValidationReport(
         eps_low=eps_low,
         eps_high=eps_high,
         delta=scenario.delta,
@@ -259,14 +270,8 @@ def _run(scenario: Scenario, on_iteration=None) -> tuple[ValidationReport, MsRes
         oracle_max=oracle_max,
         certified=certified,
         elapsed=time.perf_counter() - start,
+        search=result,
     )
-    return report, result
-
-
-def run_validate(scenario: Scenario) -> ValidationReport:
-    """Run the full validation pipeline for one scenario."""
-    report, _ = _run(scenario)
-    return report
 
 
 def dump_cover(

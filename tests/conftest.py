@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from estbound.pipeline import load_scenario, _run
+from estbound.pipeline import load_scenario, run_validate
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -14,15 +14,14 @@ def scenario_dir():
 
 @pytest.fixture(scope="session")
 def trilat_gd_run():
-    """Full pipeline run of the range-based scenario with the descent
-    estimator; shared because it is the most expensive run in the suite."""
-    report, result = _run(load_scenario(SCENARIO_DIR / "trilat_gd.scn"))
-    return report, result
+    """Report of a full pipeline run of the range-based scenario with the
+    descent estimator; shared because it is the most expensive run in the
+    suite."""
+    return run_validate(load_scenario(SCENARIO_DIR / "trilat_gd.scn"))
 
 
 @pytest.fixture(scope="session")
 def trilat_mlp_run():
-    """Full pipeline run of the range-based scenario with the bundled
-    network fixture."""
-    report, result = _run(load_scenario(SCENARIO_DIR / "trilat_mlp.scn"))
-    return report, result
+    """Report of a full pipeline run of the range-based scenario with the
+    bundled network fixture."""
+    return run_validate(load_scenario(SCENARIO_DIR / "trilat_mlp.scn"))

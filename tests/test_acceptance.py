@@ -22,7 +22,7 @@ from estbound.interval import (
 from estbound.models import GradientDescentEstimator, TrilaterationModel
 from estbound.optimizer import MsConfig, moore_skelboe
 from estbound.oracle import OracleConfig
-from estbound.pipeline import Scenario, load_scenario, run_validate, _run
+from estbound.pipeline import Scenario, load_scenario, run_validate
 from test_mlp import random_model
 
 LANDMARKS = [[10, -9], [5, 12], [-15, 0]]
@@ -175,12 +175,12 @@ def _check_scenario_soundness(num, name, report):
 
 
 def test_criterion_4_descent_estimator_soundness(trilat_gd_run):
-    report, _ = trilat_gd_run
+    report = trilat_gd_run
     _check_scenario_soundness(4, "descent estimator", report)
 
 
 def test_criterion_4_network_estimator_soundness(trilat_mlp_run):
-    report, _ = trilat_mlp_run
+    report = trilat_mlp_run
     _check_scenario_soundness(4, "network estimator", report)
 
 
@@ -188,7 +188,8 @@ def test_criterion_4_network_estimator_soundness(trilat_mlp_run):
 # criterion 5: witness semantics in converged runs
 
 
-def _witness_checks(scenario, report, result):
+def _witness_checks(scenario, report):
+    result = report.search
     n = scenario.param_box.dim
     noise_ok = True
     for i, noise_comp in enumerate(scenario.noise_box):
@@ -205,7 +206,7 @@ def test_criterion_5_witness_semantics(scenario_dir):
     runs = []
 
     constant_sc = load_scenario(scenario_dir / "constant.scn")
-    runs.append(("constant estimator", constant_sc, *_run(constant_sc)))
+    runs.append(("constant estimator", constant_sc, run_validate(constant_sc)))
 
     gd_sc = Scenario(
         param_box=IntervalBox.from_bounds([(10, 20), (10, 20)]),
@@ -221,13 +222,13 @@ def test_criterion_5_witness_semantics(scenario_dir):
         max_iterations=20_000,
         oracle=OracleConfig(samples=1000, seed=0),
     )
-    runs.append(("descent, near-zero noise", gd_sc, *_run(gd_sc)))
+    runs.append(("descent, near-zero noise", gd_sc, run_validate(gd_sc)))
 
     all_ok = True
     details = []
-    for name, sc, report, result in runs:
+    for name, sc, report in runs:
         assert report.converged, f"{name}: run unexpectedly did not converge"
-        noise_ok, value_ok, v = _witness_checks(sc, report, result)
+        noise_ok, value_ok, v = _witness_checks(sc, report)
         all_ok = all_ok and noise_ok and value_ok
         details.append(f"{name}: noise-frozen={noise_ok}, mid-error {v:.4f} in range={value_ok}")
     report_line(5, "; ".join(details), all_ok)
@@ -313,7 +314,7 @@ def _strip_elapsed(text: str) -> str:
 
 def test_criterion_8_determinism(scenario_dir, trilat_gd_run, trilat_mlp_run):
     ok = True
-    for name, (first_report, _) in (
+    for name, first_report in (
         ("trilat_gd.scn", trilat_gd_run),
         ("trilat_mlp.scn", trilat_mlp_run),
     ):

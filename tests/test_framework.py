@@ -11,6 +11,7 @@ from estbound.models import (
     IdentityObservation,
     TrilaterationModel,
 )
+from test_interval import encloses
 
 LANDMARKS = [(10.0, -9.0), (5.0, 12.0), (-15.0, 0.0)]
 
@@ -34,37 +35,16 @@ def trilat_constant_objective():
     )
 
 
-class TestObserve:
-    def test_identity(self):
-        obj = identity_objective()
-        assert obj.observe((1.0, 2.0), (0.1, -0.1)) == (1.1, 1.9)
-
-    def test_trilateration_at_first_landmark(self):
-        obj = trilat_constant_objective()
-        y = obj.observe((10.0, -9.0), (0.0, 0.0, 0.0))
-        # distances to the other landmarks, via an independent formula
-        assert y[0] == 0.0
-        assert math.isclose(y[1], math.hypot(10 - 5, -9 - 12), rel_tol=1e-12)
-        assert math.isclose(y[2], math.hypot(10 + 15, -9), rel_tol=1e-12)
-        assert math.isclose(y[1], math.sqrt(466), rel_tol=1e-12)
-        assert math.isclose(y[2], math.sqrt(706), rel_tol=1e-12)
-
-    def test_zero_noise_equals_eval_point(self):
-        obj = trilat_constant_objective()
-        x = (7.5, 19.25)
-        assert obj.observe(x, (0.0, 0.0, 0.0)) == obj.observation.eval_point(x)
-
-    def test_noise_dim_mismatch(self):
-        obj = identity_objective()
-        with pytest.raises(ValueError, match="dim"):
-            obj.observe((1.0, 2.0), (0.1,))
-
-
 class TestErrorPoint:
     def test_identity_pair(self):
         obj = identity_objective()
         e = obj.error_point((1.0, 2.0), (0.1, -0.1))
         assert math.isclose(e, math.sqrt(0.02), rel_tol=1e-12)
+
+    def test_noise_dim_mismatch(self):
+        obj = identity_objective()
+        with pytest.raises(ValueError, match="dim"):
+            obj.error_point((1.0, 2.0), (0.1,))
 
     def test_perfect_estimate_zero_noise(self):
         obj = identity_objective()
@@ -126,7 +106,7 @@ class TestErrorBox:
         inner_e = IntervalBox.from_bounds([(-0.1, 0.1)] * 3)
         inner = obj.error_box(inner_x, inner_e)
         outer = obj.error_box(obj.param_box, obj.noise_box)
-        assert outer.encloses(inner)
+        assert encloses(outer, inner)
 
     def test_bad_dims(self):
         obj = identity_objective()

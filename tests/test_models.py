@@ -4,17 +4,48 @@ import random
 import numpy as np
 import pytest
 
-from estbound.interval import IntervalBox
+from estbound.framework import ObservationModel
+from estbound.interval import Interval, IntervalBox, iadd, imul
 from estbound.models import (
     ConstantEstimator,
     GradientDescentEstimator,
     IdentityEstimator,
     IdentityObservation,
     TrilaterationModel,
-    UnsoundStubEstimator,
 )
+from test_interval import encloses
 
 LANDMARKS = [(10.0, -9.0), (5.0, 12.0), (-15.0, 0.0)]
+
+
+class AffineObservation(ObservationModel):
+    """g(x) = a x + b for a square matrix a: a square observation that is
+    not the identity. Sums run in row order, starting from b."""
+
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
+        self.n_params = self.n_obs = len(b)
+
+    def eval_point(self, x):
+        self._check_point(x)
+        out = []
+        for row, bi in zip(self.a, self.b):
+            acc = bi
+            for aij, xj in zip(row, x):
+                acc += aij * xj
+            out.append(acc)
+        return tuple(out)
+
+    def eval_box(self, box):
+        self._check_box(box)
+        out = []
+        for row, bi in zip(self.a, self.b):
+            acc = Interval.point(bi)
+            for aij, xj in zip(row, box):
+                acc = iadd(acc, imul(Interval.point(aij), xj))
+            out.append(acc)
+        return IntervalBox(out)
 
 
 @pytest.fixture
@@ -76,15 +107,22 @@ class TestTrilaterationBox:
                     (lo1 + 0.25 * w1, lo1 + 0.75 * w1),
                 ]
             )
-            assert tri.eval_box(outer).encloses(tri.eval_box(inner))
+            assert encloses(tri.eval_box(outer), tri.eval_box(inner))
 
 
 class TestIdentityAndConstant:
     def test_identity_observation_deviation_is_exact_zero(self):
-        obs = IdentityObservation(3)
-        dev = obs.deviation_box(IntervalBox.from_bounds([(0, 5)] * 3))
-        for c in dev:
-            assert c.lb == 0.0 and c.ub == 0.0
+        # g(x) - x is exactly zero, so the error vector box is the negated
+        # noise box widened by the rounding pad alone, however wide the
+        # parameter box is.
+        est = IdentityEstimator(3)
+        out = est.error_vector_box(
+            IdentityObservation(3),
+            IntervalBox.from_bounds([(0, 5)] * 3),
+            IntervalBox.from_bounds([(-0.1, 0.2)] * 3),
+        )
+        for c in out:
+            assert -0.2 - 1e-12 < c.lb < -0.2 and 0.1 < c.ub < 0.1 + 1e-12
 
     def test_constant_estimator_box_is_point(self):
         est = ConstantEstimator((1.5, -2.0), n_obs=4)
@@ -100,19 +138,19 @@ class TestIdentityErrorVectorContainsExactValue:
     """IdentityEstimator.error_vector_box against x - (g(x) + e), evaluated in
     mpmath at 60 digits and in the floats the point evaluators use. Parameter
     magnitudes reach 1e6, where the point path's roundings (at the scale of
-    x) are far above the ulps of the noise the enclosure is built from."""
+    x) are far above the ulps of the noise the enclosure is built from. An
+    observation other than the identity takes the generic composition,
+    which must contain the same two values."""
 
     @staticmethod
     def pick(rng, box):
         """A corner, edge or inner point of the box."""
         return [rng.choice((c.lb, c.ub, rng.uniform(c.lb, c.ub))) for c in box]
 
-    @pytest.mark.parametrize("magnitude", [1.0, 1e3, 1e6])
-    def test_random_boxes_and_points(self, magnitude):
+    def check(self, obs, exact_observation, magnitude):
         mpmath = pytest.importorskip("mpmath")
         rng = random.Random(int(magnitude) + 7)
         dim = 3
-        obs = IdentityObservation(dim)
         est = IdentityEstimator(dim)
         with mpmath.workdps(60):
             for _ in range(200):
@@ -133,10 +171,28 @@ class TestIdentityErrorVectorContainsExactValue:
                 noise = np.array([self.pick(rng, noise_box) for _ in range(8)])
                 floats = rows - est.eval_points(obs.eval_points(rows) + noise)
                 for x, e, fl in zip(rows.tolist(), noise.tolist(), floats.tolist()):
-                    for c, xi, ei, fi in zip(out, x, e, fl):
-                        exact = mpmath.mpf(xi) - (mpmath.mpf(xi) + mpmath.mpf(ei))
+                    gx = exact_observation([mpmath.mpf(v) for v in x])
+                    for c, xi, gi, ei, fi in zip(out, x, gx, e, fl):
+                        exact = mpmath.mpf(xi) - (gi + mpmath.mpf(ei))
                         assert c.lb <= exact <= c.ub
                         assert c.lb <= fi <= c.ub
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1e3, 1e6])
+    def test_random_boxes_and_points(self, magnitude):
+        self.check(IdentityObservation(3), lambda x: x, magnitude)
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1e3, 1e6])
+    def test_affine_observation(self, magnitude):
+        a = [[2.0, 0.5, 0.0], [-1.0, 1.0, 0.25], [0.0, 3.0, -0.5]]
+        b = [0.1, -2.0, 0.3]
+
+        def exact(x):
+            return [
+                sum((aij * xj for aij, xj in zip(row, x)), bi)
+                for row, bi in zip(a, b)
+            ]
+
+        self.check(AffineObservation(a, b), exact, magnitude)
 
 
 class TestGradientDescentPoint:
@@ -163,7 +219,15 @@ class TestGradientDescentPoint:
         init = (target[0] + 1.0, target[1] - 1.0)
         est = GradientDescentEstimator(tri, iterations=1, step=0.01, init=init)
         after_one = est.eval_point(y)
-        assert est.residual(after_one, y) < est.residual(init, y)
+
+        def cost(x):
+            """The descent's cost c(x) = sum_i (||x - a_i|| - y_i)^2."""
+            return sum(
+                (math.hypot(x[0] - ax, x[1] - ay) - yi) ** 2
+                for (ax, ay), yi in zip(tri.landmarks, y)
+            )
+
+        assert cost(after_one) < cost(init)
 
     def test_singular_start_at_landmark_stays_finite(self):
         model = TrilaterationModel([(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)])
@@ -229,12 +293,5 @@ class TestGradientDescentBox:
         centers = tri.eval_point((12.0, 18.0))
         outer = IntervalBox.from_bounds([(c - 0.4, c + 0.4) for c in centers])
         inner = IntervalBox.from_bounds([(c - 0.1, c + 0.1) for c in centers])
-        assert est.eval_box(outer).encloses(est.eval_box(inner))
+        assert encloses(est.eval_box(outer), est.eval_box(inner))
 
-
-def test_unsound_stub_box_misses_point_results():
-    est = UnsoundStubEstimator(2)
-    box = IntervalBox.from_bounds([(0, 1), (0, 1)])
-    out = est.eval_box(box)
-    xhat = est.eval_point((0.5, 0.5))
-    assert not all(c.lb <= v <= c.ub for v, c in zip(xhat, out))

@@ -112,6 +112,24 @@ class TestSelectSplitDim:
         with pytest.raises(CannotSplitError):
             select_split_dim(b, (0, 1))
 
+    def test_tie_break(self):
+        b = IntervalBox.from_bounds([(0, 1), (0, 3), (0, 3)])
+        assert select_split_dim(b, {0, 1, 2}) == 1
+
+    def test_tie_break_ignores_dims_order(self):
+        b = IntervalBox.from_bounds([(0, 3), (0, 1), (0, 3), (0, 3)])
+        assert select_split_dim(b, [3, 2, 1]) == 2
+        assert select_split_dim(b, (3, 0, 3, 2)) == 0
+
+    def test_restricted(self):
+        b = IntervalBox.from_bounds([(0, 1), (0, 9)])
+        assert select_split_dim(b, {0}) == 0
+
+    def test_empty_dims_rejected(self):
+        b = IntervalBox.from_bounds([(0, 1)])
+        with pytest.raises(ValueError):
+            select_split_dim(b, set())
+
 
 class TestConfig:
     def test_bad_delta(self):
@@ -294,7 +312,8 @@ class TestMooreSkelboe:
         queue = deque([b_init])
         for _ in range(400):
             front = queue.popleft()
-            queue.extend(front.bisect(front.widest_dim()[0]))
+            widest = max(range(front.dim), key=lambda i: (front[i].width, -i))
+            queue.extend(front.bisect(widest))
         assert not res.converged
         assert [e.box for e in res.final_cover] == list(queue)
         assert res.witness == queue[0]

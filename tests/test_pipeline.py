@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from estbound.framework import EstimatorModel
 from estbound.interval import IntervalBox, iadd, isqr, isub, Interval
 from estbound.optimizer import MsConfig, moore_skelboe
 from estbound.pipeline import (
@@ -29,6 +30,43 @@ BASE_DOC = {
     "oracle": {"samples": 2000, "seed": 0},
 }
 
+TRILATERATION = {"type": "trilateration", "landmarks": [[10, -9], [5, 12], [-15, 0]]}
+
+
+class UnsoundStubEstimator(EstimatorModel):
+    """An estimator whose box evaluator lies: the point evaluator shifts
+    every component by 10 while the box evaluator claims to be the
+    identity, so its box results miss its point results."""
+
+    def __init__(self, dim):
+        self.n_obs = self.n_params = dim
+
+    def eval_point(self, y):
+        self._check_point(y)
+        return tuple(float(v) + 10.0 for v in y)
+
+    def eval_box(self, box):
+        self._check_box(box)
+        return box
+
+
+@pytest.fixture
+def unsound_stub(monkeypatch):
+    """Scenarios build the lying stub as their estimator."""
+    monkeypatch.setattr(
+        Scenario,
+        "build_estimator",
+        lambda self, observation: UnsoundStubEstimator(observation.n_obs),
+    )
+
+
+def test_unsound_stub_box_misses_point_results():
+    est = UnsoundStubEstimator(2)
+    box = IntervalBox.from_bounds([(0, 1), (0, 1)])
+    out = est.eval_box(box)
+    xhat = est.eval_point((0.5, 0.5))
+    assert not all(c.lb <= v <= c.ub for v, c in zip(xhat, out))
+
 
 class TestScenarioParsing:
     def test_defaults(self):
@@ -44,6 +82,16 @@ class TestScenarioParsing:
         doc = dict(BASE_DOC, oracle=None)
         sc = Scenario.from_dict(doc)
         assert sc.oracle is None
+
+    def test_integral_floats_are_integers(self):
+        doc = dict(
+            BASE_DOC,
+            ms={"max_iterations": 2000.0},
+            oracle={"samples": 1e5, "seed": 3.0},
+        )
+        sc = Scenario.from_dict(doc)
+        assert sc.max_iterations == 2000 and type(sc.max_iterations) is int
+        assert (sc.oracle.samples, sc.oracle.seed) == (100_000, 3)
 
     def test_sections_must_be_objects(self):
         for override in ({"ms": [1]}, {"ms": None}, {"oracle": "off"}):
@@ -117,19 +165,20 @@ class TestScenarioParsing:
 class TestReportRoundTrip:
     def test_all_fields_survive(self):
         report = ValidationReport(
-            eps_low=0.25,
-            eps_high=1.5,
+            eps_low=1 / 3,
+            eps_high=math.sqrt(0.02),
             delta=1e-3,
             converged=True,
             iterations=42,
             cover_size=43,
-            witness_param_box=IntervalBox.from_bounds([(0.5, 0.75), (0.25, 0.5)]),
-            oracle_max=1.25,
+            witness_param_box=IntervalBox.from_bounds([(0.1, 0.7), (5e-324, 0.5)]),
+            oracle_max=math.pi,
             certified=True,
             elapsed=0.125,
         )
-        again = ValidationReport.from_json_text(report.to_json_text())
-        assert again == report
+        # Equality of floats is exact, so this holds only if every float
+        # survives the text bit for bit.
+        assert json.loads(report.to_json_text()) == report.to_dict()
 
     def test_none_fields_survive(self):
         report = ValidationReport(
@@ -144,8 +193,7 @@ class TestReportRoundTrip:
             certified=None,
             elapsed=0.5,
         )
-        again = ValidationReport.from_json_text(report.to_json_text())
-        assert again == report
+        assert json.loads(report.to_json_text()) == report.to_dict()
 
 
 class TestRunValidate:
@@ -155,15 +203,16 @@ class TestRunValidate:
         assert 0.0 <= report.eps_low <= math.sqrt(0.02)
         assert report.certified is True
         assert report.witness_param_box.dim == 2
+        assert len(report.search.final_cover) == report.cover_size
+        assert "search" not in report.to_dict()
 
     def test_oracle_disabled_leaves_fields_none(self, tmp_path):
         p = write_scenario(tmp_path / "s.scn", dict(BASE_DOC, oracle=None))
         report = run_validate(load_scenario(p))
         assert report.oracle_max is None and report.certified is None
 
-    def test_unsound_stub_fails_certification(self, tmp_path):
-        doc = dict(BASE_DOC, estimator={"type": "unsound_stub"})
-        p = write_scenario(tmp_path / "stub.scn", doc)
+    def test_unsound_stub_fails_certification(self, tmp_path, unsound_stub):
+        p = write_scenario(tmp_path / "stub.scn", BASE_DOC)
         report = run_validate(load_scenario(p))
         assert report.certified is False
         assert report.oracle_max > report.eps_high
@@ -225,8 +274,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        report = ValidationReport.from_json_text(out.read_text())
-        assert report.certified is True
+        assert json.loads(out.read_text())["certified"] is True
         printed = capsys.readouterr().out
         assert json.loads(printed)["certified"] is True
 
@@ -236,9 +284,8 @@ class TestCli:
         assert code == 1
         assert str(missing) in capsys.readouterr().err
 
-    def test_unsound_stub_exit_2(self, tmp_path, capsys):
-        doc = dict(BASE_DOC, estimator={"type": "unsound_stub"})
-        p = write_scenario(tmp_path / "stub.scn", doc)
+    def test_unsound_stub_exit_2(self, tmp_path, capsys, unsound_stub):
+        p = write_scenario(tmp_path / "stub.scn", BASE_DOC)
         code = cli.main(["validate", "--scenario", str(p)])
         assert code == 2
         assert "certification FAILED" in capsys.readouterr().err
@@ -337,6 +384,29 @@ class TestCli:
             ({"oracle": [1000]}, ["'oracle'"]),
             ({"param_box": [[0, "inf"], [0, 1]]}, ["param_box", "finite"]),
             ({"noise_box": [[-0.1, 0.1], [-math.inf, 0.1]]}, ["noise_box", "finite"]),
+            ({"observation": 5}, ["'observation'"]),
+            ({"estimator": {"type": "constant", "value": 5}}, ["'value'"]),
+            ({"ms": {"max_iterations": None}}, ["'max_iterations'"]),
+            ({"ms": {"max_iterations": 2.7}}, ["'max_iterations'"]),
+            ({"ms": {"delta": None}}, ["'delta'"]),
+            ({"observation": dict(TRILATERATION, landmarks=5)}, ["'landmarks'"]),
+            (
+                {
+                    "observation": TRILATERATION,
+                    "estimator": {"type": "gradient_descent", "init": 5},
+                },
+                ["'init'"],
+            ),
+            (
+                {
+                    "observation": TRILATERATION,
+                    "estimator": {"type": "gradient_descent", "iterations": None},
+                },
+                ["'iterations'"],
+            ),
+            ({"oracle": {"samples": True}}, ["'samples'"]),
+            ({"oracle": {"samples": 2.7}}, ["'samples'"]),
+            ({"oracle": {"seed": "1"}}, ["'seed'"]),
         ],
     )
     def test_malformed_scenario_exit_1(self, tmp_path, capsys, override, words):
