@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .mlp import save_mlp, train_mlp
-from .models import TrilaterationModel
 from .oracle import OracleConfig, sample_max_error
+from .pipeline import _float, _integer, _parse_box, _trilateration
 from .pipeline import dump_cover, load_scenario, run_validate
 
 __all__ = ["main", "entry"]
@@ -60,16 +60,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _override(config, **values):
+    # config with each value that is not None in place of its field.
+    return dataclasses.replace(
+        config, **{key: v for key, v in values.items() if v is not None}
+    )
+
+
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
-    overrides = {}
-    if args.delta is not None:
-        overrides["delta"] = args.delta
-    if args.max_iters is not None:
-        overrides["max_iterations"] = args.max_iters
-    if overrides:
-        scenario = dataclasses.replace(scenario, **overrides)
-
+    scenario = _override(scenario, delta=args.delta, max_iterations=args.max_iters)
     report = run_validate(scenario)
     text = report.to_json_text()
     if args.output:
@@ -96,11 +96,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     scenario = load_scenario(args.scenario)
-    base = scenario.oracle if scenario.oracle is not None else OracleConfig()
-    cfg = OracleConfig(
-        samples=args.samples if args.samples is not None else base.samples,
-        seed=args.seed if args.seed is not None else base.seed,
-        mode=args.mode if args.mode is not None else base.mode,
+    cfg = _override(
+        scenario.oracle or OracleConfig(),
+        samples=args.samples, seed=args.seed, mode=args.mode,
     )
     result = sample_max_error(scenario.build_objective(), cfg)
     doc = {
@@ -114,39 +112,39 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_train_mlp(args) -> int:
+    # The config follows the scenario field rules; see README.
     path = Path(args.config)
     if not path.exists():
         raise FileNotFoundError(f"training config not found: {path}")
     cfg = json.loads(path.read_text())
-    for key in ("landmarks", "param_box", "noise_box"):
-        if key not in cfg:
-            raise ValueError(f"training config {path} needs {key!r}")
-    landmarks = cfg["landmarks"]
-    param_bounds = [(float(lo), float(hi)) for lo, hi in cfg["param_box"]]
-    noise_bounds = [(float(lo), float(hi)) for lo, hi in cfg["noise_box"]]
-    samples = int(cfg.get("samples", 10_000))
-    seed = int(cfg.get("seed", 0))
-    sizes = [int(s) for s in cfg.get("sizes", (len(landmarks), 32, 32, 2))]
-    epochs = int(cfg.get("epochs", 2000))
-    rate = float(cfg.get("rate", 1e-3))
+    where = f"training config {path}"
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    observation = _trilateration(cfg, where)
+    param_box = _parse_box(cfg, "param_box", where)
+    noise_box = _parse_box(cfg, "noise_box", where)
+    if noise_box.dim != observation.n_obs:
+        raise ValueError(f"{where} 'noise_box' must have dim {observation.n_obs}")
+    samples = _integer(cfg, "samples", 10_000, where)
+    seed = _integer(cfg, "seed", 0, where)
+    sizes = cfg.get("sizes", [observation.n_obs, 32, 32, 2])
+    if not isinstance(sizes, list):
+        raise ValueError(f"{where} 'sizes' must be a list, got {sizes!r}")
+    sizes = [_integer({"sizes": s}, "sizes", None, where) for s in sizes]
+    epochs = _integer(cfg, "epochs", 2000, where)
+    rate = _float(cfg, "rate", 1e-3, where)
     output_activation = str(cfg.get("output_activation", "relu"))
 
-    observation = TrilaterationModel(landmarks)
     rng = np.random.Generator(np.random.PCG64(seed))
     xs = rng.uniform(
-        [lo for lo, _ in param_bounds],
-        [hi for _, hi in param_bounds],
-        size=(samples, len(param_bounds)),
+        [c.lb for c in param_box], [c.ub for c in param_box],
+        size=(samples, param_box.dim),
     )
     es = rng.uniform(
-        [lo for lo, _ in noise_bounds],
-        [hi for _, hi in noise_bounds],
-        size=(samples, len(noise_bounds)),
+        [c.lb for c in noise_box], [c.ub for c in noise_box],
+        size=(samples, noise_box.dim),
     )
-    data = []
-    for x, e in zip(xs.tolist(), es.tolist()):
-        y = observation.eval_point(x)
-        data.append(([yi + ei for yi, ei in zip(y, e)], list(x)))
+    data = list(zip((observation.eval_points(xs) + es).tolist(), xs.tolist()))
 
     model = train_mlp(
         data, sizes, epochs=epochs, rate=rate, seed=seed,
@@ -156,7 +154,7 @@ def _cmd_train_mlp(args) -> int:
         {
             "seed": seed,
             "trained_on": (
-                f"trilateration landmarks={landmarks} "
+                f"trilateration landmarks={cfg['landmarks']} "
                 f"param_box={cfg['param_box']} noise_box={cfg['noise_box']} "
                 f"samples={samples} epochs={epochs} rate={rate}"
             ),

@@ -15,6 +15,7 @@ boxes concurrently.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Sequence
 
@@ -111,9 +112,9 @@ class EstimatorModel(ABC):
 class ErrorObjective:
     """Estimation error over a parameter box and a noise box.
 
-    Exposes the error in point form, in interval (inclusion-function) form,
-    and negated as the minimization objective over the concatenated
-    (parameters, noise) search box.
+    Exposes the error in point form and, negated, in interval
+    (inclusion-function) form over the concatenated (parameters, noise)
+    search box: the minimization objective.
     """
 
     def __init__(
@@ -181,37 +182,23 @@ class ErrorObjective:
         dist = np.sqrt(acc)
         return float(dist[0]) if xs.ndim == 1 else dist
 
-    def error_box(self, param_box: IntervalBox, noise_box: IntervalBox) -> Interval:
-        """Enclosure of error_point over param_box x noise_box; lb >= 0."""
-        if param_box.dim != self.n_params:
-            raise ValueError(
-                f"param box has dim {param_box.dim}, expected {self.n_params}"
-            )
-        if noise_box.dim != self.n_obs:
-            raise ValueError(
-                f"noise box has dim {noise_box.dim}, expected {self.n_obs}"
-            )
-        return self._error_box(param_box, noise_box)
-
-    def _error_box(self, param_box: IntervalBox, noise_box: IntervalBox) -> Interval:
-        # error_box for boxes whose dims the caller has checked.
-        diff = self.estimator.error_vector_box(
-            self.observation, param_box, noise_box
-        ).components
-        acc = isqr(diff[0])
-        for c in diff[1:]:
-            acc = iadd(acc, isqr(c))
-        return isqrt(acc)
-
     def objective_box(self, box: IntervalBox) -> Interval:
-        """Negated error over a concatenated (parameters, noise) box; this
-        is the function minimized by the branch-and-bound search."""
+        """Enclosure of -error_point over a concatenated (parameters, noise)
+        box; this is the function minimized by the branch-and-bound search."""
         n, m = self.n_params, self.n_obs
         if box.dim != n + m:
             raise ValueError(
                 f"search box has dim {box.dim}, expected {n} + {m} = {n + m}"
             )
-        return ineg(self._error_box(box[:n], box[n:]))
+        diff = self.estimator.error_vector_box(
+            self.observation, box[:n], box[n:]
+        ).components
+        acc = isqr(diff[0])
+        for c in diff[1:]:
+            acc = iadd(acc, isqr(c))
+        if acc.ub == math.inf:
+            raise ValueError(f"the estimation error overflows float range on {box!r}")
+        return ineg(isqrt(acc))
 
     def initial_box(self) -> IntervalBox:
         """The full search box: parameter box then noise box."""

@@ -177,6 +177,10 @@ def load_mlp(path: str | Path) -> MlpModel:
         raise ValueError(f"cannot read weight file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "layers" not in doc:
         raise ValueError(f"weight file {path} has no 'layers' entry")
+    if not isinstance(doc["layers"], list):
+        raise ValueError(f"weight file {path}: 'layers' must be a list")
+    if not isinstance(doc.get("meta"), (dict, type(None))):
+        raise ValueError(f"weight file {path}: 'meta' must be an object or null")
     layers = []
     for i, spec in enumerate(doc["layers"]):
         try:

@@ -18,8 +18,10 @@ from .interval import (
     Interval,
     IntervalBox,
     _box,
+    _down,
     _make,
     _mul_scalar,
+    _up,
     iadd,
     imul,
     isqr,
@@ -76,14 +78,7 @@ class TrilaterationModel(ObservationModel):
         )
 
     def eval_point(self, x: Sequence[float]) -> Vector:
-        self._check_point(x)
-        x0, x1 = float(x[0]), float(x[1])
-        out = []
-        for ax, ay in self.landmarks:
-            dx = ax - x0
-            dy = ay - x1
-            out.append(math.sqrt(dx * dx + dy * dy))
-        return tuple(out)
+        return tuple(self.eval_points(np.array([x], dtype=np.float64))[0].tolist())
 
     def eval_points(self, rows: np.ndarray) -> np.ndarray:
         self._check_point(rows.T)  # len(rows.T) is the row width
@@ -114,7 +109,6 @@ class IdentityEstimator(EstimatorModel):
             raise ValueError("dim must be >= 1")
         self.n_obs = dim
         self.n_params = dim
-        self._zero = IntervalBox.point([0.0] * dim)
 
     def eval_point(self, y: Sequence[float]) -> Vector:
         self._check_point(y)
@@ -142,11 +136,12 @@ class IdentityEstimator(EstimatorModel):
         # per rounding (|y + e| <= 2S); the 4 ulp(S) pad loses <= ulp(S) to
         # its own rounding, so 3 ulp(S) >= 2 ulp(S) remains.
         observation._check_box(param_box)
-        total = self._zero + noise_box
+        self._check_box(noise_box)
         out = []
-        for c, x in zip(total.components, param_box.components):
-            pad = 4.0 * math.ulp(max(-x.lb, x.ub, -c.lb, c.ub, 1.0))
-            out.append(_make(-(c.ub + pad), -(c.lb - pad)))
+        for e, x in zip(noise_box.components, param_box.components):
+            lo, hi = _down(e.lb), _up(e.ub)  # C = 0 + e, rounded as iadd rounds
+            pad = 4.0 * math.ulp(max(-x.lb, x.ub, -lo, hi, 1.0))
+            out.append(_make(-(hi + pad), -(lo - pad)))
         return _box(tuple(out))
 
 

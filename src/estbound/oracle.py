@@ -30,6 +30,10 @@ __all__ = ["OracleConfig", "OracleResult", "sample_max_error", "certify"]
 
 # Samples drawn and evaluated per call; bounds the oracle's memory use.
 CHUNK = 4096
+# Largest sample count accepted: 100k samples take about 0.4 s on the bundled
+# network scenario and 5 s on the descent one, so the cap allows minutes to
+# hours of sampling there, while 10^12 samples would take weeks to years.
+MAX_SAMPLES = 10**8
 
 
 @dataclass(frozen=True)
@@ -39,8 +43,10 @@ class OracleConfig:
     mode: str = "random"
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(
+                f"oracle 'samples' must be 1 to {MAX_SAMPLES}, got {self.samples}"
+            )
         if self.mode not in ("random", "grid"):
             raise ValueError(f"mode must be 'random' or 'grid', got {self.mode!r}")
 

@@ -87,14 +87,27 @@ def _floats(doc: dict, key: str, default, where: str, dim=None) -> tuple[float, 
     raise ValueError(f"{where} {key!r} must be a list of{size} numbers, got {value!r}")
 
 
-def _parse_box(raw, name: str) -> IntervalBox:
+def _parse_box(doc: dict, key: str, where: str) -> IntervalBox:
+    if key not in doc:
+        raise ValueError(f"{where} needs {key!r}")
     try:
-        box = IntervalBox.from_bounds((float(lo), float(hi)) for lo, hi in raw)
+        box = IntervalBox.from_bounds((float(lo), float(hi)) for lo, hi in doc[key])
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"invalid {name}: {exc}") from exc
-    if not all(math.isfinite(c.lb) and math.isfinite(c.ub) for c in box):
-        raise ValueError(f"invalid {name}: bounds must be finite, got {raw!r}")
+        raise ValueError(f"invalid {where} {key!r}: {exc}") from exc
+    # A finite width and sum per component keep sampling and bisection
+    # midpoints in float range; they also rule out infinite bounds.
+    if not all(math.isfinite(c.ub - c.lb) and math.isfinite(c.lb + c.ub) for c in box):
+        raise ValueError(f"invalid {where} {key!r}: ub - lb and lb + ub must be finite")
     return box
+
+
+def _trilateration(doc: dict, where: str) -> TrilaterationModel:
+    if "landmarks" not in doc:
+        raise ValueError(f"{where} needs 'landmarks'")
+    try:
+        return TrilaterationModel(doc["landmarks"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid {where} 'landmarks': {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -112,21 +125,19 @@ class Scenario:
 
     @staticmethod
     def from_dict(doc: dict, base_dir: str | Path = ".") -> "Scenario":
-        if not (isinstance(doc, dict) and "param_box" in doc and "noise_box" in doc):
-            raise ValueError("scenario needs 'param_box' and 'noise_box'")
+        if not isinstance(doc, dict):
+            raise ValueError("scenario must be a JSON object")
         ms = _section(doc, "ms", {})
-        oracle_doc = _section(doc, "oracle", {}, nullable=True)
-        if oracle_doc is None:
-            oracle = None
-        else:
+        oracle = _section(doc, "oracle", {}, nullable=True)
+        if oracle is not None:
             oracle = OracleConfig(
-                samples=_integer(oracle_doc, "samples", 100_000, "oracle"),
-                seed=_integer(oracle_doc, "seed", 0, "oracle"),
-                mode=str(oracle_doc.get("mode", "random")),
+                samples=_integer(oracle, "samples", 100_000, "oracle"),
+                seed=_integer(oracle, "seed", 0, "oracle"),
+                mode=str(oracle.get("mode", "random")),
             )
         return Scenario(
-            param_box=_parse_box(doc["param_box"], "param_box"),
-            noise_box=_parse_box(doc["noise_box"], "noise_box"),
+            param_box=_parse_box(doc, "param_box", "scenario"),
+            noise_box=_parse_box(doc, "noise_box", "scenario"),
             observation_spec=dict(_section(doc, "observation", {"type": "identity"})),
             estimator_spec=dict(_section(doc, "estimator", {"type": "identity"})),
             delta=_float(ms, "delta", DEFAULT_DELTA, "ms"),
@@ -141,12 +152,7 @@ class Scenario:
         if kind == "identity":
             return IdentityObservation(self.param_box.dim)
         if kind == "trilateration":
-            if "landmarks" not in spec:
-                raise ValueError("trilateration observation needs 'landmarks'")
-            try:
-                return TrilaterationModel(spec["landmarks"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"invalid trilateration 'landmarks': {exc}") from exc
+            return _trilateration(spec, "trilateration observation")
         raise ValueError(f"unknown observation type {kind!r}")
 
     def build_estimator(self, observation: ObservationModel) -> EstimatorModel:

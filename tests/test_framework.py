@@ -4,7 +4,7 @@ import random
 import pytest
 
 from estbound.framework import ErrorObjective
-from estbound.interval import IntervalBox
+from estbound.interval import IntervalBox, ineg
 from estbound.models import (
     ConstantEstimator,
     IdentityEstimator,
@@ -35,6 +35,12 @@ def trilat_constant_objective():
     )
 
 
+def error_enclosure(obj, param_box, noise_box):
+    """The error enclosure over param_box x noise_box: objective_box over
+    their concatenation, negated back."""
+    return ineg(obj.objective_box(param_box.concat(noise_box)))
+
+
 class TestErrorPoint:
     def test_identity_pair(self):
         obj = identity_objective()
@@ -61,32 +67,32 @@ class TestErrorPoint:
 
 
 class TestErrorBox:
+    """The error enclosure that objective_box negates."""
+
     def test_identity_point_box(self):
         obj = identity_objective()
-        out = obj.error_box(
-            IntervalBox.point((1.0, 2.0)), obj.noise_box
-        )
+        out = error_enclosure(obj, IntervalBox.point((1.0, 2.0)), obj.noise_box)
         assert out.lb <= 0.0 + 1e-12
         assert out.ub >= math.sqrt(0.02)
         assert out.ub <= math.sqrt(0.02) + 1e-12
 
     def test_degenerate_everything(self):
         obj = identity_objective()
-        out = obj.error_box(
-            IntervalBox.point((0.5, 0.5)), IntervalBox.point((0.0, 0.0))
+        out = error_enclosure(
+            obj, IntervalBox.point((0.5, 0.5)), IntervalBox.point((0.0, 0.0))
         )
         assert out.lb == 0.0
         assert out.ub <= 1e-13
 
     def test_nonnegative_lower_bound(self):
         obj = trilat_constant_objective()
-        out = obj.error_box(obj.param_box, obj.noise_box)
+        out = error_enclosure(obj, obj.param_box, obj.noise_box)
         assert out.lb >= 0.0
 
     def test_containment_brute_force(self):
         rng = random.Random(42)
         for obj in (identity_objective(), trilat_constant_objective()):
-            box = obj.error_box(obj.param_box, obj.noise_box)
+            box = error_enclosure(obj, obj.param_box, obj.noise_box)
             for _ in range(1000):
                 x = [rng.uniform(c.lb, c.ub) for c in obj.param_box]
                 e = [rng.uniform(c.lb, c.ub) for c in obj.noise_box]
@@ -94,7 +100,7 @@ class TestErrorBox:
 
     def test_point_consistency_at_midpoints(self):
         for obj in (identity_objective(), trilat_constant_objective()):
-            box = obj.error_box(obj.param_box, obj.noise_box)
+            box = error_enclosure(obj, obj.param_box, obj.noise_box)
             v = obj.error_point(
                 obj.param_box.midpoint(), obj.noise_box.midpoint()
             )
@@ -104,26 +110,12 @@ class TestErrorBox:
         obj = trilat_constant_objective()
         inner_x = IntervalBox.from_bounds([(10, 20), (8, 22)])
         inner_e = IntervalBox.from_bounds([(-0.1, 0.1)] * 3)
-        inner = obj.error_box(inner_x, inner_e)
-        outer = obj.error_box(obj.param_box, obj.noise_box)
+        inner = error_enclosure(obj, inner_x, inner_e)
+        outer = error_enclosure(obj, obj.param_box, obj.noise_box)
         assert encloses(outer, inner)
-
-    def test_bad_dims(self):
-        obj = identity_objective()
-        with pytest.raises(ValueError, match="param box"):
-            obj.error_box(IntervalBox.from_bounds([(0, 1)]), obj.noise_box)
-        with pytest.raises(ValueError, match="noise box"):
-            obj.error_box(obj.param_box, IntervalBox.from_bounds([(0, 1)]))
 
 
 class TestObjectiveBox:
-    def test_negation_of_error(self):
-        obj = identity_objective()
-        full = obj.initial_box()
-        err = obj.error_box(obj.param_box, obj.noise_box)
-        neg = obj.objective_box(full)
-        assert neg.lb == -err.ub and neg.ub == -err.lb
-
     def test_containment_of_negated_samples(self):
         obj = trilat_constant_objective()
         full = obj.initial_box()
@@ -138,6 +130,16 @@ class TestObjectiveBox:
         obj = identity_objective()
         with pytest.raises(ValueError, match="search box"):
             obj.objective_box(IntervalBox.from_bounds([(0, 1)] * 3))
+
+    def test_overflow_rejected(self):
+        obj = ErrorObjective(
+            IdentityObservation(2),
+            ConstantEstimator((1e308, 0.0), n_obs=2),
+            IntervalBox.from_bounds([(0, 1)] * 2),
+            IntervalBox.from_bounds([(0, 1)] * 2),
+        )
+        with pytest.raises(ValueError, match="overflows"):
+            obj.objective_box(obj.initial_box())
 
     def test_split_dims_are_parameter_indices(self):
         obj = trilat_constant_objective()
@@ -195,7 +197,7 @@ def test_inclusion_soundness_randomized_sweep():
             IntervalBox.from_bounds([(lo, hi)] * n),
             IntervalBox.from_bounds([(-noise, noise)] * n),
         )
-        box = obj.error_box(obj.param_box, obj.noise_box)
+        box = error_enclosure(obj, obj.param_box, obj.noise_box)
         for _ in range(50):
             x = [rng.uniform(c.lb, c.ub) for c in obj.param_box]
             e = [rng.uniform(c.lb, c.ub) for c in obj.noise_box]

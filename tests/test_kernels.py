@@ -1,9 +1,10 @@
 """The numpy kernels against plain-Python references.
 
-The network's point and box passes and the batched error evaluation must
-give the same floats, bit for bit, as the scalar loops below, which perform
-the same IEEE operations in the same order one value at a time. The box
-pass must also contain the exact network value, checked against mpmath.
+The trilateration distances, the network's point and box passes and the
+batched error evaluation must give the same floats, bit for bit, as the
+scalar loops below, which perform the same IEEE operations in the same
+order one value at a time. The box pass must also contain the exact network
+value, checked against mpmath.
 """
 
 import math
@@ -14,7 +15,19 @@ import pytest
 
 from estbound.interval import Interval, IntervalBox, _mul_scalar, iadd, irelu
 from estbound.mlp import MlpLayer, MlpModel, load_mlp
+from estbound.models import TrilaterationModel
 from estbound.pipeline import load_scenario
+
+
+def reference_distances(landmarks, x):
+    """Scalar trilateration: the distance from x to each landmark."""
+    x0, x1 = float(x[0]), float(x[1])
+    out = []
+    for ax, ay in landmarks:
+        dx = ax - x0
+        dy = ay - x1
+        out.append(math.sqrt(dx * dx + dy * dy))
+    return tuple(out)
 
 
 def reference_eval_point(model, y):
@@ -54,7 +67,11 @@ def reference_eval_box(model, box):
 
 def reference_error(obj, x, e, estimate):
     """Scalar error_point with the estimator's point pass given."""
-    y = [yi + ei for yi, ei in zip(obj.observation.eval_point(x), e)]
+    if isinstance(obj.observation, TrilaterationModel):
+        ideal = reference_distances(obj.observation.landmarks, x)
+    else:
+        ideal = obj.observation.eval_point(x)
+    y = [yi + ei for yi, ei in zip(ideal, e)]
     acc = 0.0
     for xi, xh in zip(x, estimate(y)):
         d = xi - xh
@@ -221,7 +238,9 @@ class TestErrorPointChunks:
         rows[0] = obs.landmarks[0]
         rows[1] = (-0.0, 0.0)
         for row, out in zip(rows.tolist(), obs.eval_points(rows)):
-            assert bits(out) == bits(obs.eval_point(row))
+            expected = bits(reference_distances(obs.landmarks, row))
+            assert bits(out) == expected
+            assert bits(obs.eval_point(row)) == expected
 
     def test_row_width_checked(self, net):
         with pytest.raises(ValueError, match="dim 2"):

@@ -124,6 +124,28 @@ class TestIdentityAndConstant:
         for c in out:
             assert -0.2 - 1e-12 < c.lb < -0.2 and 0.1 < c.ub < 0.1 + 1e-12
 
+    def test_identity_error_vector_bits(self):
+        # Each noise bound is first stepped one ulp outward, as iadd(0, e)
+        # rounds it, then padded by 4 ulp(S): -(4 + 5 ulp(4)) below. A -0.0
+        # noise bound ends on the pad alone.
+        out = IdentityEstimator(2).error_vector_box(
+            IdentityObservation(2),
+            IntervalBox.from_bounds([(0, 1), (-2, 7)]),
+            IntervalBox.from_bounds([(-3.0, 4.0), (-0.0, 0.0)]),
+        )
+        assert [(c.lb.hex(), c.ub.hex()) for c in out] == [
+            ("-0x1.0000000000005p+2", "0x1.8000000000009p+1"),
+            ("-0x1.0000000000000p-48", "0x1.0000000000000p-48"),
+        ]
+
+    def test_identity_error_vector_checks_noise_dim(self):
+        with pytest.raises(ValueError, match="dim"):
+            IdentityEstimator(2).error_vector_box(
+                IdentityObservation(2),
+                IntervalBox.from_bounds([(0, 1)] * 2),
+                IntervalBox.from_bounds([(-0.1, 0.1)]),
+            )
+
     def test_constant_estimator_box_is_point(self):
         est = ConstantEstimator((1.5, -2.0), n_obs=4)
         out = est.eval_box(IntervalBox.from_bounds([(0, 9)] * 4))

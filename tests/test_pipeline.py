@@ -407,6 +407,12 @@ class TestCli:
             ({"oracle": {"samples": True}}, ["'samples'"]),
             ({"oracle": {"samples": 2.7}}, ["'samples'"]),
             ({"oracle": {"seed": "1"}}, ["'seed'"]),
+            ({"oracle": {"samples": 1e12}}, ["'samples'"]),
+            # Finite bounds whose width, or whose sum, is not finite.
+            ({"param_box": [[-1e308, 1e308], [0, 1]]}, ["param_box", "finite"]),
+            ({"param_box": [[1e308, 1.7e308], [0, 1]]}, ["param_box", "finite"]),
+            ({"noise_box": [[-0.1, 0.1], [-1e308, 1e308]]}, ["noise_box", "finite"]),
+            ({"estimator": {"type": "constant", "value": [1e308, 0]}}, ["overflows"]),
         ],
     )
     def test_malformed_scenario_exit_1(self, tmp_path, capsys, override, words):
@@ -429,6 +435,85 @@ class TestCli:
         assert code == 1
         self.assert_one_line_error(capsys, repr(missing))
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override, words",
+        [
+            ({"landmarks": 5}, ["'landmarks'"]),
+            ({"landmarks": [[0, 0], [1, 0]]}, ["'landmarks'", "3 landmarks"]),
+            ({"param_box": 5}, ["'param_box'"]),
+            ({"param_box": [[-1e308, 1e308], [5, 25]]}, ["'param_box'", "finite"]),
+            ({"noise_box": [[-0.2, 0.2]] * 2}, ["'noise_box'", "dim 3"]),
+            ({"samples": True}, ["'samples'"]),
+            ({"samples": 2.7}, ["'samples'"]),
+            ({"seed": "7"}, ["'seed'"]),
+            ({"epochs": None}, ["'epochs'"]),
+            ({"rate": "x"}, ["'rate'"]),
+            ({"sizes": 5}, ["'sizes'"]),
+            ({"sizes": [3, 4.5, 2]}, ["'sizes'"]),
+        ],
+    )
+    def test_malformed_train_config_exit_1(self, tmp_path, capsys, override, words):
+        cfg = dict(
+            {
+                "landmarks": [[10, -9], [5, 12], [-15, 0]],
+                "param_box": [[5, 25], [5, 25]],
+                "noise_box": [[-0.2, 0.2], [-0.2, 0.2], [-0.2, 0.2]],
+                "samples": 20,
+                "sizes": [3, 2],
+                "epochs": 1,
+            },
+            **override,
+        )
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "weights.json"
+        code = cli.main(["train-mlp", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        self.assert_one_line_error(capsys, *words)
+        assert not out.exists()
+
+    def test_train_config_not_an_object_exit_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text("[1, 2]")
+        out = tmp_path / "weights.json"
+        code = cli.main(["train-mlp", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        self.assert_one_line_error(capsys, "JSON object")
+
+    @pytest.mark.parametrize(
+        "field, value", [("layers", 5), ("meta", 5), ("meta", [1])]
+    )
+    def test_malformed_weight_file_exit_1(
+        self, scenario_dir, tmp_path, capsys, field, value
+    ):
+        doc = json.loads((scenario_dir / "mlp_3x32x32x2.json").read_text())
+        doc[field] = value
+        (tmp_path / "net.json").write_text(json.dumps(doc))
+        p = write_scenario(
+            tmp_path / "bad.scn",
+            dict(
+                BASE_DOC,
+                noise_box=[[-0.2, 0.2]] * 3,
+                observation=TRILATERATION,
+                estimator={"type": "mlp", "weights_path": "net.json"},
+            ),
+        )
+        assert cli.main(["validate", "--scenario", str(p)]) == 1
+        self.assert_one_line_error(capsys, f"'{field}'")
+
+    def test_oracle_samples_above_cap_exit_1(self, scenario_dir, capsys):
+        code = cli.main(
+            [
+                "oracle",
+                "--scenario",
+                str(scenario_dir / "identity.scn"),
+                "--samples",
+                "1000000000000",
+            ]
+        )
+        assert code == 1
+        self.assert_one_line_error(capsys, "'samples'")
 
     def test_unknown_flag_exit_1(self, capsys):
         code = cli.main(["validate", "--scenario", "x", "--frobnicate"])
