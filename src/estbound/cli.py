@@ -27,6 +27,12 @@ from .pipeline import dump_cover, load_scenario, run_validate
 __all__ = ["main", "entry"]
 
 
+# Largest training sample count, ten times what the bundled network was
+# trained on. The full-batch trainer holds several (samples, 32) arrays at
+# once: at the cap a run peaks at about 250 MB resident.
+MAX_TRAIN_SAMPLES = 100_000
+
+
 class _UsageError(Exception):
     pass
 
@@ -78,7 +84,7 @@ def _cmd_validate(args) -> int:
 
     if args.dump_cover:
         dump_cover(
-            report.search.final_cover,
+            report.search.cover.entries(),
             scenario.param_box.dim,
             scenario.noise_box.dim,
             args.dump_cover,
@@ -126,6 +132,10 @@ def _cmd_train_mlp(args) -> int:
     if noise_box.dim != observation.n_obs:
         raise ValueError(f"{where} 'noise_box' must have dim {observation.n_obs}")
     samples = _integer(cfg, "samples", 10_000, where)
+    if not 1 <= samples <= MAX_TRAIN_SAMPLES:
+        raise ValueError(
+            f"{where} 'samples' must be 1 to {MAX_TRAIN_SAMPLES}, got {samples}"
+        )
     seed = _integer(cfg, "seed", 0, where)
     sizes = cfg.get("sizes", [observation.n_obs, 32, 32, 2])
     if not isinstance(sizes, list):

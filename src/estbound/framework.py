@@ -5,9 +5,15 @@ estimator maps a (noisy) observation back to a parameter estimate. Both
 carry a point evaluator, a row-batched form of it (`eval_points`, which
 defaults to one `eval_point` call per row), and a box evaluator that must
 be a sound inclusion of the point one: x in X implies eval_point(x) in
-eval_box(X). `ErrorObjective` composes the two into the estimation error
+eval_box(X). Estimators also carry a batched box evaluator (`eval_boxes`,
+which defaults to one `eval_box` call per box).
+
+`ErrorObjective` composes the two into the estimation error
 e(x, e) = ||x - estimate(observation(x) + e)|| and its negation, the objective
-handed to the branch-and-bound minimizer.
+handed to the branch-and-bound minimizer. That objective is batched the way
+the minimizer calls it: `objective_box` takes one search box and returns
+one enclosure, or takes a sequence of boxes and returns a list holding one
+enclosure per box, evaluated together.
 
 All models must be stateless per call; objectives may be evaluated on many
 boxes concurrently.
@@ -21,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .interval import Interval, IntervalBox, iadd, ineg, isqr, isqrt, isub
+from .interval import Interval, IntervalBox, _box, iadd, ineg, isqr, isqrt, isub
 
 __all__ = ["ObservationModel", "EstimatorModel", "ErrorObjective"]
 
@@ -79,22 +85,32 @@ class EstimatorModel(ABC):
         (k, n_params) array. Overrides must return the same floats."""
         return np.array([self.eval_point(r) for r in rows.tolist()], dtype=np.float64)
 
-    def error_vector_box(
-        self,
-        observation: ObservationModel,
-        param_box: IntervalBox,
-        noise_box: IntervalBox,
-    ) -> IntervalBox:
-        """Component-wise enclosure of x - eval_point(observation(x) + e)
-        over param_box x noise_box.
+    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
+        """eval_box of each box, in order. Overrides must return the same
+        boxes."""
+        return [self.eval_box(box) for box in boxes]
 
-        The default chains the two box evaluators and subtracts. Estimators
-        with structure that cancels the parameter dependency (the identity
+    def error_vector_box(
+        self, observation: ObservationModel, boxes: Sequence[IntervalBox]
+    ) -> list[IntervalBox]:
+        """Per search box (x, e), the parameters x followed by the noise e:
+        a component-wise enclosure of x - eval_point(observation(x) + e)
+        over that box.
+
+        The default chains the two box evaluators, the estimator's over all
+        boxes in one eval_boxes call, and subtracts. Estimators with
+        structure that cancels the parameter dependency (the identity
         estimator) override this with a tighter, still-sound enclosure.
         """
-        noisy = observation.eval_box(param_box) + noise_box
-        estimate = self.eval_box(noisy)
-        return IntervalBox(isub(x, xh) for x, xh in zip(param_box, estimate))
+        n = observation.n_params
+        estimates = self.eval_boxes(
+            [observation.eval_box(box[:n]) + box[n:] for box in boxes]
+        )
+        # zip stops at the n estimate components, pairing each with its x.
+        return [
+            _box(tuple(map(isub, box.components, estimate.components)))
+            for box, estimate in zip(boxes, estimates)
+        ]
 
     def _check_point(self, y: Sequence[float]) -> None:
         if len(y) != self.n_obs:
@@ -182,23 +198,37 @@ class ErrorObjective:
         dist = np.sqrt(acc)
         return float(dist[0]) if xs.ndim == 1 else dist
 
-    def objective_box(self, box: IntervalBox) -> Interval:
+    def objective_box(
+        self, box: IntervalBox | Sequence[IntervalBox]
+    ) -> Interval | list[Interval]:
         """Enclosure of -error_point over a concatenated (parameters, noise)
-        box; this is the function minimized by the branch-and-bound search."""
+        box; this is the function minimized by the branch-and-bound search.
+
+        box is either one search box, giving one Interval, or a sequence of
+        them, giving a list of one Interval per box, in order. All boxes of
+        a sequence go to the estimator in one batched evaluation.
+        """
+        single = isinstance(box, IntervalBox)
+        boxes = (box,) if single else box
         n, m = self.n_params, self.n_obs
-        if box.dim != n + m:
-            raise ValueError(
-                f"search box has dim {box.dim}, expected {n} + {m} = {n + m}"
-            )
-        diff = self.estimator.error_vector_box(
-            self.observation, box[:n], box[n:]
-        ).components
-        acc = isqr(diff[0])
-        for c in diff[1:]:
-            acc = iadd(acc, isqr(c))
-        if acc.ub == math.inf:
-            raise ValueError(f"the estimation error overflows float range on {box!r}")
-        return ineg(isqrt(acc))
+        for b in boxes:
+            if b.dim != n + m:
+                raise ValueError(
+                    f"search box has dim {b.dim}, expected {n} + {m} = {n + m}"
+                )
+        out = []
+        diffs = self.estimator.error_vector_box(self.observation, boxes)
+        for b, diff in zip(boxes, diffs):
+            comps = diff.components
+            acc = isqr(comps[0])
+            for c in comps[1:]:
+                acc = iadd(acc, isqr(c))
+            if acc.ub == math.inf:
+                raise ValueError(
+                    f"the estimation error overflows float range on {b!r}"
+                )
+            out.append(ineg(isqrt(acc)))
+        return out[0] if single else out
 
     def initial_box(self) -> IntervalBox:
         """The full search box: parameter box then noise box."""

@@ -3,15 +3,19 @@ serialization, and a small full-batch trainer for building fixtures.
 
 Both passes are numpy kernels that vectorise only over independent values,
 so they round exactly as a one-value-at-a-time loop would. The forward
-pass takes a batch of rows; per layer it sums the weighted inputs of every
-output in column order, starting from 0.0, adds the bias and applies relu.
+pass takes a batch of rows and holds them feature-major, one array row per
+neuron and one column per input row; per layer it sums the weighted inputs
+of every output in column order, starting from 0.0, adds the bias and
+applies relu.
 
-The interval forward pass propagates one interval per neuron. Per layer,
-each input's bounds are scaled by the weights, taking the lower or upper
-bound by the weight's sign, and each product is rounded outward. The
-products are summed one input column at a time, rounding outward after
-every add, then the bias is added, rounded outward, and the exact relu
-image is taken. This is the plainest possible bound propagation; it gets
+The interval forward pass takes a batch of boxes and propagates one
+interval per neuron and box. Per layer, each input's bounds are scaled by
+the weights, taking the lower or upper bound by the weight's sign, and each
+product is rounded outward. The products are summed one input column at a
+time, rounding outward after every add, then the bias is added, rounded
+outward, and the exact relu image is taken. Evaluating several boxes at
+once shares numpy's per-call cost among them; each box gets the bounds it
+would get alone. This is the plainest possible bound propagation; it gets
 looser as networks grow deeper, which is acceptable here because the
 validation method only needs soundness, not tightness.
 """
@@ -27,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .framework import EstimatorModel, Vector
-from .interval import IntervalBox, _make
+from .interval import IntervalBox, _box, _make
 
 __all__ = ["MlpLayer", "MlpModel", "load_mlp", "save_mlp", "train_mlp"]
 
@@ -93,25 +97,32 @@ class MlpModel(EstimatorModel):
         self.meta = dict(meta or {})
         self.n_obs = layers[0].cols
         self.n_params = layers[-1].rows
-        # Per layer: weights transposed to (cols, rows), bias, relu flag.
-        self._arrays = tuple(
+        # Per layer: weights transposed to C-ordered (cols, rows), so that
+        # the kernels below step through contiguous rows; bias; relu flag.
+        arrays = [
             (np.array(l.weights).T.copy(), np.array(l.bias), l.activation == "relu")
             for l in layers
+        ]
+        # The point pass, per layer: each input column's weights as a
+        # (rows, 1) column, the bias as a (rows, 1) column, relu flag.
+        self._arrays = tuple(
+            (wt[:, :, None], bias[:, None], relu) for wt, bias, relu in arrays
         )
         # The box pass holds a layer's negated lower bounds and its upper
         # bounds in one array, so one upward rounding serves both: negation
         # is exact and round-to-nearest is symmetric. Per layer: weights
-        # (cols, 2 * rows) for that array, where each term takes its input's
-        # lower bound rather than its upper one (lower bounds for w >= 0,
-        # upper bounds for w < 0, as _mul_scalar does), bias, relu flag.
+        # (cols, 1, 2 * rows) for that array, where each term takes its
+        # input's lower bound rather than its upper one (lower bounds for
+        # w >= 0, upper bounds for w < 0, as _mul_scalar does), bias, relu
+        # flag. The middle axis broadcasts over the boxes.
         self._box_arrays = tuple(
             (
-                np.concatenate((-wt, wt), axis=1),
-                np.concatenate((wt >= 0.0, wt < 0.0), axis=1),
+                np.concatenate((-wt, wt), axis=1)[:, None, :],
+                np.concatenate((wt >= 0.0, wt < 0.0), axis=1)[:, None, :],
                 np.concatenate((-bias, bias)),
                 relu,
             )
-            for wt, bias, relu in self._arrays
+            for wt, bias, relu in arrays
         )
 
     def eval_point(self, y: Sequence[float]) -> Vector:
@@ -119,25 +130,38 @@ class MlpModel(EstimatorModel):
 
     def eval_points(self, rows: np.ndarray) -> np.ndarray:
         self._check_point(rows.T)  # len(rows.T) is the row width
-        h = rows
-        for wt, bias, relu in self._arrays:
-            acc = np.zeros((len(h), len(bias)))
-            for column, w in zip(h.T[:, :, None], wt):
-                acc += column * w
+        h = rows.T
+        for w_cols, bias, relu in self._arrays:
+            acc = np.zeros((len(bias), h.shape[1]))
+            prod = np.empty_like(acc)
+            for w, column in zip(w_cols, h):
+                np.multiply(w, column, out=prod)
+                acc += prod
+            del prod  # so the next layer's buffers do not add to the peak
             acc += bias
             if relu:
                 acc[acc < 0.0] = 0.0
             h = acc
-        return h
+        return h.T
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
-        self._check_box(box)
-        lb = np.array([c.lb for c in box.components])
-        ub = np.array([c.ub for c in box.components])
+        return self.eval_boxes((box,))[0]
+
+    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
+        if not boxes:
+            return []
+        for box in boxes:
+            self._check_box(box)
+        # (boxes, inputs) arrays of the lower and of the upper bounds.
+        lb = np.array([[c.lb for c in box.components] for box in boxes])
+        ub = np.array([[c.ub for c in box.components] for box in boxes])
         for w2, take_lb, bias2, relu in self._box_arrays:
-            # Row j holds the terms of input j, rounded as _mul_scalar rounds
-            # them; they are summed one input at a time, rounding each add.
-            terms = w2 * np.where(take_lb, lb[:, None], ub[:, None])
+            # terms[j] holds the terms of input j for every box, rounded as
+            # _mul_scalar rounds them; they are summed one input at a time,
+            # rounding each add. C order keeps each terms[j] one contiguous
+            # block, where numpy's per-call cost is lowest.
+            bounds = np.where(take_lb, lb.T[:, :, None], ub.T[:, :, None])
+            terms = np.multiply(w2, bounds, order="C")
             np.nextafter(terms, np.inf, out=terms)
             acc = terms[0]
             for t in terms[1:]:
@@ -145,11 +169,14 @@ class MlpModel(EstimatorModel):
                 np.nextafter(acc, np.inf, out=acc)
             acc = np.nextafter(acc + bias2, np.inf)
             rows = len(bias2) // 2
-            lb, ub = -acc[:rows], acc[rows:]
+            lb, ub = -acc[:, :rows], acc[:, rows:]
             if relu:
                 lb = np.where(lb > 0.0, lb, 0.0)
                 ub = np.where(ub > 0.0, ub, 0.0)
-        return IntervalBox(map(_make, lb.tolist(), ub.tolist()))
+        return [
+            _box(tuple(map(_make, lows, highs)))
+            for lows, highs in zip(lb.tolist(), ub.tolist())
+        ]
 
 
 def save_mlp(model: MlpModel, path: str | Path) -> None:

@@ -119,30 +119,34 @@ class IdentityEstimator(EstimatorModel):
         return box
 
     def error_vector_box(
-        self,
-        observation: ObservationModel,
-        param_box: IntervalBox,
-        noise_box: IntervalBox,
-    ) -> IntervalBox:
+        self, observation: ObservationModel, boxes: Sequence[IntervalBox]
+    ) -> list[IntervalBox]:
         # x - estimate = -((g(x) - x) + e). For g(x) = x the deviation
         # g(x) - x is the exact zero box, so C = 0 + e never subtracts the
         # parameter box from itself. Any other observation, a subclass of
         # the identity included, takes the generic path, which needs no pad.
         if type(observation) is not IdentityObservation:
-            return super().error_vector_box(observation, param_box, noise_box)
+            return super().error_vector_box(observation, boxes)
         # The point evaluation rounds at the magnitude of x, which C never
         # sees. With S = max(|x|, |C|, 1) (max(-lb, ub) as lb <= ub) and an
         # exact g(x) = y, fl(x - fl(y + e)) is within ulp(S) of x - (y + e)
         # per rounding (|y + e| <= 2S); the 4 ulp(S) pad loses <= ulp(S) to
         # its own rounding, so 3 ulp(S) >= 2 ulp(S) remains.
-        observation._check_box(param_box)
-        self._check_box(noise_box)
+        n, m = observation.n_params, self.n_obs
         out = []
-        for e, x in zip(noise_box.components, param_box.components):
-            lo, hi = _down(e.lb), _up(e.ub)  # C = 0 + e, rounded as iadd rounds
-            pad = 4.0 * math.ulp(max(-x.lb, x.ub, -lo, hi, 1.0))
-            out.append(_make(-(hi + pad), -(lo - pad)))
-        return _box(tuple(out))
+        for box in boxes:
+            comps = box.components
+            if len(comps) != n + m:
+                raise ValueError(
+                    f"search box has dim {len(comps)}, expected {n} + {m} = {n + m}"
+                )
+            diff = []
+            for x, e in zip(comps, comps[n:]):
+                lo, hi = _down(e.lb), _up(e.ub)  # C = 0 + e, rounded as iadd rounds
+                pad = 4.0 * math.ulp(max(-x.lb, x.ub, -lo, hi, 1.0))
+                diff.append(_make(-(hi + pad), -(lo - pad)))
+            out.append(_box(tuple(diff)))
+        return out
 
 
 class ConstantEstimator(EstimatorModel):

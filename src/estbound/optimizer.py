@@ -3,7 +3,10 @@
 The search keeps a cover of the initial box ordered by the lower bound of
 each box's objective enclosure. Each iteration takes the front box (the one
 with the smallest lower bound), splits it along its widest splittable
-dimension, re-evaluates the halves and puts them in its place. The front
+dimension, re-evaluates the halves and puts them in its place. The
+objective is batched: it takes a sequence of boxes and returns one
+enclosure per box, in order, so both halves of a split go to it in one
+call and a vectorised objective can evaluate them together. The front
 enclosure always brackets the global minimum, so the loop may stop at any
 iteration with a sound result; it stops normally once the front enclosure
 is narrower than the configured tolerance.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .interval import Interval, IntervalBox
 
@@ -36,7 +39,7 @@ __all__ = [
     "moore_skelboe",
 ]
 
-BoxObjective = Callable[[IntervalBox], Interval]
+BoxObjective = Callable[[Sequence[IntervalBox]], Sequence[Interval]]
 TraceCallback = Callable[[int, float, int], None]
 
 
@@ -45,7 +48,8 @@ class CannotSplitError(ValueError):
 
 
 class ObjectiveError(RuntimeError):
-    """The objective returned something other than a valid interval."""
+    """The objective returned something other than one valid interval per
+    box."""
 
 
 class CoverEntry:
@@ -128,7 +132,8 @@ class MsResult:
     initial box; witness is the final front box, whose non-split components
     equal the initial box's. converged tells whether the width criterion
     fired (True) or the run stopped on the iteration cap / unsplittable
-    front (False).
+    front (False). cover is the final cover, left unsorted: its entries()
+    lists it in cover order.
     """
 
     enclosure: Interval
@@ -136,7 +141,7 @@ class MsResult:
     iterations: int
     final_cover_size: int
     converged: bool
-    final_cover: tuple[CoverEntry, ...] = field(repr=False, default=())
+    cover: Cover = field(repr=False)
 
 
 def select_split_dim(box: IntervalBox, split_dims: Iterable[int]) -> int:
@@ -158,18 +163,32 @@ def select_split_dim(box: IntervalBox, split_dims: Iterable[int]) -> int:
     return best_i
 
 
-def _evaluate(f: BoxObjective, box: IntervalBox) -> CoverEntry:
-    enclosure = f(box)
-    if not isinstance(enclosure, Interval):
+def _evaluate(
+    f: BoxObjective, boxes: tuple[IntervalBox, ...]
+) -> list[CoverEntry]:
+    enclosures = f(boxes)
+    try:
+        count = len(enclosures)
+    except TypeError:
+        count = None
+    if count != len(boxes):
         raise ObjectiveError(
-            f"objective returned {enclosure!r} (not an Interval) on {box!r}"
+            f"objective returned {enclosures!r} for {len(boxes)} boxes, "
+            "not one enclosure per box"
         )
-    # Also false for NaN bounds, which would corrupt the cover's heap order.
-    if not enclosure.lb <= enclosure.ub:
-        raise ObjectiveError(
-            f"objective returned the invalid enclosure {enclosure!r} on {box!r}"
-        )
-    return CoverEntry(box, enclosure)
+    entries = []
+    for box, enclosure in zip(boxes, enclosures):
+        if not isinstance(enclosure, Interval):
+            raise ObjectiveError(
+                f"objective returned {enclosure!r} (not an Interval) on {box!r}"
+            )
+        # Also false for NaN bounds, which would corrupt the cover's heap order.
+        if not enclosure.lb <= enclosure.ub:
+            raise ObjectiveError(
+                f"objective returned the invalid enclosure {enclosure!r} on {box!r}"
+            )
+        entries.append(CoverEntry(box, enclosure))
+    return entries
 
 
 def moore_skelboe(
@@ -181,9 +200,13 @@ def moore_skelboe(
     """Minimize a box objective over b_init.
 
     f must be a sound, isotone inclusion function of the objective being
-    minimized. The returned enclosure contains the exact global minimum at
-    any iteration count; `converged` reports whether the width criterion
-    was met. The optional callback receives (iteration, front lower bound,
+    minimized, batched: f(boxes) takes a sequence of boxes and returns a
+    sequence holding one enclosure per box, in the same order. It is called
+    with the initial box alone, then with the two halves of each split.
+
+    The returned enclosure contains the exact global minimum at any
+    iteration count; `converged` reports whether the width criterion was
+    met. The optional callback receives (iteration, front lower bound,
     cover size) after each split.
     """
     for d in cfg.split_dims:
@@ -197,7 +220,7 @@ def moore_skelboe(
             )
 
     cover = Cover()
-    cover.insert(_evaluate(f, b_init))
+    cover.insert(_evaluate(f, (b_init,))[0])
     iterations = 0
 
     while True:
@@ -213,9 +236,9 @@ def moore_skelboe(
         except CannotSplitError:
             converged = False
             break
-        left, right = front.box.bisect(dim)
-        cover.replace_front(_evaluate(f, left))
-        cover.insert(_evaluate(f, right))
+        left, right = _evaluate(f, front.box.bisect(dim))
+        cover.replace_front(left)
+        cover.insert(right)
         iterations += 1
         if on_iteration is not None:
             on_iteration(iterations, cover.peek().enclosure.lb, len(cover))
@@ -227,5 +250,5 @@ def moore_skelboe(
         iterations=iterations,
         final_cover_size=len(cover),
         converged=converged,
-        final_cover=tuple(cover.entries()),
+        cover=cover,
     )

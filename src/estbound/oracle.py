@@ -92,7 +92,8 @@ def sample_max_error(obj: ErrorObjective, cfg: OracleConfig) -> OracleResult:
     """Evaluate the error at sampled (parameter, noise) points and return
     the maximum, at its first occurrence; NaN errors are never the maximum.
     Random mode draws uniformly over the search box; grid mode evaluates
-    every corner of the box plus a regular interior grid."""
+    every corner of the box plus a regular interior grid. An error that
+    overflows float range raises ValueError, as objective_box does."""
     n = obj.n_params
     box = obj.initial_box()
     lows = [c.lb for c in box]
@@ -107,10 +108,18 @@ def sample_max_error(obj: ErrorObjective, cfg: OracleConfig) -> OracleResult:
     best_point: list[float] = []
     used = 0
     for rows in chunks:
-        values = obj.error_point(rows[:, :n], rows[:, n:])
+        # An overflow is reported below, with the sample it happened at.
+        with np.errstate(over="ignore"):
+            values = obj.error_point(rows[:, :n], rows[:, n:])
         # argmax picks the first of equal maxima; later chunks must beat
-        # the best strictly, as a sample-by-sample scan would.
+        # the best strictly, as a sample-by-sample scan would. An infinite
+        # error, if any, is the chunk's maximum.
         i = int(np.argmax(np.where(np.isnan(values), -math.inf, values)))
+        if values[i] == math.inf:
+            raise ValueError(
+                "the estimation error overflows float range at the sample "
+                f"x={rows[i, :n].tolist()!r}, e={rows[i, n:].tolist()!r}"
+            )
         if values[i] > best:
             best = float(values[i])
             best_point = rows[i].tolist()

@@ -24,6 +24,7 @@ from estbound.optimizer import MsConfig, moore_skelboe
 from estbound.oracle import OracleConfig
 from estbound.pipeline import Scenario, load_scenario, run_validate
 from test_mlp import random_model
+from test_optimizer import per_box
 
 LANDMARKS = [[10, -9], [5, 12], [-15, 0]]
 
@@ -94,7 +95,7 @@ def test_criterion_2_analytic_objectives():
 
     t0 = time.perf_counter()
     res1 = moore_skelboe(
-        lambda b: isqr(b[0]),
+        per_box(lambda b: isqr(b[0])),
         IntervalBox.from_bounds([(-5, 4)]),
         MsConfig(delta=1e-9, split_dims=(0,)),
     )
@@ -102,7 +103,7 @@ def test_criterion_2_analytic_objectives():
 
     t0 = time.perf_counter()
     res2 = moore_skelboe(
-        lambda b: iadd(isqr(isub(b[0], one)), isqr(isub(b[1], minus_two))),
+        per_box(lambda b: iadd(isqr(isub(b[0], one)), isqr(isub(b[1], minus_two)))),
         IntervalBox.from_bounds([(-5, 5), (-5, 5)]),
         MsConfig(delta=1e-9, split_dims=(0, 1)),
     )

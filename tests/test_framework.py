@@ -4,13 +4,14 @@ import random
 import pytest
 
 from estbound.framework import ErrorObjective
-from estbound.interval import IntervalBox, ineg
+from estbound.interval import Interval, IntervalBox, ineg
 from estbound.models import (
     ConstantEstimator,
     IdentityEstimator,
     IdentityObservation,
     TrilaterationModel,
 )
+from estbound.pipeline import load_scenario
 from test_interval import encloses
 
 LANDMARKS = [(10.0, -9.0), (5.0, 12.0), (-15.0, 0.0)]
@@ -126,10 +127,32 @@ class TestObjectiveBox:
             e = [rng.uniform(c.lb, c.ub) for c in obj.noise_box]
             assert out.lb <= -obj.error_point(x, e) <= out.ub
 
+    @pytest.mark.parametrize(
+        "name", ["identity", "constant", "trilat_mlp", "trilat_gd"]
+    )
+    def test_sequence_equals_one_call_per_box(self, scenario_dir, name):
+        # A batch gives each box the bits it gets alone, in order.
+        obj = load_scenario(scenario_dir / f"{name}.scn").build_objective()
+        left, right = obj.initial_box().bisect(0)
+        boxes = [left, *right.bisect(1), obj.initial_box()]
+        singles = [obj.objective_box(box) for box in boxes]
+        assert all(isinstance(out, Interval) for out in singles)
+        for batch in ([boxes[0]], boxes[:2], boxes):
+            out = obj.objective_box(batch)
+            assert isinstance(out, list)
+            assert [(v.lb.hex(), v.ub.hex()) for v in out] == [
+                (v.lb.hex(), v.ub.hex()) for v in singles[: len(batch)]
+            ]
+        assert obj.objective_box([]) == []
+
     def test_wrong_dim(self):
         obj = identity_objective()
         with pytest.raises(ValueError, match="search box"):
             obj.objective_box(IntervalBox.from_bounds([(0, 1)] * 3))
+        with pytest.raises(ValueError, match="search box"):
+            obj.objective_box(
+                [obj.initial_box(), IntervalBox.from_bounds([(0, 1)] * 3)]
+            )
 
     def test_overflow_rejected(self):
         obj = ErrorObjective(

@@ -1,9 +1,10 @@
 """Search results pinned bit for bit.
 
 The values were recorded before the optimizer's hot path was last
-rewritten. Any change to the split order, the rounding of an enclosure, the
-FIFO order among equal lower bounds or the final cover shows up here as a
-changed bound, count or witness box.
+rewritten; the network cover, before both halves of a split were evaluated
+in one batched call. Any change to the split order, the rounding of an
+enclosure, the FIFO order among equal lower bounds or the final cover
+shows up here as a changed bound, count or witness box.
 """
 
 import dataclasses
@@ -48,17 +49,17 @@ def test_trilat_mlp_scenario(trilat_mlp_run):
     ]
 
 
-def test_cli_cover_dump_of_identity_scenario(scenario_dir, tmp_path, capsys):
-    # SHA-256 of the cover CSV and of the printed report without `elapsed`,
-    # re-serialised with the CLI's json.dumps(indent=1) layout.
+def cover_and_report_hashes(scenario, max_iters, tmp_path, capsys):
+    """SHA-256 of the cover CSV and of the printed report without `elapsed`,
+    re-serialised with the CLI's json.dumps(indent=1) layout."""
     cover = tmp_path / "cover.csv"
     code = cli.main(
         [
             "validate",
             "--scenario",
-            str(scenario_dir / "identity.scn"),
+            str(scenario),
             "--max-iters",
-            "2000",
+            str(max_iters),
             "--dump-cover",
             str(cover),
         ]
@@ -67,9 +68,26 @@ def test_cli_cover_dump_of_identity_scenario(scenario_dir, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     del doc["elapsed"]
     report = (json.dumps(doc, indent=1) + "\n").encode()
-    assert hashlib.sha256(cover.read_bytes()).hexdigest() == (
-        "5cdf5379847e389aff614e1ae0d02598a97c9553d30104a0db5bdd66efb43ac3"
+    return (
+        hashlib.sha256(cover.read_bytes()).hexdigest(),
+        hashlib.sha256(report).hexdigest(),
     )
-    assert hashlib.sha256(report).hexdigest() == (
-        "c27af9ee242bfce9449464d9a60a25a187c6a05e98f803d3b9055c2919fecb70"
+
+
+def test_cli_cover_dump_of_identity_scenario(scenario_dir, tmp_path, capsys):
+    assert cover_and_report_hashes(
+        scenario_dir / "identity.scn", 2000, tmp_path, capsys
+    ) == (
+        "5cdf5379847e389aff614e1ae0d02598a97c9553d30104a0db5bdd66efb43ac3",
+        "c27af9ee242bfce9449464d9a60a25a187c6a05e98f803d3b9055c2919fecb70",
+    )
+
+
+def test_cli_cover_dump_of_trilat_mlp_scenario(scenario_dir, tmp_path, capsys):
+    # Every cover box went through the network's batched interval pass.
+    assert cover_and_report_hashes(
+        scenario_dir / "trilat_mlp.scn", 300, tmp_path, capsys
+    ) == (
+        "800dd0aadf502de0e1a63d0cd5b9220635c7d25ff0e12ec96caafd7f28ad6e5d",
+        "099cacb32048eee121cfa191e195c80f65d9099e87fc92499e03915464471692",
     )

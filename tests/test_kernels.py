@@ -147,16 +147,27 @@ def sample_boxes(rng, center, count):
 class TestNetworkBitIdentity:
     def check_points(self, model, rows):
         rows = np.array(rows, dtype=np.float64)
-        batched = model.eval_points(rows)
-        for row, out in zip(rows.tolist(), batched):
-            expected = bits(reference_eval_point(model, row))
-            assert bits(out) == expected
-            assert bits(model.eval_point(row)) == expected
+        expected = [bits(reference_eval_point(model, row)) for row in rows.tolist()]
+        # The pass reads its rows feature-major; the memory order of the
+        # input array must not matter.
+        for batch in (rows, np.asfortranarray(rows)):
+            out = model.eval_points(batch)
+            assert out.shape == (len(rows), model.n_params)
+            assert [bits(r) for r in out] == expected
+        for row, want in zip(rows.tolist(), expected):
+            assert bits(model.eval_point(row)) == want
 
     def check_boxes(self, model, boxes):
-        for box in boxes:
-            expected = box_bits(reference_eval_box(model, box))
-            assert box_bits(model.eval_box(box)) == expected
+        expected = [box_bits(reference_eval_box(model, box)) for box in boxes]
+        for box, want in zip(boxes, expected):
+            assert box_bits(model.eval_box(box)) == want
+        # Batches of 1, 2 and 3 boxes: each box's result must not depend on
+        # the boxes evaluated next to it.
+        for size in (1, 2, 3):
+            for start in range(0, len(boxes), size):
+                batch = boxes[start : start + size]
+                out = model.eval_boxes(batch)
+                assert [box_bits(b) for b in out] == expected[start : start + size]
 
     def test_random_inputs(self, net):
         rng = random.Random(3)
@@ -192,6 +203,10 @@ class TestNetworkBitIdentity:
             more = [[rng.uniform(-5, 5) for _ in range(3)] for _ in range(20)]
             self.check_points(model, rows + more)
             self.check_boxes(model, boxes + sample_boxes(rng, (1.0, -2.0, 3.0), 20))
+
+    def test_empty_batches(self, net):
+        assert net.eval_boxes([]) == []
+        assert net.eval_points(np.zeros((0, 3))).shape == (0, 2)
 
     def test_degenerate_box_components(self, net):
         rng = random.Random(7)

@@ -18,6 +18,12 @@ from test_interval import encloses
 LANDMARKS = [(10.0, -9.0), (5.0, 12.0), (-15.0, 0.0)]
 
 
+def error_vector(est, obs, param_box, noise_box):
+    """est.error_vector_box over the one search box param_box x noise_box."""
+    [out] = est.error_vector_box(obs, [param_box.concat(noise_box)])
+    return out
+
+
 class AffineObservation(ObservationModel):
     """g(x) = a x + b for a square matrix a: a square observation that is
     not the identity. Sums run in row order, starting from b."""
@@ -116,7 +122,8 @@ class TestIdentityAndConstant:
         # noise box widened by the rounding pad alone, however wide the
         # parameter box is.
         est = IdentityEstimator(3)
-        out = est.error_vector_box(
+        out = error_vector(
+            est,
             IdentityObservation(3),
             IntervalBox.from_bounds([(0, 5)] * 3),
             IntervalBox.from_bounds([(-0.1, 0.2)] * 3),
@@ -128,7 +135,8 @@ class TestIdentityAndConstant:
         # Each noise bound is first stepped one ulp outward, as iadd(0, e)
         # rounds it, then padded by 4 ulp(S): -(4 + 5 ulp(4)) below. A -0.0
         # noise bound ends on the pad alone.
-        out = IdentityEstimator(2).error_vector_box(
+        out = error_vector(
+            IdentityEstimator(2),
             IdentityObservation(2),
             IntervalBox.from_bounds([(0, 1), (-2, 7)]),
             IntervalBox.from_bounds([(-3.0, 4.0), (-0.0, 0.0)]),
@@ -140,7 +148,8 @@ class TestIdentityAndConstant:
 
     def test_identity_error_vector_checks_noise_dim(self):
         with pytest.raises(ValueError, match="dim"):
-            IdentityEstimator(2).error_vector_box(
+            error_vector(
+                IdentityEstimator(2),
                 IdentityObservation(2),
                 IntervalBox.from_bounds([(0, 1)] * 2),
                 IntervalBox.from_bounds([(-0.1, 0.1)]),
@@ -188,7 +197,7 @@ class TestIdentityErrorVectorContainsExactValue:
                     sorted((rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
                     for _ in range(dim)
                 )
-                out = est.error_vector_box(obs, param_box, noise_box)
+                out = error_vector(est, obs, param_box, noise_box)
                 rows = np.array([self.pick(rng, param_box) for _ in range(8)])
                 noise = np.array([self.pick(rng, noise_box) for _ in range(8)])
                 floats = rows - est.eval_points(obs.eval_points(rows) + noise)

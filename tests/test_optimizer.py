@@ -33,6 +33,11 @@ def quartic(box):
     return isqr(isub(isqr(box[0]), TWO))
 
 
+def per_box(f):
+    """The batched objective moore_skelboe takes, from a one-box one."""
+    return lambda boxes: [f(box) for box in boxes]
+
+
 class TestCover:
     def make_entry(self, lb):
         return CoverEntry(IntervalBox.from_bounds([(0, 1)]), Interval(lb, lb + 1))
@@ -143,18 +148,18 @@ class TestConfig:
     def test_degenerate_initial_split_dim(self):
         cfg = MsConfig(delta=1e-3, split_dims=(0,))
         with pytest.raises(ValueError, match="zero initial width"):
-            moore_skelboe(square, IntervalBox.from_bounds([(2, 2)]), cfg)
+            moore_skelboe(per_box(square), IntervalBox.from_bounds([(2, 2)]), cfg)
 
     def test_split_dim_out_of_range(self):
         cfg = MsConfig(delta=1e-3, split_dims=(1,))
         with pytest.raises(ValueError, match="out of range"):
-            moore_skelboe(square, IntervalBox.from_bounds([(0, 1)]), cfg)
+            moore_skelboe(per_box(square), IntervalBox.from_bounds([(0, 1)]), cfg)
 
 
 class TestMooreSkelboe:
     def test_square_on_asymmetric_interval(self):
         res = moore_skelboe(
-            square,
+            per_box(square),
             IntervalBox.from_bounds([(-5, 4)]),
             MsConfig(delta=1e-9, split_dims=(0,)),
         )
@@ -167,7 +172,7 @@ class TestMooreSkelboe:
 
     def test_shifted_paraboloid(self):
         res = moore_skelboe(
-            paraboloid,
+            per_box(paraboloid),
             IntervalBox.from_bounds([(-5, 5), (-5, 5)]),
             MsConfig(delta=1e-9, split_dims=(0, 1)),
         )
@@ -186,7 +191,7 @@ class TestMooreSkelboe:
         assert abs(scan_arg - math.sqrt(2)) <= 1e-5
 
         res = moore_skelboe(
-            quartic,
+            per_box(quartic),
             IntervalBox.from_bounds([(0, 2)]),
             MsConfig(delta=1e-9, split_dims=(0,)),
         )
@@ -208,7 +213,7 @@ class TestMooreSkelboe:
             assert cover_size == iteration + 1  # nothing is ever discarded
 
         res = moore_skelboe(
-            square,
+            per_box(square),
             IntervalBox.from_bounds([(-5, 4)]),
             MsConfig(delta=1e-9, split_dims=(0,)),
             on_iteration=trace,
@@ -218,7 +223,7 @@ class TestMooreSkelboe:
 
     def test_delta_wider_than_range_stops_immediately(self):
         res = moore_skelboe(
-            square,
+            per_box(square),
             IntervalBox.from_bounds([(-5, 4)]),
             MsConfig(delta=100.0, split_dims=(0,)),
         )
@@ -227,7 +232,7 @@ class TestMooreSkelboe:
 
     def test_iteration_cap_keeps_sound_enclosure(self):
         res = moore_skelboe(
-            square,
+            per_box(square),
             IntervalBox.from_bounds([(-5, 4)]),
             MsConfig(delta=1e-12, split_dims=(0,), max_iterations=5),
         )
@@ -241,15 +246,15 @@ class TestMooreSkelboe:
         def f(box):
             return iadd(paraboloid(box), isqr(box[2]))
 
-        res = moore_skelboe(f, b, MsConfig(delta=1e-6, split_dims=(0, 1)))
+        res = moore_skelboe(per_box(f), b, MsConfig(delta=1e-6, split_dims=(0, 1)))
         assert res.witness[2] is b[2]
-        for entry in res.final_cover:
+        for entry in res.cover.entries():
             assert entry.box[2] is b[2]
 
     def test_determinism(self):
         def run():
             return moore_skelboe(
-                paraboloid,
+                per_box(paraboloid),
                 IntervalBox.from_bounds([(-5, 5), (-5, 5)]),
                 MsConfig(delta=1e-9, split_dims=(0, 1)),
             )
@@ -266,7 +271,7 @@ class TestMooreSkelboe:
 
         with pytest.raises(ObjectiveError, match="not an Interval"):
             moore_skelboe(
-                bad,
+                per_box(bad),
                 IntervalBox.from_bounds([(0, 1)]),
                 MsConfig(delta=1e-3, split_dims=(0,)),
             )
@@ -279,22 +284,52 @@ class TestMooreSkelboe:
         assert math.isnan(nan_objective(None).lb)
         with pytest.raises(ObjectiveError, match="invalid enclosure"):
             moore_skelboe(
-                nan_objective,
+                per_box(nan_objective),
                 IntervalBox.from_bounds([(0, 1)]),
+                MsConfig(delta=1e-3, split_dims=(0,)),
+            )
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_enclosure_count_aborts_with_diagnostic(self, extra):
+        # The initial box comes alone, the halves of the first split
+        # together; the answer to the halves is one enclosure short or long.
+        calls = []
+
+        def miscounting(boxes):
+            calls.append(len(boxes))
+            out = [square(box) for box in boxes]
+            if len(calls) == 2:
+                return out[:-1] if extra < 0 else out + out[:1]
+            return out
+
+        with pytest.raises(ObjectiveError, match="one enclosure per box"):
+            moore_skelboe(
+                miscounting,
+                IntervalBox.from_bounds([(-5, 4)]),
+                MsConfig(delta=1e-3, split_dims=(0,)),
+            )
+        assert calls == [1, 2]
+
+    def test_unbatched_enclosure_aborts_with_diagnostic(self):
+        with pytest.raises(ObjectiveError, match="one enclosure per box"):
+            moore_skelboe(
+                lambda boxes: square(boxes[0]),
+                IntervalBox.from_bounds([(-5, 4)]),
                 MsConfig(delta=1e-3, split_dims=(0,)),
             )
 
     def test_final_cover_is_sorted_and_complete(self):
         res = moore_skelboe(
-            square,
+            per_box(square),
             IntervalBox.from_bounds([(-5, 4)]),
             MsConfig(delta=1e-6, split_dims=(0,)),
         )
-        lbs = [e.enclosure.lb for e in res.final_cover]
+        cover = res.cover.entries()
+        lbs = [e.enclosure.lb for e in cover]
         assert lbs == sorted(lbs)
-        assert len(res.final_cover) == res.final_cover_size
+        assert len(cover) == res.final_cover_size
         # the split-dim projections tile the initial interval
-        pieces = sorted((e.box[0].lb, e.box[0].ub) for e in res.final_cover)
+        pieces = sorted((e.box[0].lb, e.box[0].ub) for e in cover)
         assert pieces[0][0] == -5.0 and pieces[-1][1] == 4.0
         for (_, ub), (lb2, _) in zip(pieces, pieces[1:]):
             assert ub == lb2
@@ -305,7 +340,7 @@ class TestMooreSkelboe:
         # lists the boxes in the order they were made.
         b_init = IntervalBox.from_bounds([(0, 1), (0, 4)])
         res = moore_skelboe(
-            lambda box: Interval(0.0, 1.0),
+            per_box(lambda box: Interval(0.0, 1.0)),
             b_init,
             MsConfig(delta=0.5, split_dims=(1, 0), max_iterations=400),
         )
@@ -315,5 +350,5 @@ class TestMooreSkelboe:
             widest = max(range(front.dim), key=lambda i: (front[i].width, -i))
             queue.extend(front.bisect(widest))
         assert not res.converged
-        assert [e.box for e in res.final_cover] == list(queue)
+        assert [e.box for e in res.cover.entries()] == list(queue)
         assert res.witness == queue[0]

@@ -14,6 +14,7 @@ from estbound.pipeline import (
     run_validate,
 )
 from estbound import cli
+from test_optimizer import per_box
 
 
 def write_scenario(path, doc):
@@ -203,7 +204,7 @@ class TestRunValidate:
         assert 0.0 <= report.eps_low <= math.sqrt(0.02)
         assert report.certified is True
         assert report.witness_param_box.dim == 2
-        assert len(report.search.final_cover) == report.cover_size
+        assert len(report.search.cover.entries()) == report.cover_size
         assert "search" not in report.to_dict()
 
     def test_oracle_disabled_leaves_fields_none(self, tmp_path):
@@ -226,12 +227,12 @@ class TestDumpCover:
             return isqr(isub(box[0], one))
 
         res = moore_skelboe(
-            f,
+            per_box(f),
             IntervalBox.from_bounds([(-5, 4)]),
             MsConfig(delta=1e-6, split_dims=(0,)),
         )
         out = tmp_path / "cover.csv"
-        dump_cover(res.final_cover, 1, 0, out)
+        dump_cover(res.cover.entries(), 1, 0, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x0_lb,x0_ub,f_lb,f_ub"
         rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
@@ -247,9 +248,9 @@ class TestDumpCover:
         def f(b):
             return iadd(isqr(b[0]), isqr(b[1]))
 
-        res = moore_skelboe(f, box, MsConfig(delta=10.0, split_dims=(0, 1)))
+        res = moore_skelboe(per_box(f), box, MsConfig(delta=10.0, split_dims=(0, 1)))
         out = tmp_path / "c.csv"
-        dump_cover(res.final_cover, 2, 1, out)
+        dump_cover(res.cover.entries(), 2, 1, out)
         header = out.read_text().splitlines()[0].split(",")
         assert len(header) == 2 * (2 + 1) + 2
 
@@ -451,6 +452,9 @@ class TestCli:
             ({"rate": "x"}, ["'rate'"]),
             ({"sizes": 5}, ["'sizes'"]),
             ({"sizes": [3, 4.5, 2]}, ["'sizes'"]),
+            ({"samples": 1000000000000}, ["'samples'", "100000"]),
+            ({"samples": -5}, ["'samples'", "-5"]),
+            ({"samples": 0}, ["'samples'"]),
         ],
     )
     def test_malformed_train_config_exit_1(self, tmp_path, capsys, override, words):
@@ -514,6 +518,15 @@ class TestCli:
         )
         assert code == 1
         self.assert_one_line_error(capsys, "'samples'")
+
+    def test_oracle_overflow_exit_1(self, scenario_dir, tmp_path, capsys):
+        doc = json.loads((scenario_dir / "constant.scn").read_text())
+        doc["estimator"]["value"] = [1e308, 0]
+        p = write_scenario(tmp_path / "huge.scn", doc)
+        for mode in ("random", "grid"):
+            code = cli.main(["oracle", "--scenario", str(p), "--mode", mode])
+            assert code == 1
+            self.assert_one_line_error(capsys, "overflows", "x=", "e=")
 
     def test_unknown_flag_exit_1(self, capsys):
         code = cli.main(["validate", "--scenario", "x", "--frobnicate"])
