@@ -2,8 +2,8 @@
 
 An observation model maps a parameter vector to an ideal observation; an
 estimator maps a (noisy) observation back to a parameter estimate. Both
-carry a point evaluator, a row-batched form of it (`eval_points`, which
-defaults to one `eval_point` call per row), and a box evaluator that must
+carry a row-batched point evaluator (`eval_points`, one output row per
+input row; `eval_point` is its one-row form) and a box evaluator that must
 be a sound inclusion of the point one: x in X implies eval_point(x) in
 eval_box(X). Estimators also carry a batched box evaluator (`eval_boxes`,
 which defaults to one `eval_box` call per box).
@@ -41,22 +41,24 @@ class ObservationModel(ABC):
     n_obs: int
 
     @abstractmethod
-    def eval_point(self, x: Sequence[float]) -> Vector:
-        """Observation at a single parameter vector."""
+    def eval_points(self, rows: np.ndarray) -> np.ndarray:
+        """Observation at each row of a (k, n_params) float64 array, as a
+        (k, n_obs) array. Each row's floats must not depend on the other
+        rows."""
 
     @abstractmethod
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         """Sound, isotone inclusion of eval_point over a parameter box."""
 
-    def eval_points(self, rows: np.ndarray) -> np.ndarray:
-        """eval_point of each row of a (k, n_params) array, stacked into a
-        (k, n_obs) array. Overrides must return the same floats."""
-        return np.array([self.eval_point(r) for r in rows.tolist()], dtype=np.float64)
+    def eval_point(self, x: Sequence[float]) -> Vector:
+        """Observation at a single parameter vector: eval_points on one row."""
+        return tuple(self.eval_points(np.array([x], dtype=np.float64))[0].tolist())
 
-    def _check_point(self, x: Sequence[float]) -> None:
-        if len(x) != self.n_params:
+    def _check_rows(self, rows: np.ndarray) -> None:
+        if rows.shape[-1] != self.n_params:
             raise ValueError(
-                f"parameter vector has dim {len(x)}, model expects {self.n_params}"
+                f"parameter vector has dim {rows.shape[-1]}, model expects "
+                f"{self.n_params}"
             )
 
     def _check_box(self, box: IntervalBox) -> None:
@@ -73,17 +75,18 @@ class EstimatorModel(ABC):
     n_params: int
 
     @abstractmethod
-    def eval_point(self, y: Sequence[float]) -> Vector:
-        """Estimate from a single observation vector."""
+    def eval_points(self, rows: np.ndarray) -> np.ndarray:
+        """Estimate from each row of a (k, n_obs) float64 array, as a
+        (k, n_params) array. Each row's floats must not depend on the other
+        rows."""
 
     @abstractmethod
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         """Sound inclusion of eval_point over an observation box."""
 
-    def eval_points(self, rows: np.ndarray) -> np.ndarray:
-        """eval_point of each row of a (k, n_obs) array, stacked into a
-        (k, n_params) array. Overrides must return the same floats."""
-        return np.array([self.eval_point(r) for r in rows.tolist()], dtype=np.float64)
+    def eval_point(self, y: Sequence[float]) -> Vector:
+        """Estimate from a single observation vector: eval_points on one row."""
+        return tuple(self.eval_points(np.array([y], dtype=np.float64))[0].tolist())
 
     def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
         """eval_box of each box, in order. Overrides must return the same
@@ -112,10 +115,11 @@ class EstimatorModel(ABC):
             for box, estimate in zip(boxes, estimates)
         ]
 
-    def _check_point(self, y: Sequence[float]) -> None:
-        if len(y) != self.n_obs:
+    def _check_rows(self, rows: np.ndarray) -> None:
+        if rows.shape[-1] != self.n_obs:
             raise ValueError(
-                f"observation vector has dim {len(y)}, estimator expects {self.n_obs}"
+                f"observation vector has dim {rows.shape[-1]}, estimator expects "
+                f"{self.n_obs}"
             )
 
     def _check_box(self, box: IntervalBox) -> None:

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .framework import EstimatorModel, Vector
+from .framework import EstimatorModel
 from .interval import IntervalBox, _box, _make
 
 __all__ = ["MlpLayer", "MlpModel", "load_mlp", "save_mlp", "train_mlp"]
@@ -125,11 +125,8 @@ class MlpModel(EstimatorModel):
             for wt, bias, relu in arrays
         )
 
-    def eval_point(self, y: Sequence[float]) -> Vector:
-        return tuple(self.eval_points(np.array([y], dtype=np.float64))[0].tolist())
-
     def eval_points(self, rows: np.ndarray) -> np.ndarray:
-        self._check_point(rows.T)  # len(rows.T) is the row width
+        self._check_rows(rows)
         h = rows.T
         for w_cols, bias, relu in self._arrays:
             acc = np.zeros((len(bias), h.shape[1]))

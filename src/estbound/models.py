@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .framework import EstimatorModel, ObservationModel, Vector
+from .framework import EstimatorModel, ObservationModel
 from .interval import (
     Interval,
     IntervalBox,
@@ -47,9 +47,9 @@ class IdentityObservation(ObservationModel):
         self.n_params = dim
         self.n_obs = dim
 
-    def eval_point(self, x: Sequence[float]) -> Vector:
-        self._check_point(x)
-        return tuple(float(v) for v in x)
+    def eval_points(self, rows: np.ndarray) -> np.ndarray:
+        self._check_rows(rows)
+        return rows.copy()
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         self._check_box(box)
@@ -77,11 +77,8 @@ class TrilaterationModel(ObservationModel):
             (Interval.point(ax), Interval.point(ay)) for ax, ay in pts
         )
 
-    def eval_point(self, x: Sequence[float]) -> Vector:
-        return tuple(self.eval_points(np.array([x], dtype=np.float64))[0].tolist())
-
     def eval_points(self, rows: np.ndarray) -> np.ndarray:
-        self._check_point(rows.T)  # len(rows.T) is the row width
+        self._check_rows(rows)
         x0, x1 = rows[:, 0], rows[:, 1]
         out = np.empty((len(rows), self.n_obs))
         for i, (ax, ay) in enumerate(self.landmarks):
@@ -110,9 +107,9 @@ class IdentityEstimator(EstimatorModel):
         self.n_obs = dim
         self.n_params = dim
 
-    def eval_point(self, y: Sequence[float]) -> Vector:
-        self._check_point(y)
-        return tuple(float(v) for v in y)
+    def eval_points(self, rows: np.ndarray) -> np.ndarray:
+        self._check_rows(rows)
+        return rows.copy()
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         self._check_box(box)
@@ -132,14 +129,10 @@ class IdentityEstimator(EstimatorModel):
         # exact g(x) = y, fl(x - fl(y + e)) is within ulp(S) of x - (y + e)
         # per rounding (|y + e| <= 2S); the 4 ulp(S) pad loses <= ulp(S) to
         # its own rounding, so 3 ulp(S) >= 2 ulp(S) remains.
-        n, m = observation.n_params, self.n_obs
+        n = observation.n_params
         out = []
         for box in boxes:
             comps = box.components
-            if len(comps) != n + m:
-                raise ValueError(
-                    f"search box has dim {len(comps)}, expected {n} + {m} = {n + m}"
-                )
             diff = []
             for x, e in zip(comps, comps[n:]):
                 lo, hi = _down(e.lb), _up(e.ub)  # C = 0 + e, rounded as iadd rounds
@@ -161,9 +154,9 @@ class ConstantEstimator(EstimatorModel):
         self.n_obs = n_obs
         self.n_params = len(self.value)
 
-    def eval_point(self, y: Sequence[float]) -> Vector:
-        self._check_point(y)
-        return self.value
+    def eval_points(self, rows: np.ndarray) -> np.ndarray:
+        self._check_rows(rows)
+        return np.tile(self.value, (len(rows), 1))
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         self._check_box(box)
@@ -236,29 +229,32 @@ class GradientDescentEstimator(EstimatorModel):
         self.n_obs = observation.n_obs
         self.n_params = 2
 
-    def eval_point(self, y: Sequence[float]) -> Vector:
-        self._check_point(y)
-        x0, x1 = self.init
+    def eval_points(self, rows: np.ndarray) -> np.ndarray:
+        # One descent per row, each row taking the operations of a scalar
+        # loop in the same order. Like Python floats, the arrays overflow to
+        # inf and NaN without a warning.
+        self._check_rows(rows)
+        x0 = np.full(len(rows), self.init[0])
+        x1 = np.full(len(rows), self.init[1])
         step = self.step
         landmarks = self.observation.landmarks
-        for _ in range(self.iterations):
-            gx = 0.0
-            gy = 0.0
-            for (ax, ay), yi in zip(landmarks, y):
-                dx = x0 - ax
-                dy = x1 - ay
-                d = math.sqrt(dx * dx + dy * dy)
-                if d == 0.0:
-                    continue
-                r = d - yi
-                ux = dx / d
-                uy = dy / d
-                t = 2.0 * r
-                gx += t * ux
-                gy += t * uy
-            x0 = x0 - step * gx
-            x1 = x1 - step * gy
-        return (x0, x1)
+        with np.errstate(all="ignore"):
+            for _ in range(self.iterations):
+                gx = 0.0
+                gy = 0.0
+                for (ax, ay), yi in zip(landmarks, rows.T):
+                    dx = x0 - ax
+                    dy = x1 - ay
+                    d = np.sqrt(dx * dx + dy * dy)
+                    t = 2.0 * (d - yi)
+                    # At d == 0 the term is NaN; the sum keeps its old
+                    # value, bit for bit, as a scalar loop that skips it.
+                    on_landmark = d == 0.0
+                    gx = np.where(on_landmark, gx, gx + t * (dx / d))
+                    gy = np.where(on_landmark, gy, gy + t * (dy / d))
+                x0 = x0 - step * gx
+                x1 = x1 - step * gy
+        return np.stack((x0, x1), axis=1)
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         self._check_box(box)

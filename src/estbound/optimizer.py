@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 BoxObjective = Callable[[Sequence[IntervalBox]], Sequence[Interval]]
-TraceCallback = Callable[[int, float, int], None]
 
 
 class CannotSplitError(ValueError):
@@ -191,12 +190,7 @@ def _evaluate(
     return entries
 
 
-def moore_skelboe(
-    f: BoxObjective,
-    b_init: IntervalBox,
-    cfg: MsConfig,
-    on_iteration: TraceCallback | None = None,
-) -> MsResult:
+def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResult:
     """Minimize a box objective over b_init.
 
     f must be a sound, isotone inclusion function of the objective being
@@ -206,8 +200,7 @@ def moore_skelboe(
 
     The returned enclosure contains the exact global minimum at any
     iteration count; `converged` reports whether the width criterion was
-    met. The optional callback receives (iteration, front lower bound,
-    cover size) after each split.
+    met.
     """
     for d in cfg.split_dims:
         if not 0 <= d < b_init.dim:
@@ -240,8 +233,6 @@ def moore_skelboe(
         cover.replace_front(left)
         cover.insert(right)
         iterations += 1
-        if on_iteration is not None:
-            on_iteration(iterations, cover.peek().enclosure.lb, len(cover))
 
     front = cover.peek()
     return MsResult(

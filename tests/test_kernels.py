@@ -1,10 +1,11 @@
 """The numpy kernels against plain-Python references.
 
-The trilateration distances, the network's point and box passes and the
-batched error evaluation must give the same floats, bit for bit, as the
-scalar loops below, which perform the same IEEE operations in the same
-order one value at a time. The box pass must also contain the exact network
-value, checked against mpmath.
+The trilateration distances, the descent's and the network's point passes,
+the network's box pass and the batched error evaluation must give the same
+floats, bit for bit, as the scalar loops below, which perform the same IEEE
+operations in the same order one value at a time. The box passes of the
+trilateration model, the descent and the network must also contain the
+exact value, checked against mpmath.
 """
 
 import math
@@ -15,7 +16,11 @@ import pytest
 
 from estbound.interval import Interval, IntervalBox, _mul_scalar, iadd, irelu
 from estbound.mlp import MlpLayer, MlpModel, load_mlp
-from estbound.models import TrilaterationModel
+from estbound.models import (
+    GradientDescentEstimator,
+    IdentityObservation,
+    TrilaterationModel,
+)
 from estbound.pipeline import load_scenario
 
 
@@ -48,6 +53,31 @@ def reference_eval_point(model, y):
     return tuple(values)
 
 
+def reference_descent_point(est, y):
+    """Scalar descent: per step, sum each landmark's gradient term in
+    landmark order starting from 0.0, skipping a landmark the iterate sits
+    on, then take the step."""
+    x0, x1 = est.init
+    for _ in range(est.iterations):
+        gx = 0.0
+        gy = 0.0
+        for (ax, ay), yi in zip(est.observation.landmarks, y):
+            dx = x0 - ax
+            dy = x1 - ay
+            d = math.sqrt(dx * dx + dy * dy)
+            if d == 0.0:
+                continue
+            r = d - yi
+            ux = dx / d
+            uy = dy / d
+            t = 2.0 * r
+            gx += t * ux
+            gy += t * uy
+        x0 = x0 - est.step * gx
+        x1 = x1 - est.step * gy
+    return (x0, x1)
+
+
 def reference_eval_box(model, box):
     """Scalar interval forward pass with the outward-rounded operations."""
     values = list(box.components)
@@ -70,7 +100,8 @@ def reference_error(obj, x, e, estimate):
     if isinstance(obj.observation, TrilaterationModel):
         ideal = reference_distances(obj.observation.landmarks, x)
     else:
-        ideal = obj.observation.eval_point(x)
+        assert isinstance(obj.observation, IdentityObservation)
+        ideal = x
     y = [yi + ei for yi, ei in zip(ideal, e)]
     acc = 0.0
     for xi, xh in zip(x, estimate(y)):
@@ -144,19 +175,20 @@ def sample_boxes(rng, center, count):
     return boxes
 
 
-class TestNetworkBitIdentity:
-    def check_points(self, model, rows):
-        rows = np.array(rows, dtype=np.float64)
-        expected = [bits(reference_eval_point(model, row)) for row in rows.tolist()]
-        # The pass reads its rows feature-major; the memory order of the
-        # input array must not matter.
-        for batch in (rows, np.asfortranarray(rows)):
-            out = model.eval_points(batch)
-            assert out.shape == (len(rows), model.n_params)
-            assert [bits(r) for r in out] == expected
-        for row, want in zip(rows.tolist(), expected):
-            assert bits(model.eval_point(row)) == want
+def check_points(model, rows, reference=reference_eval_point):
+    rows = np.array(rows, dtype=np.float64)
+    expected = [bits(reference(model, row)) for row in rows.tolist()]
+    # The passes read their rows feature-major; the memory order of the
+    # input array must not matter.
+    for batch in (rows, np.asfortranarray(rows)):
+        out = model.eval_points(batch)
+        assert out.shape == (len(rows), model.n_params)
+        assert [bits(r) for r in out] == expected
+    for row, want in zip(rows.tolist(), expected):
+        assert bits(model.eval_point(row)) == want
 
+
+class TestNetworkBitIdentity:
     def check_boxes(self, model, boxes):
         expected = [box_bits(reference_eval_box(model, box)) for box in boxes]
         for box, want in zip(boxes, expected):
@@ -172,7 +204,7 @@ class TestNetworkBitIdentity:
     def test_random_inputs(self, net):
         rng = random.Random(3)
         rows = [[rng.uniform(-50, 50) for _ in range(3)] for _ in range(200)]
-        self.check_points(net, rows)
+        check_points(net, rows)
         boxes = []
         for row in rows[:100]:
             boxes += sample_boxes(rng, row, 1)
@@ -182,7 +214,7 @@ class TestNetworkBitIdentity:
     def test_relu_boundary(self, net, index):
         y = (12.5, 7.25, 30.0)
         model = boundary_model(net, y, index)
-        self.check_points(model, [y, [v + 1e-9 for v in y], [v - 1e-9 for v in y]])
+        check_points(model, [y, [v + 1e-9 for v in y], [v - 1e-9 for v in y]])
         rng = random.Random(11 + index)
         self.check_boxes(model, [IntervalBox.point(y)] + sample_boxes(rng, y, 30))
 
@@ -201,7 +233,7 @@ class TestNetworkBitIdentity:
         ]
         for model in (net, zeroed_model(net)):
             more = [[rng.uniform(-5, 5) for _ in range(3)] for _ in range(20)]
-            self.check_points(model, rows + more)
+            check_points(model, rows + more)
             self.check_boxes(model, boxes + sample_boxes(rng, (1.0, -2.0, 3.0), 20))
 
     def test_empty_batches(self, net):
@@ -222,14 +254,74 @@ class TestNetworkBitIdentity:
         self.check_boxes(net, boxes)
 
 
+class TestDescentBitIdentity:
+    """The descent's numpy point pass against reference_descent_point."""
+
+    @pytest.fixture(scope="class")
+    def est(self, scenario_dir):
+        scenario = load_scenario(scenario_dir / "trilat_gd.scn")
+        return scenario.build_objective().estimator
+
+    @staticmethod
+    def variant(est, **changes):
+        kwargs = dict(iterations=est.iterations, step=est.step, init=est.init)
+        return GradientDescentEstimator(est.observation, **dict(kwargs, **changes))
+
+    def test_random_rows(self, est):
+        rng = np.random.Generator(np.random.PCG64(4))
+        params = rng.uniform(5, 25, size=(200, 2))
+        noise = rng.uniform(-0.2, 0.2, size=(200, 3))
+        rows = np.concatenate(
+            (est.observation.eval_points(params) + noise, rng.uniform(0, 40, (100, 3)))
+        )
+        check_points(est, rows, reference_descent_point)
+
+    @pytest.mark.parametrize("landmark", [0, 1, 2])
+    def test_init_on_landmark(self, est, landmark):
+        # The first step finds d == 0 for that landmark and skips its term.
+        on = self.variant(est, init=est.observation.landmarks[landmark])
+        rng = np.random.Generator(np.random.PCG64(landmark))
+        check_points(on, rng.uniform(0, 40, size=(50, 3)), reference_descent_point)
+
+    def test_signed_zeros(self):
+        model = TrilaterationModel([(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)])
+        rows = [
+            (-0.0, 5.0, -0.0),
+            (0.0, -0.0, 0.0),
+            (-0.0, -0.0, -0.0),
+            (3.0, -0.0, 9.5),
+        ]
+        for init in ((-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, 10.0)):
+            est = GradientDescentEstimator(model, iterations=5, step=0.01, init=init)
+            check_points(est, rows, reference_descent_point)
+
+    def test_one_row_and_empty_batch(self, est):
+        check_points(est, [(12.0, 18.0, 7.5)], reference_descent_point)
+        assert est.eval_points(np.zeros((0, 3))).shape == (0, 2)
+
+    def test_overflow_propagates_silently(self, est):
+        # The iterates overflow to inf, then NaN, as Python floats do; the
+        # suite turns a numpy RuntimeWarning into an error.
+        huge = self.variant(est, step=1e300)
+        rows = np.random.Generator(np.random.PCG64(9)).uniform(0, 40, (20, 3))
+        check_points(huge, rows, reference_descent_point)
+        assert np.isnan(huge.eval_points(rows)).all()
+
+    def test_row_width_checked(self, est):
+        with pytest.raises(ValueError, match="dim 2"):
+            est.eval_points(np.zeros((4, 2)))
+
+
 class TestErrorPointChunks:
     @pytest.mark.parametrize("name", ["trilat_mlp", "trilat_gd", "identity"])
     def test_chunk_equals_reference(self, scenario_dir, name):
         obj = load_scenario(scenario_dir / f"{name}.scn").build_objective()
         if isinstance(obj.estimator, MlpModel):
             estimate = lambda y: reference_eval_point(obj.estimator, y)  # noqa: E731
+        elif isinstance(obj.estimator, GradientDescentEstimator):
+            estimate = lambda y: reference_descent_point(obj.estimator, y)  # noqa: E731
         else:
-            estimate = obj.estimator.eval_point
+            estimate = tuple  # the identity estimator
         box = obj.initial_box()
         rng = np.random.Generator(np.random.PCG64(1))
         lows, highs = [c.lb for c in box], [c.ub for c in box]
@@ -304,3 +396,82 @@ class TestNetworkContainsExactValue:
                     point_out = model.eval_box(IntervalBox.point(y))
                     assert all(c.lb <= v <= c.ub for c, v in zip(point_out, exact))
                     assert point_out.contains(model.eval_point(y))
+
+
+class TestRangeModelsContainExactValue:
+    """The trilateration and descent box passes against the same maps
+    evaluated in mpmath at 60 digits, at a corner and at inner points of
+    random boxes. The descent's exact map skips a landmark term exactly
+    where the iterate sits on the landmark, as its point pass does."""
+
+    @staticmethod
+    def exact_distances(mpmath, landmarks, x):
+        x0, x1 = (mpmath.mpf(v) for v in x)
+        return [mpmath.sqrt((ax - x0) ** 2 + (ay - x1) ** 2) for ax, ay in landmarks]
+
+    @staticmethod
+    def exact_descent(mpmath, est, y):
+        x0, x1 = (mpmath.mpf(v) for v in est.init)
+        step = mpmath.mpf(est.step)
+        for _ in range(est.iterations):
+            gx = gy = mpmath.mpf(0)
+            for (ax, ay), yi in zip(est.observation.landmarks, y):
+                dx, dy = x0 - ax, x1 - ay
+                d = mpmath.sqrt(dx * dx + dy * dy)
+                if d == 0:
+                    continue
+                t = 2 * (d - mpmath.mpf(yi))
+                gx += t * dx / d
+                gy += t * dy / d
+            x0 -= step * gx
+            x1 -= step * gy
+        return [x0, x1]
+
+    @staticmethod
+    def check(model, boxes, exact, rng):
+        for box in boxes:
+            out = model.eval_box(box)
+            corner = [rng.choice((c.lb, c.ub)) for c in box]
+            inside = [[rng.uniform(c.lb, c.ub) for c in box] for _ in range(3)]
+            for point in [corner] + inside:
+                values = exact(point)
+                assert all(c.lb <= v <= c.ub for c, v in zip(out, values))
+                point_out = model.eval_box(IntervalBox.point(point))
+                assert all(c.lb <= v <= c.ub for c, v in zip(point_out, values))
+                assert point_out.contains(model.eval_point(point))
+
+    def test_trilateration(self, scenario_dir):
+        mpmath = pytest.importorskip("mpmath")
+        obj = load_scenario(scenario_dir / "trilat_gd.scn").build_objective()
+        tri = obj.observation
+        rng = random.Random(17)
+        centers = [(rng.uniform(-20, 30), rng.uniform(-20, 30)) for _ in range(20)]
+        boxes = [b for c in centers for b in sample_boxes(rng, c, 2)]
+        # Boxes holding a landmark inside, on an edge and at a corner.
+        for ax, ay in tri.landmarks:
+            boxes += [
+                IntervalBox.from_bounds([(ax - 1, ax + 2), (ay - 0.5, ay + 0.25)]),
+                IntervalBox.from_bounds([(ax, ax + 1), (ay - 1, ay + 1)]),
+                IntervalBox.from_bounds([(ax - 3, ax), (ay, ay + 2)]),
+            ]
+        with mpmath.workdps(60):
+            self.check(
+                tri, boxes, lambda x: self.exact_distances(mpmath, tri.landmarks, x), rng
+            )
+
+    @pytest.mark.parametrize("init", ["scenario", "on_landmark"])
+    def test_descent(self, scenario_dir, init):
+        mpmath = pytest.importorskip("mpmath")
+        obj = load_scenario(scenario_dir / "trilat_gd.scn").build_objective()
+        est = obj.estimator
+        if init == "on_landmark":
+            est = GradientDescentEstimator(
+                est.observation, est.iterations, est.step, est.observation.landmarks[1]
+            )
+        rng = random.Random(19)
+        boxes = []
+        for _ in range(6):
+            x = (rng.uniform(5, 25), rng.uniform(5, 25))
+            boxes += sample_boxes(rng, est.observation.eval_point(x), 2)
+        with mpmath.workdps(60):
+            self.check(est, boxes, lambda y: self.exact_descent(mpmath, est, y), rng)

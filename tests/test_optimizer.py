@@ -206,18 +206,23 @@ class TestMooreSkelboe:
         rng = random.Random(11)
         points = [rng.uniform(-5, 4) for _ in range(1000)]
         exact_min_sample = min(p * p for p in points)
+
+        def run(cap):
+            return moore_skelboe(
+                per_box(square),
+                IntervalBox.from_bounds([(-5, 4)]),
+                MsConfig(delta=1e-9, split_dims=(0,), max_iterations=cap),
+            )
+
+        # Runs are deterministic, so the run capped at k splits ends on the
+        # front that the uncapped run has after its split k.
+        res = run(1_000_000)
         front_lbs = []
-
-        def trace(iteration, front_lb, cover_size):
-            front_lbs.append(front_lb)
-            assert cover_size == iteration + 1  # nothing is ever discarded
-
-        res = moore_skelboe(
-            per_box(square),
-            IntervalBox.from_bounds([(-5, 4)]),
-            MsConfig(delta=1e-9, split_dims=(0,)),
-            on_iteration=trace,
-        )
+        for cap in range(1, res.iterations + 1):
+            capped = run(cap)
+            assert capped.iterations == cap
+            assert capped.final_cover_size == cap + 1  # nothing is ever discarded
+            front_lbs.append(capped.enclosure.lb)
         assert len(front_lbs) == res.iterations
         assert all(lb <= exact_min_sample for lb in front_lbs)
 

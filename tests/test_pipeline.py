@@ -14,6 +14,7 @@ from estbound.pipeline import (
     run_validate,
 )
 from estbound import cli
+from conftest import SCENARIO_DIR
 from test_optimizer import per_box
 
 
@@ -33,6 +34,8 @@ BASE_DOC = {
 
 TRILATERATION = {"type": "trilateration", "landmarks": [[10, -9], [5, 12], [-15, 0]]}
 
+TRILAT_GD = json.loads((SCENARIO_DIR / "trilat_gd.scn").read_text())
+
 
 class UnsoundStubEstimator(EstimatorModel):
     """An estimator whose box evaluator lies: the point evaluator shifts
@@ -42,9 +45,9 @@ class UnsoundStubEstimator(EstimatorModel):
     def __init__(self, dim):
         self.n_obs = self.n_params = dim
 
-    def eval_point(self, y):
-        self._check_point(y)
-        return tuple(float(v) + 10.0 for v in y)
+    def eval_points(self, rows):
+        self._check_rows(rows)
+        return rows + 10.0
 
     def eval_box(self, box):
         self._check_box(box)
@@ -414,12 +417,19 @@ class TestCli:
             ({"param_box": [[1e308, 1.7e308], [0, 1]]}, ["param_box", "finite"]),
             ({"noise_box": [[-0.1, 0.1], [-1e308, 1e308]]}, ["noise_box", "finite"]),
             ({"estimator": {"type": "constant", "value": [1e308, 0]}}, ["overflows"]),
+            # A descent step so large that every estimate overflows to NaN;
+            # the suite turns a numpy RuntimeWarning into an error.
+            (
+                dict(TRILAT_GD, estimator=dict(TRILAT_GD["estimator"], step=1e300)),
+                ["estimation error"],
+            ),
         ],
     )
     def test_malformed_scenario_exit_1(self, tmp_path, capsys, override, words):
         p = write_scenario(tmp_path / "bad.scn", dict(BASE_DOC, **override))
-        assert cli.main(["validate", "--scenario", str(p)]) == 1
-        self.assert_one_line_error(capsys, *words)
+        for command in ("validate", "oracle"):
+            assert cli.main([command, "--scenario", str(p)]) == 1
+            self.assert_one_line_error(capsys, *words)
 
     @pytest.mark.parametrize("missing", ["landmarks", "param_box", "noise_box"])
     def test_train_mlp_missing_key_exit_1(self, tmp_path, capsys, missing):

@@ -1,8 +1,11 @@
 """The package root exports exactly the names the README's library example
 imports, plus the two base classes that custom models subclass, so the
-README and the package cannot drift apart."""
+README and the package cannot drift apart. Models spell their point
+evaluator once, as eval_points."""
 
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -28,3 +31,22 @@ def test_root_exports_are_the_readme_example_and_base_classes():
     assert sorted(estbound.__all__) == sorted(expected)
     for name in estbound.__all__:
         getattr(estbound, name)
+
+
+def test_only_the_base_classes_define_eval_point():
+    # eval_point is the bases' one-row wrapper of eval_points, the one
+    # point evaluator each model implements.
+    defining = []
+    for info in pkgutil.iter_modules(estbound.__path__):
+        module = importlib.import_module(f"estbound.{info.name}")
+        for obj in vars(module).values():
+            if (
+                isinstance(obj, type)
+                and obj.__module__ == module.__name__
+                and "eval_point" in vars(obj)
+            ):
+                defining.append(f"{module.__name__}.{obj.__qualname__}")
+    assert sorted(defining) == [
+        "estbound.framework.EstimatorModel",
+        "estbound.framework.ObservationModel",
+    ]
