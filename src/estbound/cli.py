@@ -90,6 +90,16 @@ def _cmd_validate(args) -> int:
             args.dump_cover,
         )
 
+    nan = report.oracle.nan_samples if report.oracle else 0
+    if nan:
+        print(
+            f"certification FAILED: the estimation error is NaN at {nan} of "
+            f"{report.oracle.samples_used} oracle samples, first at "
+            f"x={list(report.oracle.first_nan_x)!r}, "
+            f"e={list(report.oracle.first_nan_e)!r}",
+            file=sys.stderr,
+        )
+        return 2
     if report.certified is False:
         print(
             f"certification FAILED: oracle found error {report.oracle_max!r} "

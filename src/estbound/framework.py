@@ -11,9 +11,11 @@ which defaults to one `eval_box` call per box).
 `ErrorObjective` composes the two into the estimation error
 e(x, e) = ||x - estimate(observation(x) + e)|| and its negation, the objective
 handed to the branch-and-bound minimizer. That objective is batched the way
-the minimizer calls it: `objective_box` takes one search box and returns
-one enclosure, or takes a sequence of boxes and returns a list holding one
-enclosure per box, evaluated together.
+the minimizer calls it (the initial box alone, then the halves of up to
+`optimizer.LOOKAHEAD` front boxes per call when the estimator overrides
+`eval_boxes`, else the two halves of one split): `objective_box` takes one
+search box and returns one enclosure, or takes a sequence of boxes and
+returns a list holding one enclosure per box, evaluated together.
 
 All models must be stateless per call; objectives may be evaluated on many
 boxes concurrently.
@@ -90,7 +92,9 @@ class EstimatorModel(ABC):
 
     def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
         """eval_box of each box, in order. Overrides must return the same
-        boxes."""
+        boxes, whatever else the batch holds; a validation run splits up to
+        optimizer.LOOKAHEAD front boxes per call only for an estimator that
+        overrides this."""
         return [self.eval_box(box) for box in boxes]
 
     def error_vector_box(

@@ -11,6 +11,14 @@ enclosure always brackets the global minimum, so the loop may stop at any
 iteration with a sound result; it stops normally once the front enclosure
 is narrower than the configured tolerance.
 
+With a lookahead of k > 1, a split whose halves are not yet evaluated also
+bisects the next k - 1 boxes in cover order and hands all the halves to the
+objective in one call; each speculated pair waits in a side table until its
+box reaches the front. Each enclosure depends only on its own box, and the
+splits, insertion order and tie-breaking are those of k = 1, so every
+result is the same for any k; only the number of objective calls and of
+evaluated boxes changes.
+
 No box is ever discarded: without an upper-bound pruning rule the cover
 only grows, and memory is bounded by the iteration cap.
 
@@ -40,6 +48,11 @@ __all__ = [
 ]
 
 BoxObjective = Callable[[Sequence[IntervalBox]], Sequence[Interval]]
+
+# Front boxes split per objective call for an objective that evaluates a
+# batch faster per box than a pair (a vectorised network pass): 8 boxes,
+# 16 halves, per call.
+LOOKAHEAD = 8
 
 
 class CannotSplitError(ValueError):
@@ -93,6 +106,23 @@ class Cover:
         heapq.heapreplace(self._heap, (entry.enclosure.lb, self._seq, entry))
         self._seq += 1
 
+    def following(self, count: int) -> list[CoverEntry]:
+        """Up to count entries after the front, in cover order: a
+        best-first walk of the heap from the root, O(count log count)."""
+        heap = self._heap
+        out: list[CoverEntry] = []
+        # (heap item, heap index); items are unique, so the index never
+        # takes part in a comparison.
+        frontier = [(heap[i], i) for i in (1, 2) if i < len(heap)]
+        heapq.heapify(frontier)
+        while frontier and len(out) < count:
+            item, i = heapq.heappop(frontier)
+            out.append(item[2])
+            for child in (2 * i + 1, 2 * i + 2):
+                if child < len(heap):
+                    heapq.heappush(frontier, (heap[child], child))
+        return out
+
     def entries(self) -> list[CoverEntry]:
         """All entries, sorted by (lower bound, insertion order)."""
         # Sequence numbers are unique, so tuple order never reaches the entry.
@@ -107,11 +137,14 @@ class MsConfig:
     max_iterations: split budget; hitting it is not an error, the result is
         still a sound (possibly wide) bracket.
     split_dims: box dimensions the search may bisect.
+    lookahead: front boxes whose splits go to the objective in one call (see
+        the module docstring); it changes no result, only the call count.
     """
 
     delta: float
     split_dims: tuple[int, ...]
     max_iterations: int = 1_000_000
+    lookahead: int = 1
 
     def __post_init__(self) -> None:
         if not self.delta > 0.0:
@@ -120,6 +153,8 @@ class MsConfig:
             raise ValueError("split_dims must not be empty")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
+        if self.lookahead < 1:
+            raise ValueError("lookahead must be >= 1")
         object.__setattr__(self, "split_dims", tuple(self.split_dims))
 
 
@@ -132,7 +167,8 @@ class MsResult:
     equal the initial box's. converged tells whether the width criterion
     fired (True) or the run stopped on the iteration cap / unsplittable
     front (False). cover is the final cover, left unsorted: its entries()
-    lists it in cover order.
+    lists it in cover order. evaluated counts the boxes handed to the
+    objective, initial box and speculated halves included.
     """
 
     enclosure: Interval
@@ -140,6 +176,7 @@ class MsResult:
     iterations: int
     final_cover_size: int
     converged: bool
+    evaluated: int
     cover: Cover = field(repr=False)
 
 
@@ -190,13 +227,51 @@ def _evaluate(
     return entries
 
 
+def _split_ahead(
+    f: BoxObjective,
+    cover: Cover,
+    halves: tuple[IntervalBox, IntervalBox],
+    cfg: MsConfig,
+    count: int,
+    ahead: dict[CoverEntry, list[CoverEntry]],
+) -> tuple[list[CoverEntry], int]:
+    """Evaluate the front's halves together with those of up to count - 1
+    following boxes, storing each following box's pair in ahead. Returns
+    the front's evaluated pair and the number of boxes handed to f."""
+    boxes = list(halves)
+    speculated = []
+    for entry in cover.following(count - 1):
+        # A box already evaluated, or one that stops the search when it
+        # reaches the front, is not split ahead.
+        if entry in ahead or entry.enclosure.width <= cfg.delta:
+            continue
+        try:
+            dim = select_split_dim(entry.box, cfg.split_dims)
+        except CannotSplitError:
+            continue
+        speculated.append(entry)
+        boxes += entry.box.bisect(dim)
+    try:
+        entries = _evaluate(f, tuple(boxes))
+    except Exception:
+        if not speculated:
+            raise
+        # Raise, if at all, what the front's pair alone raises, at this
+        # iteration; a speculated box that fails is retried when it is due.
+        return _evaluate(f, halves), len(boxes) + 2
+    for i, entry in enumerate(speculated, 1):
+        ahead[entry] = entries[2 * i : 2 * i + 2]
+    return entries[:2], len(boxes)
+
+
 def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResult:
     """Minimize a box objective over b_init.
 
     f must be a sound, isotone inclusion function of the objective being
     minimized, batched: f(boxes) takes a sequence of boxes and returns a
     sequence holding one enclosure per box, in the same order. It is called
-    with the initial box alone, then with the two halves of each split.
+    with the initial box alone, then with the halves of up to
+    cfg.lookahead front boxes per call.
 
     The returned enclosure contains the exact global minimum at any
     iteration count; `converged` reports whether the width criterion was
@@ -215,6 +290,11 @@ def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResu
     cover = Cover()
     cover.insert(_evaluate(f, (b_init,))[0])
     iterations = 0
+    lookahead = cfg.lookahead
+    # The evaluated halves of cover entries split ahead of their turn, and
+    # the boxes handed to f after the initial box when splitting ahead.
+    ahead: dict[CoverEntry, list[CoverEntry]] = {}
+    evaluated_ahead = 0
 
     while True:
         front = cover.peek()
@@ -229,7 +309,18 @@ def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResu
         except CannotSplitError:
             converged = False
             break
-        left, right = _evaluate(f, front.box.bisect(dim))
+        if lookahead == 1:
+            left, right = _evaluate(f, front.box.bisect(dim))
+        else:
+            pair = ahead.pop(front, None)
+            if pair is None:
+                # No more splits than the iteration cap leaves are made ahead.
+                count = min(lookahead, cfg.max_iterations - iterations)
+                pair, n = _split_ahead(
+                    f, cover, front.box.bisect(dim), cfg, count, ahead
+                )
+                evaluated_ahead += n
+            left, right = pair
         cover.replace_front(left)
         cover.insert(right)
         iterations += 1
@@ -241,5 +332,6 @@ def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResu
         iterations=iterations,
         final_cover_size=len(cover),
         converged=converged,
+        evaluated=1 + (2 * iterations if lookahead == 1 else evaluated_ahead),
         cover=cover,
     )

@@ -54,12 +54,17 @@ class OracleConfig:
 @dataclass(frozen=True)
 class OracleResult:
     """Largest sampled error and where it occurred. max_observed is a lower
-    bound on the true worst-case error."""
+    bound on the true worst-case error. nan_samples counts the samples
+    whose error is NaN, which no bound contains; first_nan_x/_e is the
+    first of them."""
 
     max_observed: float
     argmax_x: tuple[float, ...]
     argmax_e: tuple[float, ...]
     samples_used: int
+    nan_samples: int = 0
+    first_nan_x: tuple[float, ...] = ()
+    first_nan_e: tuple[float, ...] = ()
 
 
 def _grid_points(lows, highs, dim, budget):
@@ -90,7 +95,8 @@ def _grid_chunks(lows, highs, budget):
 
 def sample_max_error(obj: ErrorObjective, cfg: OracleConfig) -> OracleResult:
     """Evaluate the error at sampled (parameter, noise) points and return
-    the maximum, at its first occurrence; NaN errors are never the maximum.
+    the maximum, at its first occurrence; NaN errors are never the maximum,
+    they are counted.
     Random mode draws uniformly over the search box; grid mode evaluates
     every corner of the box plus a regular interior grid. An error that
     overflows float range raises ValueError, as objective_box does."""
@@ -107,14 +113,22 @@ def sample_max_error(obj: ErrorObjective, cfg: OracleConfig) -> OracleResult:
     best = -math.inf
     best_point: list[float] = []
     used = 0
+    nan_samples = 0
+    first_nan: list[float] = []
     for rows in chunks:
         # An overflow is reported below, with the sample it happened at.
         with np.errstate(over="ignore"):
             values = obj.error_point(rows[:, :n], rows[:, n:])
+        nan = np.isnan(values)
+        count = int(np.count_nonzero(nan))
+        if count and not nan_samples:
+            first_nan = rows[int(np.argmax(nan))].tolist()
+        nan_samples += count
         # argmax picks the first of equal maxima; later chunks must beat
         # the best strictly, as a sample-by-sample scan would. An infinite
         # error, if any, is the chunk's maximum.
-        i = int(np.argmax(np.where(np.isnan(values), -math.inf, values)))
+        i = int(np.argmax(np.where(nan, -math.inf, values)))
+        del nan  # so the next chunk's buffers do not add to the peak
         if values[i] == math.inf:
             raise ValueError(
                 "the estimation error overflows float range at the sample "
@@ -129,11 +143,17 @@ def sample_max_error(obj: ErrorObjective, cfg: OracleConfig) -> OracleResult:
         argmax_x=tuple(best_point[:n]),
         argmax_e=tuple(best_point[n:]),
         samples_used=used,
+        nan_samples=nan_samples,
+        first_nan_x=tuple(first_nan[:n]),
+        first_nan_e=tuple(first_nan[n:]),
     )
 
 
 def certify(report_upper: float, oracle: OracleResult) -> bool:
-    """True iff the sampled maximum does not exceed the reported upper bound
-    (one ulp of slack for the comparison itself). False means the upper
-    bound is provably wrong and must fail the build."""
-    return oracle.max_observed <= math.nextafter(report_upper, math.inf)
+    """True iff no sampled error is NaN and the sampled maximum does not
+    exceed the reported upper bound (one ulp of slack for the comparison
+    itself). False means the upper bound is provably wrong and must fail
+    the build."""
+    return oracle.nan_samples == 0 and oracle.max_observed <= math.nextafter(
+        report_upper, math.inf
+    )

@@ -32,8 +32,8 @@ from .models import (
     IdentityObservation,
     TrilaterationModel,
 )
-from .optimizer import CoverEntry, MsConfig, MsResult, moore_skelboe
-from .oracle import OracleConfig, certify, sample_max_error
+from .optimizer import LOOKAHEAD, CoverEntry, MsConfig, MsResult, moore_skelboe
+from .oracle import OracleConfig, OracleResult, certify, sample_max_error
 
 __all__ = [
     "Scenario",
@@ -208,8 +208,9 @@ class ValidationReport:
     [eps_low, eps_high] encloses the worst-case estimation error; eps_high
     is the guaranteed (pessimistic) bound. certified is None when the
     oracle was disabled, otherwise whether the sampled maximum stayed
-    below eps_high. search holds the search result, final cover included;
-    the written report leaves it out and equality ignores it.
+    below eps_high and no sampled error was NaN. search holds the search
+    result, final cover included, and oracle the sampling result; the
+    written report leaves both out and equality ignores them.
     """
 
     eps_low: float
@@ -223,6 +224,7 @@ class ValidationReport:
     certified: bool | None
     elapsed: float
     search: MsResult | None = field(default=None, compare=False, repr=False)
+    oracle: OracleResult | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -252,6 +254,9 @@ def run_validate(scenario: Scenario) -> ValidationReport:
     oracle_result = None
     if scenario.oracle is not None:
         oracle_result = sample_max_error(objective, scenario.oracle)
+    # Splitting ahead pays only where a batch of boxes costs less per box
+    # than a pair: where the estimator has its own eval_boxes kernel.
+    batched = type(objective.estimator).eval_boxes is not EstimatorModel.eval_boxes
     result = moore_skelboe(
         objective.objective_box,
         objective.initial_box(),
@@ -259,6 +264,7 @@ def run_validate(scenario: Scenario) -> ValidationReport:
             delta=scenario.delta,
             split_dims=objective.split_dims(),
             max_iterations=scenario.max_iterations,
+            lookahead=LOOKAHEAD if batched else 1,
         ),
     )
     n = objective.n_params
@@ -283,6 +289,7 @@ def run_validate(scenario: Scenario) -> ValidationReport:
         certified=certified,
         elapsed=time.perf_counter() - start,
         search=result,
+        oracle=oracle_result,
     )
 
 

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from collections import deque
@@ -357,3 +358,260 @@ class TestMooreSkelboe:
         assert not res.converged
         assert [e.box for e in res.cover.entries()] == list(queue)
         assert res.witness == queue[0]
+
+
+def reference_search(f, b_init, cfg):
+    """The plain Moore-Skelboe loop, one split per call of the one-box
+    objective f: (enclosure, witness, iterations, converged, cover), the
+    cover as (box, enclosure) pairs in cover order."""
+    heap = [(f(b_init).lb, 0, b_init, f(b_init))]
+    seq = 1
+    iterations = 0
+    while True:
+        _, _, box, enclosure = heap[0]
+        if enclosure.width <= cfg.delta:
+            converged = True
+            break
+        if iterations >= cfg.max_iterations:
+            converged = False
+            break
+        try:
+            dim = select_split_dim(box, cfg.split_dims)
+        except CannotSplitError:
+            converged = False
+            break
+        left, right = box.bisect(dim)
+        fl, fr = f(left), f(right)
+        heapq.heapreplace(heap, (fl.lb, seq, left, fl))
+        heapq.heappush(heap, (fr.lb, seq + 1, right, fr))
+        seq += 2
+        iterations += 1
+    _, _, box, enclosure = heap[0]
+    cover = [(b, e) for _, _, b, e in sorted(heap, key=lambda item: item[:2])]
+    return enclosure, box, iterations, converged, cover
+
+
+def recording(f):
+    """The batched form of the one-box objective f, and the list of every
+    batch it is handed."""
+    batches = []
+
+    def batched(boxes):
+        batches.append(list(boxes))
+        return [f(box) for box in boxes]
+
+    return batched, batches
+
+
+def ulps_above(x, n):
+    for _ in range(n):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def leftmost_lowest(box):
+    # The leftmost box has the lowest bound, so the front shrinks to the
+    # left end 1.0. There [1, 1 + ulp] has the midpoint 1.0 (the sum
+    # 2 + ulp lies halfway between two floats and rounds to even, 2.0), so
+    # its left half [1, 1] cannot be split and, as the older of the two
+    # tied halves, becomes the front.
+    return Interval(box[0].lb, box[0].lb + 2.0)
+
+
+# (objective, initial box, config without lookahead), covering each stop
+# rule: width, iteration cap (0, 1 and more) and unsplittable front.
+LOOKAHEAD_CASES = {
+    "fifo_ties": (
+        lambda box: Interval(0.0, 1.0),
+        IntervalBox.from_bounds([(0, 1), (0, 4)]),
+        dict(delta=0.5, split_dims=(1, 0), max_iterations=150),
+    ),
+    "unsplittable_front": (
+        leftmost_lowest,
+        IntervalBox.from_bounds([(1.0, ulps_above(1.0, 37))]),
+        dict(delta=1e-3, split_dims=(0,)),
+    ),
+    "delta_stop_square": (
+        square,
+        IntervalBox.from_bounds([(-5, 4)]),
+        dict(delta=1e-6, split_dims=(0,)),
+    ),
+    "delta_stop_paraboloid": (
+        paraboloid,
+        IntervalBox.from_bounds([(-5, 5), (-5, 5)]),
+        dict(delta=1e-4, split_dims=(0, 1)),
+    ),
+    "cap_quartic": (
+        quartic,
+        IntervalBox.from_bounds([(0, 2), (-1, 3)]),
+        dict(delta=1e-12, split_dims=(0, 1), max_iterations=300),
+    ),
+    "cap_0": (
+        paraboloid,
+        IntervalBox.from_bounds([(-5, 5), (-5, 5)]),
+        dict(delta=1e-9, split_dims=(0, 1), max_iterations=0),
+    ),
+    "cap_1": (
+        paraboloid,
+        IntervalBox.from_bounds([(-5, 5), (-5, 5)]),
+        dict(delta=1e-9, split_dims=(0, 1), max_iterations=1),
+    ),
+}
+
+
+class TestLookahead:
+    @pytest.mark.parametrize("case", sorted(LOOKAHEAD_CASES))
+    @pytest.mark.parametrize("lookahead", [1, 2, 8])
+    def test_same_result_as_the_plain_loop(self, case, lookahead):
+        f, b_init, kwargs = LOOKAHEAD_CASES[case]
+        enclosure, witness, iterations, converged, cover = reference_search(
+            f, b_init, MsConfig(**kwargs)
+        )
+        batched, batches = recording(f)
+        res = moore_skelboe(batched, b_init, MsConfig(**kwargs, lookahead=lookahead))
+        assert res.enclosure == enclosure
+        assert res.witness == witness
+        assert res.iterations == iterations
+        assert res.converged == converged
+        assert [(e.box, e.enclosure) for e in res.cover.entries()] == cover
+        assert res.final_cover_size == len(cover)
+        assert res.evaluated == sum(len(batch) for batch in batches)
+        if lookahead == 1:
+            assert [len(batch) for batch in batches] == [1] + [2] * iterations
+        # Each batch holds the halves of at most lookahead splits.
+        assert all(len(batch) <= 2 * lookahead for batch in batches[1:])
+
+    def test_cases_reach_their_stop_rule(self):
+        stops = {}
+        for case, (f, b_init, kwargs) in LOOKAHEAD_CASES.items():
+            cfg = MsConfig(**kwargs)
+            _, witness, iterations, converged, _ = reference_search(f, b_init, cfg)
+            if converged:
+                stops[case] = "width"
+            elif iterations == cfg.max_iterations:
+                stops[case] = "cap"
+            else:
+                with pytest.raises(CannotSplitError):
+                    select_split_dim(witness, cfg.split_dims)
+                stops[case] = "unsplittable"
+        assert stops == {
+            "fifo_ties": "cap",
+            "unsplittable_front": "unsplittable",
+            "delta_stop_square": "width",
+            "delta_stop_paraboloid": "width",
+            "cap_quartic": "cap",
+            "cap_0": "cap",
+            "cap_1": "cap",
+        }
+
+    @pytest.mark.parametrize("case", sorted(LOOKAHEAD_CASES))
+    def test_each_box_is_evaluated_at_most_once(self, case):
+        f, b_init, kwargs = LOOKAHEAD_CASES[case]
+        batched, batches = recording(f)
+        res = moore_skelboe(batched, b_init, MsConfig(**kwargs, lookahead=8))
+        seen = [id(box) for batch in batches for box in batch]
+        assert len(seen) == len(set(seen)) == res.evaluated
+        if case != "unsplittable_front":
+            # Not split twice either. (There, the right half of [1, 1 + ulp]
+            # is [1, 1 + ulp] again: a second box with equal bounds.)
+            boxes = [box for batch in batches for box in batch]
+            bounds = [tuple((c.lb, c.ub) for c in box) for box in boxes]
+            assert len(bounds) == len(set(bounds))
+
+    def test_splits_ahead_in_batches(self):
+        # Breadth-first ties: every box after the front is due in order, so
+        # every speculated pair is used and the calls shrink over fourfold.
+        f, b_init, kwargs = LOOKAHEAD_CASES["fifo_ties"]
+        batched, batches = recording(f)
+        res = moore_skelboe(batched, b_init, MsConfig(**kwargs, lookahead=8))
+        assert res.evaluated == 1 + 2 * res.iterations
+        assert len(batches) < 1 + res.iterations // 4
+
+    def test_no_split_ahead_past_the_cap(self):
+        f, b_init, kwargs = LOOKAHEAD_CASES["fifo_ties"]
+        for cap in range(0, 12):
+            batched, batches = recording(f)
+            cfg = MsConfig(**dict(kwargs, max_iterations=cap), lookahead=8)
+            res = moore_skelboe(batched, b_init, cfg)
+            assert res.iterations == cap
+            assert res.evaluated == 1 + 2 * cap
+
+    def test_lookahead_must_be_positive(self):
+        with pytest.raises(ValueError, match="lookahead"):
+            MsConfig(delta=1.0, split_dims=(0,), lookahead=0)
+
+
+def identity_enclosure(box):
+    return Interval(box[0].lb, box[0].ub)
+
+
+def nan_enclosure(box):
+    # 0 * inf is NaN, so this product has NaN bounds.
+    return imul(Interval(0.0, 0.0), Interval(-math.inf, math.inf))
+
+
+def raise_value_error(box):
+    raise ValueError(f"the objective cannot evaluate {box!r}")
+
+
+class TestSpeculativeFailures:
+    """An objective that fails on the halves of [4, 8] only. The front
+    splits ahead the boxes that follow it, [4, 8] among them."""
+
+    @staticmethod
+    def failing_on_right(fail, base):
+        calls = []
+
+        def f(boxes):
+            calls.append(len(boxes))
+            return [
+                fail(b) if b[0].lb >= 4.0 and b[0].width < 4.0 else base(b)
+                for b in boxes
+            ]
+
+        return f, calls
+
+    @pytest.mark.parametrize("fail", [nan_enclosure, raise_value_error])
+    @pytest.mark.parametrize("lookahead", [2, 8])
+    def test_failure_ahead_of_time_does_not_abort(self, fail, lookahead):
+        # The lowest box is always the leftmost one: [4, 8] never reaches
+        # the front, and the run stops on the width of [0, delta].
+        b_init = IntervalBox.from_bounds([(0, 8)])
+        kwargs = dict(delta=1e-2, split_dims=(0,))
+        expected = reference_search(identity_enclosure, b_init, MsConfig(**kwargs))
+        f, calls = self.failing_on_right(fail, identity_enclosure)
+        res = moore_skelboe(f, b_init, MsConfig(**kwargs, lookahead=lookahead))
+        assert expected[3] and res.converged
+        assert res.enclosure == expected[0] and res.witness == expected[1]
+        assert res.iterations == expected[2]
+        assert [(e.box, e.enclosure) for e in res.cover.entries()] == expected[4]
+        # The failed batch was retried with the front's halves alone.
+        assert 2 in calls and max(calls) > 2
+        assert res.evaluated == sum(calls)
+
+    @pytest.mark.parametrize(
+        "fail, error", [(nan_enclosure, ObjectiveError), (raise_value_error, ValueError)]
+    )
+    @pytest.mark.parametrize("lookahead", [2, 8])
+    def test_failure_when_due_raises_the_plain_error(self, fail, error, lookahead):
+        # Equal enclosures split breadth first: [4, 8] is due at the third
+        # split, after a failed attempt to split it ahead at the second.
+        b_init = IntervalBox.from_bounds([(0, 8)])
+        kwargs = dict(delta=1e-2, split_dims=(0,))
+        tie = lambda box: Interval(0.0, 1.0)  # noqa: E731
+        plain, plain_calls = self.failing_on_right(fail, tie)
+        with pytest.raises(error) as expected:
+            moore_skelboe(plain, b_init, MsConfig(**kwargs))
+        f, calls = self.failing_on_right(fail, tie)
+        with pytest.raises(error) as got:
+            moore_skelboe(f, b_init, MsConfig(**kwargs, lookahead=lookahead))
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        assert "Box([4.0, 6.0])" in str(got.value)
+        # Plain: the initial box, the splits of [0, 8] and [0, 4], then
+        # [4, 8]'s failing pair. Ahead: the initial box and [0, 8]'s pair
+        # (nothing follows it yet), [0, 4]'s batch with [4, 8]'s halves
+        # retried as [0, 4]'s pair alone, then [4, 8]'s batch with the
+        # halves of the up to two boxes behind it, retried alone.
+        assert plain_calls == [1, 2, 2, 2]
+        assert calls == [1, 2, 4, 2, 2 * min(lookahead, 3), 2]

@@ -181,6 +181,23 @@ class TestChunking:
         assert res.max_observed == -math.inf
         assert res.argmax_x == () and res.argmax_e == ()
 
+    def test_nan_samples_are_counted_with_the_first(self):
+        values = [1.0] * (2 * CHUNK + 5)
+        for i in (CHUNK + 7, CHUNK + 9, 2 * CHUNK + 1):
+            values[i] = math.nan
+        obj = Recording(scripted=values)
+        res = sample_max_error(obj, OracleConfig(samples=len(values), seed=4))
+        assert res.nan_samples == 3
+        first = tuple(obj.chunks[1][7].tolist())
+        assert res.first_nan_x + res.first_nan_e == first
+        assert len(res.first_nan_x) == obj.n_params
+        assert res.max_observed == 1.0
+
+    def test_no_nan_counts_zero(self):
+        res = sample_max_error(Recording(), OracleConfig(samples=100, seed=0))
+        assert res.nan_samples == 0
+        assert res.first_nan_x == () and res.first_nan_e == ()
+
     def test_memory_stays_bounded(self, scenario_dir):
         # Drawing and evaluating 200k samples at once takes tens of MB; the
         # chunked oracle holds a few chunk-sized arrays, about 4 MiB.
@@ -209,6 +226,13 @@ class TestCertify:
 
     def test_equal_passes_with_slack(self):
         assert certify(0.25, self.result(0.25))
+
+    def test_fails_on_any_nan_sample(self):
+        nan = OracleResult(
+            max_observed=0.5, argmax_x=(0.0,), argmax_e=(0.0,), samples_used=9,
+            nan_samples=1, first_nan_x=(0.25,), first_nan_e=(0.0,),
+        )
+        assert not certify(1.7, nan)
 
     def test_one_ulp_above_still_passes(self):
         upper = 0.25

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from estbound.framework import EstimatorModel
 from estbound.interval import IntervalBox, iadd, isqr, isub, Interval
-from estbound.optimizer import MsConfig, moore_skelboe
+from estbound import pipeline
+from estbound.optimizer import LOOKAHEAD, MsConfig, moore_skelboe
 from estbound.pipeline import (
     Scenario,
     ValidationReport,
@@ -48,6 +51,23 @@ class UnsoundStubEstimator(EstimatorModel):
     def eval_points(self, rows):
         self._check_rows(rows)
         return rows + 10.0
+
+    def eval_box(self, box):
+        self._check_box(box)
+        return box
+
+
+class NanStubEstimator(EstimatorModel):
+    """The identity, except that its point evaluator returns NaN wherever
+    the first observation component exceeds 0.5; its box evaluator stays
+    finite, so only the oracle can see the NaN."""
+
+    def __init__(self, dim):
+        self.n_obs = self.n_params = dim
+
+    def eval_points(self, rows):
+        self._check_rows(rows)
+        return np.where(rows[:, :1] > 0.5, math.nan, rows)
 
     def eval_box(self, box):
         self._check_box(box)
@@ -215,6 +235,27 @@ class TestRunValidate:
         report = run_validate(load_scenario(p))
         assert report.oracle_max is None and report.certified is None
 
+    @pytest.mark.parametrize(
+        "name, lookahead", [("identity", 1), ("trilat_gd", 1), ("trilat_mlp", LOOKAHEAD)]
+    )
+    def test_splits_ahead_only_for_a_batched_estimator(
+        self, scenario_dir, monkeypatch, name, lookahead
+    ):
+        configs = []
+
+        def recording(f, b_init, cfg):
+            configs.append(cfg)
+            return moore_skelboe(f, b_init, cfg)
+
+        monkeypatch.setattr(pipeline, "moore_skelboe", recording)
+        scenario = load_scenario(scenario_dir / f"{name}.scn")
+        scenario = dataclasses.replace(scenario, max_iterations=40, oracle=None)
+        report = run_validate(scenario)
+        assert [cfg.lookahead for cfg in configs] == [lookahead]
+        assert report.search.evaluated >= 1 + 2 * report.iterations
+        assert "evaluated" not in report.to_dict()
+        assert "nan_samples" not in report.to_dict()
+
     def test_unsound_stub_fails_certification(self, tmp_path, unsound_stub):
         p = write_scenario(tmp_path / "stub.scn", BASE_DOC)
         report = run_validate(load_scenario(p))
@@ -293,6 +334,26 @@ class TestCli:
         code = cli.main(["validate", "--scenario", str(p)])
         assert code == 2
         assert "certification FAILED" in capsys.readouterr().err
+
+    def test_nan_sampled_error_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            Scenario,
+            "build_estimator",
+            lambda self, observation: NanStubEstimator(observation.n_obs),
+        )
+        p = write_scenario(tmp_path / "nan.scn", BASE_DOC)
+        report = run_validate(load_scenario(p))
+        assert report.certified is False
+        assert report.oracle_max <= report.eps_high
+        nan = report.oracle
+        assert 0 < nan.nan_samples < nan.samples_used
+        assert nan.first_nan_x[0] + nan.first_nan_e[0] > 0.5
+        code = cli.main(["validate", "--scenario", str(p)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"NaN at {nan.nan_samples} of {nan.samples_used} oracle samples" in err
+        assert f"x={list(nan.first_nan_x)!r}, e={list(nan.first_nan_e)!r}" in err
 
     def test_flag_overrides(self, scenario_dir, capsys):
         code = cli.main(
