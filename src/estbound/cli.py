@@ -73,6 +73,16 @@ def _override(config, **values):
     )
 
 
+def _nan_failure(result) -> int:
+    print(
+        f"certification FAILED: the estimation error is NaN at "
+        f"{result.nan_samples} of {result.samples_used} oracle samples, first "
+        f"at x={list(result.first_nan_x)!r}, e={list(result.first_nan_e)!r}",
+        file=sys.stderr,
+    )
+    return 2
+
+
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     scenario = _override(scenario, delta=args.delta, max_iterations=args.max_iters)
@@ -90,16 +100,8 @@ def _cmd_validate(args) -> int:
             args.dump_cover,
         )
 
-    nan = report.oracle.nan_samples if report.oracle else 0
-    if nan:
-        print(
-            f"certification FAILED: the estimation error is NaN at {nan} of "
-            f"{report.oracle.samples_used} oracle samples, first at "
-            f"x={list(report.oracle.first_nan_x)!r}, "
-            f"e={list(report.oracle.first_nan_e)!r}",
-            file=sys.stderr,
-        )
-        return 2
+    if report.oracle and report.oracle.nan_samples:
+        return _nan_failure(report.oracle)
     if report.certified is False:
         print(
             f"certification FAILED: oracle found error {report.oracle_max!r} "
@@ -122,6 +124,8 @@ def _cmd_oracle(args) -> int:
         raise ValueError(
             f"the estimation error is NaN at all {result.samples_used} samples"
         )
+    if result.nan_samples:
+        return _nan_failure(result)
     doc = {
         "max_observed": result.max_observed,
         "argmax_x": list(result.argmax_x),

@@ -13,11 +13,12 @@ interval per neuron and box. Per layer, each input's bounds are scaled by
 the weights, taking the lower or upper bound by the weight's sign, and each
 product is rounded outward. The products are summed one input column at a
 time, rounding outward after every add, then the bias is added, rounded
-outward, and the exact relu image is taken. Evaluating several boxes at
-once shares numpy's per-call cost among them; each box gets the bounds it
-would get alone. This is the plainest possible bound propagation; it gets
-looser as networks grow deeper, which is acceptable here because the
-validation method only needs soundness, not tightness.
+outward, and the exact relu image is taken; a NaN bound before it is an
+error. Evaluating several boxes at once shares numpy's per-call cost among
+them; each box gets the bounds it would get alone. This is the plainest
+possible bound propagation; it gets looser as networks grow deeper, which
+is acceptable here because the validation method only needs soundness, not
+tightness.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ class MlpModel(EstimatorModel):
         # (boxes, inputs) arrays of the lower and of the upper bounds.
         lb = np.array([[c.lb for c in box.components] for box in boxes])
         ub = np.array([[c.ub for c in box.components] for box in boxes])
-        for w2, take_lb, bias2, relu in self._box_arrays:
+        for layer, (w2, take_lb, bias2, relu) in enumerate(self._box_arrays):
             # terms[j] holds the terms of input j for every box, rounded as
             # _mul_scalar rounds them; they are summed one input at a time,
             # rounding each add. C order keeps each terms[j] one contiguous
@@ -165,6 +166,14 @@ class MlpModel(EstimatorModel):
                 np.add(acc, t, out=acc)
                 np.nextafter(acc, np.inf, out=acc)
             acc = np.nextafter(acc + bias2, np.inf)
+            # A NaN bound (an infinite bound times a zero weight, or inf -
+            # inf) says nothing, and relu would turn it into 0.0.
+            if np.isnan(acc).any():
+                box = boxes[int(np.isnan(acc).any(axis=1).argmax())]
+                raise ValueError(
+                    f"network layer {layer} gives a NaN bound on {box!r}: "
+                    "its bounds overflow"
+                )
             rows = len(bias2) // 2
             lb, ub = -acc[:, :rows], acc[:, rows:]
             if relu:

@@ -30,6 +30,7 @@ refined.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -56,7 +57,7 @@ LOOKAHEAD = 8
 
 
 class CannotSplitError(ValueError):
-    """All allowed split dimensions of a box are degenerate."""
+    """No allowed split dimension of a box can be bisected."""
 
 
 class ObjectiveError(RuntimeError):
@@ -180,23 +181,32 @@ class MsResult:
     cover: Cover = field(repr=False)
 
 
+def _splittable(c: Interval) -> bool:
+    # Whether IntervalBox.bisect's midpoint lies strictly inside c. It does
+    # not when c is degenerate or one ulp wide; then one half equals c.
+    return c.lb < 0.5 * (c.lb + c.ub) < c.ub
+
+
 def select_split_dim(box: IntervalBox, split_dims: Iterable[int]) -> int:
-    """Widest positive-width dimension among split_dims, lowest index on
-    ties whatever the order of split_dims. Raises CannotSplitError when
-    every candidate is degenerate."""
+    """Widest splittable dimension among split_dims, lowest index on ties
+    whatever the order of split_dims. A dimension is splittable when both
+    halves of its bisection are narrower than the box. Raises
+    CannotSplitError when no candidate is splittable."""
+    comps = box.components
     best_i = -1
     best_w = -1.0
     for i in split_dims:
-        w = box.components[i].width
+        w = comps[i].width
         if w > best_w or (w == best_w and i < best_i):
             best_i, best_w = i, w
     if best_i < 0:
         raise ValueError("split_dims must be a non-empty subset of box indices")
-    if best_w <= 0.0:
-        raise CannotSplitError(
-            f"all split dimensions of {box!r} are degenerate"
-        )
-    return best_i
+    if _splittable(comps[best_i]):
+        return best_i
+    splittable = [i for i in split_dims if _splittable(comps[i])]
+    if not splittable:
+        raise CannotSplitError(f"no split dimension of {box!r} can be bisected")
+    return select_split_dim(box, splittable)
 
 
 def _evaluate(
@@ -276,6 +286,13 @@ def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResu
     The returned enclosure contains the exact global minimum at any
     iteration count; `converged` reports whether the width criterion was
     met.
+
+    The search runs with Python's cyclic garbage collector paused, process
+    wide, and restores its state on the way out, also on an exception: the
+    cover only grows and holds no reference cycles, so each collection
+    pass would walk all of it and free nothing. Reference counting still
+    frees whatever the search drops; any cyclic garbage the objective makes
+    is collected after the search.
     """
     for d in cfg.split_dims:
         if not 0 <= d < b_init.dim:
@@ -287,6 +304,16 @@ def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResu
                 f"split dim {d} has zero initial width: {b_init[d]!r}"
             )
 
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _search(f, b_init, cfg)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _search(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResult:
     cover = Cover()
     cover.insert(_evaluate(f, (b_init,))[0])
     iterations = 0

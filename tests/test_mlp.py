@@ -123,6 +123,25 @@ class TestBoxPass:
         inner = IntervalBox.from_bounds([(-0.5, 0.2), (-1, 0), (1, 2)])
         assert encloses(m.eval_box(outer), m.eval_box(inner))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_bound_is_rejected_before_relu(self):
+        # Layer 0 overflows to [inf, inf] in its first neuron; layer 1
+        # weighs that neuron by 0.0, and 0 * inf is NaN. Relu would map the
+        # NaN bounds to 0.0 and give a reversed enclosure.
+        m = MlpModel(
+            [
+                MlpLayer(((1e10,), (1e-300,)), (0.0, 0.0), "relu"),
+                MlpLayer(((0.0, 1.0),), (0.5,), "relu"),
+                MlpLayer(((1.0,),), (0.0,), "linear"),
+            ]
+        )
+        box = IntervalBox.from_bounds([(1e300, 2e300)])
+        with pytest.raises(
+            ValueError, match=r"network layer 1 gives a NaN bound on Box\(\[1e\+300"
+        ):
+            m.eval_boxes([IntervalBox.from_bounds([(0.0, 1.0)]), box])
+
 
 class TestSerialization:
     def test_round_trip_bundled_fixture(self, scenario_dir):

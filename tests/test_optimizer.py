@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import heapq
 import math
 import random
@@ -16,6 +18,8 @@ from estbound.optimizer import (
     moore_skelboe,
     select_split_dim,
 )
+from estbound.pipeline import load_scenario, run_validate
+from conftest import SCENARIO_DIR
 
 ONE = Interval.point(1.0)
 MINUS_TWO = Interval.point(-2.0)
@@ -130,6 +134,19 @@ class TestSelectSplitDim:
     def test_restricted(self):
         b = IntervalBox.from_bounds([(0, 1), (0, 9)])
         assert select_split_dim(b, {0}) == 0
+
+    def test_one_ulp_component_cannot_be_split(self):
+        # Its midpoint rounds to an endpoint: one half would equal the box.
+        b = IntervalBox.from_bounds([(1.0, ulps_above(1.0, 1)), (2, 2)])
+        with pytest.raises(CannotSplitError):
+            select_split_dim(b, (0, 1))
+
+    def test_widest_splittable_wins(self):
+        # [1e16, 1e16 + 2] is one ulp wide and the widest candidate.
+        b = IntervalBox.from_bounds([(0, 1), (1e16, 1e16 + 2), (5, 6), (0, 0.5)])
+        assert b[1].width == 2.0
+        assert select_split_dim(b, (3, 2, 1, 0)) == 0
+        assert select_split_dim(b, (1, 3)) == 3
 
     def test_empty_dims_rejected(self):
         b = IntervalBox.from_bounds([(0, 1)])
@@ -413,9 +430,16 @@ def leftmost_lowest(box):
     # The leftmost box has the lowest bound, so the front shrinks to the
     # left end 1.0. There [1, 1 + ulp] has the midpoint 1.0 (the sum
     # 2 + ulp lies halfway between two floats and rounds to even, 2.0), so
-    # its left half [1, 1] cannot be split and, as the older of the two
-    # tied halves, becomes the front.
+    # it cannot be split.
     return Interval(box[0].lb, box[0].lb + 2.0)
+
+
+def rightmost_lowest(box):
+    # The rightmost box has the lowest bound, so the front shrinks to the
+    # right end 1 + 37 ulp. There [1 + 36 ulp, 1 + 37 ulp] has the midpoint
+    # 1 + 36 ulp (rounded to even), so bisecting it would give a right half
+    # equal to the box, the front again.
+    return Interval(-box[0].ub, 2.0 - box[0].lb)
 
 
 # (objective, initial box, config without lookahead), covering each stop
@@ -430,6 +454,11 @@ LOOKAHEAD_CASES = {
         leftmost_lowest,
         IntervalBox.from_bounds([(1.0, ulps_above(1.0, 37))]),
         dict(delta=1e-3, split_dims=(0,)),
+    ),
+    "one_ulp_front": (
+        rightmost_lowest,
+        IntervalBox.from_bounds([(1.0, ulps_above(1.0, 37))]),
+        dict(delta=1e-3, split_dims=(0,), max_iterations=1000),
     ),
     "delta_stop_square": (
         square,
@@ -497,6 +526,7 @@ class TestLookahead:
         assert stops == {
             "fifo_ties": "cap",
             "unsplittable_front": "unsplittable",
+            "one_ulp_front": "unsplittable",
             "delta_stop_square": "width",
             "delta_stop_paraboloid": "width",
             "cap_quartic": "cap",
@@ -511,12 +541,10 @@ class TestLookahead:
         res = moore_skelboe(batched, b_init, MsConfig(**kwargs, lookahead=8))
         seen = [id(box) for batch in batches for box in batch]
         assert len(seen) == len(set(seen)) == res.evaluated
-        if case != "unsplittable_front":
-            # Not split twice either. (There, the right half of [1, 1 + ulp]
-            # is [1, 1 + ulp] again: a second box with equal bounds.)
-            boxes = [box for batch in batches for box in batch]
-            bounds = [tuple((c.lb, c.ub) for c in box) for box in boxes]
-            assert len(bounds) == len(set(bounds))
+        # Not split twice either: no box has the bounds of another.
+        boxes = [box for batch in batches for box in batch]
+        bounds = [tuple((c.lb, c.ub) for c in box) for box in boxes]
+        assert len(bounds) == len(set(bounds))
 
     def test_splits_ahead_in_batches(self):
         # Breadth-first ties: every box after the front is due in order, so
@@ -615,3 +643,69 @@ class TestSpeculativeFailures:
         # halves of the up to two boxes behind it, retried alone.
         assert plain_calls == [1, 2, 2, 2]
         assert calls == [1, 2, 4, 2, 2 * min(lookahead, 3), 2]
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic garbage collector back as it was after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """moore_skelboe pauses the cyclic garbage collector while it searches
+    and leaves it as it found it."""
+
+    @staticmethod
+    def objective(raise_at=None):
+        states = []
+
+        def f(boxes):
+            if len(states) == raise_at:
+                raise ValueError("the objective failed")
+            states.append(gc.isenabled())
+            return [square(box) for box in boxes]
+
+        return f, states
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("lookahead", [1, 8])
+    def test_state_restored_on_return(self, collector, enabled, lookahead):
+        (gc.enable if enabled else gc.disable)()
+        f, states = self.objective()
+        cfg = MsConfig(delta=1e-6, split_dims=(0,), lookahead=lookahead)
+        res = moore_skelboe(f, IntervalBox.from_bounds([(-5, 4)]), cfg)
+        assert res.converged and len(states) > 10
+        assert gc.isenabled() is enabled
+        assert not any(states)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("raise_at", [0, 5])
+    def test_state_restored_on_raise(self, collector, enabled, raise_at):
+        (gc.enable if enabled else gc.disable)()
+        f, states = self.objective(raise_at)
+        cfg = MsConfig(delta=1e-6, split_dims=(0,))
+        with pytest.raises(ValueError, match="the objective failed"):
+            moore_skelboe(f, IntervalBox.from_bounds([(-5, 4)]), cfg)
+        assert len(states) == raise_at
+        assert gc.isenabled() is enabled
+        assert not any(states)
+
+    @pytest.mark.parametrize(
+        "name", ["constant", "identity", "trilat_gd", "trilat_mlp"]
+    )
+    def test_validation_leaves_no_cyclic_garbage(self, collector, name):
+        # The pause frees nothing late only if the search makes no reference
+        # cycles. The collector stays off for the whole run here, so a
+        # cycle made anywhere in it, the final cover included, is still
+        # there to be found once the report is dropped.
+        scenario = load_scenario(SCENARIO_DIR / f"{name}.scn")
+        if name == "trilat_gd":
+            scenario = dataclasses.replace(scenario, max_iterations=200)
+        gc.disable()
+        gc.collect()
+        report = run_validate(scenario)
+        assert report.iterations > 0
+        del report
+        assert gc.collect() == 0

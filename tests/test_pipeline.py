@@ -84,6 +84,16 @@ def unsound_stub(monkeypatch):
     )
 
 
+@pytest.fixture
+def nan_stub(monkeypatch):
+    """Scenarios build the NaN-sampling stub as their estimator."""
+    monkeypatch.setattr(
+        Scenario,
+        "build_estimator",
+        lambda self, observation: NanStubEstimator(observation.n_obs),
+    )
+
+
 def test_unsound_stub_box_misses_point_results():
     est = UnsoundStubEstimator(2)
     box = IntervalBox.from_bounds([(0, 1), (0, 1)])
@@ -335,12 +345,7 @@ class TestCli:
         assert code == 2
         assert "certification FAILED" in capsys.readouterr().err
 
-    def test_nan_sampled_error_exit_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(
-            Scenario,
-            "build_estimator",
-            lambda self, observation: NanStubEstimator(observation.n_obs),
-        )
+    def test_nan_sampled_error_exit_2(self, tmp_path, capsys, nan_stub):
         p = write_scenario(tmp_path / "nan.scn", BASE_DOC)
         report = run_validate(load_scenario(p))
         assert report.certified is False
@@ -354,6 +359,16 @@ class TestCli:
         assert err.count("\n") == 1
         assert f"NaN at {nan.nan_samples} of {nan.samples_used} oracle samples" in err
         assert f"x={list(nan.first_nan_x)!r}, e={list(nan.first_nan_e)!r}" in err
+
+    def test_oracle_nan_sampled_error_exit_2(self, tmp_path, capsys, nan_stub):
+        # Some samples, not all, are NaN: oracle fails as validate does.
+        p = write_scenario(tmp_path / "nan.scn", BASE_DOC)
+        assert cli.main(["validate", "--scenario", str(p)]) == 2
+        line = capsys.readouterr().err
+        assert cli.main(["oracle", "--scenario", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == line and line.count("\n") == 1
+        assert captured.out == ""
 
     def test_flag_overrides(self, scenario_dir, capsys):
         code = cli.main(
