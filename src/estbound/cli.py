@@ -3,7 +3,6 @@
 Subcommands:
   validate   run a scenario file end to end and emit a validation report
   oracle     run only the sampling oracle for a scenario
-  train-mlp  fit a network on synthetic noisy observations (fixture builds)
 
 Exit codes: 0 success (certified, or oracle disabled), 2 certification
 failure, 1 usage or input errors.
@@ -17,20 +16,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .mlp import save_mlp, train_mlp
 from .oracle import OracleConfig, sample_max_error
-from .pipeline import _float, _integer, _parse_box, _trilateration
 from .pipeline import dump_cover, load_scenario, run_validate
 
 __all__ = ["main", "entry"]
-
-
-# Largest training sample count, ten times what the bundled network was
-# trained on. The full-batch trainer holds several (samples, 32) arrays at
-# once: at the cap a run peaks at about 250 MB resident.
-MAX_TRAIN_SAMPLES = 100_000
 
 
 class _UsageError(Exception):
@@ -59,10 +48,6 @@ def _build_parser() -> _Parser:
     p_ora.add_argument("--samples", type=int, help="override sample count")
     p_ora.add_argument("--seed", type=int, help="override sample seed")
     p_ora.add_argument("--mode", choices=("random", "grid"), help="override mode")
-
-    p_tr = sub.add_parser("train-mlp", help="train a fixture network")
-    p_tr.add_argument("--config", required=True, help="training config (JSON)")
-    p_tr.add_argument("--out", required=True, help="where to write the weights")
     return parser
 
 
@@ -136,64 +121,6 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_train_mlp(args) -> int:
-    # The config follows the scenario field rules; see README.
-    path = Path(args.config)
-    if not path.exists():
-        raise FileNotFoundError(f"training config not found: {path}")
-    cfg = json.loads(path.read_text())
-    where = f"training config {path}"
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    observation = _trilateration(cfg, where)
-    param_box = _parse_box(cfg, "param_box", where)
-    noise_box = _parse_box(cfg, "noise_box", where)
-    if noise_box.dim != observation.n_obs:
-        raise ValueError(f"{where} 'noise_box' must have dim {observation.n_obs}")
-    samples = _integer(cfg, "samples", 10_000, where)
-    if not 1 <= samples <= MAX_TRAIN_SAMPLES:
-        raise ValueError(
-            f"{where} 'samples' must be 1 to {MAX_TRAIN_SAMPLES}, got {samples}"
-        )
-    seed = _integer(cfg, "seed", 0, where)
-    sizes = cfg.get("sizes", [observation.n_obs, 32, 32, 2])
-    if not isinstance(sizes, list):
-        raise ValueError(f"{where} 'sizes' must be a list, got {sizes!r}")
-    sizes = [_integer({"sizes": s}, "sizes", None, where) for s in sizes]
-    epochs = _integer(cfg, "epochs", 2000, where)
-    rate = _float(cfg, "rate", 1e-3, where)
-    output_activation = str(cfg.get("output_activation", "relu"))
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    xs = rng.uniform(
-        [c.lb for c in param_box], [c.ub for c in param_box],
-        size=(samples, param_box.dim),
-    )
-    es = rng.uniform(
-        [c.lb for c in noise_box], [c.ub for c in noise_box],
-        size=(samples, noise_box.dim),
-    )
-    data = list(zip((observation.eval_points(xs) + es).tolist(), xs.tolist()))
-
-    model = train_mlp(
-        data, sizes, epochs=epochs, rate=rate, seed=seed,
-        output_activation=output_activation,
-    )
-    model.meta.update(
-        {
-            "seed": seed,
-            "trained_on": (
-                f"trilateration landmarks={cfg['landmarks']} "
-                f"param_box={cfg['param_box']} noise_box={cfg['noise_box']} "
-                f"samples={samples} epochs={epochs} rate={rate}"
-            ),
-        }
-    )
-    save_mlp(model, args.out)
-    print(f"wrote {args.out}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -207,8 +134,6 @@ def main(argv=None) -> int:
             return _cmd_validate(args)
         if args.command == "oracle":
             return _cmd_oracle(args)
-        if args.command == "train-mlp":
-            return _cmd_train_mlp(args)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

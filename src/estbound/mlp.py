@@ -1,5 +1,8 @@
 """Dense relu networks as estimators: forward pass, interval forward pass,
-serialization, and a small full-batch trainer for building fixtures.
+and loading from a JSON weight file.
+
+The network is a given, fixed artifact: the validation method certifies it
+as it is and never trains it.
 
 Both passes are numpy kernels that vectorise only over independent values,
 so they round exactly as a one-value-at-a-time loop would. The forward
@@ -34,7 +37,7 @@ import numpy as np
 from .framework import EstimatorModel
 from .interval import IntervalBox, _box, _make
 
-__all__ = ["MlpLayer", "MlpModel", "load_mlp", "save_mlp", "train_mlp"]
+__all__ = ["MlpLayer", "MlpModel", "load_mlp"]
 
 _ACTIVATIONS = ("relu", "linear")
 
@@ -129,17 +132,20 @@ class MlpModel(EstimatorModel):
     def eval_points(self, rows: np.ndarray) -> np.ndarray:
         self._check_rows(rows)
         h = rows.T
-        for w_cols, bias, relu in self._arrays:
-            acc = np.zeros((len(bias), h.shape[1]))
-            prod = np.empty_like(acc)
-            for w, column in zip(w_cols, h):
-                np.multiply(w, column, out=prod)
-                acc += prod
-            del prod  # so the next layer's buffers do not add to the peak
-            acc += bias
-            if relu:
-                acc[acc < 0.0] = 0.0
-            h = acc
+        # Like Python floats, the arrays overflow to inf and NaN without a
+        # warning; the oracle reports both.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for w_cols, bias, relu in self._arrays:
+                acc = np.zeros((len(bias), h.shape[1]))
+                prod = np.empty_like(acc)
+                for w, column in zip(w_cols, h):
+                    np.multiply(w, column, out=prod)
+                    acc += prod
+                del prod  # so the next layer's buffers do not add to the peak
+                acc += bias
+                if relu:
+                    acc[acc < 0.0] = 0.0
+                h = acc
         return h.T
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
@@ -153,56 +159,46 @@ class MlpModel(EstimatorModel):
         # (boxes, inputs) arrays of the lower and of the upper bounds.
         lb = np.array([[c.lb for c in box.components] for box in boxes])
         ub = np.array([[c.ub for c in box.components] for box in boxes])
-        for layer, (w2, take_lb, bias2, relu) in enumerate(self._box_arrays):
-            # terms[j] holds the terms of input j for every box, rounded as
-            # _mul_scalar rounds them; they are summed one input at a time,
-            # rounding each add. C order keeps each terms[j] one contiguous
-            # block, where numpy's per-call cost is lowest.
-            bounds = np.where(take_lb, lb.T[:, :, None], ub.T[:, :, None])
-            terms = np.multiply(w2, bounds, order="C")
-            np.nextafter(terms, np.inf, out=terms)
-            acc = terms[0]
-            for t in terms[1:]:
-                np.add(acc, t, out=acc)
-                np.nextafter(acc, np.inf, out=acc)
-            acc = np.nextafter(acc + bias2, np.inf)
-            # A NaN bound (an infinite bound times a zero weight, or inf -
-            # inf) says nothing, and relu would turn it into 0.0.
-            if np.isnan(acc).any():
-                box = boxes[int(np.isnan(acc).any(axis=1).argmax())]
-                raise ValueError(
-                    f"network layer {layer} gives a NaN bound on {box!r}: "
-                    "its bounds overflow"
-                )
-            rows = len(bias2) // 2
-            lb, ub = -acc[:, :rows], acc[:, rows:]
-            if relu:
-                lb = np.where(lb > 0.0, lb, 0.0)
-                ub = np.where(ub > 0.0, ub, 0.0)
+        # An overflow gives an infinite bound, which objective_box reports,
+        # or a NaN bound, which the check below reports.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for layer, (w2, take_lb, bias2, relu) in enumerate(self._box_arrays):
+                # terms[j] holds the terms of input j for every box, rounded as
+                # _mul_scalar rounds them; they are summed one input at a time,
+                # rounding each add. C order keeps each terms[j] one contiguous
+                # block, where numpy's per-call cost is lowest.
+                bounds = np.where(take_lb, lb.T[:, :, None], ub.T[:, :, None])
+                terms = np.multiply(w2, bounds, order="C")
+                np.nextafter(terms, np.inf, out=terms)
+                acc = terms[0]
+                for t in terms[1:]:
+                    np.add(acc, t, out=acc)
+                    np.nextafter(acc, np.inf, out=acc)
+                acc = np.nextafter(acc + bias2, np.inf)
+                # A NaN bound (an infinite bound times a zero weight, or inf -
+                # inf) says nothing, and relu would turn it into 0.0.
+                if np.isnan(acc).any():
+                    box = boxes[int(np.isnan(acc).any(axis=1).argmax())]
+                    raise ValueError(
+                        f"network layer {layer} gives a NaN bound on {box!r}: "
+                        "its bounds overflow"
+                    )
+                rows = len(bias2) // 2
+                lb, ub = -acc[:, :rows], acc[:, rows:]
+                if relu:
+                    lb = np.where(lb > 0.0, lb, 0.0)
+                    ub = np.where(ub > 0.0, ub, 0.0)
         return [
             _box(tuple(map(_make, lows, highs)))
             for lows, highs in zip(lb.tolist(), ub.tolist())
         ]
 
 
-def save_mlp(model: MlpModel, path: str | Path) -> None:
-    """Write the model as JSON; floats keep full round-trip precision."""
-    doc = {
-        "layers": [
-            {
-                "weights": [list(row) for row in layer.weights],
-                "bias": list(layer.bias),
-                "activation": layer.activation,
-            }
-            for layer in model.layers
-        ],
-        "meta": model.meta,
-    }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
-
-
 def load_mlp(path: str | Path) -> MlpModel:
-    """Load a model saved by save_mlp; errors name the offending layer."""
+    """Load a model from a JSON weight file: a "layers" list of objects with
+    "weights" (row-major, one row per output neuron), "bias" and
+    "activation", and an optional "meta" object. Errors name the offending
+    layer."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -230,99 +226,3 @@ def load_mlp(path: str | Path) -> MlpModel:
         return MlpModel(layers, meta=doc.get("meta"))
     except ValueError as exc:
         raise ValueError(f"weight file {path}: {exc}") from exc
-
-
-def train_mlp(
-    data: Sequence[tuple[Sequence[float], Sequence[float]]],
-    sizes: Sequence[int],
-    epochs: int,
-    rate: float,
-    seed: int,
-    output_activation: str = "relu",
-) -> MlpModel:
-    """Full-batch gradient descent on mean squared error.
-
-    sizes lists the layer widths input-first, e.g. (3, 32, 32, 2). Hidden
-    layers use relu; the output layer uses output_activation. The relu
-    subgradient at 0 is taken as 0. Deterministic for a fixed seed.
-    """
-    if not data:
-        raise ValueError("training data is empty")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if len(sizes) < 2:
-        raise ValueError("sizes must list at least input and output widths")
-    if output_activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown output activation {output_activation!r}")
-
-    inputs = np.asarray([row[0] for row in data], dtype=np.float64)
-    targets = np.asarray([row[1] for row in data], dtype=np.float64)
-    if inputs.shape[1] != sizes[0]:
-        raise ValueError(
-            f"inputs have dim {inputs.shape[1]}, sizes[0] is {sizes[0]}"
-        )
-    if targets.shape[1] != sizes[-1]:
-        raise ValueError(
-            f"targets have dim {targets.shape[1]}, sizes[-1] is {sizes[-1]}"
-        )
-
-    rng = np.random.default_rng(seed)
-    n_layers = len(sizes) - 1
-    weights = []
-    biases = []
-    for i in range(n_layers):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    activations = ["relu"] * (n_layers - 1) + [output_activation]
-
-    n_samples = inputs.shape[0]
-    first_loss = None
-    loss = None
-    # divergence is detected via the finite-loss check, not warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(epochs):
-            # forward
-            acts = [inputs]
-            pre = []
-            h = inputs
-            for W, b, act in zip(weights, biases, activations):
-                z = h @ W.T + b
-                pre.append(z)
-                h = np.maximum(z, 0.0) if act == "relu" else z
-                acts.append(h)
-            err = h - targets
-            loss = float(np.mean(err * err))
-            if not math.isfinite(loss):
-                raise ValueError(
-                    f"training diverged (loss {loss!r}); use a smaller rate"
-                )
-            if first_loss is None:
-                first_loss = loss
-            # backward
-            grad = 2.0 * err / (n_samples * targets.shape[1])
-            for i in range(n_layers - 1, -1, -1):
-                if activations[i] == "relu":
-                    grad = grad * (pre[i] > 0.0)
-                gw = grad.T @ acts[i]
-                gb = grad.sum(axis=0)
-                grad = grad @ weights[i]
-                weights[i] = weights[i] - rate * gw
-                biases[i] = biases[i] - rate * gb
-
-    if loss is not None and first_loss is not None and loss > first_loss:
-        raise ValueError(
-            f"training did not improve (loss {first_loss:.6g} -> {loss:.6g}); "
-            "use a smaller rate"
-        )
-
-    layers = [
-        MlpLayer(
-            weights=tuple(tuple(float(w) for w in row) for row in W),
-            bias=tuple(float(b) for b in bv),
-            activation=act,
-        )
-        for W, bv, act in zip(weights, biases, activations)
-    ]
-    return MlpModel(layers, meta={"seed": seed})

@@ -102,15 +102,6 @@ def _parse_box(doc: dict, key: str, where: str) -> IntervalBox:
     return box
 
 
-def _trilateration(doc: dict, where: str) -> TrilaterationModel:
-    if "landmarks" not in doc:
-        raise ValueError(f"{where} needs 'landmarks'")
-    try:
-        return TrilaterationModel(doc["landmarks"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"invalid {where} 'landmarks': {exc}") from exc
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One validation problem, as described by a scenario file."""
@@ -153,7 +144,14 @@ class Scenario:
         if kind == "identity":
             return IdentityObservation(self.param_box.dim)
         if kind == "trilateration":
-            return _trilateration(spec, "trilateration observation")
+            if "landmarks" not in spec:
+                raise ValueError("trilateration observation needs 'landmarks'")
+            try:
+                return TrilaterationModel(spec["landmarks"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"invalid trilateration observation 'landmarks': {exc}"
+                ) from exc
         raise ValueError(f"unknown observation type {kind!r}")
 
     def build_estimator(self, observation: ObservationModel) -> EstimatorModel:

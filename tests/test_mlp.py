@@ -1,12 +1,11 @@
 import itertools
 import json
-import math
 import random
 
 import pytest
 
 from estbound.interval import Interval, IntervalBox
-from estbound.mlp import MlpLayer, MlpModel, load_mlp, save_mlp, train_mlp
+from estbound.mlp import MlpLayer, MlpModel, load_mlp
 from test_interval import encloses
 
 
@@ -154,12 +153,15 @@ class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = random.Random(41)
         model = random_model(rng, sizes=[3, 5, 2])
+        doc = {
+            "layers": [
+                {"weights": l.weights, "bias": l.bias, "activation": l.activation}
+                for l in model.layers
+            ]
+        }
         p = tmp_path / "weights.json"
-        save_mlp(model, p)
-        loaded = load_mlp(p)
-        assert loaded.layers == model.layers
-        save_mlp(loaded, tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_text() == p.read_text()
+        p.write_text(json.dumps(doc))
+        assert load_mlp(p).layers == model.layers
 
     def test_mismatched_bias_length(self, tmp_path):
         doc = {
@@ -203,42 +205,3 @@ class TestSerialization:
         with pytest.raises(ValueError, match="cannot read"):
             load_mlp(tmp_path / "nope.json")
 
-
-class TestTraining:
-    @staticmethod
-    def line_data(n=64):
-        xs = [(-1.0 + 2.0 * i / (n - 1),) for i in range(n)]
-        return [(x, (2.0 * x[0],)) for x in xs]
-
-    def test_fits_doubling_line(self):
-        model = train_mlp(
-            self.line_data(), sizes=(1, 1), epochs=400, rate=0.5, seed=3,
-            output_activation="linear",
-        )
-        w = model.layers[0].weights[0][0]
-        b = model.layers[0].bias[0]
-        assert abs(w - 2.0) <= 1e-3
-        assert abs(b) <= 1e-3
-
-    def test_deterministic_given_seed(self):
-        a = train_mlp(self.line_data(), (1, 3, 1), 50, 0.05, seed=11,
-                      output_activation="linear")
-        b = train_mlp(self.line_data(), (1, 3, 1), 50, 0.05, seed=11,
-                      output_activation="linear")
-        assert a.layers == b.layers
-
-    def test_empty_dataset(self):
-        with pytest.raises(ValueError, match="empty"):
-            train_mlp([], (1, 1), 10, 0.1, seed=0)
-
-    def test_divergence_advises_smaller_rate(self):
-        with pytest.raises(ValueError, match="smaller rate"):
-            train_mlp(self.line_data(), (1, 1), 500, 50.0, seed=0,
-                      output_activation="linear")
-
-    def test_finite_weights(self):
-        model = train_mlp(self.line_data(), (1, 4, 1), 100, 0.05, seed=5,
-                          output_activation="linear")
-        for layer in model.layers:
-            assert all(math.isfinite(w) for row in layer.weights for w in row)
-            assert all(math.isfinite(b) for b in layer.bias)

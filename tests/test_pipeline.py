@@ -39,6 +39,9 @@ TRILATERATION = {"type": "trilateration", "landmarks": [[10, -9], [5, 12], [-15,
 
 TRILAT_GD = json.loads((SCENARIO_DIR / "trilat_gd.scn").read_text())
 
+# An override value that leaves its key out of the scenario.
+MISSING = object()
+
 
 class UnsoundStubEstimator(EstimatorModel):
     """An estimator whose box evaluator lies: the point evaluator shifts
@@ -424,31 +427,6 @@ class TestCli:
         assert doc["samples_used"] == 500
         assert 0.0 <= doc["max_observed"] <= math.sqrt(0.02)
 
-    def test_train_mlp_subcommand(self, tmp_path, capsys):
-        cfg = {
-            "landmarks": [[10, -9], [5, 12], [-15, 0]],
-            "param_box": [[5, 25], [5, 25]],
-            "noise_box": [[-0.2, 0.2], [-0.2, 0.2], [-0.2, 0.2]],
-            "samples": 200,
-            "sizes": [3, 4, 2],
-            "epochs": 20,
-            "rate": 1e-4,
-            "seed": 1,
-        }
-        cfg_path = tmp_path / "train.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out = tmp_path / "weights.json"
-        code = cli.main(
-            ["train-mlp", "--config", str(cfg_path), "--out", str(out)]
-        )
-        assert code == 0
-        from estbound.mlp import load_mlp
-
-        model = load_mlp(out)
-        assert model.n_obs == 3 and model.n_params == 2
-        assert model.meta["seed"] == 1
-        capsys.readouterr()
-
     @staticmethod
     def assert_one_line_error(capsys, *words):
         err = capsys.readouterr().err
@@ -499,77 +477,30 @@ class TestCli:
                 dict(TRILAT_GD, estimator=dict(TRILAT_GD["estimator"], step=1e300)),
                 ["estimation error"],
             ),
+            ({"observation": {"type": "trilateration"}}, ["'landmarks'"]),
+            (
+                {"observation": dict(TRILATERATION, landmarks=[[0, 0], [1, 0]])},
+                ["'landmarks'", "3 landmarks"],
+            ),
+            ({"param_box": 5}, ["'param_box'"]),
+            ({"noise_box": MISSING}, ["'noise_box'"]),
         ],
     )
     def test_malformed_scenario_exit_1(self, tmp_path, capsys, override, words):
-        p = write_scenario(tmp_path / "bad.scn", dict(BASE_DOC, **override))
+        doc = {
+            k: v for k, v in dict(BASE_DOC, **override).items() if v is not MISSING
+        }
+        p = write_scenario(tmp_path / "bad.scn", doc)
         for command in ("validate", "oracle"):
             assert cli.main([command, "--scenario", str(p)]) == 1
             self.assert_one_line_error(capsys, *words)
 
-    @pytest.mark.parametrize("missing", ["landmarks", "param_box", "noise_box"])
-    def test_train_mlp_missing_key_exit_1(self, tmp_path, capsys, missing):
-        cfg = {
-            "landmarks": [[10, -9], [5, 12], [-15, 0]],
-            "param_box": [[5, 25], [5, 25]],
-            "noise_box": [[-0.2, 0.2], [-0.2, 0.2], [-0.2, 0.2]],
-        }
-        del cfg[missing]
-        cfg_path = tmp_path / "train.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out = tmp_path / "weights.json"
-        code = cli.main(["train-mlp", "--config", str(cfg_path), "--out", str(out)])
-        assert code == 1
-        self.assert_one_line_error(capsys, repr(missing))
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "override, words",
-        [
-            ({"landmarks": 5}, ["'landmarks'"]),
-            ({"landmarks": [[0, 0], [1, 0]]}, ["'landmarks'", "3 landmarks"]),
-            ({"param_box": 5}, ["'param_box'"]),
-            ({"param_box": [[-1e308, 1e308], [5, 25]]}, ["'param_box'", "finite"]),
-            ({"noise_box": [[-0.2, 0.2]] * 2}, ["'noise_box'", "dim 3"]),
-            ({"samples": True}, ["'samples'"]),
-            ({"samples": 2.7}, ["'samples'"]),
-            ({"seed": "7"}, ["'seed'"]),
-            ({"epochs": None}, ["'epochs'"]),
-            ({"rate": "x"}, ["'rate'"]),
-            ({"sizes": 5}, ["'sizes'"]),
-            ({"sizes": [3, 4.5, 2]}, ["'sizes'"]),
-            ({"samples": 1000000000000}, ["'samples'", "100000"]),
-            ({"samples": -5}, ["'samples'", "-5"]),
-            ({"samples": 0}, ["'samples'"]),
-        ],
-    )
-    def test_malformed_train_config_exit_1(self, tmp_path, capsys, override, words):
-        cfg = dict(
-            {
-                "landmarks": [[10, -9], [5, 12], [-15, 0]],
-                "param_box": [[5, 25], [5, 25]],
-                "noise_box": [[-0.2, 0.2], [-0.2, 0.2], [-0.2, 0.2]],
-                "samples": 20,
-                "sizes": [3, 2],
-                "epochs": 1,
-            },
-            **override,
-        )
-        cfg_path = tmp_path / "train.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out = tmp_path / "weights.json"
-        code = cli.main(["train-mlp", "--config", str(cfg_path), "--out", str(out)])
-        assert code == 1
-        self.assert_one_line_error(capsys, *words)
-        assert not out.exists()
-
-    def test_train_config_not_an_object_exit_1(self, tmp_path, capsys):
-        cfg_path = tmp_path / "train.json"
-        cfg_path.write_text("[1, 2]")
-        out = tmp_path / "weights.json"
-        code = cli.main(["train-mlp", "--config", str(cfg_path), "--out", str(out)])
-        assert code == 1
-        self.assert_one_line_error(capsys, "JSON object")
+    def test_scenario_not_an_object_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "list.scn"
+        p.write_text("[1, 2]")
+        for command in ("validate", "oracle"):
+            assert cli.main([command, "--scenario", str(p)]) == 1
+            self.assert_one_line_error(capsys, "JSON object")
 
     @pytest.mark.parametrize(
         "field, value", [("layers", 5), ("meta", 5), ("meta", [1])]
@@ -591,6 +522,24 @@ class TestCli:
         )
         assert cli.main(["validate", "--scenario", str(p)]) == 1
         self.assert_one_line_error(capsys, f"'{field}'")
+
+    def test_overflowing_weights_exit_1(self, scenario_dir, tmp_path, capsys):
+        # The network's kernels overflow to inf and NaN; each run reports
+        # this in its one error line, with no numpy warning before it.
+        doc = json.loads((scenario_dir / "mlp_3x32x32x2.json").read_text())
+        doc["layers"][0]["weights"][0][0] = 1e307
+        (tmp_path / "net.json").write_text(json.dumps(doc))
+        scn = json.loads((scenario_dir / "trilat_mlp.scn").read_text())
+        scn["estimator"]["weights_path"] = "net.json"
+        on = write_scenario(tmp_path / "on.scn", scn)
+        off = write_scenario(tmp_path / "off.scn", dict(scn, oracle=None))
+        for argv in (
+            ["validate", "--scenario", str(on), "--max-iters", "50"],
+            ["validate", "--scenario", str(off), "--max-iters", "50"],
+            ["oracle", "--scenario", str(on)],
+        ):
+            assert cli.main(argv) == 1
+            self.assert_one_line_error(capsys, "overflows")
 
     def test_oracle_samples_above_cap_exit_1(self, scenario_dir, capsys):
         code = cli.main(

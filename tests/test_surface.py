@@ -1,8 +1,10 @@
 """The package root exports exactly the names the README's library example
 imports, plus the two base classes that custom models subclass, so the
 README and the package cannot drift apart. Models spell their point
-evaluator once, as eval_points."""
+evaluator once, as eval_points. The CLI has two subcommands and uses only
+the public names of the modules it imports from."""
 
+import argparse
 import ast
 import importlib
 import pkgutil
@@ -10,6 +12,7 @@ import re
 from pathlib import Path
 
 import estbound
+from estbound import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,3 +53,24 @@ def test_only_the_base_classes_define_eval_point():
         "estbound.framework.EstimatorModel",
         "estbound.framework.ObservationModel",
     ]
+
+
+def test_cli_subcommands_are_validate_and_oracle():
+    (sub,) = [
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(sub.choices) == {"validate", "oracle"}
+
+
+def test_cli_imports_no_private_name():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
