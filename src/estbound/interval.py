@@ -5,7 +5,7 @@ the next representable float after the native floating-point computation,
 so real-arithmetic containment survives rounding: if x is in `a` and y is
 in `b`, the exact real value of x op y lies inside the returned interval.
 Exceptions that need no widening because they are exact in IEEE arithmetic:
-negation, relu, and the square root of an exact zero bound.
+negation and the square root of an exact zero bound.
 
 Intervals and boxes are immutable after construction; all operations are
 pure and safe to call concurrently.
@@ -25,7 +25,6 @@ __all__ = [
     "ineg",
     "isqr",
     "isqrt",
-    "irelu",
 ]
 
 _INF = math.inf
@@ -153,11 +152,6 @@ def isqrt(a: Interval) -> Interval:
             lo = 0.0
     hi = 0.0 if a.ub == 0.0 else _up(math.sqrt(a.ub))
     return _make(lo, hi)
-
-
-def irelu(a: Interval) -> Interval:
-    """Exact image of a under max(0, x); relu is monotone, so no widening."""
-    return _make(a.lb if a.lb > 0.0 else 0.0, a.ub if a.ub > 0.0 else 0.0)
 
 
 class IntervalBox:

@@ -22,6 +22,15 @@ them; each box gets the bounds it would get alone. This is the plainest
 possible bound propagation; it gets looser as networks grow deeper, which
 is acceptable here because the validation method only needs soundness, not
 tightness.
+
+Rounding upward is what the box pass spends most of its time on. A layer's
+products are rounded by an integer step on their bits (`_round_up`), which
+gives np.nextafter's result at about a third of its cost; the step needs an
+int64 scratch array of their shape, and the array the products' input
+bounds were gathered into serves as one, since it is dead once the products
+are taken. The column sums and the bias add keep np.nextafter: their arrays
+hold one value per box and neuron, and on arrays that small the step's five
+numpy calls cost more than nextafter's one.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from .interval import IntervalBox, _box, _make
 __all__ = ["MlpLayer", "MlpModel", "load_mlp"]
 
 _ACTIVATIONS = ("relu", "linear")
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -118,7 +128,9 @@ class MlpModel(EstimatorModel):
         # (cols, 1, 2 * rows) for that array, where each term takes its
         # input's lower bound rather than its upper one (lower bounds for
         # w >= 0, upper bounds for w < 0, as _mul_scalar does), bias, relu
-        # flag. The middle axis broadcasts over the boxes.
+        # flag. The middle axis broadcasts over the boxes. The products are
+        # rounded with _round_up, the sums with np.nextafter (see the module
+        # docstring).
         self._box_arrays = tuple(
             (
                 np.concatenate((-wt, wt), axis=1)[:, None, :],
@@ -156,9 +168,10 @@ class MlpModel(EstimatorModel):
             return []
         for box in boxes:
             self._check_box(box)
-        # (boxes, inputs) arrays of the lower and of the upper bounds.
-        lb = np.array([[c.lb for c in box.components] for box in boxes])
-        ub = np.array([[c.ub for c in box.components] for box in boxes])
+        # C-ordered (inputs, boxes) arrays of the lower and of the upper
+        # bounds, so that each layer's bounds array below is C-ordered too.
+        lb = np.array([[c.lb for c in box.components] for box in boxes]).T.copy()
+        ub = np.array([[c.ub for c in box.components] for box in boxes]).T.copy()
         # An overflow gives an infinite bound, which objective_box reports,
         # or a NaN bound, which the check below reports.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -166,10 +179,11 @@ class MlpModel(EstimatorModel):
                 # terms[j] holds the terms of input j for every box, rounded as
                 # _mul_scalar rounds them; they are summed one input at a time,
                 # rounding each add. C order keeps each terms[j] one contiguous
-                # block, where numpy's per-call cost is lowest.
-                bounds = np.where(take_lb, lb.T[:, :, None], ub.T[:, :, None])
+                # block, where numpy's per-call cost is lowest. Once the
+                # products are taken, bounds is the rounding's scratch space.
+                bounds = np.where(take_lb, lb[:, :, None], ub[:, :, None])
                 terms = np.multiply(w2, bounds, order="C")
-                np.nextafter(terms, np.inf, out=terms)
+                _round_up(terms, bounds.view(np.int64))
                 acc = terms[0]
                 for t in terms[1:]:
                     np.add(acc, t, out=acc)
@@ -184,14 +198,37 @@ class MlpModel(EstimatorModel):
                         "its bounds overflow"
                     )
                 rows = len(bias2) // 2
-                lb, ub = -acc[:, :rows], acc[:, rows:]
+                acc = acc.T.copy()
+                lb, ub = -acc[:rows], acc[rows:]
                 if relu:
                     lb = np.where(lb > 0.0, lb, 0.0)
                     ub = np.where(ub > 0.0, ub, 0.0)
         return [
             _box(tuple(map(_make, lows, highs)))
-            for lows, highs in zip(lb.tolist(), ub.tolist())
+            for lows, highs in zip(lb.T.tolist(), ub.T.tolist())
         ]
+
+
+def _round_up(x: np.ndarray, scratch: np.ndarray) -> None:
+    """Round every element of the float64 array x up to the next float, in
+    place: bit for bit np.nextafter(x, np.inf), at a fraction of the cost of
+    its per-element libm call. scratch is an int64 array of x's shape that
+    the step overwrites.
+
+    -0.0 is first mapped to +0.0 and +inf to the largest float; then adding
+    one to the int64 view of a float that is not negative, and subtracting
+    one from that of a negative float, steps it to its neighbour towards
+    +inf. A NaN stays NaN, except the one whose bits are all ones after the
+    sign (0x7fffffffffffffff), which wraps to -0.0; the products eval_boxes
+    rounds are never that NaN, since a product of two non-NaN floats that is
+    NaN is the processor's default NaN.
+    """
+    np.add(x, 0.0, out=x)
+    np.minimum(x, _FLOAT_MAX, out=x)
+    bits = x.view(np.int64)
+    np.right_shift(bits, 63, out=scratch)
+    np.bitwise_or(scratch, 1, out=scratch)
+    np.add(bits, scratch, out=bits)
 
 
 def load_mlp(path: str | Path) -> MlpModel:

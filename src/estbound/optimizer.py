@@ -293,6 +293,13 @@ def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResu
     pass would walk all of it and free nothing. Reference counting still
     frees whatever the search drops; any cyclic garbage the objective makes
     is collected after the search.
+
+    Before it re-enables the collector, the search moves every object in
+    the collector's younger generations to the oldest one (gc.freeze, then
+    gc.unfreeze), so the first young collection after it does not walk the
+    whole cover. This moves every young object of the process, not only the
+    cover, and a full collection still walks them later. It is skipped if
+    the process holds frozen objects, which gc.unfreeze would release.
     """
     for d in cfg.split_dims:
         if not 0 <= d < b_init.dim:
@@ -310,6 +317,9 @@ def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResu
         return _search(f, b_init, cfg)
     finally:
         if enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

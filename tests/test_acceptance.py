@@ -14,7 +14,6 @@ from estbound.interval import (
     IntervalBox,
     iadd,
     imul,
-    irelu,
     isqr,
     isqrt,
     isub,
@@ -23,6 +22,7 @@ from estbound.models import GradientDescentEstimator, TrilaterationModel
 from estbound.optimizer import MsConfig, moore_skelboe
 from estbound.oracle import OracleConfig
 from estbound.pipeline import Scenario, load_scenario, run_validate
+from test_interval import irelu
 from test_mlp import random_model
 from test_optimizer import per_box
 

@@ -11,11 +11,16 @@ from estbound.interval import (
     iadd,
     imul,
     ineg,
-    irelu,
     isqr,
     isqrt,
     isub,
 )
+
+
+def irelu(a):
+    """Exact image of a under max(0, x); relu is monotone, so no widening.
+    The scalar reference of the network's box pass takes relu this way."""
+    return Interval(a.lb if a.lb > 0.0 else 0.0, a.ub if a.ub > 0.0 else 0.0)
 
 
 def hull(a, b):

@@ -13,15 +13,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from estbound.interval import Interval, IntervalBox, _mul_scalar, iadd, irelu
-from estbound.mlp import MlpLayer, MlpModel, load_mlp
+from estbound.interval import Interval, IntervalBox, _mul_scalar, iadd
+from estbound.mlp import MlpLayer, MlpModel, _round_up, load_mlp
 from estbound.models import (
     GradientDescentEstimator,
     IdentityObservation,
     TrilaterationModel,
 )
 from estbound.pipeline import load_scenario
+from test_interval import irelu
 
 
 def reference_distances(landmarks, x):
@@ -252,6 +255,68 @@ class TestNetworkBitIdentity:
             ]
             boxes += [IntervalBox.from_bounds(bounds), IntervalBox.point(y)]
         self.check_boxes(net, boxes)
+
+    def test_negative_weight_on_zero_bound(self):
+        # An upper bound takes a negative weight times a lower bound of 0.0,
+        # a term of -0.0, which rounds up to 5e-324 as in the scalar pass.
+        layers = [
+            MlpLayer(((-1.0, 2.0), (-3.0, -0.5)), (0.0, -0.0), "relu"),
+            MlpLayer(((-2.0, 1.0),), (0.0,), "linear"),
+        ]
+        model = MlpModel(layers)
+        first = MlpModel(layers[:1])
+        boxes = [
+            IntervalBox.from_bounds([(0.0, 1.0), (-0.0, 0.0)]),
+            IntervalBox.from_bounds([(0.0, 0.0), (0.0, 4.0)]),
+        ]
+        self.check_boxes(model, boxes)
+        self.check_boxes(first, boxes)
+        # Both terms of the first neuron are zeros stepped to 5e-324; their
+        # sum and the bias add each step once more.
+        assert first.eval_box(boxes[0])[0].ub == 4 * 5e-324
+
+
+def rounded_up(values):
+    x = np.array(values, dtype=np.float64)
+    # Signaling NaNs raise numpy's invalid-value flag.
+    with np.errstate(invalid="ignore"):
+        _round_up(x, np.empty(x.shape, dtype=np.int64))
+    return x
+
+
+class TestRoundUp:
+    """The integer step of the network's box pass against np.nextafter."""
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=50))
+    def test_arbitrary_bit_patterns(self, patterns):
+        x = np.array(patterns, dtype=np.int64).view(np.float64)
+        with np.errstate(invalid="ignore"):
+            expected = np.nextafter(x, np.inf)
+        got = rounded_up(x)
+        nan = np.isnan(x)
+        assert (got.view(np.int64)[~nan] == expected.view(np.int64)[~nan]).all()
+        # The one NaN whose bits after the sign are all ones wraps to -0.0
+        # (see _round_up); every other NaN stays NaN.
+        wraps = x.view(np.int64) == 2**63 - 1
+        assert np.isnan(got[nan & ~wraps]).all()
+        assert bits(got[wraps]) == bits([-0.0] * int(wraps.sum()))
+
+    def test_edge_values(self):
+        tiny = 5e-324
+        smallest_normal = 2.2250738585072014e-308
+        largest = 1.7976931348623157e308
+        values = [0.0, -0.0, tiny, -tiny, smallest_normal, -smallest_normal]
+        values += [largest, -largest, math.inf, -math.inf]
+        got = rounded_up(values)
+        assert bits(got) == bits(math.nextafter(v, math.inf) for v in values)
+        # -0.0 steps to the smallest subnormal, the largest float to inf,
+        # inf stays inf and -inf steps to the most negative float.
+        assert bits(got[[1, 6, 8, 9]]) == bits([tiny, math.inf, math.inf, -largest])
+
+    def test_nan_stays_nan(self):
+        with np.errstate(invalid="ignore"):
+            products = np.array([0.0, -0.0, 0.0]) * np.array([1, 1, -1]) * math.inf
+        assert np.isnan(rounded_up([math.nan, -math.nan, *products])).all()
 
 
 class TestDescentBitIdentity:

@@ -692,6 +692,38 @@ class TestCollectorPause:
         assert gc.isenabled() is enabled
         assert not any(states)
 
+    def test_cover_handed_to_oldest_generation(self, collector):
+        # Otherwise the first young collection after the search walks the
+        # whole cover. A huge threshold keeps any collection from moving
+        # the cover before it is looked at.
+        threshold = gc.get_threshold()
+        gc.set_threshold(10**9)
+        try:
+            gc.enable()
+            f, _ = self.objective()
+            cfg = MsConfig(delta=1e-6, split_dims=(0,))
+            res = moore_skelboe(f, IntervalBox.from_bounds([(-5, 4)]), cfg)
+            young = {id(o) for o in gc.get_objects(generation=0)}
+        finally:
+            gc.set_threshold(*threshold)
+        entries = res.cover.entries()
+        assert len(entries) > 10 and all(map(gc.is_tracked, entries))
+        assert young.isdisjoint(map(id, entries))
+
+    def test_frozen_objects_stay_frozen(self, collector):
+        # gc.unfreeze would release what the caller froze, so the hand-off
+        # to the oldest generation is skipped then.
+        gc.enable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            f, _ = self.objective()
+            cfg = MsConfig(delta=1e-6, split_dims=(0,))
+            moore_skelboe(f, IntervalBox.from_bounds([(-5, 4)]), cfg)
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
     @pytest.mark.parametrize(
         "name", ["constant", "identity", "trilat_gd", "trilat_mlp"]
     )
