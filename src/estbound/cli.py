@@ -134,7 +134,7 @@ def main(argv=None) -> int:
             return _cmd_validate(args)
         if args.command == "oracle":
             return _cmd_oracle(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -3,17 +3,16 @@
 An observation model maps a parameter vector to an ideal observation; an
 estimator maps a (noisy) observation back to a parameter estimate. Both
 carry a row-batched point evaluator (`eval_points`, one output row per
-input row; `eval_point` is its one-row form) and a box evaluator that must
-be a sound inclusion of the point one: x in X implies eval_point(x) in
-eval_box(X). Estimators also carry a batched box evaluator (`eval_boxes`,
-which defaults to one `eval_box` call per box).
+input row; `eval_point` is its one-row form) and a box evaluator batched
+over boxes (`eval_boxes`, one output box per input box; `eval_box` is its
+one-box form) that must be a sound inclusion of the point one: x in X
+implies eval_point(x) in eval_box(X).
 
 `ErrorObjective` composes the two into the estimation error
 e(x, e) = ||x - estimate(observation(x) + e)|| and its negation, the objective
 handed to the branch-and-bound minimizer. That objective is batched the way
 the minimizer calls it (the initial box alone, then the halves of up to
-`optimizer.LOOKAHEAD` front boxes per call when the estimator overrides
-`eval_boxes`, else the two halves of one split): `objective_box` takes one
+`optimizer.LOOKAHEAD` front boxes per call): `objective_box` takes one
 search box and returns one enclosure, or takes a sequence of boxes and
 returns a list holding one enclosure per box, evaluated together.
 
@@ -49,12 +48,17 @@ class ObservationModel(ABC):
         rows."""
 
     @abstractmethod
-    def eval_box(self, box: IntervalBox) -> IntervalBox:
-        """Sound, isotone inclusion of eval_point over a parameter box."""
+    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
+        """Sound, isotone inclusion of eval_point over each parameter box, in
+        order. Each box's bounds must not depend on the other boxes."""
 
     def eval_point(self, x: Sequence[float]) -> Vector:
         """Observation at a single parameter vector: eval_points on one row."""
         return tuple(self.eval_points(np.array([x], dtype=np.float64))[0].tolist())
+
+    def eval_box(self, box: IntervalBox) -> IntervalBox:
+        """Inclusion over a single parameter box: eval_boxes on one box."""
+        return self.eval_boxes((box,))[0]
 
     def _check_rows(self, rows: np.ndarray) -> None:
         if rows.shape[-1] != self.n_params:
@@ -83,19 +87,17 @@ class EstimatorModel(ABC):
         rows."""
 
     @abstractmethod
-    def eval_box(self, box: IntervalBox) -> IntervalBox:
-        """Sound inclusion of eval_point over an observation box."""
+    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
+        """Sound inclusion of eval_point over each observation box, in order.
+        Each box's bounds must not depend on the other boxes."""
 
     def eval_point(self, y: Sequence[float]) -> Vector:
         """Estimate from a single observation vector: eval_points on one row."""
         return tuple(self.eval_points(np.array([y], dtype=np.float64))[0].tolist())
 
-    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
-        """eval_box of each box, in order. Overrides must return the same
-        boxes, whatever else the batch holds; a validation run splits up to
-        optimizer.LOOKAHEAD front boxes per call only for an estimator that
-        overrides this."""
-        return [self.eval_box(box) for box in boxes]
+    def eval_box(self, box: IntervalBox) -> IntervalBox:
+        """Inclusion over a single observation box: eval_boxes on one box."""
+        return self.eval_boxes((box,))[0]
 
     def error_vector_box(
         self, observation: ObservationModel, boxes: Sequence[IntervalBox]
@@ -104,15 +106,14 @@ class EstimatorModel(ABC):
         a component-wise enclosure of x - eval_point(observation(x) + e)
         over that box.
 
-        The default chains the two box evaluators, the estimator's over all
-        boxes in one eval_boxes call, and subtracts. Estimators with
-        structure that cancels the parameter dependency (the identity
-        estimator) override this with a tighter, still-sound enclosure.
+        The default chains the two box evaluators, each over all boxes in
+        one eval_boxes call, and subtracts. Estimators with structure that
+        cancels the parameter dependency (the identity estimator) override
+        this with a tighter, still-sound enclosure.
         """
         n = observation.n_params
-        estimates = self.eval_boxes(
-            [observation.eval_box(box[:n]) + box[n:] for box in boxes]
-        )
+        ideal = observation.eval_boxes([box[:n] for box in boxes])
+        estimates = self.eval_boxes([y + box[n:] for y, box in zip(ideal, boxes)])
         # zip stops at the n estimate components, pairing each with its x.
         return [
             _box(tuple(map(isub, box.components, estimate.components)))

@@ -160,9 +160,6 @@ class MlpModel(EstimatorModel):
                 h = acc
         return h.T
 
-    def eval_box(self, box: IntervalBox) -> IntervalBox:
-        return self.eval_boxes((box,))[0]
-
     def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
         if not boxes:
             return []

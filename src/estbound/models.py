@@ -51,9 +51,10 @@ class IdentityObservation(ObservationModel):
         self._check_rows(rows)
         return rows.copy()
 
-    def eval_box(self, box: IntervalBox) -> IntervalBox:
-        self._check_box(box)
-        return box
+    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
+        for box in boxes:
+            self._check_box(box)
+        return list(boxes)
 
 
 class TrilaterationModel(ObservationModel):
@@ -87,15 +88,18 @@ class TrilaterationModel(ObservationModel):
             out[:, i] = np.sqrt(dx * dx + dy * dy)
         return out
 
-    def eval_box(self, box: IntervalBox) -> IntervalBox:
-        self._check_box(box)
-        x0, x1 = box[0], box[1]
-        comps = []
-        for ax_iv, ay_iv in self._landmark_ivs:
-            dx = isub(ax_iv, x0)
-            dy = isub(ay_iv, x1)
-            comps.append(isqrt(iadd(isqr(dx), isqr(dy))))
-        return IntervalBox(comps)
+    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
+        out = []
+        for box in boxes:
+            self._check_box(box)
+            x0, x1 = box[0], box[1]
+            comps = []
+            for ax_iv, ay_iv in self._landmark_ivs:
+                dx = isub(ax_iv, x0)
+                dy = isub(ay_iv, x1)
+                comps.append(isqrt(iadd(isqr(dx), isqr(dy))))
+            out.append(IntervalBox(comps))
+        return out
 
 
 class IdentityEstimator(EstimatorModel):
@@ -111,9 +115,10 @@ class IdentityEstimator(EstimatorModel):
         self._check_rows(rows)
         return rows.copy()
 
-    def eval_box(self, box: IntervalBox) -> IntervalBox:
-        self._check_box(box)
-        return box
+    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
+        for box in boxes:
+            self._check_box(box)
+        return list(boxes)
 
     def error_vector_box(
         self, observation: ObservationModel, boxes: Sequence[IntervalBox]
@@ -158,9 +163,10 @@ class ConstantEstimator(EstimatorModel):
         self._check_rows(rows)
         return np.tile(self.value, (len(rows), 1))
 
-    def eval_box(self, box: IntervalBox) -> IntervalBox:
-        self._check_box(box)
-        return IntervalBox.point(self.value)
+    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
+        for box in boxes:
+            self._check_box(box)
+        return [IntervalBox.point(self.value) for _ in boxes]
 
 
 # Direction components of (x - a)/||x - a|| lie in [-1, 1]; the clamp below
@@ -256,28 +262,29 @@ class GradientDescentEstimator(EstimatorModel):
                 x1 = x1 - step * gy
         return np.stack((x0, x1), axis=1)
 
-    def eval_box(self, box: IntervalBox) -> IntervalBox:
-        self._check_box(box)
-        x0 = Interval.point(self.init[0])
-        x1 = Interval.point(self.init[1])
+    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
         step = self.step
         zero = Interval.point(0.0)
-        for _ in range(self.iterations):
-            gx = zero
-            gy = zero
-            for (ax_iv, ay_iv), y_iv in zip(
-                self.observation._landmark_ivs, box
-            ):
-                dx = isub(x0, ax_iv)
-                dy = isub(x1, ay_iv)
-                d = isqrt(iadd(isqr(dx), isqr(dy)))
-                r = isub(d, y_iv)
-                ux = _unit_direction(dx, d)
-                uy = _unit_direction(dy, d)
-                t = _mul_scalar(2.0, r)
-                gx = iadd(gx, imul(t, ux))
-                gy = iadd(gy, imul(t, uy))
-            x0 = isub(x0, _mul_scalar(step, gx))
-            x1 = isub(x1, _mul_scalar(step, gy))
-        return IntervalBox([x0, x1])
-
+        landmarks = self.observation._landmark_ivs
+        out = []
+        for box in boxes:
+            self._check_box(box)
+            x0 = Interval.point(self.init[0])
+            x1 = Interval.point(self.init[1])
+            for _ in range(self.iterations):
+                gx = zero
+                gy = zero
+                for (ax_iv, ay_iv), y_iv in zip(landmarks, box):
+                    dx = isub(x0, ax_iv)
+                    dy = isub(x1, ay_iv)
+                    d = isqrt(iadd(isqr(dx), isqr(dy)))
+                    r = isub(d, y_iv)
+                    ux = _unit_direction(dx, d)
+                    uy = _unit_direction(dy, d)
+                    t = _mul_scalar(2.0, r)
+                    gx = iadd(gx, imul(t, ux))
+                    gy = iadd(gy, imul(t, uy))
+                x0 = isub(x0, _mul_scalar(step, gx))
+                x1 = isub(x1, _mul_scalar(step, gy))
+            out.append(IntervalBox([x0, x1]))
+        return out

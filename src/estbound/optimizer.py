@@ -3,21 +3,20 @@
 The search keeps a cover of the initial box ordered by the lower bound of
 each box's objective enclosure. Each iteration takes the front box (the one
 with the smallest lower bound), splits it along its widest splittable
-dimension, re-evaluates the halves and puts them in its place. The
-objective is batched: it takes a sequence of boxes and returns one
-enclosure per box, in order, so both halves of a split go to it in one
-call and a vectorised objective can evaluate them together. The front
+dimension, re-evaluates the halves and puts them in its place. The front
 enclosure always brackets the global minimum, so the loop may stop at any
 iteration with a sound result; it stops normally once the front enclosure
 is narrower than the configured tolerance.
 
-With a lookahead of k > 1, a split whose halves are not yet evaluated also
-bisects the next k - 1 boxes in cover order and hands all the halves to the
-objective in one call; each speculated pair waits in a side table until its
-box reaches the front. Each enclosure depends only on its own box, and the
-splits, insertion order and tie-breaking are those of k = 1, so every
-result is the same for any k; only the number of objective calls and of
-evaluated boxes changes.
+The objective is batched: it takes a sequence of boxes and returns one
+enclosure per box, in order. A split whose halves are not yet evaluated
+also bisects the next LOOKAHEAD - 1 boxes in cover order and hands all the
+halves to the objective in one call, so a vectorised objective evaluates
+them together; each speculated pair waits in a side table until its box
+reaches the front. Each enclosure depends only on its own box, and the
+splits, insertion order and tie-breaking are those of one split per call,
+so every result is the same for any LOOKAHEAD; only the number of
+objective calls and of evaluated boxes changes.
 
 No box is ever discarded: without an upper-bound pruning rule the cover
 only grows, and memory is bounded by the iteration cap.
@@ -50,9 +49,9 @@ __all__ = [
 
 BoxObjective = Callable[[Sequence[IntervalBox]], Sequence[Interval]]
 
-# Front boxes split per objective call for an objective that evaluates a
-# batch faster per box than a pair (a vectorised network pass): 8 boxes,
-# 16 halves, per call.
+# Front boxes split per objective call: 8 boxes, 16 halves, per call, which
+# a vectorised objective (the network's box pass) evaluates faster per box
+# than a pair.
 LOOKAHEAD = 8
 
 
@@ -138,14 +137,15 @@ class MsConfig:
     max_iterations: split budget; hitting it is not an error, the result is
         still a sound (possibly wide) bracket.
     split_dims: box dimensions the search may bisect.
-    lookahead: front boxes whose splits go to the objective in one call (see
-        the module docstring); it changes no result, only the call count.
+
+    How many splits go to the objective per call is not configured here: it
+    is the module's LOOKAHEAD, and it changes no result, only the call
+    count.
     """
 
     delta: float
     split_dims: tuple[int, ...]
     max_iterations: int = 1_000_000
-    lookahead: int = 1
 
     def __post_init__(self) -> None:
         if not self.delta > 0.0:
@@ -154,8 +154,6 @@ class MsConfig:
             raise ValueError("split_dims must not be empty")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.lookahead < 1:
-            raise ValueError("lookahead must be >= 1")
         object.__setattr__(self, "split_dims", tuple(self.split_dims))
 
 
@@ -280,8 +278,8 @@ def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResu
     f must be a sound, isotone inclusion function of the objective being
     minimized, batched: f(boxes) takes a sequence of boxes and returns a
     sequence holding one enclosure per box, in the same order. It is called
-    with the initial box alone, then with the halves of up to
-    cfg.lookahead front boxes per call.
+    with the initial box alone, then with the halves of up to LOOKAHEAD
+    front boxes per call.
 
     The returned enclosure contains the exact global minimum at any
     iteration count; `converged` reports whether the width criterion was
@@ -327,11 +325,10 @@ def _search(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResult:
     cover = Cover()
     cover.insert(_evaluate(f, (b_init,))[0])
     iterations = 0
-    lookahead = cfg.lookahead
     # The evaluated halves of cover entries split ahead of their turn, and
-    # the boxes handed to f after the initial box when splitting ahead.
+    # the boxes handed to f.
     ahead: dict[CoverEntry, list[CoverEntry]] = {}
-    evaluated_ahead = 0
+    evaluated = 1
 
     while True:
         front = cover.peek()
@@ -341,23 +338,19 @@ def _search(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResult:
         if iterations >= cfg.max_iterations:
             converged = False
             break
-        try:
-            dim = select_split_dim(front.box, cfg.split_dims)
-        except CannotSplitError:
-            converged = False
-            break
-        if lookahead == 1:
-            left, right = _evaluate(f, front.box.bisect(dim))
-        else:
-            pair = ahead.pop(front, None)
-            if pair is None:
-                # No more splits than the iteration cap leaves are made ahead.
-                count = min(lookahead, cfg.max_iterations - iterations)
-                pair, n = _split_ahead(
-                    f, cover, front.box.bisect(dim), cfg, count, ahead
-                )
-                evaluated_ahead += n
-            left, right = pair
+        # A box split ahead was splittable then, and splits the same way now.
+        pair = ahead.pop(front, None)
+        if pair is None:
+            try:
+                dim = select_split_dim(front.box, cfg.split_dims)
+            except CannotSplitError:
+                converged = False
+                break
+            # No more splits than the iteration cap leaves are made ahead.
+            count = min(LOOKAHEAD, cfg.max_iterations - iterations)
+            pair, n = _split_ahead(f, cover, front.box.bisect(dim), cfg, count, ahead)
+            evaluated += n
+        left, right = pair
         cover.replace_front(left)
         cover.insert(right)
         iterations += 1
@@ -369,6 +362,6 @@ def _search(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResult:
         iterations=iterations,
         final_cover_size=len(cover),
         converged=converged,
-        evaluated=1 + (2 * iterations if lookahead == 1 else evaluated_ahead),
+        evaluated=evaluated,
         cover=cover,
     )

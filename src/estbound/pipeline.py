@@ -32,7 +32,7 @@ from .models import (
     IdentityObservation,
     TrilaterationModel,
 )
-from .optimizer import LOOKAHEAD, CoverEntry, MsConfig, MsResult, moore_skelboe
+from .optimizer import CoverEntry, MsConfig, MsResult, moore_skelboe
 from .oracle import OracleConfig, OracleResult, certify, sample_max_error
 
 __all__ = [
@@ -196,6 +196,8 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"scenario file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ValueError(f"cannot read scenario file {path}: {exc}") from exc
     return Scenario.from_dict(doc, base_dir=path.parent)
 
 
@@ -252,9 +254,6 @@ def run_validate(scenario: Scenario) -> ValidationReport:
     oracle_result = None
     if scenario.oracle is not None:
         oracle_result = sample_max_error(objective, scenario.oracle)
-    # Splitting ahead pays only where a batch of boxes costs less per box
-    # than a pair: where the estimator has its own eval_boxes kernel.
-    batched = type(objective.estimator).eval_boxes is not EstimatorModel.eval_boxes
     result = moore_skelboe(
         objective.objective_box,
         objective.initial_box(),
@@ -262,7 +261,6 @@ def run_validate(scenario: Scenario) -> ValidationReport:
             delta=scenario.delta,
             split_dims=objective.split_dims(),
             max_iterations=scenario.max_iterations,
-            lookahead=LOOKAHEAD if batched else 1,
         ),
     )
     n = objective.n_params

@@ -145,6 +145,24 @@ class TestObjectiveBox:
             ]
         assert obj.objective_box([]) == []
 
+    @pytest.mark.parametrize("name", ["constant", "trilat_mlp", "trilat_gd"])
+    def test_batch_is_one_call_per_model(self, scenario_dir, monkeypatch, name):
+        # The observation's and the estimator's eval_boxes each see the whole
+        # batch at once.
+        obj = load_scenario(scenario_dir / f"{name}.scn").build_objective()
+        calls = []
+        for role in ("observation", "estimator"):
+            model = getattr(obj, role)
+
+            def spy(boxes, role=role, evaluate=model.eval_boxes):
+                calls.append((role, len(boxes)))
+                return evaluate(boxes)
+
+            monkeypatch.setattr(model, "eval_boxes", spy)
+        left, right = obj.initial_box().bisect(0)
+        obj.objective_box([left, *right.bisect(1)])
+        assert calls == [("observation", 3), ("estimator", 3)]
+
     def test_wrong_dim(self):
         obj = identity_objective()
         with pytest.raises(ValueError, match="search box"):

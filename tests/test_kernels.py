@@ -3,9 +3,10 @@
 The trilateration distances, the descent's and the network's point passes,
 the network's box pass and the batched error evaluation must give the same
 floats, bit for bit, as the scalar loops below, which perform the same IEEE
-operations in the same order one value at a time. The box passes of the
-trilateration model, the descent and the network must also contain the
-exact value, checked against mpmath.
+operations in the same order one value at a time. Every model's eval_boxes
+must give each box of a batch the bounds of a one-box reference. The box
+passes of the trilateration model, the descent and the network must also
+contain the exact value, checked against mpmath.
 """
 
 import math
@@ -16,12 +17,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from estbound.interval import Interval, IntervalBox, _mul_scalar, iadd
+from estbound.interval import (
+    Interval,
+    IntervalBox,
+    _mul_scalar,
+    iadd,
+    imul,
+    isqr,
+    isqrt,
+    isub,
+)
 from estbound.mlp import MlpLayer, MlpModel, _round_up, load_mlp
 from estbound.models import (
+    ConstantEstimator,
     GradientDescentEstimator,
+    IdentityEstimator,
     IdentityObservation,
     TrilaterationModel,
+    _unit_direction,
 )
 from estbound.pipeline import load_scenario
 from test_interval import irelu
@@ -96,6 +109,34 @@ def reference_eval_box(model, box):
             out.append(acc)
         values = out
     return IntervalBox(values)
+
+
+def reference_distances_box(model, box):
+    """Scalar trilateration box pass: per landmark, the distance enclosure."""
+    out = []
+    for ax, ay in model.landmarks:
+        dx = isub(Interval.point(ax), box[0])
+        dy = isub(Interval.point(ay), box[1])
+        out.append(isqrt(iadd(isqr(dx), isqr(dy))))
+    return IntervalBox(out)
+
+
+def reference_descent_box(est, box):
+    """Scalar descent box pass: the steps of reference_descent_point in
+    interval arithmetic, each direction enclosed by _unit_direction."""
+    x0, x1 = Interval.point(est.init[0]), Interval.point(est.init[1])
+    for _ in range(est.iterations):
+        gx = gy = Interval.point(0.0)
+        for (ax, ay), y in zip(est.observation.landmarks, box):
+            dx = isub(x0, Interval.point(ax))
+            dy = isub(x1, Interval.point(ay))
+            d = isqrt(iadd(isqr(dx), isqr(dy)))
+            t = _mul_scalar(2.0, isub(d, y))
+            gx = iadd(gx, imul(t, _unit_direction(dx, d)))
+            gy = iadd(gy, imul(t, _unit_direction(dy, d)))
+        x0 = isub(x0, _mul_scalar(est.step, gx))
+        x1 = isub(x1, _mul_scalar(est.step, gy))
+    return IntervalBox([x0, x1])
 
 
 def reference_error(obj, x, e, estimate):
@@ -191,18 +232,21 @@ def check_points(model, rows, reference=reference_eval_point):
         assert bits(model.eval_point(row)) == want
 
 
+def check_boxes(model, boxes, reference=reference_eval_box):
+    expected = [box_bits(reference(model, box)) for box in boxes]
+    for box, want in zip(boxes, expected):
+        assert box_bits(model.eval_box(box)) == want
+    # Batches of 1, 2 and 3 boxes: each box's result must not depend on the
+    # boxes evaluated next to it.
+    for size in (1, 2, 3):
+        for start in range(0, len(boxes), size):
+            batch = boxes[start : start + size]
+            out = model.eval_boxes(batch)
+            assert [box_bits(b) for b in out] == expected[start : start + size]
+    assert model.eval_boxes([]) == []
+
+
 class TestNetworkBitIdentity:
-    def check_boxes(self, model, boxes):
-        expected = [box_bits(reference_eval_box(model, box)) for box in boxes]
-        for box, want in zip(boxes, expected):
-            assert box_bits(model.eval_box(box)) == want
-        # Batches of 1, 2 and 3 boxes: each box's result must not depend on
-        # the boxes evaluated next to it.
-        for size in (1, 2, 3):
-            for start in range(0, len(boxes), size):
-                batch = boxes[start : start + size]
-                out = model.eval_boxes(batch)
-                assert [box_bits(b) for b in out] == expected[start : start + size]
 
     def test_random_inputs(self, net):
         rng = random.Random(3)
@@ -211,7 +255,7 @@ class TestNetworkBitIdentity:
         boxes = []
         for row in rows[:100]:
             boxes += sample_boxes(rng, row, 1)
-        self.check_boxes(net, boxes)
+        check_boxes(net, boxes)
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_relu_boundary(self, net, index):
@@ -219,7 +263,7 @@ class TestNetworkBitIdentity:
         model = boundary_model(net, y, index)
         check_points(model, [y, [v + 1e-9 for v in y], [v - 1e-9 for v in y]])
         rng = random.Random(11 + index)
-        self.check_boxes(model, [IntervalBox.point(y)] + sample_boxes(rng, y, 30))
+        check_boxes(model, [IntervalBox.point(y)] + sample_boxes(rng, y, 30))
 
     def test_signed_zeros_and_zero_weights(self, net):
         rng = random.Random(5)
@@ -237,7 +281,7 @@ class TestNetworkBitIdentity:
         for model in (net, zeroed_model(net)):
             more = [[rng.uniform(-5, 5) for _ in range(3)] for _ in range(20)]
             check_points(model, rows + more)
-            self.check_boxes(model, boxes + sample_boxes(rng, (1.0, -2.0, 3.0), 20))
+            check_boxes(model, boxes + sample_boxes(rng, (1.0, -2.0, 3.0), 20))
 
     def test_empty_batches(self, net):
         assert net.eval_boxes([]) == []
@@ -254,7 +298,7 @@ class TestNetworkBitIdentity:
                 for i, v in enumerate(y)
             ]
             boxes += [IntervalBox.from_bounds(bounds), IntervalBox.point(y)]
-        self.check_boxes(net, boxes)
+        check_boxes(net, boxes)
 
     def test_negative_weight_on_zero_bound(self):
         # An upper bound takes a negative weight times a lower bound of 0.0,
@@ -269,8 +313,8 @@ class TestNetworkBitIdentity:
             IntervalBox.from_bounds([(0.0, 1.0), (-0.0, 0.0)]),
             IntervalBox.from_bounds([(0.0, 0.0), (0.0, 4.0)]),
         ]
-        self.check_boxes(model, boxes)
-        self.check_boxes(first, boxes)
+        check_boxes(model, boxes)
+        check_boxes(first, boxes)
         # Both terms of the first neuron are zeros stepped to 5e-324; their
         # sum and the bias add each step once more.
         assert first.eval_box(boxes[0])[0].ub == 4 * 5e-324
@@ -375,6 +419,45 @@ class TestDescentBitIdentity:
     def test_row_width_checked(self, est):
         with pytest.raises(ValueError, match="dim 2"):
             est.eval_points(np.zeros((4, 2)))
+
+
+class TestModelBoxBatches:
+    """The other models' eval_boxes against their one-box references."""
+
+    def test_trilateration(self, scenario_dir):
+        obj = load_scenario(scenario_dir / "trilat_gd.scn").build_objective()
+        tri = obj.observation
+        rng = random.Random(23)
+        centers = [(rng.uniform(-20, 30), rng.uniform(-20, 30)) for _ in range(10)]
+        boxes = [b for c in centers for b in sample_boxes(rng, c, 2)]
+        # Boxes holding a landmark, where a distance's lower bound is 0.
+        for ax, ay in tri.landmarks:
+            boxes.append(IntervalBox.from_bounds([(ax - 1, ax + 2), (ay, ay + 1)]))
+        check_boxes(tri, boxes, reference_distances_box)
+
+    @pytest.mark.parametrize("init", ["scenario", "on_landmark"])
+    def test_descent(self, scenario_dir, init):
+        est = load_scenario(scenario_dir / "trilat_gd.scn").build_objective().estimator
+        if init == "on_landmark":
+            est = GradientDescentEstimator(
+                est.observation, est.iterations, est.step, est.observation.landmarks[1]
+            )
+        rng = random.Random(31)
+        boxes = []
+        for _ in range(7):
+            x = (rng.uniform(5, 25), rng.uniform(5, 25))
+            boxes += sample_boxes(rng, est.observation.eval_point(x), 1)
+        check_boxes(est, boxes, reference_descent_box)
+
+    def test_identity_and_constant(self):
+        rng = random.Random(29)
+        boxes = sample_boxes(rng, (1.0, -2.0, 3.0), 6) + [
+            IntervalBox.from_bounds([(-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)])
+        ]
+        for model in (IdentityObservation(3), IdentityEstimator(3)):
+            check_boxes(model, boxes, lambda model, box: box)
+        constant = ConstantEstimator((15.0, -0.0), n_obs=3)
+        check_boxes(constant, boxes, lambda model, box: IntervalBox.point(model.value))
 
 
 class TestErrorPointChunks:

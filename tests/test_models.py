@@ -43,15 +43,18 @@ class AffineObservation(ObservationModel):
             out.append(acc)
         return np.stack(out, axis=1)
 
-    def eval_box(self, box):
-        self._check_box(box)
+    def eval_boxes(self, boxes):
         out = []
-        for row, bi in zip(self.a, self.b):
-            acc = Interval.point(bi)
-            for aij, xj in zip(row, box):
-                acc = iadd(acc, imul(Interval.point(aij), xj))
-            out.append(acc)
-        return IntervalBox(out)
+        for box in boxes:
+            self._check_box(box)
+            comps = []
+            for row, bi in zip(self.a, self.b):
+                acc = Interval.point(bi)
+                for aij, xj in zip(row, box):
+                    acc = iadd(acc, imul(Interval.point(aij), xj))
+                comps.append(acc)
+            out.append(IntervalBox(comps))
+        return out
 
 
 @pytest.fixture

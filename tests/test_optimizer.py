@@ -8,6 +8,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from estbound import optimizer
 from estbound.interval import Interval, IntervalBox, iadd, imul, isqr, isub
 from estbound.optimizer import (
     CannotSplitError,
@@ -442,7 +443,7 @@ def rightmost_lowest(box):
     return Interval(-box[0].ub, 2.0 - box[0].lb)
 
 
-# (objective, initial box, config without lookahead), covering each stop
+# (objective, initial box, search config), covering each stop
 # rule: width, iteration cap (0, 1 and more) and unsplittable front.
 LOOKAHEAD_CASES = {
     "fifo_ties": (
@@ -491,13 +492,14 @@ LOOKAHEAD_CASES = {
 class TestLookahead:
     @pytest.mark.parametrize("case", sorted(LOOKAHEAD_CASES))
     @pytest.mark.parametrize("lookahead", [1, 2, 8])
-    def test_same_result_as_the_plain_loop(self, case, lookahead):
+    def test_same_result_as_the_plain_loop(self, monkeypatch, case, lookahead):
         f, b_init, kwargs = LOOKAHEAD_CASES[case]
         enclosure, witness, iterations, converged, cover = reference_search(
             f, b_init, MsConfig(**kwargs)
         )
+        monkeypatch.setattr(optimizer, "LOOKAHEAD", lookahead)
         batched, batches = recording(f)
-        res = moore_skelboe(batched, b_init, MsConfig(**kwargs, lookahead=lookahead))
+        res = moore_skelboe(batched, b_init, MsConfig(**kwargs))
         assert res.enclosure == enclosure
         assert res.witness == witness
         assert res.iterations == iterations
@@ -535,10 +537,11 @@ class TestLookahead:
         }
 
     @pytest.mark.parametrize("case", sorted(LOOKAHEAD_CASES))
-    def test_each_box_is_evaluated_at_most_once(self, case):
+    def test_each_box_is_evaluated_at_most_once(self, monkeypatch, case):
         f, b_init, kwargs = LOOKAHEAD_CASES[case]
+        monkeypatch.setattr(optimizer, "LOOKAHEAD", 8)
         batched, batches = recording(f)
-        res = moore_skelboe(batched, b_init, MsConfig(**kwargs, lookahead=8))
+        res = moore_skelboe(batched, b_init, MsConfig(**kwargs))
         seen = [id(box) for batch in batches for box in batch]
         assert len(seen) == len(set(seen)) == res.evaluated
         # Not split twice either: no box has the bounds of another.
@@ -546,27 +549,25 @@ class TestLookahead:
         bounds = [tuple((c.lb, c.ub) for c in box) for box in boxes]
         assert len(bounds) == len(set(bounds))
 
-    def test_splits_ahead_in_batches(self):
+    def test_splits_ahead_in_batches(self, monkeypatch):
         # Breadth-first ties: every box after the front is due in order, so
         # every speculated pair is used and the calls shrink over fourfold.
         f, b_init, kwargs = LOOKAHEAD_CASES["fifo_ties"]
+        monkeypatch.setattr(optimizer, "LOOKAHEAD", 8)
         batched, batches = recording(f)
-        res = moore_skelboe(batched, b_init, MsConfig(**kwargs, lookahead=8))
+        res = moore_skelboe(batched, b_init, MsConfig(**kwargs))
         assert res.evaluated == 1 + 2 * res.iterations
         assert len(batches) < 1 + res.iterations // 4
 
-    def test_no_split_ahead_past_the_cap(self):
+    def test_no_split_ahead_past_the_cap(self, monkeypatch):
         f, b_init, kwargs = LOOKAHEAD_CASES["fifo_ties"]
+        monkeypatch.setattr(optimizer, "LOOKAHEAD", 8)
         for cap in range(0, 12):
             batched, batches = recording(f)
-            cfg = MsConfig(**dict(kwargs, max_iterations=cap), lookahead=8)
+            cfg = MsConfig(**dict(kwargs, max_iterations=cap))
             res = moore_skelboe(batched, b_init, cfg)
             assert res.iterations == cap
             assert res.evaluated == 1 + 2 * cap
-
-    def test_lookahead_must_be_positive(self):
-        with pytest.raises(ValueError, match="lookahead"):
-            MsConfig(delta=1.0, split_dims=(0,), lookahead=0)
 
 
 def identity_enclosure(box):
@@ -601,14 +602,15 @@ class TestSpeculativeFailures:
 
     @pytest.mark.parametrize("fail", [nan_enclosure, raise_value_error])
     @pytest.mark.parametrize("lookahead", [2, 8])
-    def test_failure_ahead_of_time_does_not_abort(self, fail, lookahead):
+    def test_failure_ahead_of_time_does_not_abort(self, monkeypatch, fail, lookahead):
         # The lowest box is always the leftmost one: [4, 8] never reaches
         # the front, and the run stops on the width of [0, delta].
         b_init = IntervalBox.from_bounds([(0, 8)])
-        kwargs = dict(delta=1e-2, split_dims=(0,))
-        expected = reference_search(identity_enclosure, b_init, MsConfig(**kwargs))
+        cfg = MsConfig(delta=1e-2, split_dims=(0,))
+        expected = reference_search(identity_enclosure, b_init, cfg)
+        monkeypatch.setattr(optimizer, "LOOKAHEAD", lookahead)
         f, calls = self.failing_on_right(fail, identity_enclosure)
-        res = moore_skelboe(f, b_init, MsConfig(**kwargs, lookahead=lookahead))
+        res = moore_skelboe(f, b_init, cfg)
         assert expected[3] and res.converged
         assert res.enclosure == expected[0] and res.witness == expected[1]
         assert res.iterations == expected[2]
@@ -621,26 +623,31 @@ class TestSpeculativeFailures:
         "fail, error", [(nan_enclosure, ObjectiveError), (raise_value_error, ValueError)]
     )
     @pytest.mark.parametrize("lookahead", [2, 8])
-    def test_failure_when_due_raises_the_plain_error(self, fail, error, lookahead):
+    def test_failure_when_due_raises_the_plain_error(
+        self, monkeypatch, fail, error, lookahead
+    ):
         # Equal enclosures split breadth first: [4, 8] is due at the third
         # split, after a failed attempt to split it ahead at the second.
         b_init = IntervalBox.from_bounds([(0, 8)])
-        kwargs = dict(delta=1e-2, split_dims=(0,))
+        cfg = MsConfig(delta=1e-2, split_dims=(0,))
         tie = lambda box: Interval(0.0, 1.0)  # noqa: E731
+        monkeypatch.setattr(optimizer, "LOOKAHEAD", 1)
         plain, plain_calls = self.failing_on_right(fail, tie)
         with pytest.raises(error) as expected:
-            moore_skelboe(plain, b_init, MsConfig(**kwargs))
+            moore_skelboe(plain, b_init, cfg)
+        monkeypatch.setattr(optimizer, "LOOKAHEAD", lookahead)
         f, calls = self.failing_on_right(fail, tie)
         with pytest.raises(error) as got:
-            moore_skelboe(f, b_init, MsConfig(**kwargs, lookahead=lookahead))
+            moore_skelboe(f, b_init, cfg)
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
         assert "Box([4.0, 6.0])" in str(got.value)
-        # Plain: the initial box, the splits of [0, 8] and [0, 4], then
-        # [4, 8]'s failing pair. Ahead: the initial box and [0, 8]'s pair
-        # (nothing follows it yet), [0, 4]'s batch with [4, 8]'s halves
-        # retried as [0, 4]'s pair alone, then [4, 8]'s batch with the
-        # halves of the up to two boxes behind it, retried alone.
+        # Plain, one split per call: the initial box, the splits of [0, 8]
+        # and [0, 4], then [4, 8]'s failing pair. Ahead: the initial box
+        # and [0, 8]'s pair (nothing follows it yet), [0, 4]'s batch with
+        # [4, 8]'s halves retried as [0, 4]'s pair alone, then [4, 8]'s
+        # batch with the halves of the up to two boxes behind it, retried
+        # alone.
         assert plain_calls == [1, 2, 2, 2]
         assert calls == [1, 2, 4, 2, 2 * min(lookahead, 3), 2]
 
@@ -671,10 +678,11 @@ class TestCollectorPause:
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("lookahead", [1, 8])
-    def test_state_restored_on_return(self, collector, enabled, lookahead):
+    def test_state_restored_on_return(self, monkeypatch, collector, enabled, lookahead):
+        monkeypatch.setattr(optimizer, "LOOKAHEAD", lookahead)
         (gc.enable if enabled else gc.disable)()
         f, states = self.objective()
-        cfg = MsConfig(delta=1e-6, split_dims=(0,), lookahead=lookahead)
+        cfg = MsConfig(delta=1e-6, split_dims=(0,))
         res = moore_skelboe(f, IntervalBox.from_bounds([(-5, 4)]), cfg)
         assert res.converged and len(states) > 10
         assert gc.isenabled() is enabled

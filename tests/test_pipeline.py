@@ -55,9 +55,10 @@ class UnsoundStubEstimator(EstimatorModel):
         self._check_rows(rows)
         return rows + 10.0
 
-    def eval_box(self, box):
-        self._check_box(box)
-        return box
+    def eval_boxes(self, boxes):
+        for box in boxes:
+            self._check_box(box)
+        return list(boxes)
 
 
 class NanStubEstimator(EstimatorModel):
@@ -72,9 +73,10 @@ class NanStubEstimator(EstimatorModel):
         self._check_rows(rows)
         return np.where(rows[:, :1] > 0.5, math.nan, rows)
 
-    def eval_box(self, box):
-        self._check_box(box)
-        return box
+    def eval_boxes(self, boxes):
+        for box in boxes:
+            self._check_box(box)
+        return list(boxes)
 
 
 @pytest.fixture
@@ -249,22 +251,25 @@ class TestRunValidate:
         assert report.oracle_max is None and report.certified is None
 
     @pytest.mark.parametrize(
-        "name, lookahead", [("identity", 1), ("trilat_gd", 1), ("trilat_mlp", LOOKAHEAD)]
+        "name", ["constant", "identity", "trilat_gd", "trilat_mlp"]
     )
-    def test_splits_ahead_only_for_a_batched_estimator(
-        self, scenario_dir, monkeypatch, name, lookahead
-    ):
-        configs = []
+    def test_splits_ahead_for_every_estimator(self, scenario_dir, monkeypatch, name):
+        sizes = []
 
         def recording(f, b_init, cfg):
-            configs.append(cfg)
-            return moore_skelboe(f, b_init, cfg)
+            def batched(boxes):
+                sizes.append(len(boxes))
+                return f(boxes)
+
+            return moore_skelboe(batched, b_init, cfg)
 
         monkeypatch.setattr(pipeline, "moore_skelboe", recording)
         scenario = load_scenario(scenario_dir / f"{name}.scn")
         scenario = dataclasses.replace(scenario, max_iterations=40, oracle=None)
         report = run_validate(scenario)
-        assert [cfg.lookahead for cfg in configs] == [lookahead]
+        assert sizes[0] == 1 and max(sizes) > 2
+        assert all(size <= 2 * LOOKAHEAD for size in sizes)
+        assert report.search.evaluated == sum(sizes)
         assert report.search.evaluated >= 1 + 2 * report.iterations
         assert "evaluated" not in report.to_dict()
         assert "nan_samples" not in report.to_dict()
@@ -341,6 +346,25 @@ class TestCli:
         code = cli.main(["validate", "--scenario", str(missing)])
         assert code == 1
         assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "oracle"])
+    def test_scenario_is_a_directory_exit_1(self, tmp_path, capsys, command):
+        code = cli.main([command, "--scenario", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
+    @pytest.mark.parametrize("flag", ["--output", "--dump-cover"])
+    def test_output_is_a_directory_exit_1(self, scenario_dir, tmp_path, capsys, flag):
+        scenario = str(scenario_dir / "identity.scn")
+        code = cli.main(
+            ["validate", "--scenario", scenario, "--max-iters", "10", flag, str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
 
     def test_unsound_stub_exit_2(self, tmp_path, capsys, unsound_stub):
         p = write_scenario(tmp_path / "stub.scn", BASE_DOC)

@@ -1,18 +1,23 @@
 """The package root exports exactly the names the README's library example
 imports, plus the two base classes that custom models subclass, so the
 README and the package cannot drift apart. Models spell their point
-evaluator once, as eval_points. The CLI has two subcommands and uses only
-the public names of the modules it imports from."""
+evaluator once, as eval_points, and their box evaluator once, as
+eval_boxes. The CLI has two subcommands and uses only the public names of
+the modules it imports from."""
 
 import argparse
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import estbound
 from estbound import cli
+from estbound.framework import EstimatorModel, ObservationModel
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,23 +41,41 @@ def test_root_exports_are_the_readme_example_and_base_classes():
         getattr(estbound, name)
 
 
-def test_only_the_base_classes_define_eval_point():
-    # eval_point is the bases' one-row wrapper of eval_points, the one
-    # point evaluator each model implements.
-    defining = []
+def package_classes():
+    """Every class defined in a module of the package, by qualified name."""
     for info in pkgutil.iter_modules(estbound.__path__):
         module = importlib.import_module(f"estbound.{info.name}")
         for obj in vars(module).values():
-            if (
-                isinstance(obj, type)
-                and obj.__module__ == module.__name__
-                and "eval_point" in vars(obj)
-            ):
-                defining.append(f"{module.__name__}.{obj.__qualname__}")
-    assert sorted(defining) == [
-        "estbound.framework.EstimatorModel",
-        "estbound.framework.ObservationModel",
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                yield f"{module.__name__}.{obj.__qualname__}", obj
+
+
+BASES = ["estbound.framework.EstimatorModel", "estbound.framework.ObservationModel"]
+
+
+def test_only_the_base_classes_define_eval_point():
+    # eval_point is the bases' one-row wrapper of eval_points, the one
+    # point evaluator each model implements.
+    defining = [name for name, cls in package_classes() if "eval_point" in vars(cls)]
+    assert sorted(defining) == BASES
+
+
+def test_only_the_base_classes_define_eval_box():
+    # eval_box is the bases' one-box wrapper of eval_boxes, the one box
+    # evaluator each model implements.
+    defining = [name for name, cls in package_classes() if "eval_box" in vars(cls)]
+    assert sorted(defining) == BASES
+
+
+def test_every_concrete_model_defines_eval_boxes():
+    models = [
+        (name, cls)
+        for name, cls in package_classes()
+        if issubclass(cls, (ObservationModel, EstimatorModel))
+        and not inspect.isabstract(cls)
     ]
+    assert len(models) == 6
+    assert [name for name, cls in models if "eval_boxes" not in vars(cls)] == []
 
 
 def test_cli_subcommands_are_validate_and_oracle():
