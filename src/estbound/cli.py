@@ -11,10 +11,10 @@ failure, 1 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 from .oracle import OracleConfig, sample_max_error
 from .pipeline import dump_cover, load_scenario, run_validate
@@ -71,19 +71,26 @@ def _nan_failure(result) -> int:
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     scenario = _override(scenario, delta=args.delta, max_iterations=args.max_iters)
-    report = run_validate(scenario)
-    text = report.to_json_text()
-    if args.output:
-        Path(args.output).write_text(text)
-    sys.stdout.write(text)
-
-    if args.dump_cover:
-        dump_cover(
-            report.search.cover.entries(),
-            scenario.param_box.dim,
-            scenario.noise_box.dim,
-            args.dump_cover,
-        )
+    with contextlib.ExitStack() as stack:
+        # Both outputs are opened before the run, so a path that cannot be
+        # written ends the command before the search and the oracle start.
+        output = cover = None
+        if args.output:
+            output = stack.enter_context(open(args.output, "w"))
+        if args.dump_cover:
+            cover = stack.enter_context(open(args.dump_cover, "w", newline=""))
+        report = run_validate(scenario)
+        text = report.to_json_text()
+        if output:
+            output.write(text)
+        sys.stdout.write(text)
+        if cover:
+            dump_cover(
+                report.search.cover.entries(),
+                scenario.param_box.dim,
+                scenario.noise_box.dim,
+                cover,
+            )
 
     if report.oracle and report.oracle.nan_samples:
         return _nan_failure(report.oracle)

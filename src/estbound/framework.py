@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .interval import Interval, IntervalBox, _box, iadd, ineg, isqr, isqrt, isub
+from .interval import Interval, IntervalBox, _box, _make, inorm, isub
 
 __all__ = ["ObservationModel", "EstimatorModel", "ErrorObjective"]
 
@@ -228,15 +228,12 @@ class ErrorObjective:
         out = []
         diffs = self.estimator.error_vector_box(self.observation, boxes)
         for b, diff in zip(boxes, diffs):
-            comps = diff.components
-            acc = isqr(comps[0])
-            for c in comps[1:]:
-                acc = iadd(acc, isqr(c))
-            if acc.ub == math.inf:
+            r = inorm(diff.components)
+            if r.ub == math.inf:
                 raise ValueError(
                     f"the estimation error overflows float range on {b!r}"
                 )
-            out.append(ineg(isqrt(acc)))
+            out.append(_make(-r.ub, -r.lb))
         return out[0] if single else out
 
     def initial_box(self) -> IntervalBox:

@@ -4,8 +4,12 @@ Every arithmetic operation here returns bounds that are stepped outward to
 the next representable float after the native floating-point computation,
 so real-arithmetic containment survives rounding: if x is in `a` and y is
 in `b`, the exact real value of x op y lies inside the returned interval.
-Exceptions that need no widening because they are exact in IEEE arithmetic:
-negation and the square root of an exact zero bound.
+The exception, exact in IEEE arithmetic and so not widened: the square
+root of an exact zero bound.
+
+`inorm` is the Euclidean norm of an interval vector: the same bounds as the
+chain isqrt(iadd(...iadd(isqr(c0), isqr(c1))..., isqr(cn))), computed on
+bare floats with one Interval built at the end.
 
 Intervals and boxes are immutable after construction; all operations are
 pure and safe to call concurrently.
@@ -22,9 +26,9 @@ __all__ = [
     "iadd",
     "isub",
     "imul",
-    "ineg",
     "isqr",
     "isqrt",
+    "inorm",
 ]
 
 _INF = math.inf
@@ -95,11 +99,6 @@ def isub(a: Interval, b: Interval) -> Interval:
     return _make(_down(a.lb - b.ub), _up(a.ub - b.lb))
 
 
-def ineg(a: Interval) -> Interval:
-    """Negation; exact, so no widening."""
-    return _make(-a.ub, -a.lb)
-
-
 def imul(a: Interval, b: Interval) -> Interval:
     """Product via endpoint products, outward-rounded."""
     p0 = a.lb * b.lb
@@ -152,6 +151,52 @@ def isqrt(a: Interval) -> Interval:
             lo = 0.0
     hi = 0.0 if a.ub == 0.0 else _up(math.sqrt(a.ub))
     return _make(lo, hi)
+
+
+def inorm(components: Iterable[Interval]) -> Interval:
+    """Euclidean norm of an interval vector, outward-rounded.
+
+    Bit for bit the chain isqrt(iadd(...iadd(isqr(c0), isqr(c1))...,
+    isqr(cn))), summed left to right, without its intermediate Intervals.
+    A component with NaN or reversed bounds, which only unchecked
+    construction can produce, raises ValueError, as does an empty vector.
+    """
+    nextafter = math.nextafter
+    inf = _INF
+    acc_lo = acc_hi = None
+    for c in components:
+        lb = c.lb
+        ub = c.ub
+        if not lb <= ub:
+            raise ValueError(f"norm of a component with bounds [{lb!r}, {ub!r}]")
+        # isqr: the larger square stepped up; the smaller stepped down and
+        # clamped at 0, or exactly 0 when the component holds 0.
+        s_lb = lb * lb
+        s_ub = ub * ub
+        if s_lb > s_ub:
+            hi = nextafter(s_lb, inf)
+            lo = s_ub
+        else:
+            hi = nextafter(s_ub, inf)
+            lo = s_lb
+        if lb <= 0.0 <= ub:
+            lo = 0.0
+        else:
+            lo = nextafter(lo, -inf)
+            if lo < 0.0:
+                lo = 0.0
+        if acc_hi is None:
+            acc_lo = lo
+            acc_hi = hi
+        else:  # iadd
+            acc_lo = nextafter(acc_lo + lo, -inf)
+            acc_hi = nextafter(acc_hi + hi, inf)
+    if acc_hi is None:
+        raise ValueError("norm of an empty vector")
+    # isqrt. acc_hi > 0, as every upper square is stepped up from >= 0, and
+    # the root of a positive acc_lo rounds down to >= 0.
+    lo = nextafter(math.sqrt(acc_lo), -inf) if acc_lo > 0.0 else 0.0
+    return _make(lo, nextafter(math.sqrt(acc_hi), inf))
 
 
 class IntervalBox:
@@ -221,11 +266,13 @@ class IntervalBox:
             mid = c.lb
         elif mid > c.ub:
             mid = c.ub
-        left = list(self.components)
-        right = list(self.components)
-        left[dim] = _make(c.lb, mid)
-        right[dim] = _make(mid, c.ub)
-        return _box(tuple(left)), _box(tuple(right))
+        # One list for both halves: on 4-component boxes this measured
+        # faster than two list copies or slicing the tuple.
+        comps = list(self.components)
+        comps[dim] = _make(c.lb, mid)
+        left = tuple(comps)
+        comps[dim] = _make(mid, c.ub)
+        return _box(left), _box(tuple(comps))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalBox):

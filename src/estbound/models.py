@@ -18,14 +18,11 @@ from .interval import (
     Interval,
     IntervalBox,
     _box,
-    _down,
     _make,
     _mul_scalar,
-    _up,
     iadd,
     imul,
-    isqr,
-    isqrt,
+    inorm,
     isub,
 )
 
@@ -95,9 +92,7 @@ class TrilaterationModel(ObservationModel):
             x0, x1 = box[0], box[1]
             comps = []
             for ax_iv, ay_iv in self._landmark_ivs:
-                dx = isub(ax_iv, x0)
-                dy = isub(ay_iv, x1)
-                comps.append(isqrt(iadd(isqr(dx), isqr(dy))))
+                comps.append(inorm((isub(ax_iv, x0), isub(ay_iv, x1))))
             out.append(IntervalBox(comps))
         return out
 
@@ -135,13 +130,17 @@ class IdentityEstimator(EstimatorModel):
         # per rounding (|y + e| <= 2S); the 4 ulp(S) pad loses <= ulp(S) to
         # its own rounding, so 3 ulp(S) >= 2 ulp(S) remains.
         n = observation.n_params
+        nextafter = math.nextafter
+        ulp = math.ulp
+        inf = math.inf
         out = []
         for box in boxes:
             comps = box.components
             diff = []
             for x, e in zip(comps, comps[n:]):
-                lo, hi = _down(e.lb), _up(e.ub)  # C = 0 + e, rounded as iadd rounds
-                pad = 4.0 * math.ulp(max(-x.lb, x.ub, -lo, hi, 1.0))
+                # C = 0 + e, rounded as iadd rounds
+                lo, hi = nextafter(e.lb, -inf), nextafter(e.ub, inf)
+                pad = 4.0 * ulp(max(-x.lb, x.ub, -lo, hi, 1.0))
                 diff.append(_make(-(hi + pad), -(lo - pad)))
             out.append(_box(tuple(diff)))
         return out
@@ -277,7 +276,7 @@ class GradientDescentEstimator(EstimatorModel):
                 for (ax_iv, ay_iv), y_iv in zip(landmarks, box):
                     dx = isub(x0, ax_iv)
                     dy = isub(x1, ay_iv)
-                    d = isqrt(iadd(isqr(dx), isqr(dy)))
+                    d = inorm((dx, dy))
                     r = isub(d, y_iv)
                     ux = _unit_direction(dx, d)
                     uy = _unit_direction(dy, d)

@@ -72,7 +72,12 @@ def _grid_points(lows, highs, dim, budget):
     # sized to the remaining budget.
     corners = itertools.product(*[(lo, hi) for lo, hi in zip(lows, highs)])
     yield from corners
-    k = int(budget ** (1.0 / dim)) if budget >= 1 else 0
+    # k is the largest integer with k ** dim <= budget. The float root is
+    # off by rounding only (4096 ** (1 / 6) is 3.9999999999999996), so
+    # rounding it gives that k or one more.
+    k = round(budget ** (1.0 / dim))
+    while k ** dim > budget:
+        k -= 1
     if k >= 2:
         axes = [np.linspace(lo, hi, k) for lo, hi in zip(lows, highs)]
         yield from itertools.product(*axes)

@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .framework import ErrorObjective, EstimatorModel, ObservationModel
 from .interval import IntervalBox
@@ -293,27 +293,27 @@ def dump_cover(
     entries: Iterable[CoverEntry],
     n_params: int,
     n_noise: int,
-    path: str | Path,
+    out: TextIO,
 ) -> None:
-    """Write the final cover as CSV: per-dimension box bounds, then the
-    objective enclosure bounds. One row per cover entry."""
+    """Write the final cover as CSV to a text file opened with newline="":
+    per-dimension box bounds, then the objective enclosure bounds. One row
+    per cover entry."""
     header = []
     for i in range(n_params):
         header += [f"x{i}_lb", f"x{i}_ub"]
     for j in range(n_noise):
         header += [f"e{j}_lb", f"e{j}_ub"]
     header += ["f_lb", "f_ub"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for entry in entries:
-            row: list[float] = []
-            for c in entry.box:
-                row += [c.lb, c.ub]
-            row += [entry.enclosure.lb, entry.enclosure.ub]
-            if len(row) != len(header):
-                raise ValueError(
-                    f"cover entry has {entry.box.dim} dims, header expects "
-                    f"{n_params} + {n_noise}"
-                )
-            writer.writerow([repr(v) for v in row])
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for entry in entries:
+        row: list[float] = []
+        for c in entry.box:
+            row += [c.lb, c.ub]
+        row += [entry.enclosure.lb, entry.enclosure.ub]
+        if len(row) != len(header):
+            raise ValueError(
+                f"cover entry has {entry.box.dim} dims, header expects "
+                f"{n_params} + {n_noise}"
+            )
+        writer.writerow([repr(v) for v in row])

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from estbound.framework import ErrorObjective
-from estbound.interval import Interval, IntervalBox, ineg
+from estbound.framework import ErrorObjective, EstimatorModel
+from estbound.interval import Interval, IntervalBox, _box, _make
 from estbound.models import (
     ConstantEstimator,
     IdentityEstimator,
@@ -12,7 +12,7 @@ from estbound.models import (
     TrilaterationModel,
 )
 from estbound.pipeline import load_scenario
-from test_interval import encloses
+from test_interval import encloses, ineg
 
 LANDMARKS = [(10.0, -9.0), (5.0, 12.0), (-15.0, 0.0)]
 
@@ -180,6 +180,30 @@ class TestObjectiveBox:
             IntervalBox.from_bounds([(0, 1)] * 2),
         )
         with pytest.raises(ValueError, match="overflows"):
+            obj.objective_box(obj.initial_box())
+
+    def test_nan_estimate_rejected(self):
+        # A NaN bound from a custom box pass must not come out of the norm
+        # as a valid-looking enclosure.
+        class NanLowerBoundEstimator(EstimatorModel):
+            n_obs = n_params = 2
+
+            def eval_points(self, rows):
+                return rows.copy()
+
+            def eval_boxes(self, boxes):
+                return [
+                    _box((_make(math.nan, box[0].ub),) + box.components[1:])
+                    for box in boxes
+                ]
+
+        obj = ErrorObjective(
+            IdentityObservation(2),
+            NanLowerBoundEstimator(),
+            IntervalBox.from_bounds([(0, 1)] * 2),
+            IntervalBox.from_bounds([(-0.1, 0.1)] * 2),
+        )
+        with pytest.raises(ValueError, match="nan"):
             obj.objective_box(obj.initial_box())
 
     def test_split_dims_are_parameter_indices(self):

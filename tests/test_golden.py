@@ -38,6 +38,14 @@ def test_identity_scenario_at_20k_iterations(scenario_dir):
     ]
 
 
+def test_trilat_gd_scenario(trilat_gd_run):
+    report = trilat_gd_run
+    assert repr(report.eps_low) == "1.518376834710833"
+    assert repr(report.eps_high) == "15.220053561620821"
+    assert (report.iterations, report.cover_size) == (2000, 2001)
+    assert _pairs(report.witness_param_box) == [[6.875, 7.1875], [22.5, 22.8125]]
+
+
 def test_trilat_mlp_scenario(trilat_mlp_run):
     report = trilat_mlp_run
     assert repr(report.eps_low) == "3.775279473562722"

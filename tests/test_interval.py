@@ -2,15 +2,16 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from estbound.interval import (
     Interval,
     IntervalBox,
+    _make,
     iadd,
     imul,
-    ineg,
+    inorm,
     isqr,
     isqrt,
     isub,
@@ -21,6 +22,12 @@ def irelu(a):
     """Exact image of a under max(0, x); relu is monotone, so no widening.
     The scalar reference of the network's box pass takes relu this way."""
     return Interval(a.lb if a.lb > 0.0 else 0.0, a.ub if a.ub > 0.0 else 0.0)
+
+
+def ineg(a):
+    """Negation; exact, so no widening. The error objective negates the
+    norm this way."""
+    return Interval(-a.ub, -a.lb)
 
 
 def hull(a, b):
@@ -260,3 +267,84 @@ def test_bisect_halves_rebuild_original(bounds, dim):
     for i in range(box.dim):
         if i != dim:
             assert left[i] is box[i] and right[i] is box[i]
+
+
+def norm_chain(components):
+    """The reference the norm is pinned to: squares summed left to right,
+    then the root, one Interval per step."""
+    acc = isqr(components[0])
+    for c in components[1:]:
+        acc = iadd(acc, isqr(c))
+    return isqrt(acc)
+
+
+# Signed zeros, subnormals, squares at the underflow and overflow
+# thresholds and infinities, beside arbitrary floats.
+edge_bound = st.sampled_from(
+    [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        2.2250738585072014e-308,
+        -1e-310,
+        1e-160,
+        -1.5e-154,
+        1.3407807929942596e154,
+        -1.4e154,
+        1e300,
+        -1.7976931348623157e308,
+        math.inf,
+        -math.inf,
+    ]
+)
+any_bound = st.one_of(st.floats(allow_nan=False), edge_bound)
+norm_component = st.one_of(
+    st.tuples(any_bound, any_bound).map(lambda t: Interval(min(t), max(t))),
+    any_bound.map(Interval.point),  # degenerate
+)
+
+
+@given(st.lists(norm_component, min_size=1, max_size=5))
+@example([Interval(-2.0, 3.0)])
+@example([Interval(-0.0, 0.0), Interval(-1.0, -0.5)])
+@example([Interval(-1e200, 1e-320), Interval(0.0, 5e-324)])
+@example([Interval(1e200, 1e201), Interval(-1e201, -1e200), Interval(3.0, 3.0)])
+@settings(max_examples=500)
+def test_norm_equals_the_chain_bit_for_bit(components):
+    out = inorm(components)
+    ref = norm_chain(components)
+    assert (out.lb.hex(), out.ub.hex()) == (ref.lb.hex(), ref.ub.hex())
+
+
+@given(
+    st.lists(iv_strategy(), min_size=1, max_size=5),
+    st.lists(st.floats(0, 1), min_size=5, max_size=5),
+)
+@settings(max_examples=200)
+def test_norm_contains_the_exact_norm(components, us):
+    mpmath = pytest.importorskip("mpmath")
+    out = inorm(components)
+    corners = [[c.lb, c.ub] for c in components]
+    points = [[point_in(c, u) for c, u in zip(components, us)]]
+    for mask in range(2 ** len(components)):
+        points.append([pair[(mask >> i) & 1] for i, pair in enumerate(corners)])
+    with mpmath.workdps(60):
+        for point in points:
+            exact = mpmath.sqrt(mpmath.fsum(mpmath.mpf(v) ** 2 for v in point))
+            assert mpmath.mpf(out.lb) <= exact <= mpmath.mpf(out.ub)
+
+
+@pytest.mark.parametrize(
+    "lb, ub", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan), (2.0, 1.0)]
+)
+def test_norm_rejects_nan_and_reversed_bounds(lb, ub):
+    # Only unchecked construction builds such a component; the chain would
+    # turn [nan, 1.0] into a valid-looking [0.0, 1.0000000000000002].
+    with pytest.raises(ValueError, match="bounds"):
+        inorm([Interval(0.0, 1.0), _make(lb, ub)])
+
+
+def test_norm_of_an_empty_vector_rejected():
+    with pytest.raises(ValueError, match="empty"):
+        inorm([])

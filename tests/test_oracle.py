@@ -21,13 +21,17 @@ from estbound.oracle import (
 from estbound.pipeline import load_scenario
 
 
-def identity_objective():
+def identity_objective_of_dim(n):
     return ErrorObjective(
-        IdentityObservation(2),
-        IdentityEstimator(2),
-        IntervalBox.from_bounds([(0, 1), (0, 1)]),
-        IntervalBox.from_bounds([(-0.1, 0.1), (-0.1, 0.1)]),
+        IdentityObservation(n),
+        IdentityEstimator(n),
+        IntervalBox.from_bounds([(0, 1)] * n),
+        IntervalBox.from_bounds([(-0.1, 0.1)] * n),
     )
+
+
+def identity_objective():
+    return identity_objective_of_dim(2)
 
 
 class TestConfig:
@@ -62,6 +66,16 @@ class TestGridMode:
         assert res.samples_used >= 2 ** 4
         assert res.max_observed == obj.error_point((-3.0, 7.0), (0.0, 0.0))
         assert res.argmax_x == (-3.0, 7.0)
+
+    @pytest.mark.parametrize(
+        "samples, side", [(4095, 3), (4096, 4), (4097, 4), (15625, 5)]
+    )
+    def test_grid_side_is_the_exact_root(self, samples, side):
+        # A 6-dim search box: 2**6 corners, then side**6 grid points, the
+        # largest grid that fits the budget (4096 = 4**6, 15625 = 5**6).
+        obj = identity_objective_of_dim(3)
+        res = sample_max_error(obj, OracleConfig(samples=samples, mode="grid"))
+        assert res.samples_used == 2**6 + side**6
 
     def test_degenerate_noise_perfect_estimator(self):
         obj = ErrorObjective(

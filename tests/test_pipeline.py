@@ -80,6 +80,17 @@ class NanStubEstimator(EstimatorModel):
 
 
 @pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if a validation runs its search or its oracle."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the validation ran")
+
+    monkeypatch.setattr(pipeline, "moore_skelboe", fail)
+    monkeypatch.setattr(pipeline, "sample_max_error", fail)
+
+
+@pytest.fixture
 def unsound_stub(monkeypatch):
     """Scenarios build the lying stub as their estimator."""
     monkeypatch.setattr(
@@ -294,7 +305,8 @@ class TestDumpCover:
             MsConfig(delta=1e-6, split_dims=(0,)),
         )
         out = tmp_path / "cover.csv"
-        dump_cover(res.cover.entries(), 1, 0, out)
+        with open(out, "w", newline="") as fh:
+            dump_cover(res.cover.entries(), 1, 0, fh)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x0_lb,x0_ub,f_lb,f_ub"
         rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
@@ -312,13 +324,15 @@ class TestDumpCover:
 
         res = moore_skelboe(per_box(f), box, MsConfig(delta=10.0, split_dims=(0, 1)))
         out = tmp_path / "c.csv"
-        dump_cover(res.cover.entries(), 2, 1, out)
+        with open(out, "w", newline="") as fh:
+            dump_cover(res.cover.entries(), 2, 1, fh)
         header = out.read_text().splitlines()[0].split(",")
         assert len(header) == 2 * (2 + 1) + 2
 
     def test_empty_entries_writes_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
-        dump_cover([], 2, 3, out)
+        with open(out, "w", newline="") as fh:
+            dump_cover([], 2, 3, fh)
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1
         assert len(lines[0].split(",")) == 2 * (2 + 3) + 2
@@ -356,15 +370,32 @@ class TestCli:
         assert str(tmp_path) in err
 
     @pytest.mark.parametrize("flag", ["--output", "--dump-cover"])
-    def test_output_is_a_directory_exit_1(self, scenario_dir, tmp_path, capsys, flag):
+    def test_output_is_a_directory_exit_1(
+        self, scenario_dir, tmp_path, capsys, no_run, flag
+    ):
         scenario = str(scenario_dir / "identity.scn")
         code = cli.main(
             ["validate", "--scenario", scenario, "--max-iters", "10", flag, str(tmp_path)]
         )
         assert code == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(tmp_path) in err
+
+    @pytest.mark.parametrize("flag", ["--output", "--dump-cover"])
+    def test_output_in_a_missing_directory_exit_1(
+        self, scenario_dir, tmp_path, capsys, no_run, flag
+    ):
+        path = tmp_path / "missing" / "out"
+        scenario = str(scenario_dir / "identity.scn")
+        code = cli.main(["validate", "--scenario", scenario, flag, str(path)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert not path.parent.exists()
 
     def test_unsound_stub_exit_2(self, tmp_path, capsys, unsound_stub):
         p = write_scenario(tmp_path / "stub.scn", BASE_DOC)
