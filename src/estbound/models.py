@@ -17,6 +17,7 @@ from .framework import EstimatorModel, ObservationModel
 from .interval import (
     Interval,
     IntervalBox,
+    _bounds,
     _box,
     _make,
     _mul_scalar,
@@ -93,7 +94,7 @@ class TrilaterationModel(ObservationModel):
             comps = []
             for ax_iv, ay_iv in self._landmark_ivs:
                 comps.append(inorm((isub(ax_iv, x0), isub(ay_iv, x1))))
-            out.append(IntervalBox(comps))
+            out.append(_box(tuple(comps)))
         return out
 
 
@@ -117,7 +118,7 @@ class IdentityEstimator(EstimatorModel):
 
     def error_vector_box(
         self, observation: ObservationModel, boxes: Sequence[IntervalBox]
-    ) -> list[IntervalBox]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         # x - estimate = -((g(x) - x) + e). For g(x) = x the deviation
         # g(x) - x is the exact zero box, so C = 0 + e never subtracts the
         # parameter box from itself. Any other observation, a subclass of
@@ -130,20 +131,20 @@ class IdentityEstimator(EstimatorModel):
         # per rounding (|y + e| <= 2S); the 4 ulp(S) pad loses <= ulp(S) to
         # its own rounding, so 3 ulp(S) >= 2 ulp(S) remains.
         n = observation.n_params
-        nextafter = math.nextafter
-        ulp = math.ulp
-        inf = math.inf
-        out = []
-        for box in boxes:
-            comps = box.components
-            diff = []
-            for x, e in zip(comps, comps[n:]):
-                # C = 0 + e, rounded as iadd rounds
-                lo, hi = nextafter(e.lb, -inf), nextafter(e.ub, inf)
-                pad = 4.0 * ulp(max(-x.lb, x.ub, -lo, hi, 1.0))
-                diff.append(_make(-(hi + pad), -(lo - pad)))
-            out.append(_box(tuple(diff)))
-        return out
+        lb, ub = _bounds(boxes, 2 * n)
+        # Like Python floats, the arrays overflow to inf without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # C = 0 + e, rounded as iadd rounds
+            lo = np.nextafter(lb[:, n:], -np.inf)
+            hi = np.nextafter(ub[:, n:], np.inf)
+            s = np.maximum(np.maximum(-lb[:, :n], ub[:, :n]), np.maximum(-lo, hi))
+            np.maximum(s, 1.0, out=s)
+            # 4 ulp(S). np.spacing(s) is math.ulp(s) for s >= 1 except at the
+            # largest float, where it overflows to inf, so ulp(S) is taken as
+            # 2 spacing(S / 2), exact as S >= 1. An infinite S gives a NaN
+            # spacing, and its pad must be infinite.
+            pad = np.where(s < np.inf, 8.0 * np.spacing(0.5 * s), np.inf)
+            return -(hi + pad), -(lo - pad)
 
 
 class ConstantEstimator(EstimatorModel):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from estbound.framework import ErrorObjective, EstimatorModel
-from estbound.interval import Interval, IntervalBox, _box, _make
+from estbound.interval import Interval, IntervalBox, _box, _make, inorm, isub
 from estbound.models import (
     ConstantEstimator,
     IdentityEstimator,
@@ -181,6 +181,42 @@ class TestObjectiveBox:
         )
         with pytest.raises(ValueError, match="overflows"):
             obj.objective_box(obj.initial_box())
+
+    def test_overflow_names_the_box(self):
+        # The identity override's error vector is finite, but its squares
+        # overflow; the batch's first overflowing box is named.
+        obj = identity_objective()
+        huge = IntervalBox.from_bounds([(0, 1), (0, 1), (-1e200, 1e200), (0, 1)])
+        huger = IntervalBox.from_bounds([(0, 1)] * 2 + [(-1e300, 0)] * 2)
+        with pytest.raises(ValueError, match="overflows") as info:
+            obj.objective_box([obj.initial_box(), huge, huger])
+        assert str(info.value).endswith(f"on {huge!r}")
+
+    def test_reversed_estimate_rejected_as_inorm_rejects_it(self):
+        # A custom box pass that returns reversed bounds gives a reversed
+        # difference, which the norm rejects with inorm's message.
+        class ReversedEstimator(EstimatorModel):
+            n_obs = n_params = 2
+
+            def eval_points(self, rows):
+                return rows.copy()
+
+            def eval_boxes(self, boxes):
+                reversed_bound = (_make(5.0, -5.0),)
+                return [_box(reversed_bound + box.components[1:]) for box in boxes]
+
+        obj = ErrorObjective(
+            IdentityObservation(2),
+            ReversedEstimator(),
+            IntervalBox.from_bounds([(0, 1)] * 2),
+            IntervalBox.from_bounds([(-0.1, 0.1)] * 2),
+        )
+        with pytest.raises(ValueError) as expected:
+            inorm([isub(Interval(0.0, 1.0), _make(5.0, -5.0))])
+        with pytest.raises(ValueError) as got:
+            obj.objective_box([obj.initial_box()])
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("norm of a component with bounds")
 
     def test_nan_estimate_rejected(self):
         # A NaN bound from a custom box pass must not come out of the norm

@@ -11,6 +11,8 @@ import dataclasses
 import hashlib
 import json
 
+import pytest
+
 from estbound import cli
 from estbound.pipeline import load_scenario, run_validate
 
@@ -43,6 +45,7 @@ def test_trilat_gd_scenario(trilat_gd_run):
     assert repr(report.eps_low) == "1.518376834710833"
     assert repr(report.eps_high) == "15.220053561620821"
     assert (report.iterations, report.cover_size) == (2000, 2001)
+    assert report.search.evaluated == 4001
     assert _pairs(report.witness_param_box) == [[6.875, 7.1875], [22.5, 22.8125]]
 
 
@@ -51,10 +54,21 @@ def test_trilat_mlp_scenario(trilat_mlp_run):
     assert repr(report.eps_low) == "3.775279473562722"
     assert repr(report.eps_high) == "8.195294291576293"
     assert (report.iterations, report.cover_size) == (2000, 2001)
+    assert report.search.evaluated == 4001
     assert _pairs(report.witness_param_box) == [
         [5.000000223517418, 5.000000298023224],
         [5.0, 5.000000149011612],
     ]
+
+
+@pytest.mark.parametrize("name, evaluated", [("constant", 167), ("identity", 4001)])
+def test_boxes_evaluated_at_the_committed_budget(scenario_dir, name, evaluated):
+    # Splitting ahead (optimizer.LOOKAHEAD) may hand the objective boxes
+    # the search never uses; at the committed budgets it hands over this
+    # many, the initial box included. The network and descent scenarios
+    # are pinned with their other figures above.
+    report = run_validate(load_scenario(scenario_dir / f"{name}.scn"))
+    assert report.search.evaluated == evaluated
 
 
 def cover_and_report_hashes(scenario, max_iters, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from estbound.interval import (
     Interval,
     IntervalBox,
+    _bounds,
+    _inorm_rows,
     _make,
     iadd,
     imul,
@@ -348,3 +351,93 @@ def test_norm_rejects_nan_and_reversed_bounds(lb, ub):
 def test_norm_of_an_empty_vector_rejected():
     with pytest.raises(ValueError, match="empty"):
         inorm([])
+
+
+def one_ulp_wide(v):
+    """[v, next float above v], or [v, v] at the top of the float range."""
+    return Interval(v, math.nextafter(v, math.inf) if v < math.inf else v)
+
+
+row_component = st.one_of(
+    norm_component,
+    any_bound.map(one_ulp_wide),
+    st.floats(-1.0, 1.0).map(lambda v: Interval(-abs(v), abs(v))),  # straddles 0
+)
+# 1-5 components per row, 1-6 rows of the same width.
+norm_rows = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(row_component, min_size=n, max_size=n), min_size=1, max_size=6
+    )
+)
+
+
+def row_norms(rows):
+    """_inorm_rows on the bound arrays of a list of interval rows, as one
+    Interval per row."""
+    lb, ub = _bounds([IntervalBox(row) for row in rows], len(rows[0]))
+    norm_lb, norm_ub = _inorm_rows(lb, ub)
+    assert norm_lb.shape == norm_ub.shape == (len(rows),)
+    return [_make(lo, hi) for lo, hi in zip(norm_lb.tolist(), norm_ub.tolist())]
+
+
+@given(norm_rows)
+@example(
+    [
+        [Interval(-0.0, 0.0), Interval(0.0, 0.0)],
+        [Interval(-0.0, -0.0), Interval(5e-324, 1e-310)],
+    ]
+)
+@example([[Interval(1e200, 1e201)], [Interval(-math.inf, 1.0)], [Interval(1.0, 1.0)]])
+@example(
+    [
+        [
+            Interval(1.0, 1.0000000000000002),
+            Interval(-1e-320, -5e-324),
+            Interval(3.0, math.inf),
+        ]
+    ]
+)
+@settings(max_examples=500)
+def test_row_norms_equal_inorm_bit_for_bit(rows):
+    # Each row's norm is the one inorm gives that row alone, whatever the
+    # other rows hold; pytest turns any numpy warning into an error.
+    for out, row in zip(row_norms(rows), rows):
+        ref = inorm(row)
+        assert (out.lb.hex(), out.ub.hex()) == (ref.lb.hex(), ref.ub.hex())
+
+
+@pytest.mark.parametrize(
+    "lb, ub", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan), (2.0, 1.0)]
+)
+def test_row_norms_reject_what_inorm_rejects(lb, ub):
+    # The first bad component in row order is named, with inorm's message.
+    rows = [
+        [Interval(0.0, 1.0), Interval(1.0, 2.0)],
+        [Interval(0.0, 1.0), _make(lb, ub)],
+        [_make(3.0, -3.0), Interval(0.0, 1.0)],
+    ]
+    with pytest.raises(ValueError) as expected:
+        inorm(rows[1])
+    with pytest.raises(ValueError) as got:
+        row_norms(rows)
+    assert str(got.value) == str(expected.value)
+
+
+def test_row_norms_of_no_rows():
+    norm_lb, norm_ub = _inorm_rows(np.empty((0, 3)), np.empty((0, 3)))
+    assert norm_lb.shape == norm_ub.shape == (0,)
+
+
+def test_bounds_reads_the_leading_components():
+    boxes = [
+        IntervalBox.from_bounds([(-1.0, 2.0), (-0.0, 0.0), (5.0, 6.0)]),
+        IntervalBox.from_bounds([(3.0, 4.0), (-math.inf, 7.0), (8.0, 9.0)]),
+    ]
+    lb, ub = _bounds(boxes, 2)
+    assert lb.dtype == ub.dtype == np.float64
+    assert [[v.hex() for v in row] for row in lb.tolist()] == [
+        [(-1.0).hex(), (-0.0).hex()],
+        [(3.0).hex(), (-math.inf).hex()],
+    ]
+    assert ub.tolist() == [[2.0, 0.0], [4.0, 7.0]]
+    assert _bounds([], 2)[0].shape == (0, 2)

@@ -11,6 +11,7 @@ contain the exact value, checked against mpmath.
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +138,20 @@ def reference_descent_box(est, box):
         x0 = isub(x0, _mul_scalar(est.step, gx))
         x1 = isub(x1, _mul_scalar(est.step, gy))
     return IntervalBox([x0, x1])
+
+
+def reference_identity_error_vector(n, box):
+    """Scalar identity override of error_vector_box, for g(x) = x: per
+    component, the noise bounds stepped outward as iadd(0, e) steps them,
+    padded by 4 ulp(max(|x|, |C|, 1)) and negated, as (lb, ub) pairs."""
+    comps = box.components
+    out = []
+    for x, e in zip(comps, comps[n:]):
+        lo = math.nextafter(e.lb, -math.inf)
+        hi = math.nextafter(e.ub, math.inf)
+        pad = 4.0 * math.ulp(max(-x.lb, x.ub, -lo, hi, 1.0))
+        out.append((-(hi + pad), -(lo - pad)))
+    return out
 
 
 def reference_error(obj, x, e, estimate):
@@ -458,6 +473,101 @@ class TestModelBoxBatches:
             check_boxes(model, boxes, lambda model, box: box)
         constant = ConstantEstimator((15.0, -0.0), n_obs=3)
         check_boxes(constant, boxes, lambda model, box: IntervalBox.point(model.value))
+
+
+class TestIdentityErrorVector:
+    """The identity estimator's array override of error_vector_box against
+    its scalar reference, bit for bit, over one batch and box by box."""
+
+    @staticmethod
+    def check(boxes):
+        n = boxes[0].dim // 2
+        est, obs = IdentityEstimator(n), IdentityObservation(n)
+        expected = [
+            [(lo.hex(), hi.hex()) for lo, hi in reference_identity_error_vector(n, b)]
+            for b in boxes
+        ]
+        for batch in [boxes] + [[b] for b in boxes]:
+            lb, ub = est.error_vector_box(obs, batch)
+            assert lb.shape == ub.shape == (len(batch), n)
+            got = [
+                [(lo.hex(), hi.hex()) for lo, hi in zip(lows, highs)]
+                for lows, highs in zip(lb.tolist(), ub.tolist())
+            ]
+            start = boxes.index(batch[0])
+            assert got == expected[start : start + len(batch)]
+
+    def test_powers_of_two(self):
+        # S = max(|x|, |C|, 1) on, just below and just above a power of
+        # two, where ulp(S) changes, from the noise or from the parameters.
+        boxes = []
+        for k in (0, 1, 2, 10, 52, 53, 100, 1000, 1023):
+            p = 2.0**k
+            below = math.nextafter(p, 0.0)
+            above = math.nextafter(p, math.inf)
+            for v in (p, below, above):
+                boxes += [
+                    IntervalBox.from_bounds(bounds)
+                    for bounds in (
+                        [(-v, 0.5), (0.0, 1.0), (-0.25, 0.0), (0.0, 0.0)],
+                        [(0.0, 1.0), (-1.0, v), (-v, v), (-0.0, -0.0)],
+                        [(0.0, 0.0), (0.0, 0.0), (-0.5, 0.5), (v, v)],
+                    )
+                ]
+        self.check(boxes)
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1e3, 1e6])
+    def test_random_magnitudes(self, magnitude):
+        rng = random.Random(int(magnitude) + 41)
+        boxes = []
+        for _ in range(64):
+            xs = [rng.uniform(-magnitude, magnitude) for _ in range(3)]
+            halves = [rng.choice((0.0, rng.uniform(0, 1e-3 * magnitude))) for _ in xs]
+            noise = [sorted(rng.uniform(-0.5, 0.5) for _ in "lu") for _ in xs]
+            boxes.append(
+                IntervalBox.from_bounds(
+                    [(x - h, x + h) for x, h in zip(xs, halves)] + noise
+                )
+            )
+        self.check(boxes)
+
+    def test_infinite_and_overflowing_bounds(self):
+        # An infinite S gives an infinite pad (np.spacing(inf) is NaN); a
+        # finite S at the top of the range gives a sum that overflows.
+        big = sys.float_info.max
+        inf = math.inf
+        unit = (0.0, 1.0)
+        boxes = [
+            IntervalBox.from_bounds(bounds)
+            for bounds in (
+                [(-inf, 1.0), unit, (-0.1, 0.1), (0.0, 0.0)],
+                [unit, (0.0, inf), (-0.1, 0.1), (0.0, 0.0)],
+                [unit, unit, (-0.1, inf), (-inf, 0.0)],
+                [unit, unit, (inf, inf), (-inf, -inf)],
+                [(0.0, big), unit, (-0.1, 0.1), (-big, big)],
+                [unit, unit, (0.0, math.nextafter(big, 0.0)), (-1.0, 1.0)],
+            )
+        ]
+        self.check(boxes)
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+                min_size=4,
+                max_size=4,
+            ).map(lambda pairs: IntervalBox.from_bounds(map(sorted, pairs))),
+            min_size=1,
+            max_size=4,
+            unique_by=repr,
+        )
+    )
+    def test_arbitrary_floats(self, boxes):
+        self.check(boxes)
+
+    def test_empty_batch(self):
+        lb, ub = IdentityEstimator(2).error_vector_box(IdentityObservation(2), [])
+        assert lb.shape == ub.shape == (0, 2)
 
 
 class TestErrorPointChunks:

@@ -19,9 +19,13 @@ LANDMARKS = [(10.0, -9.0), (5.0, 12.0), (-15.0, 0.0)]
 
 
 def error_vector(est, obs, param_box, noise_box):
-    """est.error_vector_box over the one search box param_box x noise_box."""
-    [out] = est.error_vector_box(obs, [param_box.concat(noise_box)])
-    return out
+    """est.error_vector_box over the one search box param_box x noise_box,
+    as one Interval per component; Interval rejects NaN or reversed
+    bounds."""
+    lb, ub = est.error_vector_box(obs, [param_box.concat(noise_box)])
+    assert lb.dtype == ub.dtype == np.float64
+    assert lb.shape == ub.shape == (1, est.n_params)
+    return [Interval(lo, hi) for lo, hi in zip(lb[0].tolist(), ub[0].tolist())]
 
 
 class AffineObservation(ObservationModel):
