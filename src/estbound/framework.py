@@ -2,11 +2,12 @@
 
 An observation model maps a parameter vector to an ideal observation; an
 estimator maps a (noisy) observation back to a parameter estimate. Both
-carry a row-batched point evaluator (`eval_points`, one output row per
-input row; `eval_point` is its one-row form) and a box evaluator batched
-over boxes (`eval_boxes`, one output box per input box; `eval_box` is its
-one-box form) that must be a sound inclusion of the point one: x in X
-implies eval_point(x) in eval_box(X).
+carry a row-batched point evaluator (`eval_points`; `eval_point` is its
+one-row form) and a row-batched box evaluator (`eval_boxes`; `eval_box` is
+its one-box form) that must be a sound inclusion of the point one: x in X
+implies eval_point(x) in eval_box(X). A batch of k boxes is held as bound
+arrays (`Bounds`), a (k, dim) float64 array of lower and one of upper
+bounds; only the one-box forms and `objective_box` hold `IntervalBox`es.
 
 `ErrorObjective` composes the two into the estimation error
 e(x, e) = ||x - estimate(observation(x) + e)|| and its negation, the objective
@@ -16,17 +17,17 @@ the minimizer calls it (the initial box alone, then the halves of up to
 search box and returns one enclosure, or takes a sequence of boxes and
 returns a list holding one enclosure per box, evaluated together.
 
-Per batch, the estimator returns the error vectors as two float64 arrays,
-their lower and their upper bounds (`error_vector_box`), and
-`objective_box` takes their norms a column at a time over all boxes
-(`interval._inorm_rows`), bit for bit what `inorm` gives each box alone,
-with one Interval per box at the end. numpy's cost is paid per call, so a
-wider batch is cheaper per box: on the identity scenario one box cost
-5.5 us at 16 boxes per call and 2.4 us at 64, against 5.4 and 3.7 us one
-Interval at a time (one CPU, min of 7 timings). That is why
-`optimizer.LOOKAHEAD` is 32, 64 halves per call: at 8, identity_deep's
-search ran slower than with the scalar norm, and at 64 trilat_mlp
-evaluated 4027 boxes instead of 4001 and its peak RSS rose by 2.4 MB.
+Per batch, `objective_box` reads the search boxes into bound arrays
+(`interval._bounds`, the one place that does), the estimator encloses the
+error vectors (`error_vector_box`), and `objective_box` takes their norms a
+column at a time over all boxes (`interval._inorm_rows`), bit for bit what
+`inorm` gives each box alone, with one Interval per box at the end. numpy's
+cost is paid per call, so a wider batch is cheaper per box: on the identity
+scenario one box cost 5.5 us at 16 boxes per call and 2.4 us at 64, against
+5.4 and 3.7 us one Interval at a time (one CPU, min of 7 timings). That is
+why `optimizer.LOOKAHEAD` is 32, 64 halves per call: at 8, identity_deep's
+search ran slower than with the scalar norm, and at 64 trilat_mlp evaluated
+4027 boxes instead of 4001 and its peak RSS rose by 2.4 MB.
 
 All models must be stateless per call; objectives may be evaluated on many
 boxes concurrently.
@@ -40,11 +41,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .interval import Interval, IntervalBox, _bounds, _inorm_rows, _make
+from .interval import Interval, IntervalBox, _bounds, _box, _inorm_rows, _make
 
 __all__ = ["ObservationModel", "EstimatorModel", "ErrorObjective"]
 
 Vector = tuple[float, ...]
+Bounds = tuple[np.ndarray, np.ndarray]
 
 
 class ObservationModel(ABC):
@@ -60,29 +62,25 @@ class ObservationModel(ABC):
         rows."""
 
     @abstractmethod
-    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
-        """Sound, isotone inclusion of eval_point over each parameter box, in
-        order. Each box's bounds must not depend on the other boxes."""
+    def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
+        """Sound, isotone inclusion of eval_point over each parameter box, a
+        row of the (k, n_params) bounds, as (k, n_obs) bounds. Each row's
+        bounds must not depend on the other rows."""
 
     def eval_point(self, x: Sequence[float]) -> Vector:
         """Observation at a single parameter vector: eval_points on one row."""
         return tuple(self.eval_points(np.array([x], dtype=np.float64))[0].tolist())
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
-        """Inclusion over a single parameter box: eval_boxes on one box."""
-        return self.eval_boxes((box,))[0]
+        """Inclusion over a single parameter box: eval_boxes on one row."""
+        lb, ub = self.eval_boxes(*_bounds((box,), box.dim))
+        return _box(tuple(map(_make, lb[0].tolist(), ub[0].tolist())))
 
     def _check_rows(self, rows: np.ndarray) -> None:
         if rows.shape[-1] != self.n_params:
             raise ValueError(
                 f"parameter vector has dim {rows.shape[-1]}, model expects "
                 f"{self.n_params}"
-            )
-
-    def _check_box(self, box: IntervalBox) -> None:
-        if box.dim != self.n_params:
-            raise ValueError(
-                f"parameter box has dim {box.dim}, model expects {self.n_params}"
             )
 
 
@@ -99,42 +97,46 @@ class EstimatorModel(ABC):
         rows."""
 
     @abstractmethod
-    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
-        """Sound inclusion of eval_point over each observation box, in order.
-        Each box's bounds must not depend on the other boxes."""
+    def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
+        """Sound inclusion of eval_point over each observation box, a row of
+        the (k, n_obs) bounds, as (k, n_params) bounds. Each row's bounds
+        must not depend on the other rows."""
 
     def eval_point(self, y: Sequence[float]) -> Vector:
         """Estimate from a single observation vector: eval_points on one row."""
         return tuple(self.eval_points(np.array([y], dtype=np.float64))[0].tolist())
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
-        """Inclusion over a single observation box: eval_boxes on one box."""
-        return self.eval_boxes((box,))[0]
+        """Inclusion over a single observation box: eval_boxes on one row."""
+        lb, ub = self.eval_boxes(*_bounds((box,), box.dim))
+        return _box(tuple(map(_make, lb[0].tolist(), ub[0].tolist())))
 
     def error_vector_box(
-        self, observation: ObservationModel, boxes: Sequence[IntervalBox]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per search box (x, e), the parameters x followed by the noise e:
-        a component-wise enclosure of x - eval_point(observation(x) + e)
-        over that box. Returns its lower and its upper bounds as two
-        (len(boxes), n_params) float64 arrays, one row per box.
+        self, observation: ObservationModel, lb: np.ndarray, ub: np.ndarray
+    ) -> Bounds:
+        """Per search box (x, e), a row of the (k, n_params + n_obs) bounds
+        holding the parameters x then the noise e: a component-wise
+        enclosure of x - eval_point(observation(x) + e) over that box, as
+        (k, n_params) bounds.
 
-        The default chains the two box evaluators, each over all boxes in
-        one eval_boxes call, and subtracts as isub does. Estimators with
-        structure that cancels the parameter dependency (the identity
-        estimator) override this with a tighter, still-sound enclosure.
+        The default chains the two box evaluators, each over all rows in
+        one eval_boxes call, adds the noise as iadd does and subtracts as
+        isub does. Estimators with structure that cancels the parameter
+        dependency (the identity estimator) override this with a tighter,
+        still-sound enclosure.
         """
         n = observation.n_params
-        ideal = observation.eval_boxes([box[:n] for box in boxes])
-        estimates = self.eval_boxes([y + box[n:] for y, box in zip(ideal, boxes)])
-        x_lb, x_ub = _bounds(boxes, n)
-        est_lb, est_ub = _bounds(estimates, n)
-        # isub on arrays; like Python floats, they overflow to inf and
-        # inf - inf gives NaN, which the norm rejects, without a warning.
+        y_lb, y_ub = observation.eval_boxes(lb[:, :n], ub[:, :n])
+        # iadd and isub on arrays; like Python floats, they overflow to inf
+        # and inf - inf gives NaN, which the norm rejects, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_lb = np.nextafter(y_lb + lb[:, n:], -np.inf)
+            y_ub = np.nextafter(y_ub + ub[:, n:], np.inf)
+        est_lb, est_ub = self.eval_boxes(y_lb, y_ub)
         with np.errstate(over="ignore", invalid="ignore"):
             return (
-                np.nextafter(x_lb - est_ub, -np.inf),
-                np.nextafter(x_ub - est_lb, np.inf),
+                np.nextafter(lb[:, :n] - est_ub, -np.inf),
+                np.nextafter(ub[:, :n] - est_lb, np.inf),
             )
 
     def _check_rows(self, rows: np.ndarray) -> None:
@@ -142,12 +144,6 @@ class EstimatorModel(ABC):
             raise ValueError(
                 f"observation vector has dim {rows.shape[-1]}, estimator expects "
                 f"{self.n_obs}"
-            )
-
-    def _check_box(self, box: IntervalBox) -> None:
-        if box.dim != self.n_obs:
-            raise ValueError(
-                f"observation box has dim {box.dim}, estimator expects {self.n_obs}"
             )
 
 
@@ -246,7 +242,8 @@ class ErrorObjective:
                 raise ValueError(
                     f"search box has dim {b.dim}, expected {n} + {m} = {n + m}"
                 )
-        lb, ub = self.estimator.error_vector_box(self.observation, boxes)
+        lb, ub = _bounds(boxes, n + m)
+        lb, ub = self.estimator.error_vector_box(self.observation, lb, ub)
         norm_lb, norm_ub = _inorm_rows(lb, ub)
         overflow = norm_ub == math.inf
         if overflow.any():

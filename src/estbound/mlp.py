@@ -11,17 +11,17 @@ neuron and one column per input row; per layer it sums the weighted inputs
 of every output in column order, starting from 0.0, adds the bias and
 applies relu.
 
-The interval forward pass takes a batch of boxes and propagates one
-interval per neuron and box. Per layer, each input's bounds are scaled by
-the weights, taking the lower or upper bound by the weight's sign, and each
-product is rounded outward. The products are summed one input column at a
-time, rounding outward after every add, then the bias is added, rounded
-outward, and the exact relu image is taken; a NaN bound before it is an
-error. Evaluating several boxes at once shares numpy's per-call cost among
-them; each box gets the bounds it would get alone. This is the plainest
-possible bound propagation; it gets looser as networks grow deeper, which
-is acceptable here because the validation method only needs soundness, not
-tightness.
+The interval forward pass takes the bound arrays of a batch of boxes, one
+row per box, and propagates one interval per neuron and box. Per layer,
+each input's bounds are scaled by the weights, taking the lower or upper
+bound by the weight's sign, and each product is rounded outward. The
+products are summed one input column at a time, rounding outward after
+every add, then the bias is added, rounded outward, and the exact relu
+image is taken; a NaN bound before it is an error. Evaluating several boxes
+at once shares numpy's per-call cost among them; each box gets the bounds
+it would get alone. This is the plainest possible bound propagation; it
+gets looser as networks grow deeper, which is acceptable here because the
+validation method only needs soundness, not tightness.
 
 Rounding upward is what the box pass spends most of its time on. Every
 rounding, of the products, of each column sum and of the bias add, is an
@@ -46,13 +46,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .framework import EstimatorModel
-from .interval import IntervalBox, _bounds, _box, _make
+from .framework import Bounds, EstimatorModel
 
 __all__ = ["MlpLayer", "MlpModel", "load_mlp"]
 
 _ACTIVATIONS = ("relu", "linear")
-_FLOAT_MAX = np.finfo(np.float64).max
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -162,15 +161,11 @@ class MlpModel(EstimatorModel):
                 h = acc
         return h.T
 
-    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
-        if not boxes:
-            return []
-        for box in boxes:
-            self._check_box(box)
+    def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
+        self._check_rows(lb)
         # C-ordered (inputs, boxes) arrays of the lower and of the upper
         # bounds, so that each layer's bounds array below is C-ordered too.
-        lb, ub = _bounds(boxes, self.n_obs)
-        lb, ub = lb.T.copy(), ub.T.copy()
+        h_lb, h_ub = lb.T.copy(), ub.T.copy()
         # An overflow gives an infinite bound, which objective_box reports,
         # or a NaN bound, which the check below reports.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -180,7 +175,7 @@ class MlpModel(EstimatorModel):
                 # rounding each add. C order keeps each terms[j] one contiguous
                 # block, where numpy's per-call cost is lowest. Once the
                 # products are taken, bounds is the rounding's scratch space.
-                bounds = np.where(take_lb, lb[:, :, None], ub[:, :, None])
+                bounds = np.where(take_lb, h_lb[:, :, None], h_ub[:, :, None])
                 terms = np.multiply(w2, bounds, order="C")
                 scratch = bounds.view(np.int64)
                 _round_up(terms, scratch)
@@ -194,21 +189,19 @@ class MlpModel(EstimatorModel):
                 # A NaN bound (an infinite bound times a zero weight, or inf -
                 # inf) says nothing, and relu would turn it into 0.0.
                 if np.isnan(acc).any():
-                    box = boxes[int(np.isnan(acc).any(axis=1).argmax())]
+                    i = int(np.isnan(acc).any(axis=1).argmax())
+                    box = map("[{!r}, {!r}]".format, lb[i].tolist(), ub[i].tolist())
                     raise ValueError(
-                        f"network layer {layer} gives a NaN bound on {box!r}: "
-                        "its bounds overflow"
+                        f"network layer {layer} gives a NaN bound on "
+                        f"Box({' x '.join(box)}): its bounds overflow"
                     )
                 rows = len(bias2) // 2
                 acc = acc.T.copy()
-                lb, ub = -acc[:rows], acc[rows:]
+                h_lb, h_ub = -acc[:rows], acc[rows:]
                 if relu:
-                    lb = np.where(lb > 0.0, lb, 0.0)
-                    ub = np.where(ub > 0.0, ub, 0.0)
-        return [
-            _box(tuple(map(_make, lows, highs)))
-            for lows, highs in zip(lb.T.tolist(), ub.T.tolist())
-        ]
+                    h_lb = np.where(h_lb > 0.0, h_lb, 0.0)
+                    h_ub = np.where(h_ub > 0.0, h_ub, 0.0)
+        return h_lb.T, h_ub.T
 
 
 def _round_up(x: np.ndarray, scratch: np.ndarray) -> None:
@@ -235,6 +228,14 @@ def _round_up(x: np.ndarray, scratch: np.ndarray) -> None:
     np.add(bits, scratch, out=bits)
 
 
+def _number(value) -> float:
+    """A JSON number as a float; ValueError for a string (or a character of
+    one, or an object's key), true, false and an int beyond float range."""
+    if isinstance(value, float) or (type(value) is int and abs(value) <= _FLOAT_MAX):
+        return float(value)
+    raise ValueError(f"{value!r} is not a finite number")
+
+
 def load_mlp(path: str | Path) -> MlpModel:
     """Load a model from a JSON weight file: a "layers" list of objects with
     "weights" (row-major, one row per output neuron), "bias" and
@@ -256,8 +257,8 @@ def load_mlp(path: str | Path) -> MlpModel:
         try:
             layers.append(
                 MlpLayer(
-                    weights=tuple(tuple(float(w) for w in row) for row in spec["weights"]),
-                    bias=tuple(float(b) for b in spec["bias"]),
+                    weights=tuple(tuple(map(_number, row)) for row in spec["weights"]),
+                    bias=tuple(map(_number, spec["bias"])),
                     activation=spec.get("activation", "relu"),
                 )
             )

@@ -3,7 +3,9 @@
 Range-based localization (distances to fixed landmarks) is the main
 observation model; estimators include the identity and constant baselines
 used in tests and an iterative least-squares estimator. The neural-network
-estimator lives in `mlp`.
+estimator lives in `mlp`. The box evaluators take and return bound arrays
+(see `framework`); the descent replays its steps in Interval arithmetic,
+one row of bounds at a time, and the others work on whole arrays.
 """
 
 from __future__ import annotations
@@ -13,12 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .framework import EstimatorModel, ObservationModel
+from .framework import Bounds, EstimatorModel, ObservationModel
 from .interval import (
     Interval,
-    IntervalBox,
-    _bounds,
-    _box,
+    _inorm_rows,
     _make,
     _mul_scalar,
     iadd,
@@ -49,10 +49,8 @@ class IdentityObservation(ObservationModel):
         self._check_rows(rows)
         return rows.copy()
 
-    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
-        for box in boxes:
-            self._check_box(box)
-        return list(boxes)
+    def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
+        return self.eval_points(lb), self.eval_points(ub)
 
 
 class TrilaterationModel(ObservationModel):
@@ -72,30 +70,25 @@ class TrilaterationModel(ObservationModel):
         self.landmarks = pts
         self.n_params = 2
         self.n_obs = len(pts)
-        self._landmark_ivs = tuple(
-            (Interval.point(ax), Interval.point(ay)) for ax, ay in pts
-        )
+        self._landmark_rows = np.array(pts)
 
     def eval_points(self, rows: np.ndarray) -> np.ndarray:
         self._check_rows(rows)
-        x0, x1 = rows[:, 0], rows[:, 1]
-        out = np.empty((len(rows), self.n_obs))
-        for i, (ax, ay) in enumerate(self.landmarks):
-            dx = ax - x0
-            dy = ay - x1
-            out[:, i] = np.sqrt(dx * dx + dy * dy)
-        return out
+        # One row per landmark, one column per point.
+        dx = self._landmark_rows[:, :1] - rows[:, 0]
+        dy = self._landmark_rows[:, 1:] - rows[:, 1]
+        return np.sqrt(dx * dx + dy * dy).T
 
-    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
-        out = []
-        for box in boxes:
-            self._check_box(box)
-            x0, x1 = box[0], box[1]
-            comps = []
-            for ax_iv, ay_iv in self._landmark_ivs:
-                comps.append(inorm((isub(ax_iv, x0), isub(ay_iv, x1))))
-            out.append(_box(tuple(comps)))
-        return out
+    def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
+        # inorm((isub(ax, x0), isub(ay, x1))) per box and landmark, on
+        # (k, landmarks, 2) arrays; like Python floats, they overflow
+        # to inf without a warning.
+        self._check_rows(lb)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_lb = np.nextafter(self._landmark_rows - ub[:, None, :], -np.inf)
+            d_ub = np.nextafter(self._landmark_rows - lb[:, None, :], np.inf)
+        norm_lb, norm_ub = _inorm_rows(d_lb.reshape(-1, 2), d_ub.reshape(-1, 2))
+        return norm_lb.reshape(-1, self.n_obs), norm_ub.reshape(-1, self.n_obs)
 
 
 class IdentityEstimator(EstimatorModel):
@@ -111,27 +104,24 @@ class IdentityEstimator(EstimatorModel):
         self._check_rows(rows)
         return rows.copy()
 
-    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
-        for box in boxes:
-            self._check_box(box)
-        return list(boxes)
+    def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
+        return self.eval_points(lb), self.eval_points(ub)
 
     def error_vector_box(
-        self, observation: ObservationModel, boxes: Sequence[IntervalBox]
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, observation: ObservationModel, lb: np.ndarray, ub: np.ndarray
+    ) -> Bounds:
         # x - estimate = -((g(x) - x) + e). For g(x) = x the deviation
         # g(x) - x is the exact zero box, so C = 0 + e never subtracts the
         # parameter box from itself. Any other observation, a subclass of
         # the identity included, takes the generic path, which needs no pad.
         if type(observation) is not IdentityObservation:
-            return super().error_vector_box(observation, boxes)
+            return super().error_vector_box(observation, lb, ub)
         # The point evaluation rounds at the magnitude of x, which C never
         # sees. With S = max(|x|, |C|, 1) (max(-lb, ub) as lb <= ub) and an
         # exact g(x) = y, fl(x - fl(y + e)) is within ulp(S) of x - (y + e)
         # per rounding (|y + e| <= 2S); the 4 ulp(S) pad loses <= ulp(S) to
         # its own rounding, so 3 ulp(S) >= 2 ulp(S) remains.
         n = observation.n_params
-        lb, ub = _bounds(boxes, 2 * n)
         # Like Python floats, the arrays overflow to inf without a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             # C = 0 + e, rounded as iadd rounds
@@ -163,10 +153,8 @@ class ConstantEstimator(EstimatorModel):
         self._check_rows(rows)
         return np.tile(self.value, (len(rows), 1))
 
-    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
-        for box in boxes:
-            self._check_box(box)
-        return [IntervalBox.point(self.value) for _ in boxes]
+    def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
+        return self.eval_points(lb), self.eval_points(ub)
 
 
 # Direction components of (x - a)/||x - a|| lie in [-1, 1]; the clamp below
@@ -234,6 +222,9 @@ class GradientDescentEstimator(EstimatorModel):
             raise ValueError(f"init must be finite, got {self.init!r}")
         self.n_obs = observation.n_obs
         self.n_params = 2
+        self._landmark_ivs = tuple(
+            (Interval.point(ax), Interval.point(ay)) for ax, ay in observation.landmarks
+        )
 
     def eval_points(self, rows: np.ndarray) -> np.ndarray:
         # One descent per row, each row taking the operations of a scalar
@@ -262,19 +253,20 @@ class GradientDescentEstimator(EstimatorModel):
                 x1 = x1 - step * gy
         return np.stack((x0, x1), axis=1)
 
-    def eval_boxes(self, boxes: Sequence[IntervalBox]) -> list[IntervalBox]:
+    def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
+        self._check_rows(lb)
         step = self.step
         zero = Interval.point(0.0)
-        landmarks = self.observation._landmark_ivs
+        landmarks = self._landmark_ivs
         out = []
-        for box in boxes:
-            self._check_box(box)
+        for lows, highs in zip(lb.tolist(), ub.tolist()):
+            ys = tuple(map(_make, lows, highs))
             x0 = Interval.point(self.init[0])
             x1 = Interval.point(self.init[1])
             for _ in range(self.iterations):
                 gx = zero
                 gy = zero
-                for (ax_iv, ay_iv), y_iv in zip(landmarks, box):
+                for (ax_iv, ay_iv), y_iv in zip(landmarks, ys):
                     dx = isub(x0, ax_iv)
                     dy = isub(x1, ay_iv)
                     d = inorm((dx, dy))
@@ -286,5 +278,6 @@ class GradientDescentEstimator(EstimatorModel):
                     gy = iadd(gy, imul(t, uy))
                 x0 = isub(x0, _mul_scalar(step, gx))
                 x1 = isub(x1, _mul_scalar(step, gy))
-            out.append(IntervalBox([x0, x1]))
-        return out
+            out.append((x0.lb, x1.lb, x0.ub, x1.ub))
+        out = np.array(out, dtype=np.float64).reshape(-1, 4)
+        return out[:, :2], out[:, 2:]

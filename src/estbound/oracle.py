@@ -103,12 +103,18 @@ def sample_max_error(obj: ErrorObjective, cfg: OracleConfig) -> OracleResult:
     the maximum, at its first occurrence; NaN errors are never the maximum,
     they are counted.
     Random mode draws uniformly over the search box; grid mode evaluates
-    every corner of the box plus a regular interior grid. An error that
-    overflows float range raises ValueError, as objective_box does."""
+    every corner of the box plus a regular interior grid, and refuses a box
+    with more than MAX_SAMPLES corners. An error that overflows float range
+    raises ValueError, as objective_box does."""
     n = obj.n_params
     box = obj.initial_box()
     lows = [c.lb for c in box]
     highs = [c.ub for c in box]
+    if cfg.mode == "grid" and 2**box.dim > MAX_SAMPLES:
+        raise ValueError(
+            f"grid oracle evaluates all 2**{box.dim} corners of the search box, "
+            f"more than {MAX_SAMPLES} samples"
+        )
 
     if cfg.mode == "random":
         chunks = _random_chunks(lows, highs, cfg.samples, cfg.seed)

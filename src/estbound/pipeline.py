@@ -24,7 +24,7 @@ from typing import Iterable, TextIO
 
 from .framework import ErrorObjective, EstimatorModel, ObservationModel
 from .interval import IntervalBox
-from .mlp import load_mlp
+from .mlp import _number, load_mlp
 from .models import (
     ConstantEstimator,
     GradientDescentEstimator,
@@ -72,8 +72,8 @@ def _integer(doc: dict, key: str, default, where: str) -> int:
 def _float(doc: dict, key: str, default, where: str) -> float:
     value = doc.get(key, default)
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
+        return _number(value)
+    except ValueError as exc:
         raise ValueError(f"{where} {key!r} must be a number, got {value!r}") from exc
 
 
@@ -81,8 +81,8 @@ def _floats(doc: dict, key: str, default, where: str, dim=None) -> tuple[float, 
     value = doc.get(key, default)
     if isinstance(value, list) and dim in (None, len(value)):
         try:
-            return tuple(float(v) for v in value)
-        except (TypeError, ValueError):
+            return tuple(map(_number, value))
+        except ValueError:
             pass
     size = "" if dim is None else f" {dim}"
     raise ValueError(f"{where} {key!r} must be a list of{size} numbers, got {value!r}")
@@ -92,7 +92,7 @@ def _parse_box(doc: dict, key: str, where: str) -> IntervalBox:
     if key not in doc:
         raise ValueError(f"{where} needs {key!r}")
     try:
-        box = IntervalBox.from_bounds((float(lo), float(hi)) for lo, hi in doc[key])
+        box = IntervalBox.from_bounds((_number(lo), _number(hi)) for lo, hi in doc[key])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid {where} {key!r}: {exc}") from exc
     # A finite width and sum per component keep sampling and bisection
@@ -147,7 +147,9 @@ class Scenario:
             if "landmarks" not in spec:
                 raise ValueError("trilateration observation needs 'landmarks'")
             try:
-                return TrilaterationModel(spec["landmarks"])
+                return TrilaterationModel(
+                    [(_number(a), _number(b)) for a, b in spec["landmarks"]]
+                )
             except (TypeError, ValueError) as exc:
                 raise ValueError(
                     f"invalid trilateration observation 'landmarks': {exc}"

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from estbound import framework
 from estbound.framework import ErrorObjective, EstimatorModel
-from estbound.interval import Interval, IntervalBox, _box, _make, inorm, isub
+from estbound.interval import Interval, IntervalBox, _make, inorm, isub
 from estbound.models import (
     ConstantEstimator,
     IdentityEstimator,
@@ -148,20 +149,26 @@ class TestObjectiveBox:
     @pytest.mark.parametrize("name", ["constant", "trilat_mlp", "trilat_gd"])
     def test_batch_is_one_call_per_model(self, scenario_dir, monkeypatch, name):
         # The observation's and the estimator's eval_boxes each see the whole
-        # batch at once.
+        # batch at once, read into bound arrays once.
         obj = load_scenario(scenario_dir / f"{name}.scn").build_objective()
         calls = []
+
+        def bounds_spy(boxes, dim, evaluate=framework._bounds):
+            calls.append(("_bounds", len(boxes)))
+            return evaluate(boxes, dim)
+
+        monkeypatch.setattr(framework, "_bounds", bounds_spy)
         for role in ("observation", "estimator"):
             model = getattr(obj, role)
 
-            def spy(boxes, role=role, evaluate=model.eval_boxes):
-                calls.append((role, len(boxes)))
-                return evaluate(boxes)
+            def spy(lb, ub, role=role, evaluate=model.eval_boxes):
+                calls.append((role, len(lb)))
+                return evaluate(lb, ub)
 
             monkeypatch.setattr(model, "eval_boxes", spy)
         left, right = obj.initial_box().bisect(0)
         obj.objective_box([left, *right.bisect(1)])
-        assert calls == [("observation", 3), ("estimator", 3)]
+        assert calls == [("_bounds", 3), ("observation", 3), ("estimator", 3)]
 
     def test_wrong_dim(self):
         obj = identity_objective()
@@ -201,9 +208,10 @@ class TestObjectiveBox:
             def eval_points(self, rows):
                 return rows.copy()
 
-            def eval_boxes(self, boxes):
-                reversed_bound = (_make(5.0, -5.0),)
-                return [_box(reversed_bound + box.components[1:]) for box in boxes]
+            def eval_boxes(self, lb, ub):
+                lb, ub = lb.copy(), ub.copy()
+                lb[:, 0], ub[:, 0] = 5.0, -5.0
+                return lb, ub
 
         obj = ErrorObjective(
             IdentityObservation(2),
@@ -227,11 +235,10 @@ class TestObjectiveBox:
             def eval_points(self, rows):
                 return rows.copy()
 
-            def eval_boxes(self, boxes):
-                return [
-                    _box((_make(math.nan, box[0].ub),) + box.components[1:])
-                    for box in boxes
-                ]
+            def eval_boxes(self, lb, ub):
+                lb = lb.copy()
+                lb[:, 0] = math.nan
+                return lb, ub
 
         obj = ErrorObjective(
             IdentityObservation(2),

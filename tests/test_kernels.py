@@ -4,7 +4,8 @@ The trilateration distances, the descent's and the network's point passes,
 the network's box pass and the batched error evaluation must give the same
 floats, bit for bit, as the scalar loops below, which perform the same IEEE
 operations in the same order one value at a time. Every model's eval_boxes
-must give each box of a batch the bounds of a one-box reference. The box
+must give each row of a batch of bound arrays the bounds of a one-box
+reference. The box
 passes of the trilateration model, the descent and the network must also
 contain the exact value, checked against mpmath.
 """
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from estbound.interval import (
     Interval,
     IntervalBox,
+    _bounds,
     _mul_scalar,
     iadd,
     imul,
@@ -178,6 +180,14 @@ def box_bits(box):
     return [(c.lb.hex(), c.ub.hex()) for c in box]
 
 
+def rows_bits(lb, ub):
+    """box_bits of each row of two bound arrays."""
+    return [
+        list(zip(bits(lows), bits(highs)))
+        for lows, highs in zip(lb.tolist(), ub.tolist())
+    ]
+
+
 @pytest.fixture(scope="module")
 def net(scenario_dir):
     return load_mlp(scenario_dir / "mlp_3x32x32x2.json")
@@ -256,9 +266,12 @@ def check_boxes(model, boxes, reference=reference_eval_box):
     for size in (1, 2, 3):
         for start in range(0, len(boxes), size):
             batch = boxes[start : start + size]
-            out = model.eval_boxes(batch)
-            assert [box_bits(b) for b in out] == expected[start : start + size]
-    assert model.eval_boxes([]) == []
+            lb, ub = model.eval_boxes(*_bounds(batch, boxes[0].dim))
+            assert lb.dtype == ub.dtype == np.float64
+            assert lb.shape == ub.shape == (len(batch), len(expected[0]))
+            assert rows_bits(lb, ub) == expected[start : start + size]
+    lb, ub = model.eval_boxes(*_bounds([], boxes[0].dim))
+    assert lb.shape == ub.shape == (0, len(expected[0]))
 
 
 class TestNetworkBitIdentity:
@@ -299,7 +312,8 @@ class TestNetworkBitIdentity:
             check_boxes(model, boxes + sample_boxes(rng, (1.0, -2.0, 3.0), 20))
 
     def test_empty_batches(self, net):
-        assert net.eval_boxes([]) == []
+        lb, ub = net.eval_boxes(np.zeros((0, 3)), np.zeros((0, 3)))
+        assert lb.shape == ub.shape == (0, 2)
         assert net.eval_points(np.zeros((0, 3))).shape == (0, 2)
 
     def test_degenerate_box_components(self, net):
@@ -488,7 +502,7 @@ class TestIdentityErrorVector:
             for b in boxes
         ]
         for batch in [boxes] + [[b] for b in boxes]:
-            lb, ub = est.error_vector_box(obs, batch)
+            lb, ub = est.error_vector_box(obs, *_bounds(batch, 2 * n))
             assert lb.shape == ub.shape == (len(batch), n)
             got = [
                 [(lo.hex(), hi.hex()) for lo, hi in zip(lows, highs)]
@@ -566,7 +580,9 @@ class TestIdentityErrorVector:
         self.check(boxes)
 
     def test_empty_batch(self):
-        lb, ub = IdentityEstimator(2).error_vector_box(IdentityObservation(2), [])
+        lb, ub = IdentityEstimator(2).error_vector_box(
+            IdentityObservation(2), np.zeros((0, 4)), np.zeros((0, 4))
+        )
         assert lb.shape == ub.shape == (0, 2)
 
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from estbound.interval import Interval, IntervalBox
@@ -135,11 +136,10 @@ class TestBoxPass:
                 MlpLayer(((1.0,),), (0.0,), "linear"),
             ]
         )
-        box = IntervalBox.from_bounds([(1e300, 2e300)])
         with pytest.raises(
             ValueError, match=r"network layer 1 gives a NaN bound on Box\(\[1e\+300"
         ):
-            m.eval_boxes([IntervalBox.from_bounds([(0.0, 1.0)]), box])
+            m.eval_boxes(np.array([[0.0], [1e300]]), np.array([[1.0], [2e300]]))
 
 
 class TestSerialization:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from estbound.framework import ObservationModel
-from estbound.interval import Interval, IntervalBox, iadd, imul
+from estbound.interval import Interval, IntervalBox, _bounds, iadd, imul
 from estbound.models import (
     ConstantEstimator,
     GradientDescentEstimator,
@@ -22,7 +22,8 @@ def error_vector(est, obs, param_box, noise_box):
     """est.error_vector_box over the one search box param_box x noise_box,
     as one Interval per component; Interval rejects NaN or reversed
     bounds."""
-    lb, ub = est.error_vector_box(obs, [param_box.concat(noise_box)])
+    dim = param_box.dim + noise_box.dim
+    lb, ub = est.error_vector_box(obs, *_bounds([param_box.concat(noise_box)], dim))
     assert lb.dtype == ub.dtype == np.float64
     assert lb.shape == ub.shape == (1, est.n_params)
     return [Interval(lo, hi) for lo, hi in zip(lb[0].tolist(), ub[0].tolist())]
@@ -30,7 +31,8 @@ def error_vector(est, obs, param_box, noise_box):
 
 class AffineObservation(ObservationModel):
     """g(x) = a x + b for a square matrix a: a square observation that is
-    not the identity. Sums run in row order, starting from b."""
+    not the identity. Sums run in row order, starting from b. Its box pass
+    composes scalar interval operations, one row of bounds at a time."""
 
     def __init__(self, a, b):
         self.a = a
@@ -47,18 +49,23 @@ class AffineObservation(ObservationModel):
             out.append(acc)
         return np.stack(out, axis=1)
 
-    def eval_boxes(self, boxes):
-        out = []
-        for box in boxes:
-            self._check_box(box)
+    def eval_boxes(self, lb, ub):
+        self._check_rows(lb)
+        out_lb, out_ub = [], []
+        for lows, highs in zip(lb.tolist(), ub.tolist()):
+            box = [Interval(lo, hi) for lo, hi in zip(lows, highs)]
             comps = []
             for row, bi in zip(self.a, self.b):
                 acc = Interval.point(bi)
                 for aij, xj in zip(row, box):
                     acc = iadd(acc, imul(Interval.point(aij), xj))
                 comps.append(acc)
-            out.append(IntervalBox(comps))
-        return out
+            out_lb.append([c.lb for c in comps])
+            out_ub.append([c.ub for c in comps])
+        return (
+            np.array(out_lb, dtype=np.float64).reshape(-1, self.n_obs),
+            np.array(out_ub, dtype=np.float64).reshape(-1, self.n_obs),
+        )
 
 
 @pytest.fixture

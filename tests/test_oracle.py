@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from estbound import oracle
 from estbound.framework import ErrorObjective
 from estbound.interval import IntervalBox
 from estbound.models import (
@@ -76,6 +77,26 @@ class TestGridMode:
         obj = identity_objective_of_dim(3)
         res = sample_max_error(obj, OracleConfig(samples=samples, mode="grid"))
         assert res.samples_used == 2**6 + side**6
+
+    def test_corners_beyond_the_sample_cap_rejected(self, monkeypatch):
+        # Grid mode evaluates every corner whatever `samples` is, so a
+        # search box with more than MAX_SAMPLES corners is refused before
+        # any sampling: 2**28 corners for a 14-dim identity scenario.
+        with pytest.raises(ValueError, match=r"2\*\*28 corners"):
+            sample_max_error(
+                identity_objective_of_dim(14), OracleConfig(samples=10, mode="grid")
+            )
+        # At a cap of 16, a 4-dim search box (16 corners) is sampled and a
+        # 6-dim one (64 corners) is refused before its first sample.
+        monkeypatch.setattr(oracle, "MAX_SAMPLES", 16)
+        cfg = OracleConfig(samples=1, mode="grid")
+        assert sample_max_error(identity_objective_of_dim(2), cfg).samples_used == 16
+        obj = identity_objective_of_dim(3)
+        calls = []
+        monkeypatch.setattr(obj, "error_point", lambda x, e: calls.append(x))
+        with pytest.raises(ValueError, match=r"2\*\*6 corners"):
+            sample_max_error(obj, cfg)
+        assert calls == []
 
     def test_degenerate_noise_perfect_estimator(self):
         obj = ErrorObjective(

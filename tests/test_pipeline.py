@@ -55,10 +55,9 @@ class UnsoundStubEstimator(EstimatorModel):
         self._check_rows(rows)
         return rows + 10.0
 
-    def eval_boxes(self, boxes):
-        for box in boxes:
-            self._check_box(box)
-        return list(boxes)
+    def eval_boxes(self, lb, ub):
+        self._check_rows(lb)
+        return lb.copy(), ub.copy()
 
 
 class NanStubEstimator(EstimatorModel):
@@ -73,10 +72,9 @@ class NanStubEstimator(EstimatorModel):
         self._check_rows(rows)
         return np.where(rows[:, :1] > 0.5, math.nan, rows)
 
-    def eval_boxes(self, boxes):
-        for box in boxes:
-            self._check_box(box)
-        return list(boxes)
+    def eval_boxes(self, lb, ub):
+        self._check_rows(lb)
+        return lb.copy(), ub.copy()
 
 
 @pytest.fixture
@@ -539,6 +537,39 @@ class TestCli:
             ),
             ({"param_box": 5}, ["'param_box'"]),
             ({"noise_box": MISSING}, ["'noise_box'"]),
+            # Numbers are JSON numbers: not true or false, not strings, and
+            # not integers beyond float range.
+            ({"ms": {"delta": True}}, ["'delta'", "True"]),
+            ({"param_box": [["0", "1"], [0, "1"]]}, ["param_box", "'0'"]),
+            ({"noise_box": [[-0.1, 0.1], [False, 0.1]]}, ["noise_box", "False"]),
+            ({"ms": {"delta": 10**400}}, ["'delta'"]),
+            ({"param_box": [[0, 10**400], [0, 1]]}, ["param_box", "finite"]),
+            (
+                {"observation": dict(TRILATERATION, landmarks=[[10, -9], [5, "12"]])},
+                ["'landmarks'", "'12'"],
+            ),
+            (
+                {"observation": dict(TRILATERATION, landmarks=[[10, -9], [True, 0]])},
+                ["'landmarks'", "True"],
+            ),
+            ({"estimator": {"type": "constant", "value": [True, 0]}}, ["'value'"]),
+            (
+                {
+                    "observation": TRILATERATION,
+                    "estimator": {"type": "gradient_descent", "step": "0.01"},
+                },
+                ["'step'"],
+            ),
+            # Grid mode evaluates all 2**28 corners of a 14-dim identity
+            # scenario's search box, whatever `samples` is.
+            (
+                {
+                    "param_box": [[0, 1]] * 14,
+                    "noise_box": [[-0.1, 0.1]] * 14,
+                    "oracle": {"samples": 10, "mode": "grid"},
+                },
+                ["2**28 corners"],
+            ),
         ],
     )
     def test_malformed_scenario_exit_1(self, tmp_path, capsys, override, words):
@@ -558,13 +589,29 @@ class TestCli:
             self.assert_one_line_error(capsys, "JSON object")
 
     @pytest.mark.parametrize(
-        "field, value", [("layers", 5), ("meta", 5), ("meta", [1])]
+        "field, value",
+        [
+            ("layers", 5),
+            ("meta", 5),
+            ("meta", [1]),
+            # Fields of layer 1, which has 32 rows of 32 weights. A string
+            # or an object is not a list of numbers, nor are true and false.
+            pytest.param("bias", "1" * 32, id="bias-string"),
+            pytest.param("bias", {str(i): 1 for i in range(32)}, id="bias-object"),
+            pytest.param("bias", [True] * 32, id="bias-true"),
+            pytest.param("bias", ["1"] * 32, id="bias-numeric-strings"),
+            pytest.param("weights", ["1" * 32] * 32, id="weights-strings"),
+            pytest.param("weights", [[False] * 32] * 32, id="weights-false"),
+        ],
     )
     def test_malformed_weight_file_exit_1(
         self, scenario_dir, tmp_path, capsys, field, value
     ):
         doc = json.loads((scenario_dir / "mlp_3x32x32x2.json").read_text())
-        doc[field] = value
+        if field in doc:
+            doc[field] = value
+        else:
+            doc["layers"][1][field] = value
         (tmp_path / "net.json").write_text(json.dumps(doc))
         p = write_scenario(
             tmp_path / "bad.scn",
@@ -576,7 +623,10 @@ class TestCli:
             ),
         )
         assert cli.main(["validate", "--scenario", str(p)]) == 1
-        self.assert_one_line_error(capsys, f"'{field}'")
+        if field in doc:
+            self.assert_one_line_error(capsys, f"'{field}'")
+        else:
+            self.assert_one_line_error(capsys, "layer 1", "is not a finite number")
 
     def test_overflowing_weights_exit_1(self, scenario_dir, tmp_path, capsys):
         # The network's kernels overflow to inf and NaN; each run reports

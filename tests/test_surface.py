@@ -2,8 +2,9 @@
 imports, plus the two base classes that custom models subclass, so the
 README and the package cannot drift apart. Models spell their point
 evaluator once, as eval_points, and their box evaluator once, as
-eval_boxes. The CLI has two subcommands and uses only the public names of
-the modules it imports from."""
+eval_boxes, which takes and returns bound arrays; only the error objective
+reads boxes into such arrays. The CLI has two subcommands and uses only the
+public names of the modules it imports from."""
 
 import argparse
 import ast
@@ -13,13 +14,23 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import estbound
 from estbound import cli
 from estbound.framework import EstimatorModel, ObservationModel
+from estbound.mlp import MlpLayer, MlpModel
+from estbound.models import (
+    ConstantEstimator,
+    GradientDescentEstimator,
+    IdentityEstimator,
+    IdentityObservation,
+    TrilaterationModel,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(estbound.__file__).resolve().parent
 
 
 def readme_library_imports():
@@ -67,15 +78,102 @@ def test_only_the_base_classes_define_eval_box():
     assert sorted(defining) == BASES
 
 
-def test_every_concrete_model_defines_eval_boxes():
-    models = [
+def concrete_models():
+    return [
         (name, cls)
         for name, cls in package_classes()
         if issubclass(cls, (ObservationModel, EstimatorModel))
         and not inspect.isabstract(cls)
     ]
+
+
+def test_every_concrete_model_defines_eval_boxes():
+    models = concrete_models()
     assert len(models) == 6
     assert [name for name, cls in models if "eval_boxes" not in vars(cls)] == []
+
+
+def _trilateration():
+    return TrilaterationModel([(10, -9), (5, 12), (-15, 0)])
+
+
+# One small instance of each concrete model.
+MODELS = {
+    "estbound.models.IdentityObservation": lambda: IdentityObservation(2),
+    "estbound.models.TrilaterationModel": _trilateration,
+    "estbound.models.IdentityEstimator": lambda: IdentityEstimator(3),
+    "estbound.models.ConstantEstimator": lambda: ConstantEstimator((1.0, -0.0), 3),
+    "estbound.models.GradientDescentEstimator": lambda: GradientDescentEstimator(
+        _trilateration(), iterations=3
+    ),
+    "estbound.mlp.MlpModel": lambda: MlpModel(
+        [MlpLayer(((1.0, -1.0, 0.5), (0.0, 2.0, -1.0)), (0.5, -0.5), "relu")]
+    ),
+}
+
+
+def test_the_contract_test_covers_every_concrete_model():
+    assert sorted(MODELS) == sorted(name for name, _ in concrete_models())
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_eval_boxes_takes_and_returns_bound_arrays(name):
+    # (k, in) lower and upper bound arrays give two float64 (k, out) arrays,
+    # each row the row a one-row call gives; a wrong width raises the
+    # message _check_rows gives for point rows.
+    model = MODELS[name]()
+    if isinstance(model, ObservationModel):
+        n_in, n_out = model.n_params, model.n_obs
+    else:
+        n_in, n_out = model.n_obs, model.n_params
+    rng = np.random.Generator(np.random.PCG64(0))
+    for k in (0, 1, 3):
+        lb = rng.uniform(0, 20, size=(k, n_in))
+        ub = lb + rng.uniform(0, 1, size=(k, n_in))
+        out = model.eval_boxes(lb, ub)
+        assert isinstance(out, tuple) and len(out) == 2
+        for bounds in out:
+            assert isinstance(bounds, np.ndarray)
+            assert bounds.dtype == np.float64 and bounds.shape == (k, n_out)
+        assert (out[0] <= out[1]).all()
+        for i in range(k):
+            one = model.eval_boxes(lb[i : i + 1], ub[i : i + 1])
+            assert [b.tobytes() for b in one] == [b[i : i + 1].tobytes() for b in out]
+    wrong = np.zeros((2, n_in + 1))
+    with pytest.raises(ValueError) as expected:
+        model._check_rows(wrong)
+    with pytest.raises(ValueError) as got:
+        model.eval_boxes(wrong, wrong)
+    assert str(got.value) == str(expected.value)
+
+
+def calls_of(tree, name):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    ]
+
+
+def test_only_the_framework_reads_boxes_into_bound_arrays():
+    callers = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if calls_of(ast.parse(path.read_text()), "_bounds")
+    ]
+    assert callers == ["framework.py"]
+
+
+@pytest.mark.parametrize("module", ["models.py", "mlp.py"])
+def test_models_import_no_box_type(module):
+    tree = ast.parse((SRC / module).read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported & {"IntervalBox", "_box", "_bounds"} == set()
 
 
 def test_cli_subcommands_are_validate_and_oracle():
