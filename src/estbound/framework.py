@@ -7,27 +7,22 @@ one-row form) and a row-batched box evaluator (`eval_boxes`; `eval_box` is
 its one-box form) that must be a sound inclusion of the point one: x in X
 implies eval_point(x) in eval_box(X). A batch of k boxes is held as bound
 arrays (`Bounds`), a (k, dim) float64 array of lower and one of upper
-bounds; only the one-box forms and `objective_box` hold `IntervalBox`es.
+bounds; `IntervalBox`es are read into bound arrays (`interval._bounds`)
+only by the one-box forms here and by the search's initial box.
 
 `ErrorObjective` composes the two into the estimation error
 e(x, e) = ||x - estimate(observation(x) + e)|| and its negation, the objective
-handed to the branch-and-bound minimizer. That objective is batched the way
-the minimizer calls it (the initial box alone, then the halves of up to
-`optimizer.LOOKAHEAD` front boxes per call): `objective_box` takes one
-search box and returns one enclosure, or takes a sequence of boxes and
-returns a list holding one enclosure per box, evaluated together.
-
-Per batch, `objective_box` reads the search boxes into bound arrays
-(`interval._bounds`, the one place that does), the estimator encloses the
-error vectors (`error_vector_box`), and `objective_box` takes their norms a
-column at a time over all boxes (`interval._inorm_rows`), bit for bit what
-`inorm` gives each box alone, with one Interval per box at the end. numpy's
-cost is paid per call, so a wider batch is cheaper per box: on the identity
-scenario one box cost 5.5 us at 16 boxes per call and 2.4 us at 64, against
-5.4 and 3.7 us one Interval at a time (one CPU, min of 7 timings). That is
-why `optimizer.LOOKAHEAD` is 32, 64 halves per call: at 8, identity_deep's
-search ran slower than with the scalar norm, and at 64 trilat_mlp evaluated
-4027 boxes instead of 4001 and its peak RSS rose by 2.4 MB.
+handed to the branch-and-bound minimizer, batched the way it calls it:
+`objective_box(lb, ub)` takes k search boxes as bound arrays and returns
+the bounds of their k enclosures as two (k,) arrays; `objective_box(box)`
+is its one-box form. The estimator encloses the error vectors
+(`error_vector_box`), and `objective_box` takes their norms a column at a
+time over all boxes (`interval._inorm_rows`), bit for bit what `inorm`
+gives each box alone. numpy's cost is paid per call, so a wider batch is
+cheaper per box: on the identity scenario one box cost 5.5 us at 16 boxes
+per call and 2.4 us at 64 (one CPU, min of 7 timings). That is why
+`optimizer.LOOKAHEAD` is 32, 64 halves per call: at 64 trilat_mlp
+evaluated 4027 boxes instead of 4001 and its peak RSS rose by 2.4 MB.
 
 All models must be stateless per call; objectives may be evaluated on many
 boxes concurrently.
@@ -41,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .interval import Interval, IntervalBox, _bounds, _box, _inorm_rows, _make
+from .interval import Interval, IntervalBox, _bounds, _inorm_rows, _make, _row_box
 
 __all__ = ["ObservationModel", "EstimatorModel", "ErrorObjective"]
 
@@ -74,7 +69,7 @@ class ObservationModel(ABC):
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         """Inclusion over a single parameter box: eval_boxes on one row."""
         lb, ub = self.eval_boxes(*_bounds((box,), box.dim))
-        return _box(tuple(map(_make, lb[0].tolist(), ub[0].tolist())))
+        return _row_box(lb[0], ub[0])
 
     def _check_rows(self, rows: np.ndarray) -> None:
         if rows.shape[-1] != self.n_params:
@@ -109,7 +104,7 @@ class EstimatorModel(ABC):
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         """Inclusion over a single observation box: eval_boxes on one row."""
         lb, ub = self.eval_boxes(*_bounds((box,), box.dim))
-        return _box(tuple(map(_make, lb[0].tolist(), ub[0].tolist())))
+        return _row_box(lb[0], ub[0])
 
     def error_vector_box(
         self, observation: ObservationModel, lb: np.ndarray, ub: np.ndarray
@@ -221,38 +216,38 @@ class ErrorObjective:
         return float(dist[0]) if xs.ndim == 1 else dist
 
     def objective_box(
-        self, box: IntervalBox | Sequence[IntervalBox]
-    ) -> Interval | list[Interval]:
-        """Enclosure of -error_point over a concatenated (parameters, noise)
-        box; this is the function minimized by the branch-and-bound search.
+        self, lb: np.ndarray | IntervalBox, ub: np.ndarray | None = None
+    ) -> Bounds | Interval:
+        """Enclosure of -error_point over concatenated (parameters, noise)
+        boxes; this is the function minimized by the branch-and-bound search.
 
-        box is either one search box, giving one Interval, or a sequence of
-        them, giving a list of one Interval per box, in order. All boxes of
-        a sequence go to the estimator in one batched evaluation.
+        Batched, as the search calls it: lb and ub are (k, n + m) bound
+        arrays, one search box per row, evaluated together; the result is
+        the lower and the upper bounds of the k enclosures, as two (k,)
+        arrays. objective_box(box) is the one-box form, giving an Interval.
 
         A NaN or reversed error bound raises inorm's ValueError, and an
         error that overflows float range one naming its box; the first
         holds for any box of the batch, the second for the first such box.
         """
-        single = isinstance(box, IntervalBox)
-        boxes = (box,) if single else box
+        if isinstance(lb, IntervalBox):
+            f_lb, f_ub = self.objective_box(*_bounds((lb,), lb.dim))
+            return _make(f_lb.item(), f_ub.item())
         n, m = self.n_params, self.n_obs
-        for b in boxes:
-            if b.dim != n + m:
-                raise ValueError(
-                    f"search box has dim {b.dim}, expected {n} + {m} = {n + m}"
-                )
-        lb, ub = _bounds(boxes, n + m)
-        lb, ub = self.estimator.error_vector_box(self.observation, lb, ub)
-        norm_lb, norm_ub = _inorm_rows(lb, ub)
+        if lb.shape[-1] != n + m:
+            raise ValueError(
+                f"search box has dim {lb.shape[-1]}, expected {n} + {m} = {n + m}"
+            )
+        e_lb, e_ub = self.estimator.error_vector_box(self.observation, lb, ub)
+        norm_lb, norm_ub = _inorm_rows(e_lb, e_ub)
         overflow = norm_ub == math.inf
         if overflow.any():
+            i = int(overflow.argmax())
             raise ValueError(
                 "the estimation error overflows float range on "
-                f"{boxes[int(overflow.argmax())]!r}"
+                f"{_row_box(lb[i], ub[i])!r}"
             )
-        out = list(map(_make, (-norm_ub).tolist(), (-norm_lb).tolist()))
-        return out[0] if single else out
+        return -norm_ub, -norm_lb
 
     def initial_box(self) -> IntervalBox:
         """The full search box: parameter box then noise box."""

@@ -244,7 +244,8 @@ def load_mlp(path: str | Path) -> MlpModel:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: invalid JSON, or an integer over Python's parsing limit.
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read weight file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "layers" not in doc:
         raise ValueError(f"weight file {path} has no 'layers' entry")

@@ -8,11 +8,16 @@ enclosure always brackets the global minimum, so the loop may stop at any
 iteration with a sound result; it stops normally once the front enclosure
 is narrower than the configured tolerance.
 
-The objective is batched: it takes a sequence of boxes and returns one
-enclosure per box, in order. A split whose halves are not yet evaluated
-also bisects the next LOOKAHEAD - 1 boxes in cover order and hands all the
-halves to the objective in one call, so a vectorised objective evaluates
-them together; each speculated pair waits in a side table until its box
+The cover is held in rows of bound arrays: (rows, dim) box lower and upper
+bounds and (rows,) enclosure upper bounds, grown by doubling, with the row
+of a split box reused. A heap of (enclosure lower bound, insertion
+sequence, row) orders them. `IntervalBox` and `Interval` appear only at the
+edges: the initial box, the result, `Cover.entries()` and error messages.
+
+The objective is batched on such arrays too. A split whose halves are not
+yet evaluated also bisects the next LOOKAHEAD - 1 boxes in cover order,
+all in one numpy pass, and hands all the halves to the objective in one
+call; each speculated pair waits in rows outside the heap until its box
 reaches the front. Each enclosure depends only on its own box, and the
 splits, insertion order and tie-breaking are those of one split per call,
 so every result is the same for any LOOKAHEAD; only the number of
@@ -29,25 +34,20 @@ refined.
 
 from __future__ import annotations
 
-import gc
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
-from .interval import Interval, IntervalBox
+import numpy as np
+
+from .interval import Interval, IntervalBox, _bounds, _make, _row_box
 
 __all__ = [
-    "CannotSplitError",
-    "ObjectiveError",
-    "CoverEntry",
-    "Cover",
-    "MsConfig",
-    "MsResult",
-    "select_split_dim",
-    "moore_skelboe",
+    "ObjectiveError", "CoverEntry", "Cover", "MsConfig", "MsResult", "moore_skelboe"
 ]
 
-BoxObjective = Callable[[Sequence[IntervalBox]], Sequence[Interval]]
+Bounds = tuple[np.ndarray, np.ndarray]
+BoxObjective = Callable[[np.ndarray, np.ndarray], Bounds]
 
 # Front boxes split per objective call: 32 boxes, 64 halves, per call. The
 # objectives evaluate a batch with numpy calls whose cost is paid per call,
@@ -56,13 +56,8 @@ BoxObjective = Callable[[Sequence[IntervalBox]], Sequence[Interval]]
 LOOKAHEAD = 32
 
 
-class CannotSplitError(ValueError):
-    """No allowed split dimension of a box can be bisected."""
-
-
 class ObjectiveError(RuntimeError):
-    """The objective returned something other than one valid interval per
-    box."""
+    """The objective returned other than one valid enclosure per box."""
 
 
 class CoverEntry:
@@ -74,60 +69,66 @@ class CoverEntry:
         self.box = box
         self.enclosure = enclosure
 
-    def __repr__(self) -> str:
-        return f"CoverEntry(box={self.box!r}, enclosure={self.enclosure!r})"
-
 
 class Cover:
-    """Working set of cover entries, ordered by enclosure lower bound.
+    """Working set of cover boxes, ordered by enclosure lower bound.
 
-    Backed by a heap keyed on (lower bound, insertion sequence); equal lower
-    bounds therefore pop in insertion (FIFO) order.
-    """
+    Box bounds and enclosure upper bounds live in rows of the arrays _lb,
+    _ub and _f_ub. The heap holds (lower bound, insertion sequence, row)
+    per box, so equal lower bounds pop in insertion (FIFO) order. Rows
+    listed in _free hold no cover box; they are reused first."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, CoverEntry]] = []
+        self._heap: list[tuple[float, int, int]] = []
         self._seq = 0
+        self._free: list[int] = []
+        self._end = 0
+        self._lb = self._ub = np.empty((0, 0))
+        self._f_ub = np.empty(0)
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def insert(self, entry: CoverEntry) -> None:
-        heapq.heappush(self._heap, (entry.enclosure.lb, self._seq, entry))
-        self._seq += 1
+    def _add(self, lb: np.ndarray, ub: np.ndarray, f_ub: np.ndarray) -> list[int]:
+        """Write the boxes of the (k, dim) bounds lb, ub and their enclosure
+        upper bounds into k rows, free ones first, and return the rows."""
+        k, dim = lb.shape
+        rows = [self._free.pop() for _ in range(min(k, len(self._free)))]
+        start, end = self._end, self._end + k - len(rows)
+        if end > len(self._f_ub):
+            cap = max(end, 2 * len(self._f_ub))
+            grown = np.empty((cap, dim)), np.empty((cap, dim)), np.empty(cap)
+            if start:
+                for new, old in zip(grown, (self._lb, self._ub, self._f_ub)):
+                    new[:start] = old[:start]
+            self._lb, self._ub, self._f_ub = grown
+        rows += range(start, end)
+        self._end = end
+        at = np.array(rows)
+        self._lb[at] = lb
+        self._ub[at] = ub
+        self._f_ub[at] = f_ub
+        return rows
 
-    def peek(self) -> CoverEntry:
-        return self._heap[0][2]
+    def _entry(self, f_lb: float, row: int) -> CoverEntry:
+        enclosure = _make(f_lb, self._f_ub.item(row))
+        return CoverEntry(_row_box(self._lb[row], self._ub[row]), enclosure)
+
+    def insert(self, entry: CoverEntry) -> None:
+        box = entry.box
+        (row,) = self._add(*_bounds((box,), box.dim), np.array([entry.enclosure.ub]))
+        heapq.heappush(self._heap, (entry.enclosure.lb, self._seq, row))
+        self._seq += 1
 
     def pop(self) -> CoverEntry:
-        return heapq.heappop(self._heap)[2]
-
-    def replace_front(self, entry: CoverEntry) -> None:
-        """pop() then insert(entry), in one heap sift."""
-        heapq.heapreplace(self._heap, (entry.enclosure.lb, self._seq, entry))
-        self._seq += 1
-
-    def following(self, count: int) -> list[CoverEntry]:
-        """Up to count entries after the front, in cover order: a
-        best-first walk of the heap from the root, O(count log count)."""
-        heap = self._heap
-        out: list[CoverEntry] = []
-        # (heap item, heap index); items are unique, so the index never
-        # takes part in a comparison.
-        frontier = [(heap[i], i) for i in (1, 2) if i < len(heap)]
-        heapq.heapify(frontier)
-        while frontier and len(out) < count:
-            item, i = heapq.heappop(frontier)
-            out.append(item[2])
-            for child in (2 * i + 1, 2 * i + 2):
-                if child < len(heap):
-                    heapq.heappush(frontier, (heap[child], child))
-        return out
+        f_lb, _, row = heapq.heappop(self._heap)
+        self._free.append(row)
+        return self._entry(f_lb, row)
 
     def entries(self) -> list[CoverEntry]:
         """All entries, sorted by (lower bound, insertion order)."""
-        # Sequence numbers are unique, so tuple order never reaches the entry.
-        return [item[2] for item in sorted(self._heap)]
+        # Sequence numbers are unique, so tuple order never reaches the row.
+        return [self._entry(f_lb, row) for f_lb, _, row in sorted(self._heap)]
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,6 @@ class MsConfig:
     max_iterations: split budget; hitting it is not an error, the result is
         still a sound (possibly wide) bracket.
     split_dims: box dimensions the search may bisect.
-
-    How many splits go to the objective per call is not configured here: it
-    is the module's LOOKAHEAD, and it changes no result, only the call
-    count.
     """
 
     delta: float
@@ -180,183 +177,186 @@ class MsResult:
     cover: Cover = field(repr=False)
 
 
-def _splittable(c: Interval) -> bool:
-    # Whether IntervalBox.bisect's midpoint lies strictly inside c. It does
-    # not when c is degenerate or one ulp wide; then one half equals c.
-    return c.lb < 0.5 * (c.lb + c.ub) < c.ub
+def _split_rule(
+    lb: np.ndarray, ub: np.ndarray, dims: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each box, a row of the (k, dim) bounds: the widest splittable
+    dimension among dims (sorted, without repeats), lowest index on ties,
+    its midpoint, and whether there is one. A dimension is splittable when
+    its midpoint lies strictly inside it: not when it is degenerate or one
+    ulp wide, nor when lb + ub overflows."""
+    lo = lb[:, dims]
+    hi = ub[:, dims]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = 0.5 * (lo + hi)
+        ok = (lo < mid) & (mid < hi)
+        best = np.where(ok, hi - lo, -1.0).argmax(axis=1)
+    at = np.arange(len(lb)), best
+    return dims[best], mid[at], ok[at]
 
 
-def select_split_dim(box: IntervalBox, split_dims: Iterable[int]) -> int:
-    """Widest splittable dimension among split_dims, lowest index on ties
-    whatever the order of split_dims. A dimension is splittable when both
-    halves of its bisection are narrower than the box. Raises
-    CannotSplitError when no candidate is splittable."""
-    comps = box.components
-    best_i = -1
-    best_w = -1.0
-    for i in split_dims:
-        w = comps[i].width
-        if w > best_w or (w == best_w and i < best_i):
-            best_i, best_w = i, w
-    if best_i < 0:
-        raise ValueError("split_dims must be a non-empty subset of box indices")
-    if _splittable(comps[best_i]):
-        return best_i
-    splittable = [i for i in split_dims if _splittable(comps[i])]
-    if not splittable:
-        raise CannotSplitError(f"no split dimension of {box!r} can be bisected")
-    return select_split_dim(box, splittable)
-
-
-def _evaluate(
-    f: BoxObjective, boxes: tuple[IntervalBox, ...]
-) -> list[CoverEntry]:
-    enclosures = f(boxes)
+def _evaluate(f: BoxObjective, lb: np.ndarray, ub: np.ndarray) -> Bounds:
+    """f's enclosures of the boxes in the rows of lb and ub, checked."""
+    out = f(lb, ub)
+    k = len(lb)
     try:
-        count = len(enclosures)
-    except TypeError:
-        count = None
-    if count != len(boxes):
+        f_lb, f_ub = out
+        arrays = [isinstance(a, np.ndarray) and a.shape == (k,) for a in (f_lb, f_ub)]
+    except (TypeError, ValueError):
+        arrays = [False]
+    if not all(arrays) or f_lb.dtype != np.float64 or f_ub.dtype != np.float64:
         raise ObjectiveError(
-            f"objective returned {enclosures!r} for {len(boxes)} boxes, "
-            "not one enclosure per box"
+            f"objective returned {out!r} for {k} boxes, the first "
+            f"{_row_box(lb[0], ub[0])!r}, not two ({k},) float64 arrays "
+            "holding one enclosure per box"
         )
-    entries = []
-    for box, enclosure in zip(boxes, enclosures):
-        if not isinstance(enclosure, Interval):
-            raise ObjectiveError(
-                f"objective returned {enclosure!r} (not an Interval) on {box!r}"
-            )
-        # Also false for NaN bounds, which would corrupt the cover's heap order.
-        if not enclosure.lb <= enclosure.ub:
-            raise ObjectiveError(
-                f"objective returned the invalid enclosure {enclosure!r} on {box!r}"
-            )
-        entries.append(CoverEntry(box, enclosure))
-    return entries
+    # Also false for NaN bounds, which would corrupt the cover's heap order.
+    valid = f_lb <= f_ub
+    if not valid.all():
+        i = int(valid.argmin())
+        raise ObjectiveError(
+            f"objective returned the invalid enclosure [{f_lb.item(i)!r}, "
+            f"{f_ub.item(i)!r}] on {_row_box(lb[i], ub[i])!r}"
+        )
+    return f_lb, f_ub
+
+
+def _following(heap: list, count: int) -> list:
+    """Up to count heap items after the front, in cover order, each with its
+    heap index appended: a best-first walk from the root, O(count log count)."""
+    n = len(heap)
+    # Items are unique, so the index never takes part in a comparison.
+    frontier = [heap[i] + (i,) for i in (1, 2) if i < n]
+    heapq.heapify(frontier)
+    out = []
+    while frontier and len(out) < count:
+        item = frontier[0]
+        out.append(item)
+        child = 2 * item[3] + 1
+        if child + 1 < n:
+            heapq.heapreplace(frontier, heap[child] + (child,))
+            heapq.heappush(frontier, heap[child + 1] + (child + 1,))
+        elif child < n:
+            heapq.heapreplace(frontier, heap[child] + (child,))
+        else:
+            heapq.heappop(frontier)
+    return out
 
 
 def _split_ahead(
     f: BoxObjective,
     cover: Cover,
-    halves: tuple[IntervalBox, IntervalBox],
-    cfg: MsConfig,
+    front: int,
+    dims: np.ndarray,
+    delta: float,
     count: int,
-    ahead: dict[CoverEntry, list[CoverEntry]],
-) -> tuple[list[CoverEntry], int]:
-    """Evaluate the front's halves together with those of up to count - 1
-    following boxes, storing each following box's pair in ahead. Returns
-    the front's evaluated pair and the number of boxes handed to f."""
-    boxes = list(halves)
-    speculated = []
-    for entry in cover.following(count - 1):
-        # A box already evaluated, or one that stops the search when it
-        # reaches the front, is not split ahead.
-        if entry in ahead or entry.enclosure.width <= cfg.delta:
-            continue
-        try:
-            dim = select_split_dim(entry.box, cfg.split_dims)
-        except CannotSplitError:
-            continue
-        speculated.append(entry)
-        boxes += entry.box.bisect(dim)
+    ahead: dict[int, tuple[int, int, float, float]],
+) -> int | None:
+    """Split the front row together with up to count - 1 following boxes,
+    evaluate all the halves in one call and store each split row's pair in
+    ahead, as (left row, right row, left lower bound, right lower bound).
+    Returns the number of boxes handed to f, or None when the front cannot
+    be split. A following box already split ahead, one that cannot be
+    split, or one whose enclosure stops the search, is not split ahead."""
+    # inf - inf is NaN, which is not <= delta, as in the search loop.
+    rows = [
+        row
+        for key, _, row, _ in _following(cover._heap, count - 1)
+        if row not in ahead and not cover._f_ub.item(row) - key <= delta
+    ]
+    rows = np.array([front] + rows)
+    lb = cover._lb[rows]
+    ub = cover._ub[rows]
+    dim, mid, ok = _split_rule(lb, ub, dims)
+    if not ok[0]:
+        return None
+    split = np.flatnonzero(ok)
+    # Halves 2i and 2i + 1 are the left and the right half of box split[i].
+    lb = np.repeat(lb[split], 2, axis=0)
+    ub = np.repeat(ub[split], 2, axis=0)
+    left = 2 * np.arange(len(split))
+    ub[left, dim[split]] = mid[split]
+    lb[left + 1, dim[split]] = mid[split]
+    # The objective must not change the halves: the cover copies them below.
+    lb.flags.writeable = ub.flags.writeable = False
     try:
-        entries = _evaluate(f, tuple(boxes))
+        f_lb, f_ub = _evaluate(f, lb, ub)
+        evaluated = len(lb)
     except Exception:
-        if not speculated:
+        if len(split) == 1:
             raise
         # Raise, if at all, what the front's pair alone raises, at this
         # iteration; a speculated box that fails is retried when it is due.
-        return _evaluate(f, halves), len(boxes) + 2
-    for i, entry in enumerate(speculated, 1):
-        ahead[entry] = entries[2 * i : 2 * i + 2]
-    return entries[:2], len(boxes)
+        evaluated = len(lb) + 2
+        lb, ub, split = lb[:2], ub[:2], split[:1]
+        f_lb, f_ub = _evaluate(f, lb, ub)
+    new = cover._add(lb, ub, f_ub)
+    keys = f_lb.tolist()
+    pairs = zip(new[::2], new[1::2], keys[::2], keys[1::2])
+    ahead.update(zip(rows[split].tolist(), pairs))
+    return evaluated
 
 
 def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResult:
     """Minimize a box objective over b_init.
 
     f must be a sound, isotone inclusion function of the objective being
-    minimized, batched: f(boxes) takes a sequence of boxes and returns a
-    sequence holding one enclosure per box, in the same order. It is called
+    minimized, batched on bound arrays: f(lb, ub) takes k boxes as two
+    read-only (k, dim) float64 arrays, their lower and their upper bounds,
+    one box per row, and returns the lower and the upper bounds of their
+    enclosures as two (k,) float64 arrays, in the same order. It is called
     with the initial box alone, then with the halves of up to LOOKAHEAD
-    front boxes per call.
+    front boxes per call. Any other return value, or an enclosure with a
+    NaN or reversed bound, raises ObjectiveError naming the box.
 
     The returned enclosure contains the exact global minimum at any
-    iteration count; `converged` reports whether the width criterion was
-    met.
-
-    The search runs with Python's cyclic garbage collector paused, process
-    wide, and restores its state on the way out, also on an exception: the
-    cover only grows and holds no reference cycles, so each collection
-    pass would walk all of it and free nothing. Reference counting still
-    frees whatever the search drops; any cyclic garbage the objective makes
-    is collected after the search.
-
-    Before it re-enables the collector, the search moves every object in
-    the collector's younger generations to the oldest one (gc.freeze, then
-    gc.unfreeze), so the first young collection after it does not walk the
-    whole cover. This moves every young object of the process, not only the
-    cover, and a full collection still walks them later. It is skipped if
-    the process holds frozen objects, which gc.unfreeze would release.
+    iteration count; `converged` tells whether the width criterion was met.
     """
     for d in cfg.split_dims:
         if not 0 <= d < b_init.dim:
-            raise ValueError(
-                f"split dim {d} out of range for box of dim {b_init.dim}"
-            )
-        if b_init[d].width <= 0.0:
-            raise ValueError(
-                f"split dim {d} has zero initial width: {b_init[d]!r}"
-            )
+            raise ValueError(f"split dim {d} out of range for box of dim {b_init.dim}")
+        if not b_init[d].width > 0.0:
+            raise ValueError(f"split dim {d} has zero initial width: {b_init[d]!r}")
 
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _search(f, b_init, cfg)
-    finally:
-        if enabled:
-            if not gc.get_freeze_count():
-                gc.freeze()
-                gc.unfreeze()
-            gc.enable()
-
-
-def _search(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResult:
+    lb, ub = _bounds((b_init,), b_init.dim)
+    lb.flags.writeable = ub.flags.writeable = False
+    f_lb, f_ub = _evaluate(f, lb, ub)
     cover = Cover()
-    cover.insert(_evaluate(f, (b_init,))[0])
+    cover.insert(CoverEntry(b_init, _make(f_lb.item(), f_ub.item())))
+    heap, seq = cover._heap, cover._seq
+    # Not np.unique: its first call in a process costs about 12 ms.
+    dims = np.array(sorted(set(cfg.split_dims)))
     iterations = 0
-    # The evaluated halves of cover entries split ahead of their turn, and
-    # the boxes handed to f.
-    ahead: dict[CoverEntry, list[CoverEntry]] = {}
+    # Rows split ahead of their turn, each with its evaluated pair.
+    ahead: dict[int, tuple[int, int, float, float]] = {}
     evaluated = 1
 
     while True:
-        front = cover.peek()
-        if front.enclosure.width <= cfg.delta:
+        key, _, row = heap[0]
+        if cover._f_ub.item(row) - key <= cfg.delta:
             converged = True
             break
         if iterations >= cfg.max_iterations:
             converged = False
             break
         # A box split ahead was splittable then, and splits the same way now.
-        pair = ahead.pop(front, None)
-        if pair is None:
-            try:
-                dim = select_split_dim(front.box, cfg.split_dims)
-            except CannotSplitError:
-                converged = False
-                break
+        if row not in ahead:
             # No more splits than the iteration cap leaves are made ahead.
             count = min(LOOKAHEAD, cfg.max_iterations - iterations)
-            pair, n = _split_ahead(f, cover, front.box.bisect(dim), cfg, count, ahead)
+            n = _split_ahead(f, cover, row, dims, cfg.delta, count, ahead)
+            if n is None:
+                converged = False
+                break
             evaluated += n
-        left, right = pair
-        cover.replace_front(left)
-        cover.insert(right)
+        left, right, left_key, right_key = ahead.pop(row)
+        heapq.heapreplace(heap, (left_key, seq, left))
+        heapq.heappush(heap, (right_key, seq + 1, right))
+        seq += 2
+        cover._free.append(row)
         iterations += 1
 
-    front = cover.peek()
+    cover._seq = seq
+    front = cover._entry(*heap[0][::2])
     return MsResult(
         enclosure=front.enclosure,
         witness=front.box,

@@ -198,7 +198,8 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    except OSError as exc:
+    # ValueError: e.g. an integer longer than Python's int parsing limit.
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read scenario file {path}: {exc}") from exc
     return Scenario.from_dict(doc, base_dir=path.parent)
 

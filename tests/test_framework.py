@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from estbound import framework
 from estbound.framework import ErrorObjective, EstimatorModel
-from estbound.interval import Interval, IntervalBox, _make, inorm, isub
+from estbound.interval import Interval, IntervalBox, _bounds, _make, inorm, isub
 from estbound.models import (
     ConstantEstimator,
     IdentityEstimator,
@@ -132,24 +133,29 @@ class TestObjectiveBox:
         "name", ["identity", "constant", "trilat_mlp", "trilat_gd"]
     )
     def test_sequence_equals_one_call_per_box(self, scenario_dir, name):
-        # A batch gives each box the bits it gets alone, in order.
+        # A batch of bound arrays gives each box the bits it gets alone, in
+        # order.
         obj = load_scenario(scenario_dir / f"{name}.scn").build_objective()
         left, right = obj.initial_box().bisect(0)
         boxes = [left, *right.bisect(1), obj.initial_box()]
+        dim = obj.initial_box().dim
         singles = [obj.objective_box(box) for box in boxes]
         assert all(isinstance(out, Interval) for out in singles)
         for batch in ([boxes[0]], boxes[:2], boxes):
-            out = obj.objective_box(batch)
-            assert isinstance(out, list)
-            assert [(v.lb.hex(), v.ub.hex()) for v in out] == [
+            f_lb, f_ub = obj.objective_box(*_bounds(batch, dim))
+            assert f_lb.dtype == f_ub.dtype == np.float64
+            assert f_lb.shape == f_ub.shape == (len(batch),)
+            got = zip(f_lb.tolist(), f_ub.tolist())
+            assert [(lo.hex(), hi.hex()) for lo, hi in got] == [
                 (v.lb.hex(), v.ub.hex()) for v in singles[: len(batch)]
             ]
-        assert obj.objective_box([]) == []
+        f_lb, f_ub = obj.objective_box(*_bounds([], dim))
+        assert f_lb.shape == f_ub.shape == (0,)
 
     @pytest.mark.parametrize("name", ["constant", "trilat_mlp", "trilat_gd"])
     def test_batch_is_one_call_per_model(self, scenario_dir, monkeypatch, name):
         # The observation's and the estimator's eval_boxes each see the whole
-        # batch at once, read into bound arrays once.
+        # batch at once, and a batch of bound arrays is not read from boxes.
         obj = load_scenario(scenario_dir / f"{name}.scn").build_objective()
         calls = []
 
@@ -167,17 +173,18 @@ class TestObjectiveBox:
 
             monkeypatch.setattr(model, "eval_boxes", spy)
         left, right = obj.initial_box().bisect(0)
-        obj.objective_box([left, *right.bisect(1)])
-        assert calls == [("_bounds", 3), ("observation", 3), ("estimator", 3)]
+        lb, ub = _bounds([left, *right.bisect(1)], left.dim)
+        obj.objective_box(lb, ub)
+        assert calls == [("observation", 3), ("estimator", 3)]
+        obj.objective_box(left)
+        assert calls[2:] == [("_bounds", 1), ("observation", 1), ("estimator", 1)]
 
     def test_wrong_dim(self):
         obj = identity_objective()
         with pytest.raises(ValueError, match="search box"):
             obj.objective_box(IntervalBox.from_bounds([(0, 1)] * 3))
-        with pytest.raises(ValueError, match="search box"):
-            obj.objective_box(
-                [obj.initial_box(), IntervalBox.from_bounds([(0, 1)] * 3)]
-            )
+        with pytest.raises(ValueError, match="search box has dim 3"):
+            obj.objective_box(np.zeros((2, 3)), np.ones((2, 3)))
 
     def test_overflow_rejected(self):
         obj = ErrorObjective(
@@ -196,7 +203,7 @@ class TestObjectiveBox:
         huge = IntervalBox.from_bounds([(0, 1), (0, 1), (-1e200, 1e200), (0, 1)])
         huger = IntervalBox.from_bounds([(0, 1)] * 2 + [(-1e300, 0)] * 2)
         with pytest.raises(ValueError, match="overflows") as info:
-            obj.objective_box([obj.initial_box(), huge, huger])
+            obj.objective_box(*_bounds([obj.initial_box(), huge, huger], 4))
         assert str(info.value).endswith(f"on {huge!r}")
 
     def test_reversed_estimate_rejected_as_inorm_rejects_it(self):
@@ -222,7 +229,7 @@ class TestObjectiveBox:
         with pytest.raises(ValueError) as expected:
             inorm([isub(Interval(0.0, 1.0), _make(5.0, -5.0))])
         with pytest.raises(ValueError) as got:
-            obj.objective_box([obj.initial_box()])
+            obj.objective_box(*_bounds([obj.initial_box()], 4))
         assert str(got.value) == str(expected.value)
         assert str(got.value).startswith("norm of a component with bounds")
 

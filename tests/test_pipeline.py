@@ -266,9 +266,9 @@ class TestRunValidate:
         sizes = []
 
         def recording(f, b_init, cfg):
-            def batched(boxes):
-                sizes.append(len(boxes))
-                return f(boxes)
+            def batched(lb, ub):
+                sizes.append(len(lb))
+                return f(lb, ub)
 
             return moore_skelboe(batched, b_init, cfg)
 
@@ -394,6 +394,30 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
         assert not path.parent.exists()
+
+    @pytest.mark.parametrize("where", ["scenario", "weight file"])
+    def test_oversized_json_integer_exit_1(self, tmp_path, capsys, where):
+        # Python's json refuses integers of more than 4300 digits with a
+        # plain ValueError, not a JSONDecodeError.
+        huge = "1" + "0" * 5000
+        doc = json.dumps(dict(BASE_DOC, oracle=None))
+        if where == "scenario":
+            scenario = tmp_path / "huge.scn"
+            scenario.write_text(doc.replace("200", huge))
+            bad = scenario
+        else:
+            bad = tmp_path / "huge.json"
+            layer = {"weights": [[0, 0]], "bias": [0], "activation": "linear"}
+            bad.write_text(json.dumps({"layers": [layer]}).replace("[[0", "[[" + huge))
+            doc = json.loads(doc)
+            doc["estimator"] = {"type": "mlp", "weights_path": bad.name}
+            scenario = write_scenario(tmp_path / "s.scn", doc)
+        code = cli.main(["validate", "--scenario", str(scenario)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and "4300 digits" in err
 
     def test_unsound_stub_exit_2(self, tmp_path, capsys, unsound_stub):
         p = write_scenario(tmp_path / "stub.scn", BASE_DOC)
