@@ -68,7 +68,7 @@ class ObservationModel(ABC):
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         """Inclusion over a single parameter box: eval_boxes on one row."""
-        lb, ub = self.eval_boxes(*_bounds((box,), box.dim))
+        lb, ub = self.eval_boxes(*_bounds(box))
         return _row_box(lb[0], ub[0])
 
     def _check_rows(self, rows: np.ndarray) -> None:
@@ -103,7 +103,7 @@ class EstimatorModel(ABC):
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
         """Inclusion over a single observation box: eval_boxes on one row."""
-        lb, ub = self.eval_boxes(*_bounds((box,), box.dim))
+        lb, ub = self.eval_boxes(*_bounds(box))
         return _row_box(lb[0], ub[0])
 
     def error_vector_box(
@@ -231,7 +231,7 @@ class ErrorObjective:
         holds for any box of the batch, the second for the first such box.
         """
         if isinstance(lb, IntervalBox):
-            f_lb, f_ub = self.objective_box(*_bounds((lb,), lb.dim))
+            f_lb, f_ub = self.objective_box(*_bounds(lb))
             return _make(f_lb.item(), f_ub.item())
         n, m = self.n_params, self.n_obs
         if lb.shape[-1] != n + m:

@@ -11,8 +11,8 @@ root of an exact zero bound.
 chain isqrt(iadd(...iadd(isqr(c0), isqr(c1))..., isqr(cn))), computed on
 bare floats with one Interval built at the end. `_inorm_rows` is its numpy
 form for many vectors at once, held as arrays of lower and upper bounds
-(`_bounds` reads them off a sequence of boxes): the same bounds, bit for
-bit, one vector per row.
+(`_bounds` reads one box into such arrays): the same bounds, bit for bit,
+one vector per row.
 
 Intervals and boxes are immutable after construction; all operations are
 pure and safe to call concurrently.
@@ -335,13 +335,10 @@ def _row_box(lb: np.ndarray, ub: np.ndarray) -> IntervalBox:
     return _box(tuple(map(_make, lb.tolist(), ub.tolist())))
 
 
-def _bounds(boxes: Sequence[IntervalBox], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lower and the upper bounds of the first dim components of each
-    box, as two (len(boxes), dim) float64 arrays, one row per box."""
-    # One flat list per array converts about twice as fast as nested rows.
-    lb = [c.lb for box in boxes for c in box.components[:dim]]
-    ub = [c.ub for box in boxes for c in box.components[:dim]]
+def _bounds(box: IntervalBox) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and the upper bounds of box, as two (1, dim) float64 arrays."""
+    comps = box.components
     return (
-        np.array(lb, dtype=np.float64).reshape(-1, dim),
-        np.array(ub, dtype=np.float64).reshape(-1, dim),
+        np.array([[c.lb for c in comps]], dtype=np.float64),
+        np.array([[c.ub for c in comps]], dtype=np.float64),
     )

@@ -9,15 +9,16 @@ iteration with a sound result; it stops normally once the front enclosure
 is narrower than the configured tolerance.
 
 The cover is held in rows of bound arrays: (rows, dim) box lower and upper
-bounds and (rows,) enclosure upper bounds, grown by doubling, with the row
-of a split box reused. A heap of (enclosure lower bound, insertion
-sequence, row) orders them. `IntervalBox` and `Interval` appear only at the
-edges: the initial box, the result, `Cover.entries()` and error messages.
+bounds and (rows,) enclosure lower and upper bounds, grown by doubling,
+with the row of a split box reused. Rows with equal lower bounds form FIFO
+runs, ordered by a heap of the distinct lower bounds, so ties cost no heap
+work. `IntervalBox` and `Interval` appear only at the edges: the initial
+box, the result, `Cover.entries()` and error messages.
 
 The objective is batched on such arrays too. A split whose halves are not
 yet evaluated also bisects the next LOOKAHEAD - 1 boxes in cover order,
 all in one numpy pass, and hands all the halves to the objective in one
-call; each speculated pair waits in rows outside the heap until its box
+call; each speculated pair waits in rows outside the runs until its box
 reaches the front. Each enclosure depends only on its own box, and the
 splits, insertion order and tie-breaking are those of one split per call,
 so every result is the same for any LOOKAHEAD; only the number of
@@ -73,62 +74,86 @@ class CoverEntry:
 class Cover:
     """Working set of cover boxes, ordered by enclosure lower bound.
 
-    Box bounds and enclosure upper bounds live in rows of the arrays _lb,
-    _ub and _f_ub. The heap holds (lower bound, insertion sequence, row)
-    per box, so equal lower bounds pop in insertion (FIFO) order. Rows
-    listed in _free hold no cover box; they are reused first."""
+    Box and enclosure bounds live in rows of the arrays _lb, _ub, _f_lb and
+    _f_ub. Rows whose lower bounds compare equal (0.0 and -0.0 too) form a
+    FIFO run: a circular list through _next, held by its last row in
+    _runs[key]. _keys is a heap of the keys of _runs. Rows below _end not in
+    a run are listed in _free, to be reused first."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int]] = []
-        self._seq = 0
+        self._keys: list[float] = []
+        self._runs: dict[float, int] = {}
+        self._next: list[int] = []
         self._free: list[int] = []
         self._end = 0
         self._lb = self._ub = np.empty((0, 0))
-        self._f_ub = np.empty(0)
+        self._f_lb = self._f_ub = np.empty(0)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._end - len(self._free)
 
-    def _add(self, lb: np.ndarray, ub: np.ndarray, f_ub: np.ndarray) -> list[int]:
+    def _add(
+        self, lb: np.ndarray, ub: np.ndarray, f_lb: np.ndarray, f_ub: np.ndarray
+    ) -> list[int]:
         """Write the boxes of the (k, dim) bounds lb, ub and their enclosure
-        upper bounds into k rows, free ones first, and return the rows."""
+        bounds into k rows, free ones first, and return the rows."""
         k, dim = lb.shape
         rows = [self._free.pop() for _ in range(min(k, len(self._free)))]
         start, end = self._end, self._end + k - len(rows)
         if end > len(self._f_ub):
             cap = max(end, 2 * len(self._f_ub))
-            grown = np.empty((cap, dim)), np.empty((cap, dim)), np.empty(cap)
-            if start:
-                for new, old in zip(grown, (self._lb, self._ub, self._f_ub)):
-                    new[:start] = old[:start]
-            self._lb, self._ub, self._f_ub = grown
+            old = self._lb, self._ub, self._f_lb, self._f_ub
+            self._lb, self._ub = np.empty((cap, dim)), np.empty((cap, dim))
+            self._f_lb, self._f_ub = np.empty(cap), np.empty(cap)
+            self._next += range(len(self._next), cap)
+            grown = self._lb, self._ub, self._f_lb, self._f_ub
+            for new, had in zip(grown, old if start else ()):
+                new[:start] = had[:start]
         rows += range(start, end)
         self._end = end
         at = np.array(rows)
-        self._lb[at] = lb
-        self._ub[at] = ub
-        self._f_ub[at] = f_ub
+        self._lb[at], self._ub[at], self._f_lb[at], self._f_ub[at] = lb, ub, f_lb, f_ub
         return rows
 
-    def _entry(self, f_lb: float, row: int) -> CoverEntry:
-        enclosure = _make(f_lb, self._f_ub.item(row))
+    def _push(self, row: int) -> None:
+        """Append row to the run of its enclosure lower bound."""
+        key = self._f_lb.item(row)
+        last = self._runs.get(key)
+        if last is None:
+            heapq.heappush(self._keys, key)
+            last = row
+        self._next[row] = self._next[last]
+        self._next[last] = self._runs[key] = row
+
+    def _pop(self) -> int:
+        """Take the front row off the cover, list it in _free and return it."""
+        key = self._keys[0]
+        last = self._runs[key]
+        row = self._next[last]
+        if row == last:
+            del self._runs[heapq.heappop(self._keys)]
+        self._next[last] = self._next[row]
+        self._free.append(row)
+        return row
+
+    def _entry(self, row: int) -> CoverEntry:
+        enclosure = _make(self._f_lb.item(row), self._f_ub.item(row))
         return CoverEntry(_row_box(self._lb[row], self._ub[row]), enclosure)
 
     def insert(self, entry: CoverEntry) -> None:
-        box = entry.box
-        (row,) = self._add(*_bounds((box,), box.dim), np.array([entry.enclosure.ub]))
-        heapq.heappush(self._heap, (entry.enclosure.lb, self._seq, row))
-        self._seq += 1
+        enc = entry.enclosure
+        (row,) = self._add(*_bounds(entry.box), np.array([enc.lb]), np.array([enc.ub]))
+        self._push(row)
 
     def pop(self) -> CoverEntry:
-        f_lb, _, row = heapq.heappop(self._heap)
-        self._free.append(row)
-        return self._entry(f_lb, row)
+        return self._entry(self._pop())
 
     def entries(self) -> list[CoverEntry]:
         """All entries, sorted by (lower bound, insertion order)."""
-        # Sequence numbers are unique, so tuple order never reaches the row.
-        return [self._entry(f_lb, row) for f_lb, _, row in sorted(self._heap)]
+        if not self._keys:
+            return []
+        front = self._next[self._runs[self._keys[0]]]
+        return list(map(self._entry, [front] + _following(self, len(self))))
 
 
 @dataclass(frozen=True)
@@ -210,7 +235,7 @@ def _evaluate(f: BoxObjective, lb: np.ndarray, ub: np.ndarray) -> Bounds:
             f"{_row_box(lb[0], ub[0])!r}, not two ({k},) float64 arrays "
             "holding one enclosure per box"
         )
-    # Also false for NaN bounds, which would corrupt the cover's heap order.
+    # Also false for NaN bounds, which would corrupt the cover's order.
     valid = f_lb <= f_ub
     if not valid.all():
         i = int(valid.argmin())
@@ -221,50 +246,49 @@ def _evaluate(f: BoxObjective, lb: np.ndarray, ub: np.ndarray) -> Bounds:
     return f_lb, f_ub
 
 
-def _following(heap: list, count: int) -> list:
-    """Up to count heap items after the front, in cover order, each with its
-    heap index appended: a best-first walk from the root, O(count log count)."""
-    n = len(heap)
-    # Items are unique, so the index never takes part in a comparison.
-    frontier = [heap[i] + (i,) for i in (1, 2) if i < n]
-    heapq.heapify(frontier)
-    out = []
-    while frontier and len(out) < count:
-        item = frontier[0]
-        out.append(item)
-        child = 2 * item[3] + 1
-        if child + 1 < n:
-            heapq.heapreplace(frontier, heap[child] + (child,))
-            heapq.heappush(frontier, heap[child + 1] + (child + 1,))
-        elif child < n:
-            heapq.heapreplace(frontier, heap[child] + (child,))
-        else:
-            heapq.heappop(frontier)
-    return out
+def _following(cover: Cover, count: int) -> list[int]:
+    """Up to count cover rows after the front, in cover order: the runs of
+    the keys met by a best-first walk of the key heap from its root, the
+    front's run first."""
+    keys, runs, nxt = cover._keys, cover._runs, cover._next
+    # Keys are distinct, so the index never takes part in a comparison.
+    frontier = [(keys[0], 0)]
+    out: list[int] = []
+    while frontier and len(out) <= count:
+        key, i = heapq.heappop(frontier)
+        for child in range(2 * i + 1, min(2 * i + 3, len(keys))):
+            heapq.heappush(frontier, (keys[child], child))
+        row = last = runs[key]
+        while len(out) <= count:
+            row = nxt[row]
+            out.append(row)
+            if row == last:
+                break
+    return out[1:]
 
 
 def _split_ahead(
     f: BoxObjective,
     cover: Cover,
-    front: int,
+    rows: list[int],
     dims: np.ndarray,
     delta: float,
-    count: int,
-    ahead: dict[int, tuple[int, int, float, float]],
+    ahead: dict[int, tuple[int, int]],
 ) -> int | None:
-    """Split the front row together with up to count - 1 following boxes,
-    evaluate all the halves in one call and store each split row's pair in
-    ahead, as (left row, right row, left lower bound, right lower bound).
-    Returns the number of boxes handed to f, or None when the front cannot
-    be split. A following box already split ahead, one that cannot be
-    split, or one whose enclosure stops the search, is not split ahead."""
+    """Split the front, the first of the cover rows given, together with
+    the others, evaluate all the halves in one call and store the rows of
+    each split row's halves in ahead. Returns the number of boxes handed to
+    f, or None when the front cannot be split. A box already split ahead,
+    one that cannot be split, or one whose enclosure stops the search, is
+    not split ahead."""
     # inf - inf is NaN, which is not <= delta, as in the search loop.
     rows = [
         row
-        for key, _, row, _ in _following(cover._heap, count - 1)
-        if row not in ahead and not cover._f_ub.item(row) - key <= delta
+        for row in rows
+        if row not in ahead
+        and not cover._f_ub.item(row) - cover._f_lb.item(row) <= delta
     ]
-    rows = np.array([front] + rows)
+    rows = np.array(rows)
     lb = cover._lb[rows]
     ub = cover._ub[rows]
     dim, mid, ok = _split_rule(lb, ub, dims)
@@ -290,10 +314,8 @@ def _split_ahead(
         evaluated = len(lb) + 2
         lb, ub, split = lb[:2], ub[:2], split[:1]
         f_lb, f_ub = _evaluate(f, lb, ub)
-    new = cover._add(lb, ub, f_ub)
-    keys = f_lb.tolist()
-    pairs = zip(new[::2], new[1::2], keys[::2], keys[1::2])
-    ahead.update(zip(rows[split].tolist(), pairs))
+    new = cover._add(lb, ub, f_lb, f_ub)
+    ahead.update(zip(rows[split].tolist(), zip(new[::2], new[1::2])))
     return evaluated
 
 
@@ -318,21 +340,22 @@ def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResu
         if not b_init[d].width > 0.0:
             raise ValueError(f"split dim {d} has zero initial width: {b_init[d]!r}")
 
-    lb, ub = _bounds((b_init,), b_init.dim)
+    lb, ub = _bounds(b_init)
     lb.flags.writeable = ub.flags.writeable = False
     f_lb, f_ub = _evaluate(f, lb, ub)
     cover = Cover()
     cover.insert(CoverEntry(b_init, _make(f_lb.item(), f_ub.item())))
-    heap, seq = cover._heap, cover._seq
+    keys, runs, nxt = cover._keys, cover._runs, cover._next
     # Not np.unique: its first call in a process costs about 12 ms.
     dims = np.array(sorted(set(cfg.split_dims)))
     iterations = 0
-    # Rows split ahead of their turn, each with its evaluated pair.
-    ahead: dict[int, tuple[int, int, float, float]] = {}
+    # Rows split ahead of their turn, each with the rows of its halves.
+    ahead: dict[int, tuple[int, int]] = {}
     evaluated = 1
 
     while True:
-        key, _, row = heap[0]
+        key = keys[0]
+        row = nxt[runs[key]]
         if cover._f_ub.item(row) - key <= cfg.delta:
             converged = True
             break
@@ -343,20 +366,21 @@ def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResu
         if row not in ahead:
             # No more splits than the iteration cap leaves are made ahead.
             count = min(LOOKAHEAD, cfg.max_iterations - iterations)
-            n = _split_ahead(f, cover, row, dims, cfg.delta, count, ahead)
+            rows = [row] + _following(cover, count - 1)
+            n = _split_ahead(f, cover, rows, dims, cfg.delta, ahead)
             if n is None:
                 converged = False
                 break
             evaluated += n
-        left, right, left_key, right_key = ahead.pop(row)
-        heapq.heapreplace(heap, (left_key, seq, left))
-        heapq.heappush(heap, (right_key, seq + 1, right))
-        seq += 2
-        cover._free.append(row)
+        left, right = ahead.pop(row)
+        cover._pop()
+        cover._push(left)
+        cover._push(right)
         iterations += 1
 
-    cover._seq = seq
-    front = cover._entry(*heap[0][::2])
+    # Rows split ahead but never reached hold no cover box.
+    cover._free += [r for pair in ahead.values() for r in pair]
+    front = cover._entry(row)
     return MsResult(
         enclosure=front.enclosure,
         witness=front.box,

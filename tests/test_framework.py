@@ -6,7 +6,7 @@ import pytest
 
 from estbound import framework
 from estbound.framework import ErrorObjective, EstimatorModel
-from estbound.interval import Interval, IntervalBox, _bounds, _make, inorm, isub
+from estbound.interval import Interval, IntervalBox, _make, inorm, isub
 from estbound.models import (
     ConstantEstimator,
     IdentityEstimator,
@@ -14,6 +14,7 @@ from estbound.models import (
     TrilaterationModel,
 )
 from estbound.pipeline import load_scenario
+from conftest import bounds_of
 from test_interval import encloses, ineg
 
 LANDMARKS = [(10.0, -9.0), (5.0, 12.0), (-15.0, 0.0)]
@@ -142,14 +143,14 @@ class TestObjectiveBox:
         singles = [obj.objective_box(box) for box in boxes]
         assert all(isinstance(out, Interval) for out in singles)
         for batch in ([boxes[0]], boxes[:2], boxes):
-            f_lb, f_ub = obj.objective_box(*_bounds(batch, dim))
+            f_lb, f_ub = obj.objective_box(*bounds_of(batch, dim))
             assert f_lb.dtype == f_ub.dtype == np.float64
             assert f_lb.shape == f_ub.shape == (len(batch),)
             got = zip(f_lb.tolist(), f_ub.tolist())
             assert [(lo.hex(), hi.hex()) for lo, hi in got] == [
                 (v.lb.hex(), v.ub.hex()) for v in singles[: len(batch)]
             ]
-        f_lb, f_ub = obj.objective_box(*_bounds([], dim))
+        f_lb, f_ub = obj.objective_box(*bounds_of([], dim))
         assert f_lb.shape == f_ub.shape == (0,)
 
     @pytest.mark.parametrize("name", ["constant", "trilat_mlp", "trilat_gd"])
@@ -159,9 +160,10 @@ class TestObjectiveBox:
         obj = load_scenario(scenario_dir / f"{name}.scn").build_objective()
         calls = []
 
-        def bounds_spy(boxes, dim, evaluate=framework._bounds):
-            calls.append(("_bounds", len(boxes)))
-            return evaluate(boxes, dim)
+        def bounds_spy(box, evaluate=framework._bounds):
+            lb, ub = evaluate(box)
+            calls.append(("_bounds", len(lb)))
+            return lb, ub
 
         monkeypatch.setattr(framework, "_bounds", bounds_spy)
         for role in ("observation", "estimator"):
@@ -173,7 +175,7 @@ class TestObjectiveBox:
 
             monkeypatch.setattr(model, "eval_boxes", spy)
         left, right = obj.initial_box().bisect(0)
-        lb, ub = _bounds([left, *right.bisect(1)], left.dim)
+        lb, ub = bounds_of([left, *right.bisect(1)], left.dim)
         obj.objective_box(lb, ub)
         assert calls == [("observation", 3), ("estimator", 3)]
         obj.objective_box(left)
@@ -203,7 +205,7 @@ class TestObjectiveBox:
         huge = IntervalBox.from_bounds([(0, 1), (0, 1), (-1e200, 1e200), (0, 1)])
         huger = IntervalBox.from_bounds([(0, 1)] * 2 + [(-1e300, 0)] * 2)
         with pytest.raises(ValueError, match="overflows") as info:
-            obj.objective_box(*_bounds([obj.initial_box(), huge, huger], 4))
+            obj.objective_box(*bounds_of([obj.initial_box(), huge, huger], 4))
         assert str(info.value).endswith(f"on {huge!r}")
 
     def test_reversed_estimate_rejected_as_inorm_rejects_it(self):
@@ -229,7 +231,7 @@ class TestObjectiveBox:
         with pytest.raises(ValueError) as expected:
             inorm([isub(Interval(0.0, 1.0), _make(5.0, -5.0))])
         with pytest.raises(ValueError) as got:
-            obj.objective_box(*_bounds([obj.initial_box()], 4))
+            obj.objective_box(*bounds_of([obj.initial_box()], 4))
         assert str(got.value) == str(expected.value)
         assert str(got.value).startswith("norm of a component with bounds")
 

@@ -19,6 +19,7 @@ from estbound.interval import (
     isqrt,
     isub,
 )
+from conftest import bounds_of
 
 
 def irelu(a):
@@ -374,7 +375,7 @@ norm_rows = st.integers(1, 5).flatmap(
 def row_norms(rows):
     """_inorm_rows on the bound arrays of a list of interval rows, as one
     Interval per row."""
-    lb, ub = _bounds([IntervalBox(row) for row in rows], len(rows[0]))
+    lb, ub = bounds_of([IntervalBox(row) for row in rows], len(rows[0]))
     norm_lb, norm_ub = _inorm_rows(lb, ub)
     assert norm_lb.shape == norm_ub.shape == (len(rows),)
     return [_make(lo, hi) for lo, hi in zip(norm_lb.tolist(), norm_ub.tolist())]
@@ -428,16 +429,12 @@ def test_row_norms_of_no_rows():
     assert norm_lb.shape == norm_ub.shape == (0,)
 
 
-def test_bounds_reads_the_leading_components():
-    boxes = [
-        IntervalBox.from_bounds([(-1.0, 2.0), (-0.0, 0.0), (5.0, 6.0)]),
-        IntervalBox.from_bounds([(3.0, 4.0), (-math.inf, 7.0), (8.0, 9.0)]),
-    ]
-    lb, ub = _bounds(boxes, 2)
+def test_bounds_reads_one_box():
+    box = IntervalBox.from_bounds([(-1.0, 2.0), (-0.0, 0.0), (-math.inf, 7.0)])
+    lb, ub = _bounds(box)
     assert lb.dtype == ub.dtype == np.float64
     assert [[v.hex() for v in row] for row in lb.tolist()] == [
-        [(-1.0).hex(), (-0.0).hex()],
-        [(3.0).hex(), (-math.inf).hex()],
+        [(-1.0).hex(), (-0.0).hex(), (-math.inf).hex()]
     ]
-    assert ub.tolist() == [[2.0, 0.0], [4.0, 7.0]]
-    assert _bounds([], 2)[0].shape == (0, 2)
+    assert ub.tolist() == [[2.0, 0.0, 7.0]]
+    assert _bounds(IntervalBox.from_bounds([(3, 4)]))[0].shape == (1, 1)

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from estbound.interval import (
     Interval,
     IntervalBox,
-    _bounds,
     _mul_scalar,
     iadd,
     imul,
@@ -40,6 +39,7 @@ from estbound.models import (
     _unit_direction,
 )
 from estbound.pipeline import load_scenario
+from conftest import bounds_of
 from test_interval import irelu
 
 
@@ -266,11 +266,11 @@ def check_boxes(model, boxes, reference=reference_eval_box):
     for size in (1, 2, 3):
         for start in range(0, len(boxes), size):
             batch = boxes[start : start + size]
-            lb, ub = model.eval_boxes(*_bounds(batch, boxes[0].dim))
+            lb, ub = model.eval_boxes(*bounds_of(batch, boxes[0].dim))
             assert lb.dtype == ub.dtype == np.float64
             assert lb.shape == ub.shape == (len(batch), len(expected[0]))
             assert rows_bits(lb, ub) == expected[start : start + size]
-    lb, ub = model.eval_boxes(*_bounds([], boxes[0].dim))
+    lb, ub = model.eval_boxes(*bounds_of([], boxes[0].dim))
     assert lb.shape == ub.shape == (0, len(expected[0]))
 
 
@@ -502,7 +502,7 @@ class TestIdentityErrorVector:
             for b in boxes
         ]
         for batch in [boxes] + [[b] for b in boxes]:
-            lb, ub = est.error_vector_box(obs, *_bounds(batch, 2 * n))
+            lb, ub = est.error_vector_box(obs, *bounds_of(batch, 2 * n))
             assert lb.shape == ub.shape == (len(batch), n)
             got = [
                 [(lo.hex(), hi.hex()) for lo, hi in zip(lows, highs)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from estbound.framework import ObservationModel
-from estbound.interval import Interval, IntervalBox, _bounds, iadd, imul
+from estbound.interval import Interval, IntervalBox, iadd, imul
 from estbound.models import (
     ConstantEstimator,
     GradientDescentEstimator,
@@ -13,6 +13,7 @@ from estbound.models import (
     IdentityObservation,
     TrilaterationModel,
 )
+from conftest import bounds_of
 from test_interval import encloses
 
 LANDMARKS = [(10.0, -9.0), (5.0, 12.0), (-15.0, 0.0)]
@@ -23,7 +24,7 @@ def error_vector(est, obs, param_box, noise_box):
     as one Interval per component; Interval rejects NaN or reversed
     bounds."""
     dim = param_box.dim + noise_box.dim
-    lb, ub = est.error_vector_box(obs, *_bounds([param_box.concat(noise_box)], dim))
+    lb, ub = est.error_vector_box(obs, *bounds_of([param_box.concat(noise_box)], dim))
     assert lb.dtype == ub.dtype == np.float64
     assert lb.shape == ub.shape == (1, est.n_params)
     return [Interval(lo, hi) for lo, hi in zip(lb[0].tolist(), ub[0].tolist())]

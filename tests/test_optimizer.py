@@ -3,6 +3,7 @@ import gc
 import heapq
 import math
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from estbound import optimizer
-from estbound.interval import Interval, IntervalBox, _bounds, iadd, imul, isqr, isub
+from estbound.interval import Interval, IntervalBox, iadd, imul, isqr, isub
 from estbound.optimizer import (
     Cover,
     CoverEntry,
@@ -20,7 +21,7 @@ from estbound.optimizer import (
     moore_skelboe,
 )
 from estbound.pipeline import load_scenario, run_validate
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, bounds_of
 
 ONE = Interval.point(1.0)
 MINUS_TWO = Interval.point(-2.0)
@@ -94,10 +95,14 @@ def select_split_dim(box, split_dims):
     return select_split_dim(box, splittable)
 
 
+def hex_entry(e):
+    return bits(e.box), bits([e.enclosure])
+
+
 def same(a, b):
     """Whether two cover entries hold the same box and enclosure, bit for
     bit."""
-    return bits(a.box) == bits(b.box) and bits([a.enclosure]) == bits([b.enclosure])
+    return hex_entry(a) == hex_entry(b)
 
 
 class TestCover:
@@ -182,6 +187,223 @@ class TestCover:
         assert all(map(same, c.entries(), kept))
 
 
+class TupleHeapCover(Cover):
+    """The reference cover order: one heap of (enclosure lower bound,
+    insertion sequence, row) tuples, as the cover kept it before runs.
+    Rows, bound arrays and entries are Cover's own."""
+
+    def __init__(self):
+        super().__init__()
+        self.heap = []
+        self.seq = 0
+
+    def __len__(self):
+        return len(self.heap)
+
+    def _push(self, row):
+        heapq.heappush(self.heap, (self._f_lb.item(row), self.seq, row))
+        self.seq += 1
+
+    def _pop(self):
+        row = heapq.heappop(self.heap)[2]
+        self._free.append(row)
+        return row
+
+    def rows(self):
+        """All rows, in cover order."""
+        return [row for _, _, row in sorted(self.heap)]
+
+    def entries(self):
+        return list(map(self._entry, self.rows()))
+
+
+def tuple_heap_search(f, b_init, cfg):
+    """moore_skelboe with its cover ordered by the reference tuple heap and
+    the boxes split ahead read off the sorted heap: (converged, iterations,
+    evaluated, witness, cover)."""
+    lb, ub = bounds_of([b_init], b_init.dim)
+    lb.flags.writeable = ub.flags.writeable = False
+    cover = TupleHeapCover()
+    cover._push(*cover._add(lb, ub, *optimizer._evaluate(f, lb, ub)))
+    dims = np.array(sorted(set(cfg.split_dims)))
+    ahead = {}
+    iterations, evaluated = 0, 1
+    while True:
+        key, _, row = cover.heap[0]
+        if cover._f_ub.item(row) - key <= cfg.delta:
+            converged = True
+            break
+        converged = False
+        if iterations >= cfg.max_iterations:
+            break
+        if row not in ahead:
+            count = min(optimizer.LOOKAHEAD, cfg.max_iterations - iterations)
+            rows = cover.rows()[:count]
+            n = optimizer._split_ahead(f, cover, rows, dims, cfg.delta, ahead)
+            if n is None:
+                break
+            evaluated += n
+        left, right = ahead.pop(row)
+        cover._pop()
+        cover._push(left)
+        cover._push(right)
+        iterations += 1
+    return converged, iterations, evaluated, cover._entry(row).box, cover
+
+
+def non_isotone(lb, ub):
+    """Enclosures whose lower bound rises as boxes shrink, but with a wave
+    in the box's midpoint, so a half may get a lower bound below its
+    parent's. The lower bounds are multiples of 1/8, 0.0 of either sign,
+    or -inf for the widest boxes, so boxes tie within and across runs."""
+    mid = 0.5 * (lb + ub)
+    width = (ub - lb)[:, :2].max(axis=1)
+    wave = 0.3 * np.sin(7.0 * mid[:, 0] + 3.0 * mid[:, 1])
+    level = np.floor(8.0 * (wave - 0.15 * np.log2(width)))
+    zero = np.copysign(0.0, np.floor(30.0 * mid[:, 0]) % 2.0 - 0.5)
+    f_lb = np.where(level == 0.0, zero, level / 8.0)
+    f_lb[width > 1.5] = -math.inf
+    return f_lb, f_lb + width
+
+
+# Lower bounds the runs must tell apart or merge: ties, zeros of both
+# signs, infinities and one-ulp neighbours.
+COVER_KEYS = st.one_of(
+    st.sampled_from(
+        [
+            0.0,
+            -0.0,
+            1.0,
+            math.nextafter(1.0, math.inf),
+            math.nextafter(1.0, -math.inf),
+            -2.5,
+            5e-324,
+            -5e-324,
+            math.inf,
+            -math.inf,
+        ]
+    ),
+    st.floats(allow_nan=False),
+)
+
+
+class TestRunsAgainstTheTupleHeap:
+    @staticmethod
+    def entry(key, tag):
+        return CoverEntry(
+            IntervalBox.from_bounds([(tag, tag + 1.0)]), Interval(key, key + 1.0)
+        )
+
+    @given(
+        st.lists(
+            st.one_of(COVER_KEYS, st.just("pop"), st.just("entries")), max_size=150
+        )
+    )
+    @example([0.0, -0.0, 0.0, "pop", -0.0, "entries", "pop", "pop", "pop"])
+    @example([1.0, math.inf, -math.inf, math.inf, "pop", -math.inf, "entries"])
+    def test_insert_pop_and_entries(self, ops):
+        cover, ref = Cover(), TupleHeapCover()
+        for tag, op in enumerate(ops):
+            if op == "pop":
+                if len(ref):
+                    assert hex_entry(cover.pop()) == hex_entry(ref.pop())
+            elif op == "entries":
+                assert list(map(hex_entry, cover.entries())) == list(
+                    map(hex_entry, ref.entries())
+                )
+            else:
+                cover.insert(self.entry(op, float(tag)))
+                ref.insert(self.entry(op, float(tag)))
+            assert len(cover) == len(ref)
+        assert list(map(hex_entry, cover.entries())) == list(
+            map(hex_entry, ref.entries())
+        )
+
+    def test_following_crosses_runs(self):
+        rng = random.Random(11)
+        cover, ref = Cover(), TupleHeapCover()
+        keys = (-1.0, -0.0, 0.0, 0.5, math.nextafter(0.5, 1.0), 2.0, math.inf)
+        for tag in range(400):
+            key = rng.choice(keys)
+            cover.insert(self.entry(key, float(tag)))
+            ref.insert(self.entry(key, float(tag)))
+            if tag % 3 == 2:
+                assert hex_entry(cover.pop()) == hex_entry(ref.pop())
+        order = ref.rows()
+        assert len(order) == len(cover) > 260
+        for count in (0, 1, 5, 40, 150, 260, len(order) - 1, len(order) + 10):
+            assert optimizer._following(cover, count) == order[1 : count + 1]
+
+    @pytest.mark.parametrize("lookahead", [1, 5, 32])
+    def test_search_with_a_non_isotone_objective(self, monkeypatch, lookahead):
+        monkeypatch.setattr(optimizer, "LOOKAHEAD", lookahead)
+        b_init = IntervalBox.from_bounds([(0, 1), (0, 2), (-0.5, 0.5)])
+        cfg = MsConfig(delta=1e-3, split_dims=(0, 1), max_iterations=700)
+        converged, iterations, evaluated, witness, ref = tuple_heap_search(
+            non_isotone, b_init, cfg
+        )
+        seen = []
+
+        def f(lb, ub):
+            seen.append((lb, ub, non_isotone(lb, ub)[0]))
+            return non_isotone(lb, ub)
+
+        res = moore_skelboe(f, b_init, cfg)
+        entries = res.cover.entries()
+        assert list(map(hex_entry, entries)) == list(map(hex_entry, ref.entries()))
+        assert (res.converged, res.iterations) == (converged, iterations)
+        assert res.evaluated == evaluated
+        assert bits(res.witness) == bits(witness)
+        assert res.final_cover_size == len(entries) == len(ref)
+        # The case is what it claims: some box has a lower bound below that
+        # of a box holding it, zeros of both signs and -inf occur, and the
+        # final cover holds ties in more than one run.
+        lb, ub, keys = (np.concatenate(a) for a in zip(*seen))
+        inside = (lb[:, None] >= lb[None]).all(2) & (ub[:, None] <= ub[None]).all(2)
+        assert (inside & (keys[:, None] < keys[None])).any()
+        assert {k.hex() for k in keys.tolist()} >= {"0x0.0p+0", "-0x0.0p+0", "-inf"}
+        final = [e.enclosure.lb for e in entries]
+        assert 1 < len(set(final)) < len(final)
+
+    def test_memory_per_box_within_the_tuple_heap(self):
+        # Distinct keys are the worst case for runs: one key and one run
+        # per box. The Python-heap bytes the cover adds per box, beyond the
+        # box and enclosure-upper-bound arrays it kept before runs, are at
+        # most what a heap of (lower bound, sequence, row) tuples takes.
+        n = 4000
+        keys = np.random.default_rng(0).permutation(n) * 0.5 - 7.0
+        lb, ub = np.zeros((n, 2)), np.ones((n, 2))
+
+        def traced(build):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = build()
+                gc.collect()
+                return out, tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        def tuple_heap():
+            heap = []
+            for seq, (key, row) in enumerate(zip(keys.tolist(), range(n))):
+                heapq.heappush(heap, (key, seq, row))
+            return heap
+
+        def runs():
+            cover = Cover()
+            for row in cover._add(lb, ub, keys, keys + 1.0):
+                cover._push(row)
+            return cover
+
+        heap, heap_bytes = traced(tuple_heap)
+        cover, cover_bytes = traced(runs)
+        assert len(cover._keys) == len(heap) == n
+        kept_before = cover._lb.nbytes + cover._ub.nbytes + cover._f_ub.nbytes
+        assert (cover_bytes - kept_before) / n <= heap_bytes / n
+
+
 class TestSelectSplitDim:
     def test_widest_among_allowed(self):
         b = IntervalBox.from_bounds([(0, 4), (0, 2), (-0.2, 0.2)])
@@ -257,7 +479,7 @@ SPLIT_COMPONENTS = st.one_of(
 def array_rule(boxes, split_dims):
     """optimizer._split_rule on a batch of boxes, as select_split_dim
     answers for each: the dim, or None for unsplittable."""
-    lb, ub = _bounds(boxes, boxes[0].dim)
+    lb, ub = bounds_of(boxes, boxes[0].dim)
     dims = np.array(sorted(set(split_dims)))
     dim, mid, ok = optimizer._split_rule(lb, ub, dims)
     return [d if o else None for d, o in zip(dim.tolist(), ok.tolist())], mid
