@@ -22,7 +22,17 @@ gives each box alone. numpy's cost is paid per call, so a wider batch is
 cheaper per box: on the identity scenario one box cost 5.5 us at 16 boxes
 per call and 2.4 us at 64 (one CPU, min of 7 timings). That is why
 `optimizer.LOOKAHEAD` is 32, 64 halves per call: at 64 trilat_mlp
-evaluated 4027 boxes instead of 4001 and its peak RSS rose by 2.4 MB.
+evaluated 4027 boxes instead of 4001 and its peak RSS rose by 2.4 MB. Those
+were boxes split ahead of their turn across runs of equal lower bounds,
+which the search may never reach. Boxes of the front's run are all due, so
+when the run is longer than LOOKAHEAD the search splits up to
+`optimizer.TIED_SPLITS` (512) of them per call, 1024 halves. That costs no
+extra box, but memory per call grows with the batch: the network's box
+pass holds two (inputs, boxes, 2 * outputs) float64 arrays per layer, a
+38 MB peak (tracemalloc) at 1024 halves on the bundled 3x32x32x2 network,
+against 2.4 MB at 64. No bundled scenario ties on the network; on the
+identity scenario, where every box ties, 100k iterations take 205 calls
+instead of 3131.
 
 All models must be stateless per call; objectives may be evaluated on many
 boxes concurrently.

@@ -47,6 +47,8 @@ class OracleConfig:
             raise ValueError(
                 f"oracle 'samples' must be 1 to {MAX_SAMPLES}, got {self.samples}"
             )
+        if self.seed < 0:
+            raise ValueError(f"oracle 'seed' must be non-negative, got {self.seed}")
         if self.mode not in ("random", "grid"):
             raise ValueError(f"mode must be 'random' or 'grid', got {self.mode!r}")
 

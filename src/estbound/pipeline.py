@@ -220,6 +220,7 @@ class ValidationReport:
     eps_high: float
     delta: float
     converged: bool
+    stop_reason: str
     iterations: int
     cover_size: int
     witness_param_box: IntervalBox
@@ -235,6 +236,7 @@ class ValidationReport:
             "eps_high": self.eps_high,
             "delta": self.delta,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "iterations": self.iterations,
             "cover_size": self.cover_size,
             "witness_param_box": [[c.lb, c.ub] for c in self.witness_param_box],
@@ -281,6 +283,7 @@ def run_validate(scenario: Scenario) -> ValidationReport:
         eps_high=eps_high,
         delta=scenario.delta,
         converged=result.converged,
+        stop_reason=result.stop_reason,
         iterations=result.iterations,
         cover_size=result.final_cover_size,
         witness_param_box=result.witness[:n],

@@ -13,7 +13,8 @@ import json
 
 import pytest
 
-from estbound import cli
+from estbound import cli, pipeline
+from estbound.optimizer import moore_skelboe
 from estbound.pipeline import load_scenario, run_validate
 
 
@@ -71,6 +72,30 @@ def test_boxes_evaluated_at_the_committed_budget(scenario_dir, name, evaluated):
     assert report.search.evaluated == evaluated
 
 
+def test_objective_calls_on_tied_boxes(scenario_dir, monkeypatch):
+    # Every box of the identity scenario ties on one lower bound, so the
+    # search splits up to optimizer.TIED_SPLITS front boxes per objective
+    # call. Split LOOKAHEAD boxes per call, it made 631 calls here.
+    sizes = []
+
+    def recording(f, b_init, cfg):
+        def batched(lb, ub):
+            sizes.append(len(lb))
+            return f(lb, ub)
+
+        return moore_skelboe(batched, b_init, cfg)
+
+    monkeypatch.setattr(pipeline, "moore_skelboe", recording)
+    scenario = dataclasses.replace(
+        load_scenario(scenario_dir / "identity.scn"),
+        max_iterations=20_000,
+        oracle=None,
+    )
+    report = run_validate(scenario)
+    assert report.search.evaluated == sum(sizes) == 40_001
+    assert len(sizes) == 49
+
+
 def cover_and_report_hashes(scenario, max_iters, tmp_path, capsys):
     """SHA-256 of the cover CSV and of the printed report without `elapsed`,
     re-serialised with the CLI's json.dumps(indent=1) layout."""
@@ -101,7 +126,7 @@ def test_cli_cover_dump_of_identity_scenario(scenario_dir, tmp_path, capsys):
         scenario_dir / "identity.scn", 2000, tmp_path, capsys
     ) == (
         "5cdf5379847e389aff614e1ae0d02598a97c9553d30104a0db5bdd66efb43ac3",
-        "c27af9ee242bfce9449464d9a60a25a187c6a05e98f803d3b9055c2919fecb70",
+        "ec0443edf2425700372e669d845e77bacb28ca738508c78b6e6e898ce7f0cb09",
     )
 
 
@@ -111,5 +136,5 @@ def test_cli_cover_dump_of_trilat_mlp_scenario(scenario_dir, tmp_path, capsys):
         scenario_dir / "trilat_mlp.scn", 300, tmp_path, capsys
     ) == (
         "800dd0aadf502de0e1a63d0cd5b9220635c7d25ff0e12ec96caafd7f28ad6e5d",
-        "099cacb32048eee121cfa191e195c80f65d9099e87fc92499e03915464471692",
+        "6f115da9475cbe386a20cdb849823aa53cac1fb71229eeed6f3460652c99e38c",
     )

@@ -224,7 +224,7 @@ def tuple_heap_search(f, b_init, cfg):
     lb, ub = bounds_of([b_init], b_init.dim)
     lb.flags.writeable = ub.flags.writeable = False
     cover = TupleHeapCover()
-    cover._push(*cover._add(lb, ub, *optimizer._evaluate(f, lb, ub)))
+    cover._push(*cover._add(lb, ub, *optimizer._evaluate(f, lb, ub)).tolist())
     dims = np.array(sorted(set(cfg.split_dims)))
     ahead = {}
     iterations, evaluated = 0, 1
@@ -237,8 +237,14 @@ def tuple_heap_search(f, b_init, cfg):
         if iterations >= cfg.max_iterations:
             break
         if row not in ahead:
-            count = min(optimizer.LOOKAHEAD, cfg.max_iterations - iterations)
-            rows = cover.rows()[:count]
+            budget = cfg.max_iterations - iterations
+            order = cover.rows()
+            # The front's run: the rows whose lower bound equals the front's.
+            run = [r for r in order if cover._f_lb[r] == key]
+            if len(run) > optimizer.LOOKAHEAD:
+                rows = run[: min(optimizer.TIED_SPLITS, budget)]
+            else:
+                rows = order[: min(optimizer.LOOKAHEAD, budget)]
             n = optimizer._split_ahead(f, cover, rows, dims, cfg.delta, ahead)
             if n is None:
                 break
@@ -264,6 +270,22 @@ def non_isotone(lb, ub):
     f_lb = np.where(level == 0.0, zero, level / 8.0)
     f_lb[width > 1.5] = -math.inf
     return f_lb, f_lb + width
+
+
+def one_box(f):
+    """The one-box form of the array objective f, for reference_search."""
+
+    def g(box):
+        f_lb, f_ub = f(*bounds_of([box], box.dim))
+        return Interval(f_lb.item(), f_ub.item())
+
+    return g
+
+
+# TIED_SPLITS values the batched search is checked at, beside each
+# LOOKAHEAD: with TIED_SPLITS at most LOOKAHEAD, no tied run is split beyond
+# LOOKAHEAD, and LOOKAHEAD = TIED_SPLITS = 1 is one split per call.
+TIED_CAPS = (1, 7, 512)
 
 
 # Lower bounds the runs must tell apart or merge: ties, zeros of both
@@ -339,22 +361,36 @@ class TestRunsAgainstTheTupleHeap:
         monkeypatch.setattr(optimizer, "LOOKAHEAD", lookahead)
         b_init = IntervalBox.from_bounds([(0, 1), (0, 2), (-0.5, 0.5)])
         cfg = MsConfig(delta=1e-3, split_dims=(0, 1), max_iterations=700)
-        converged, iterations, evaluated, witness, ref = tuple_heap_search(
-            non_isotone, b_init, cfg
+        # The plain loop, one split per call.
+        _, plain_witness, plain_iterations, plain_converged, plain = reference_search(
+            one_box(non_isotone), b_init, cfg
         )
-        seen = []
+        for tied in TIED_CAPS:
+            monkeypatch.setattr(optimizer, "TIED_SPLITS", tied)
+            converged, iterations, evaluated, witness, ref = tuple_heap_search(
+                non_isotone, b_init, cfg
+            )
+            seen = []
 
-        def f(lb, ub):
-            seen.append((lb, ub, non_isotone(lb, ub)[0]))
-            return non_isotone(lb, ub)
+            def f(lb, ub):
+                seen.append((lb, ub, non_isotone(lb, ub)[0]))
+                return non_isotone(lb, ub)
 
-        res = moore_skelboe(f, b_init, cfg)
-        entries = res.cover.entries()
-        assert list(map(hex_entry, entries)) == list(map(hex_entry, ref.entries()))
-        assert (res.converged, res.iterations) == (converged, iterations)
-        assert res.evaluated == evaluated
-        assert bits(res.witness) == bits(witness)
-        assert res.final_cover_size == len(entries) == len(ref)
+            res = moore_skelboe(f, b_init, cfg)
+            entries = res.cover.entries()
+            assert list(map(hex_entry, entries)) == list(map(hex_entry, ref.entries()))
+            assert (res.converged, res.iterations) == (converged, iterations)
+            assert res.evaluated == evaluated
+            assert bits(res.witness) == bits(witness)
+            assert res.final_cover_size == len(entries) == len(ref)
+            assert (converged, iterations) == (plain_converged, plain_iterations)
+            assert bits(witness) == bits(plain_witness)
+            assert list(map(hex_entry, entries)) == [
+                hex_entry(CoverEntry(*pair)) for pair in plain
+            ]
+            # Runs longer than LOOKAHEAD occur, so the tie rule is exercised.
+            sizes = [len(lb) for lb, _, _ in seen]
+            assert max(sizes) > 2 * lookahead or tied <= lookahead
         # The case is what it claims: some box has a lower bound below that
         # of a box holding it, zeros of both signs and -inf occur, and the
         # final cover holds ties in more than one run.
@@ -393,7 +429,7 @@ class TestRunsAgainstTheTupleHeap:
 
         def runs():
             cover = Cover()
-            for row in cover._add(lb, ub, keys, keys + 1.0):
+            for row in cover._add(lb, ub, keys, keys + 1.0).tolist():
                 cover._push(row)
             return cover
 
@@ -904,26 +940,30 @@ LOOKAHEAD_CASES = {
 
 class TestLookahead:
     @pytest.mark.parametrize("case", sorted(LOOKAHEAD_CASES))
-    @pytest.mark.parametrize("lookahead", [1, 2, 8])
+    @pytest.mark.parametrize("lookahead", [1, 2, 8, 32])
     def test_same_result_as_the_plain_loop(self, monkeypatch, case, lookahead):
         f, b_init, kwargs = LOOKAHEAD_CASES[case]
         enclosure, witness, iterations, converged, cover = reference_search(
             f, b_init, MsConfig(**kwargs)
         )
         monkeypatch.setattr(optimizer, "LOOKAHEAD", lookahead)
-        batched, batches = recording(f)
-        res = moore_skelboe(batched, b_init, MsConfig(**kwargs))
-        assert res.enclosure == enclosure
-        assert res.witness == witness
-        assert res.iterations == iterations
-        assert res.converged == converged
-        assert [(e.box, e.enclosure) for e in res.cover.entries()] == cover
-        assert res.final_cover_size == len(cover)
-        assert res.evaluated == sum(len(batch) for batch in batches)
-        if lookahead == 1:
-            assert [len(batch) for batch in batches] == [1] + [2] * iterations
-        # Each batch holds the halves of at most lookahead splits.
-        assert all(len(batch) <= 2 * lookahead for batch in batches[1:])
+        for tied in (lookahead, *TIED_CAPS):
+            monkeypatch.setattr(optimizer, "TIED_SPLITS", tied)
+            batched, batches = recording(f)
+            res = moore_skelboe(batched, b_init, MsConfig(**kwargs))
+            assert res.enclosure == enclosure
+            assert res.witness == witness
+            assert res.iterations == iterations
+            assert res.converged == converged
+            assert [(e.box, e.enclosure) for e in res.cover.entries()] == cover
+            assert res.final_cover_size == len(cover)
+            assert res.evaluated == sum(len(batch) for batch in batches)
+            if lookahead == tied == 1:
+                assert [len(batch) for batch in batches] == [1] + [2] * iterations
+            # Each batch holds the halves of at most lookahead splits, or
+            # of at most tied splits of one run.
+            most = max(lookahead, tied)
+            assert all(len(batch) <= 2 * most for batch in batches[1:])
 
     def test_cases_reach_their_stop_rule(self):
         stops = {}
@@ -948,6 +988,16 @@ class TestLookahead:
             "cap_0": "cap",
             "cap_1": "cap",
         }
+        # The search says why it stopped.
+        reasons = {
+            "width": "width",
+            "cap": "iteration cap",
+            "unsplittable": "unsplittable front",
+        }
+        for case, (f, b_init, kwargs) in LOOKAHEAD_CASES.items():
+            res = moore_skelboe(per_box(f), b_init, MsConfig(**kwargs))
+            assert res.stop_reason == reasons[stops[case]]
+            assert res.converged == (res.stop_reason == "width")
 
     @pytest.mark.parametrize("case", sorted(LOOKAHEAD_CASES))
     def test_each_box_is_evaluated_at_most_once(self, monkeypatch, case):
@@ -969,6 +1019,82 @@ class TestLookahead:
         res = moore_skelboe(batched, b_init, MsConfig(**kwargs))
         assert res.evaluated == 1 + 2 * res.iterations
         assert len(batches) < 1 + res.iterations // 4
+
+    @pytest.mark.parametrize("lookahead, tied", [(1, 16), (2, 16), (8, 64), (32, 512)])
+    def test_tied_run_is_split_in_batches_up_to_the_cap(
+        self, monkeypatch, lookahead, tied
+    ):
+        # Every box ties, so the front's run is the whole cover, and every
+        # box split ahead is used. A batch splits the whole cover, up to
+        # TIED_SPLITS boxes and the splits the iteration cap leaves.
+        f, b_init, kwargs = LOOKAHEAD_CASES["fifo_ties"]
+        monkeypatch.setattr(optimizer, "LOOKAHEAD", lookahead)
+        monkeypatch.setattr(optimizer, "TIED_SPLITS", tied)
+        batched, batches = recording(f)
+        res = moore_skelboe(batched, b_init, MsConfig(**kwargs))
+        assert res.evaluated == 1 + 2 * res.iterations
+        expected, done = [1], 0
+        while done < res.iterations:
+            k = min(tied, 1 + done, res.iterations - done)
+            expected.append(2 * k)
+            done += k
+        assert [len(batch) for batch in batches] == expected
+        # The calls shrink with the cap: the cover doubles until it holds
+        # TIED_SPLITS boxes, then each call splits that many.
+        assert len(batches) <= 2 + math.log2(tied) + res.iterations / tied
+
+    @pytest.mark.parametrize("lookahead", [1, 4, 32])
+    def test_distinct_keys_split_up_to_lookahead(self, monkeypatch, lookahead):
+        # Wider boxes first, then the leftmost: the search is breadth first,
+        # as on ties, but no two boxes share a lower bound. So every run
+        # holds one box, and no batch holds more than LOOKAHEAD splits.
+        def wide_then_left(box):
+            return Interval(1e-3 * box[0].lb - box[0].width, 100.0)
+
+        b_init = IntervalBox.from_bounds([(0, 8)])
+        cfg = MsConfig(delta=1e-6, split_dims=(0,), max_iterations=400)
+        _, witness, iterations, converged, cover = reference_search(
+            wide_then_left, b_init, cfg
+        )
+        monkeypatch.setattr(optimizer, "LOOKAHEAD", lookahead)
+        batched, batches = recording(wide_then_left)
+        res = moore_skelboe(batched, b_init, cfg)
+        assert (res.iterations, res.converged, res.witness) == (
+            iterations, converged, witness
+        )
+        assert [(e.box, e.enclosure) for e in res.cover.entries()] == cover
+        keys = [e.enclosure.lb for e in res.cover.entries()]
+        assert len(set(keys)) == len(keys) == 401
+        assert res.evaluated == 1 + 2 * res.iterations
+        assert max(map(len, batches)) == 2 * lookahead
+
+    @pytest.mark.parametrize("lookahead", [2, 8])
+    def test_batch_ends_before_a_box_that_stops_the_search(
+        self, monkeypatch, lookahead
+    ):
+        # Every box ties, so the search is breadth first, and only boxes at
+        # the left end get narrower enclosures. The first of them narrow
+        # enough stops the search when it reaches the front, so the boxes
+        # made after it are never split: no batch splits them ahead.
+        def narrow_at_left_end(box):
+            return Interval(0.0, box[0].width if box[0].lb == 0.0 else 1.0)
+
+        b_init = IntervalBox.from_bounds([(0, 8)])
+        cfg = MsConfig(delta=0.5, split_dims=(0,))
+        _, witness, iterations, converged, cover = reference_search(
+            narrow_at_left_end, b_init, cfg
+        )
+        assert (converged, iterations, witness[0]) == (True, 15, Interval(0.0, 0.5))
+        monkeypatch.setattr(optimizer, "LOOKAHEAD", lookahead)
+        for tied in TIED_CAPS:
+            monkeypatch.setattr(optimizer, "TIED_SPLITS", tied)
+            batched, batches = recording(narrow_at_left_end)
+            res = moore_skelboe(batched, b_init, cfg)
+            assert (res.stop_reason, res.iterations, res.witness) == (
+                "width", iterations, witness
+            )
+            assert [(e.box, e.enclosure) for e in res.cover.entries()] == cover
+            assert res.evaluated == 1 + 2 * iterations
 
     def test_no_split_ahead_past_the_cap(self, monkeypatch):
         f, b_init, kwargs = LOOKAHEAD_CASES["fifo_ties"]
@@ -1042,24 +1168,29 @@ class TestSpeculativeFailures:
         cfg = MsConfig(delta=1e-2, split_dims=(0,))
         tie = lambda box: Interval(0.0, 1.0)  # noqa: E731
         monkeypatch.setattr(optimizer, "LOOKAHEAD", 1)
+        monkeypatch.setattr(optimizer, "TIED_SPLITS", 1)
         plain, plain_calls = self.failing_on_right(fail, tie)
         with pytest.raises(error) as expected:
             moore_skelboe(plain, b_init, cfg)
-        monkeypatch.setattr(optimizer, "LOOKAHEAD", lookahead)
-        f, calls = self.failing_on_right(fail, tie)
-        with pytest.raises(error) as got:
-            moore_skelboe(f, b_init, cfg)
-        assert type(got.value) is type(expected.value)
-        assert str(got.value) == str(expected.value)
-        assert "Box([4.0, 6.0])" in str(got.value)
         # Plain, one split per call: the initial box, the splits of [0, 8]
         # and [0, 4], then [4, 8]'s failing pair. Ahead: the initial box
         # and [0, 8]'s pair (nothing follows it yet), [0, 4]'s batch with
         # [4, 8]'s halves retried as [0, 4]'s pair alone, then [4, 8]'s
         # batch with the halves of the up to two boxes behind it, retried
-        # alone.
+        # alone. Every box ties, so a batch holds up to the larger of
+        # LOOKAHEAD and TIED_SPLITS boxes.
         assert plain_calls == [1, 2, 2, 2]
-        assert calls == [1, 2, 4, 2, 2 * min(lookahead, 3), 2]
+        monkeypatch.setattr(optimizer, "LOOKAHEAD", lookahead)
+        for tied in (1, lookahead, 512):
+            monkeypatch.setattr(optimizer, "TIED_SPLITS", tied)
+            f, calls = self.failing_on_right(fail, tie)
+            with pytest.raises(error) as got:
+                moore_skelboe(f, b_init, cfg)
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
+            assert "Box([4.0, 6.0])" in str(got.value)
+            most = max(lookahead, tied)
+            assert calls == [1, 2, 2 * min(most, 2), 2, 2 * min(most, 3), 2]
 
 
 @pytest.fixture

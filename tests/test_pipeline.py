@@ -217,6 +217,7 @@ class TestReportRoundTrip:
             eps_high=math.sqrt(0.02),
             delta=1e-3,
             converged=True,
+            stop_reason="width",
             iterations=42,
             cover_size=43,
             witness_param_box=IntervalBox.from_bounds([(0.1, 0.7), (5e-324, 0.5)]),
@@ -234,6 +235,7 @@ class TestReportRoundTrip:
             eps_high=2.0,
             delta=1e-2,
             converged=False,
+            stop_reason="iteration cap",
             iterations=7,
             cover_size=8,
             witness_param_box=IntervalBox.from_bounds([(0, 1)]),
@@ -253,6 +255,19 @@ class TestRunValidate:
         assert report.witness_param_box.dim == 2
         assert len(report.search.cover.entries()) == report.cover_size
         assert "search" not in report.to_dict()
+
+    def test_stall_on_an_unsplittable_front_is_reported(self, scenario_dir):
+        # Parameter-only splitting stalls on the network scenario before a
+        # budget of 20000 iterations is spent.
+        scenario = dataclasses.replace(
+            load_scenario(scenario_dir / "trilat_mlp.scn"),
+            max_iterations=20_000,
+            oracle=None,
+        )
+        report = run_validate(scenario)
+        assert report.iterations == 3367
+        assert report.to_dict()["stop_reason"] == "unsplittable front"
+        assert report.converged is False
 
     def test_oracle_disabled_leaves_fields_none(self, tmp_path):
         p = write_scenario(tmp_path / "s.scn", dict(BASE_DOC, oracle=None))
@@ -467,6 +482,7 @@ class TestCli:
         assert doc["delta"] == 0.5
         assert doc["iterations"] <= 10
         assert doc["converged"] is True  # delta 0.5 exceeds the error range
+        assert doc["stop_reason"] == "width"
 
     def test_dump_cover_flag(self, scenario_dir, tmp_path, capsys):
         out = tmp_path / "cover.csv"
@@ -542,6 +558,7 @@ class TestCli:
             ({"oracle": {"samples": True}}, ["'samples'"]),
             ({"oracle": {"samples": 2.7}}, ["'samples'"]),
             ({"oracle": {"seed": "1"}}, ["'seed'"]),
+            ({"oracle": {"seed": -1}}, ["oracle 'seed'", "non-negative", "-1"]),
             ({"oracle": {"samples": 1e12}}, ["'samples'"]),
             # Finite bounds whose width, or whose sum, is not finite.
             ({"param_box": [[-1e308, 1e308], [0, 1]]}, ["param_box", "finite"]),
@@ -682,6 +699,13 @@ class TestCli:
         )
         assert code == 1
         self.assert_one_line_error(capsys, "'samples'")
+
+    def test_oracle_negative_seed_exit_1(self, scenario_dir, capsys):
+        code = cli.main(
+            ["oracle", "--scenario", str(scenario_dir / "identity.scn"), "--seed", "-1"]
+        )
+        assert code == 1
+        self.assert_one_line_error(capsys, "oracle 'seed'", "non-negative", "-1")
 
     def test_oracle_overflow_exit_1(self, scenario_dir, tmp_path, capsys):
         doc = json.loads((scenario_dir / "constant.scn").read_text())
