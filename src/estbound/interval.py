@@ -113,17 +113,6 @@ def imul(a: Interval, b: Interval) -> Interval:
     return _make(_down(min(p0, p1, p2, p3)), _up(max(p0, p1, p2, p3)))
 
 
-def _mul_scalar(w: float, a: Interval) -> Interval:
-    # Equivalent to imul(Interval.point(w), a); two products instead of four.
-    if w >= 0.0:
-        lo = w * a.lb
-        hi = w * a.ub
-    else:
-        lo = w * a.ub
-        hi = w * a.lb
-    return _make(_down(lo), _up(hi))
-
-
 def isqr(a: Interval) -> Interval:
     """Tight square: exact zero lower bound when 0 is inside, else min/max
     of the squared endpoints; always a subset of imul(a, a)."""

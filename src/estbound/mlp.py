@@ -129,9 +129,10 @@ class MlpModel(EstimatorModel):
         # is exact and round-to-nearest is symmetric. Per layer: weights
         # (cols, 1, 2 * rows) for that array, where each term takes its
         # input's lower bound rather than its upper one (lower bounds for
-        # w >= 0, upper bounds for w < 0, as _mul_scalar does), bias, relu
-        # flag. The middle axis broadcasts over the boxes. The products and
-        # the sums are rounded with _round_up (see the module docstring).
+        # w >= 0, upper bounds for w < 0, as the interval product of a
+        # point weight and an input interval does), bias, relu flag. The
+        # middle axis broadcasts over the boxes. The products and the sums
+        # are rounded with _round_up (see the module docstring).
         self._box_arrays = tuple(
             (
                 np.concatenate((-wt, wt), axis=1)[:, None, :],
@@ -170,8 +171,8 @@ class MlpModel(EstimatorModel):
         # or a NaN bound, which the check below reports.
         with np.errstate(over="ignore", invalid="ignore"):
             for layer, (w2, take_lb, bias2, relu) in enumerate(self._box_arrays):
-                # terms[j] holds the terms of input j for every box, rounded as
-                # _mul_scalar rounds them; they are summed one input at a time,
+                # terms[j] holds the terms of input j for every box, each
+                # product stepped outward; they are summed one input at a time,
                 # rounding each add. C order keeps each terms[j] one contiguous
                 # block, where numpy's per-call cost is lowest. Once the
                 # products are taken, bounds is the rounding's scratch space.

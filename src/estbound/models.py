@@ -4,8 +4,8 @@ Range-based localization (distances to fixed landmarks) is the main
 observation model; estimators include the identity and constant baselines
 used in tests and an iterative least-squares estimator. The neural-network
 estimator lives in `mlp`. The box evaluators take and return bound arrays
-(see `framework`); the descent replays its steps in Interval arithmetic,
-one row of bounds at a time, and the others work on whole arrays.
+(see `framework`) and work on whole arrays; the descent replays its steps
+in interval arithmetic on all the rows at once.
 """
 
 from __future__ import annotations
@@ -16,16 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .framework import Bounds, EstimatorModel, ObservationModel
-from .interval import (
-    Interval,
-    _inorm_rows,
-    _make,
-    _mul_scalar,
-    iadd,
-    imul,
-    inorm,
-    isub,
-)
+from .interval import _inorm_rows
 
 __all__ = [
     "IdentityObservation",
@@ -162,30 +153,23 @@ class ConstantEstimator(EstimatorModel):
 _UNIT_BOUND = 1.0 + 1e-9
 
 
-def _div(a: Interval, b: Interval) -> Interval:
-    # Quotient for a strictly positive divisor, outward-rounded.
-    q0 = a.lb / b.lb
-    q1 = a.lb / b.ub
-    q2 = a.ub / b.lb
-    q3 = a.ub / b.ub
-    lo = math.nextafter(min(q0, q1, q2, q3), -math.inf)
-    hi = math.nextafter(max(q0, q1, q2, q3), math.inf)
-    return _make(lo, hi)
+def _first_min(values: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise min of the arrays as Python's min takes it over the same
+    floats in the same order: the first of tied values (0.0 and -0.0), and
+    a NaN only in first place, where no comparison replaces it. np.minimum
+    does neither."""
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(v < out, v, out)
+    return out
 
 
-def _unit_direction(num: Interval, dist: Interval) -> Interval:
-    """Enclosure of num/dist for a distance interval, clamped to the unit
-    range. A distance lower bound of zero (landmark inside or touching the
-    box) falls back to the full unit range, which also covers the point
-    evaluator's rule of dropping the term exactly at a landmark."""
-    if dist.lb <= 0.0:
-        return _make(-_UNIT_BOUND, _UNIT_BOUND)
-    q = _div(num, dist)
-    lo = q.lb if q.lb > -_UNIT_BOUND else -_UNIT_BOUND
-    hi = q.ub if q.ub < _UNIT_BOUND else _UNIT_BOUND
-    if lo > hi:
-        return _make(-_UNIT_BOUND, _UNIT_BOUND)
-    return _make(lo, hi)
+def _first_max(values: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise max, as _first_min."""
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(v > out, v, out)
+    return out
 
 
 class GradientDescentEstimator(EstimatorModel):
@@ -222,9 +206,6 @@ class GradientDescentEstimator(EstimatorModel):
             raise ValueError(f"init must be finite, got {self.init!r}")
         self.n_obs = observation.n_obs
         self.n_params = 2
-        self._landmark_ivs = tuple(
-            (Interval.point(ax), Interval.point(ay)) for ax, ay in observation.landmarks
-        )
 
     def eval_points(self, rows: np.ndarray) -> np.ndarray:
         # One descent per row, each row taking the operations of a scalar
@@ -254,30 +235,53 @@ class GradientDescentEstimator(EstimatorModel):
         return np.stack((x0, x1), axis=1)
 
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
+        # The point pass's steps in interval arithmetic, on (k, ...) bound
+        # arrays, each bound stepped outward with nextafter as `interval`
+        # steps it, and in the order of a scalar interval loop: per step
+        # and landmark, dx = isub(x0, ax), dy = isub(x1, ay), d =
+        # inorm((dx, dy)), t = 2 * isub(d, y) and the unit directions
+        # dx / d and dy / d (four quotients, clamped to the unit range, or
+        # all of it where d reaches 0 or the clamp empties the range), then
+        # g = iadd(g, imul(t, u)) in landmark order from 0 and x = isub(x,
+        # step * g). Like Python floats, the arrays overflow to inf and NaN
+        # without a warning; a NaN difference makes the norm raise.
         self._check_rows(lb)
+        k, n = lb.shape
+        inf = np.inf
+        nextafter = np.nextafter
+        landmarks = self.observation._landmark_rows
         step = self.step
-        zero = Interval.point(0.0)
-        landmarks = self._landmark_ivs
-        out = []
-        for lows, highs in zip(lb.tolist(), ub.tolist()):
-            ys = tuple(map(_make, lows, highs))
-            x0 = Interval.point(self.init[0])
-            x1 = Interval.point(self.init[1])
+        # Noise bounds as (k, landmarks, 1) columns, broadcast over x0, x1.
+        y_lb = lb[:, :, None]
+        y_ub = ub[:, :, None]
+        x_lb = np.tile(self.init, (k, 1))
+        x_ub = x_lb.copy()
+        with np.errstate(all="ignore"):
             for _ in range(self.iterations):
-                gx = zero
-                gy = zero
-                for (ax_iv, ay_iv), y_iv in zip(landmarks, ys):
-                    dx = isub(x0, ax_iv)
-                    dy = isub(x1, ay_iv)
-                    d = inorm((dx, dy))
-                    r = isub(d, y_iv)
-                    ux = _unit_direction(dx, d)
-                    uy = _unit_direction(dy, d)
-                    t = _mul_scalar(2.0, r)
-                    gx = iadd(gx, imul(t, ux))
-                    gy = iadd(gy, imul(t, uy))
-                x0 = isub(x0, _mul_scalar(step, gx))
-                x1 = isub(x1, _mul_scalar(step, gy))
-            out.append((x0.lb, x1.lb, x0.ub, x1.ub))
-        out = np.array(out, dtype=np.float64).reshape(-1, 4)
-        return out[:, :2], out[:, 2:]
+                # (k, landmarks, 2): dx and dy of each landmark.
+                d_lb = nextafter(x_lb[:, None, :] - landmarks, -inf)
+                d_ub = nextafter(x_ub[:, None, :] - landmarks, inf)
+                r_lb, r_ub = _inorm_rows(d_lb.reshape(-1, 2), d_ub.reshape(-1, 2))
+                r_lb = r_lb.reshape(k, n, 1)
+                r_ub = r_ub.reshape(k, n, 1)
+                t_lb = nextafter(2.0 * nextafter(r_lb - y_ub, -inf), -inf)
+                t_ub = nextafter(2.0 * nextafter(r_ub - y_lb, inf), inf)
+                q = (d_lb / r_lb, d_lb / r_ub, d_ub / r_lb, d_ub / r_ub)
+                u_lb = nextafter(_first_min(q), -inf)
+                u_ub = nextafter(_first_max(q), inf)
+                # Not np.maximum: a NaN bound fails its test and is clamped.
+                u_lb = np.where(u_lb > -_UNIT_BOUND, u_lb, -_UNIT_BOUND)
+                u_ub = np.where(u_ub < _UNIT_BOUND, u_ub, _UNIT_BOUND)
+                full = (r_lb <= 0.0) | (u_lb > u_ub)
+                u_lb[full] = -_UNIT_BOUND
+                u_ub[full] = _UNIT_BOUND
+                p = (t_lb * u_lb, t_lb * u_ub, t_ub * u_lb, t_ub * u_ub)
+                p_lb = nextafter(_first_min(p), -inf)
+                p_ub = nextafter(_first_max(p), inf)
+                g_lb = g_ub = 0.0
+                for j in range(n):
+                    g_lb = nextafter(g_lb + p_lb[:, j], -inf)
+                    g_ub = nextafter(g_ub + p_ub[:, j], inf)
+                x_lb = nextafter(x_lb - nextafter(step * g_ub, inf), -inf)
+                x_ub = nextafter(x_ub - nextafter(step * g_lb, -inf), inf)
+        return x_lb, x_ub

@@ -25,16 +25,16 @@ front. Which boxes follow it:
 - otherwise the next LOOKAHEAD - 1 boxes in cover order, across runs.
 Neither takes more boxes than the iteration cap leaves splits.
 
-A batch ends before the first box whose enclosure is narrow enough to stop
-the search: boxes after it in cover order reach the front only after it
-does, and then the search stops.
+A batch ends before the first box that cannot be split or whose enclosure
+is narrow enough to stop the search: boxes after it in cover order reach
+the front only after it does, and then the search stops.
 
 Splitting a tied run ahead is not a guess. The objective is isotone, so a
 half's lower bound is at least its parent's, the run's key: every box of
 the front's run is split, in FIFO order, before any other box, until the
 iteration cap or a box that cannot be split. So on an isotone objective a
-tied batch adds no evaluated box, unless it holds one that cannot be
-split. Across runs it is a guess, which is why LOOKAHEAD is small.
+tied batch adds no evaluated box. Across runs it is a guess, which is why
+LOOKAHEAD is small.
 
 Each enclosure depends only on its own box, and the splits, insertion
 order and tie-breaking are those of one split per call, so every result is
@@ -321,45 +321,43 @@ def _split_ahead(
     together with the others, evaluate all the halves in one call and store
     the rows of each split row's halves in ahead. Returns the number of
     boxes handed to f, or None when the front cannot be split. A box
-    already split ahead, or one that cannot be split, is not split ahead.
-    Nor is a box whose enclosure stops the search, or any box after it: the
+    already split ahead is not split ahead. Nor is a box that cannot be
+    split or whose enclosure stops the search, or any box after it: the
     search stops when that box reaches the front, before they do."""
     # ahead is empty once the search has used every box it split ahead, as
     # before every batch on the identity scenario, whose boxes all tie: no
     # test per row then.
     rows = np.array([row for row in rows if row not in ahead] if ahead else rows)
-    # inf - inf is NaN, which is not <= delta, as in the search loop.
-    with np.errstate(invalid="ignore"):
-        narrow = cover._f_ub[rows] - cover._f_lb[rows] <= delta
-    if narrow.any():
-        rows = rows[: narrow.argmax()]
     lb = cover._lb[rows]
     ub = cover._ub[rows]
     dim, mid, ok = _split_rule(lb, ub, dims)
-    if not ok[0]:
+    # inf - inf is NaN, which is not <= delta, as in the search loop.
+    with np.errstate(invalid="ignore"):
+        cut = ~ok | (cover._f_ub[rows] - cover._f_lb[rows] <= delta)
+    n = int(cut.argmax()) if cut.any() else len(rows)
+    if n == 0:
         return None
-    split = np.flatnonzero(ok)
-    # Halves 2i and 2i + 1 are the left and the right half of box split[i].
-    lb = np.repeat(lb[split], 2, axis=0)
-    ub = np.repeat(ub[split], 2, axis=0)
-    left = 2 * np.arange(len(split))
-    ub[left, dim[split]] = mid[split]
-    lb[left + 1, dim[split]] = mid[split]
+    # Halves 2i and 2i + 1 are the left and the right half of box i.
+    lb = np.repeat(lb[:n], 2, axis=0)
+    ub = np.repeat(ub[:n], 2, axis=0)
+    left = 2 * np.arange(n)
+    ub[left, dim[:n]] = mid[:n]
+    lb[left + 1, dim[:n]] = mid[:n]
     # The objective must not change the halves: the cover copies them below.
     lb.flags.writeable = ub.flags.writeable = False
     try:
         f_lb, f_ub = _evaluate(f, lb, ub)
         evaluated = len(lb)
     except Exception:
-        if len(split) == 1:
+        if n == 1:
             raise
         # Raise, if at all, what the front's pair alone raises, at this
         # iteration; a speculated box that fails is retried when it is due.
         evaluated = len(lb) + 2
-        lb, ub, split = lb[:2], ub[:2], split[:1]
+        lb, ub, n = lb[:2], ub[:2], 1
         f_lb, f_ub = _evaluate(f, lb, ub)
     new = cover._add(lb, ub, f_lb, f_ub)
-    ahead.update(zip(rows[split].tolist(), new.reshape(-1, 2).tolist()))
+    ahead.update(zip(rows[:n].tolist(), new.reshape(-1, 2).tolist()))
     return evaluated
 
 

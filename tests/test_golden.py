@@ -138,3 +138,15 @@ def test_cli_cover_dump_of_trilat_mlp_scenario(scenario_dir, tmp_path, capsys):
         "800dd0aadf502de0e1a63d0cd5b9220635c7d25ff0e12ec96caafd7f28ad6e5d",
         "6f115da9475cbe386a20cdb849823aa53cac1fb71229eeed6f3460652c99e38c",
     )
+
+
+def test_cli_cover_dump_of_trilat_gd_scenario(scenario_dir, tmp_path, capsys):
+    # Every cover box went through the descent's batched interval pass. The
+    # hashes were recorded from the descent's earlier scalar interval pass,
+    # one Interval per bound and one box at a time.
+    assert cover_and_report_hashes(
+        scenario_dir / "trilat_gd.scn", 300, tmp_path, capsys
+    ) == (
+        "3a326cf3025659b3f39785f979c5be5aeb647262a88d8c266ae5293ccc59395d",
+        "6dd94fc09572762f642976f840722ff357af996e93dcfca26460ae7ecac34b97",
+    )

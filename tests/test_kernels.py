@@ -5,9 +5,10 @@ the network's box pass and the batched error evaluation must give the same
 floats, bit for bit, as the scalar loops below, which perform the same IEEE
 operations in the same order one value at a time. Every model's eval_boxes
 must give each row of a batch of bound arrays the bounds of a one-box
-reference. The box
-passes of the trilateration model, the descent and the network must also
-contain the exact value, checked against mpmath.
+reference; the box references are loops of interval operations, with the
+scalar product, quotient and unit direction below. The box passes of the
+trilateration model, the descent and the network must also contain the
+exact value, checked against mpmath.
 """
 
 import math
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from estbound.interval import (
     Interval,
     IntervalBox,
-    _mul_scalar,
+    _make,
     iadd,
     imul,
     isqr,
@@ -36,7 +37,9 @@ from estbound.models import (
     IdentityEstimator,
     IdentityObservation,
     TrilaterationModel,
-    _unit_direction,
+    _UNIT_BOUND,
+    _first_max,
+    _first_min,
 )
 from estbound.pipeline import load_scenario
 from conftest import bounds_of
@@ -95,6 +98,44 @@ def reference_descent_point(est, y):
         x0 = x0 - est.step * gx
         x1 = x1 - est.step * gy
     return (x0, x1)
+
+
+def _mul_scalar(w, a):
+    """The product of the float w and the interval a, outward-rounded: the
+    bounds of imul(Interval.point(w), a) from two products instead of four."""
+    if w >= 0.0:
+        lo = w * a.lb
+        hi = w * a.ub
+    else:
+        lo = w * a.ub
+        hi = w * a.lb
+    return _make(math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
+
+
+def _div(a, b):
+    """Quotient for a strictly positive divisor, outward-rounded."""
+    q0 = a.lb / b.lb
+    q1 = a.lb / b.ub
+    q2 = a.ub / b.lb
+    q3 = a.ub / b.ub
+    lo = math.nextafter(min(q0, q1, q2, q3), -math.inf)
+    hi = math.nextafter(max(q0, q1, q2, q3), math.inf)
+    return _make(lo, hi)
+
+
+def _unit_direction(num, dist):
+    """Enclosure of num/dist for a distance interval, clamped to the unit
+    range. A distance lower bound of zero (landmark inside or touching the
+    box) falls back to the full unit range, which also covers the point
+    evaluator's rule of dropping the term exactly at a landmark."""
+    if dist.lb <= 0.0:
+        return _make(-_UNIT_BOUND, _UNIT_BOUND)
+    q = _div(num, dist)
+    lo = q.lb if q.lb > -_UNIT_BOUND else -_UNIT_BOUND
+    hi = q.ub if q.ub < _UNIT_BOUND else _UNIT_BOUND
+    if lo > hi:
+        return _make(-_UNIT_BOUND, _UNIT_BOUND)
+    return _make(lo, hi)
 
 
 def reference_eval_box(model, box):
@@ -487,6 +528,94 @@ class TestModelBoxBatches:
             check_boxes(model, boxes, lambda model, box: box)
         constant = ConstantEstimator((15.0, -0.0), n_obs=3)
         check_boxes(constant, boxes, lambda model, box: IntervalBox.point(model.value))
+
+
+class TestDescentBoxPass:
+    """The descent's numpy box pass against reference_descent_box, bit for
+    bit, on boxes of widths 20/2^k and on degenerate and signed-zero boxes,
+    under estimators whose iterates sit on a landmark, overflow or start
+    far out."""
+
+    @pytest.fixture(scope="class")
+    def boxes(self, scenario_dir):
+        obs = load_scenario(scenario_dir / "trilat_gd.scn").build_objective().observation
+        rng = random.Random(37)
+        boxes = []
+        for k in range(13):
+            width = 20.0 / 2**k
+            for _ in range(3):
+                center = obs.eval_point((rng.uniform(0, 25), rng.uniform(0, 25)))
+                lows = [c - rng.uniform(0, width) for c in center]
+                boxes.append(IntervalBox.from_bounds([(lo, lo + width) for lo in lows]))
+        boxes += [
+            IntervalBox.point((12.0, 18.0, 7.5)),
+            IntervalBox.from_bounds([(-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]),
+            IntervalBox.from_bounds([(-0.0, 1.0), (5.0, 5.0), (0.0, 40.0)]),
+            IntervalBox.from_bounds([(-5.0, -0.0), (0.0, 0.0), (0.0, 40.0)]),
+        ]
+        return boxes
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {},
+            {"init": "landmark"},
+            {"step": 1e300},
+            {"init": (1e200, -1e200)},
+            {"iterations": 20, "step": 0.3, "init": (-0.0, 0.0)},
+        ],
+        ids=["scenario", "on_landmark", "huge_step", "far_init", "signed_zero_init"],
+    )
+    def test_rows_equal_the_reference(self, scenario_dir, boxes, changes):
+        est = load_scenario(scenario_dir / "trilat_gd.scn").build_objective().estimator
+        if changes.get("init") == "landmark":
+            changes = {"init": est.observation.landmarks[1]}
+        est = TestDescentBitIdentity.variant(est, **changes)
+        lb, ub = est.eval_boxes(*bounds_of(boxes, 3))
+        got = rows_bits(lb, ub)
+        assert got == [box_bits(reference_descent_box(est, box)) for box in boxes]
+        if changes in ({"step": 1e300}, {"init": (1e200, -1e200)}):
+            # Large intermediate values; each row still equals a one-box call.
+            assert got == [box_bits(est.eval_box(box)) for box in boxes]
+        if changes == {"step": 1e300}:
+            assert np.isinf(lb).all() and np.isinf(ub).all()
+
+    def test_nan_product_after_the_first(self):
+        # At (-2 ulp(0), 1.0), dx to the landmark (0, 0) is [-3, -1] ulp(0):
+        # its unit direction's upper bound rounds up from -ulp(0) to -0.0.
+        # A noise bound of 1e308 makes t's lower bound -inf, so the second of
+        # the four products, -inf * -0.0, is NaN. Python's min and max skip
+        # it there; np.minimum and np.maximum would return it.
+        model = TrilaterationModel([(0.0, 0.0), (20.0, 0.0), (0.0, 20.0)])
+        box = IntervalBox.from_bounds([(0.0, 1e308), (19.0, 21.0), (19.0, 21.0)])
+        for iterations in (1, 2):
+            est = GradientDescentEstimator(
+                model, iterations=iterations, step=0.01, init=(-2 * 5e-324, 1.0)
+            )
+            lb, ub = est.eval_boxes(*bounds_of([box], 3))
+            assert rows_bits(lb, ub) == [box_bits(reference_descent_box(est, box))]
+            assert not np.isnan(lb).any() and not np.isnan(ub).any()
+        assert lb.tolist() == [[-math.inf, -math.inf]]
+        assert ub.tolist() == [[math.inf, math.inf]]
+
+    def test_selection_takes_the_first_of_ties_and_nan_by_position(self):
+        nan = math.nan
+        rows = [
+            (1.0, nan, 2.0, 3.0),
+            (nan, 1.0, 2.0, 3.0),
+            (3.0, 2.0, 1.0, nan),
+            (0.0, -0.0, 1.0, -1.0),
+            (-0.0, 0.0, -1.0, 1.0),
+            (0.0, -0.0, 0.0, -0.0),
+            (-0.0, 0.0, -0.0, 0.0),
+            (math.inf, nan, -math.inf, nan),
+        ]
+        columns = tuple(np.array(c) for c in zip(*rows))
+        assert bits(_first_min(columns)) == bits(min(row) for row in rows)
+        assert bits(_first_max(columns)) == bits(max(row) for row in rows)
+        # numpy's own reductions differ on these rows.
+        assert bits(np.minimum.reduce(columns)) != bits(min(row) for row in rows)
+        assert bits(np.maximum.reduce(columns)) != bits(max(row) for row in rows)
 
 
 class TestIdentityErrorVector:

@@ -1096,6 +1096,34 @@ class TestLookahead:
             assert [(e.box, e.enclosure) for e in res.cover.entries()] == cover
             assert res.evaluated == 1 + 2 * iterations
 
+    @pytest.mark.parametrize("stop", ["unsplittable", "narrow"])
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_split_ahead_ends_before_the_first_box_that_stops(self, stop, at):
+        # Four rows in cover order. The one at `at` cannot be split, or is
+        # narrow enough to stop the search; the rows after it are wide and
+        # splittable, but the search stops before it reaches them.
+        cover = Cover()
+        lb = np.array([[0.0], [2.0], [4.0], [6.0]])
+        ub = lb + 1.0
+        f_ub = np.ones(4)
+        if stop == "unsplittable":
+            lb[at], ub[at] = 1.0, math.nextafter(1.0, 2.0)
+        else:
+            f_ub[at] = 0.25
+        rows = cover._add(lb, ub, np.zeros(4), f_ub).tolist()
+        batched, batches = recording(lambda box: Interval(0.0, 1.0))
+        ahead = {}
+        n = optimizer._split_ahead(batched, cover, rows, np.array([0]), 0.5, ahead)
+        if at == 0:
+            assert (n, batches, ahead) == (None, [], {})
+            return
+        assert n == 2 * at
+        assert [len(batch) for batch in batches] == [2 * at]
+        assert list(ahead) == rows[:at]
+        assert [(box[0].lb, box[0].ub) for box in batches[0]] == [
+            (lo, lo + 0.5) for i in range(at) for lo in (2.0 * i, 2.0 * i + 0.5)
+        ]
+
     def test_no_split_ahead_past_the_cap(self, monkeypatch):
         f, b_init, kwargs = LOOKAHEAD_CASES["fifo_ties"]
         monkeypatch.setattr(optimizer, "LOOKAHEAD", 8)

@@ -267,6 +267,9 @@ class TestRunValidate:
         report = run_validate(scenario)
         assert report.iterations == 3367
         assert report.to_dict()["stop_reason"] == "unsplittable front"
+        # No batch splits a box after one that cannot be split: the search
+        # stops before it reaches them.
+        assert report.search.evaluated == 6745
         assert report.converged is False
 
     def test_oracle_disabled_leaves_fields_none(self, tmp_path):

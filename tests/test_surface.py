@@ -12,6 +12,8 @@ import importlib
 import inspect
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +147,60 @@ def test_eval_boxes_takes_and_returns_bound_arrays(name):
     with pytest.raises(ValueError) as got:
         model.eval_boxes(wrong, wrong)
     assert str(got.value) == str(expected.value)
+
+
+# Run in a fresh interpreter: a class whose __new__ was replaced cannot be
+# given back object.__new__ in the same process (the restored class then
+# rejects constructor arguments).
+NO_INTERVAL_SCRIPT = """
+import sys
+import numpy as np
+sys.path[:0] = sys.argv[1:3]
+from test_surface import MODELS
+from estbound.framework import ObservationModel
+from estbound.interval import Interval
+from estbound.mlp import load_mlp
+
+models = [MODELS[name]() for name in sorted(MODELS)]
+models.append(load_mlp(sys.argv[3]))
+
+def refuse(cls, *args):
+    raise AssertionError("an Interval was built")
+
+Interval.__new__ = refuse
+try:
+    Interval.point(0.0)
+except AssertionError:
+    pass
+else:
+    raise SystemExit("Interval.__new__ was not replaced")
+rng = np.random.Generator(np.random.PCG64(1))
+for model in models:
+    n_in = model.n_params if isinstance(model, ObservationModel) else model.n_obs
+    lb = rng.uniform(0, 20, size=(8, n_in))
+    out_lb, out_ub = model.eval_boxes(lb, lb + 0.5)
+    assert len(out_lb) == len(out_ub) == 8
+print(len(models))
+"""
+
+
+def test_eval_boxes_builds_no_interval(scenario_dir):
+    # Every box evaluator works on whole bound arrays: none turns rows back
+    # into Interval objects, as a per-box loop of interval operations would.
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            NO_INTERVAL_SCRIPT,
+            str(SRC.parent),
+            str(Path(__file__).resolve().parent),
+            str(scenario_dir / "mlp_3x32x32x2.json"),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"{len(MODELS) + 1}\n"
 
 
 def calls_of(tree, name):
