@@ -36,6 +36,17 @@ iteration cap or a box that cannot be split. So on an isotone objective a
 tied batch adds no evaluated box. Across runs it is a guess, which is why
 LOOKAHEAD is small.
 
+A tied batch split while no other box waits split ahead is the head of the
+front's run. When all its halves tie with the run too, it leaves the cover
+in one step: its rows are cut off the run and their halves chained onto
+the run's tail in order. That is the cover one split per iteration would
+leave, since no half reaches the front before the rest of the batch. A
+half below the run's key would, and an objective that is not isotone can
+give one; a half above it belongs to another run. So the search checks
+that every half ties, and otherwise uses the batch as a LOOKAHEAD batch
+is: each box split ahead leaves the cover when it reaches the front, its
+halves put in its place.
+
 Each enclosure depends only on its own box, and the splits, insertion
 order and tie-breaking are those of one split per call, so every result is
 the same for any LOOKAHEAD and TIED_SPLITS, for any objective; only the
@@ -100,7 +111,13 @@ class Cover:
     _f_ub. Rows whose lower bounds compare equal (0.0 and -0.0 too) form a
     FIFO run: a circular list through _next, held by its last row in
     _runs[key]. _keys is a heap of the keys of _runs. Rows below _end not in
-    a run are listed in _free, to be reused first."""
+    a run are listed in _free, to be reused first.
+
+    _pop takes the front row and _push appends a row to its run. _retire
+    takes the first rows of the front's run at once and chains their
+    halves onto the run's tail: the cover of a _pop and two _push per row,
+    as long as every half's lower bound equals the run's key, so that none
+    reaches the front before the last of those rows."""
 
     def __init__(self) -> None:
         self._keys: list[float] = []
@@ -158,6 +175,25 @@ class Cover:
         self._next[last] = self._next[row]
         self._free.append(row)
         return row
+
+    def _retire(self, rows: list[int], halves: np.ndarray) -> None:
+        """Take rows, the first rows of the front's run in order, off the
+        cover, list them in _free and chain halves, the rows of their
+        halves in order, onto the run's tail, or make them the run if rows
+        emptied it. Every half's lower bound must equal the run's key."""
+        key = self._keys[0]
+        nxt = self._next
+        last = self._runs[key]
+        self._free += rows
+        halves = halves.tolist()
+        if rows[-1] == last:
+            head = halves[0]
+        else:
+            head = nxt[rows[-1]]
+            nxt[last] = halves[0]
+        for row, after in zip(halves, halves[1:] + [head]):
+            nxt[row] = after
+        self._runs[key] = halves[-1]
 
     def _entry(self, row: int) -> CoverEntry:
         enclosure = _make(self._f_lb.item(row), self._f_ub.item(row))
@@ -301,7 +337,7 @@ def _front_run(cover: Cover, count: int) -> list[int]:
     nxt = cover._next
     row = last = cover._runs[cover._keys[0]]
     out: list[int] = []
-    while len(out) < count:
+    for _ in range(count):
         row = nxt[row]
         out.append(row)
         if row == last:
@@ -316,14 +352,15 @@ def _split_ahead(
     dims: np.ndarray,
     delta: float,
     ahead: dict[int, list[int]],
-) -> int | None:
+) -> tuple[int, list[int], np.ndarray] | None:
     """Split the front, the first of the cover rows given in cover order,
-    together with the others, evaluate all the halves in one call and store
-    the rows of each split row's halves in ahead. Returns the number of
-    boxes handed to f, or None when the front cannot be split. A box
-    already split ahead is not split ahead. Nor is a box that cannot be
-    split or whose enclosure stops the search, or any box after it: the
-    search stops when that box reaches the front, before they do."""
+    together with the others, and evaluate all the halves in one call.
+    Returns the number of boxes handed to f, the rows split and the rows of
+    their halves, left and right in turn; or None when the front cannot be
+    split. A box already split ahead, a key of ahead, is not split ahead.
+    Nor is a box that cannot be split or whose enclosure stops the search,
+    or any box after it: the search stops when that box reaches the front,
+    before they do."""
     # ahead is empty once the search has used every box it split ahead, as
     # before every batch on the identity scenario, whose boxes all tie: no
     # test per row then.
@@ -356,9 +393,7 @@ def _split_ahead(
         evaluated = len(lb) + 2
         lb, ub, n = lb[:2], ub[:2], 1
         f_lb, f_ub = _evaluate(f, lb, ub)
-    new = cover._add(lb, ub, f_lb, f_ub)
-    ahead.update(zip(rows[:n].tolist(), new.reshape(-1, 2).tolist()))
-    return evaluated
+    return evaluated, rows[:n].tolist(), cover._add(lb, ub, f_lb, f_ub)
 
 
 def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResult:
@@ -410,13 +445,23 @@ def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResu
             # No more splits than the iteration cap leaves are made ahead.
             budget = cfg.max_iterations - iterations
             rows = _front_run(cover, min(TIED_SPLITS, budget))
-            if len(rows) <= LOOKAHEAD:
+            tied = len(rows) > LOOKAHEAD
+            if not tied:
                 rows = [row] + _following(cover, min(LOOKAHEAD, budget) - 1)
-            n = _split_ahead(f, cover, rows, dims, cfg.delta, ahead)
-            if n is None:
+            split = _split_ahead(f, cover, rows, dims, cfg.delta, ahead)
+            if split is None:
                 stop_reason = "unsplittable front"
                 break
+            n, rows, halves = split
             evaluated += n
+            # With nothing else split ahead, a tied batch is the head of the
+            # front's run. If its halves all tie with the run, it leaves the
+            # cover at once; otherwise it is used one split at a time.
+            if tied and not ahead and (cover._f_lb[halves] == key).all():
+                cover._retire(rows, halves)
+                iterations += len(rows)
+                continue
+            ahead.update(zip(rows, halves.reshape(-1, 2).tolist()))
         left, right = ahead.pop(row)
         cover._pop()
         cover._push(left)

@@ -223,6 +223,7 @@ class ValidationReport:
     stop_reason: str
     iterations: int
     cover_size: int
+    evaluated: int
     witness_param_box: IntervalBox
     oracle_max: float | None
     certified: bool | None
@@ -239,6 +240,7 @@ class ValidationReport:
             "stop_reason": self.stop_reason,
             "iterations": self.iterations,
             "cover_size": self.cover_size,
+            "evaluated": self.evaluated,
             "witness_param_box": [[c.lb, c.ub] for c in self.witness_param_box],
             "oracle_max": self.oracle_max,
             "certified": self.certified,
@@ -286,6 +288,7 @@ def run_validate(scenario: Scenario) -> ValidationReport:
         stop_reason=result.stop_reason,
         iterations=result.iterations,
         cover_size=result.final_cover_size,
+        evaluated=result.evaluated,
         witness_param_box=result.witness[:n],
         oracle_max=oracle_max,
         certified=certified,

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from estbound import cli, pipeline
-from estbound.optimizer import moore_skelboe
+from estbound.optimizer import Cover, moore_skelboe
 from estbound.pipeline import load_scenario, run_validate
 
 
@@ -96,9 +96,35 @@ def test_objective_calls_on_tied_boxes(scenario_dir, monkeypatch):
     assert len(sizes) == 49
 
 
+def test_cover_pushes_on_tied_boxes(scenario_dir, monkeypatch):
+    # Every box of the identity scenario ties, so each batch split from the
+    # front's run leaves the cover in one step (Cover._retire), its halves
+    # chained onto the run without a Cover._push each. Only the initial box
+    # and the 63 splits made while the run held at most LOOKAHEAD boxes
+    # push; one split at a time, it took 40001 pushes here.
+    pushes = []
+    push = Cover._push
+
+    def counting(cover, row):
+        pushes.append(row)
+        push(cover, row)
+
+    monkeypatch.setattr(Cover, "_push", counting)
+    scenario = dataclasses.replace(
+        load_scenario(scenario_dir / "identity.scn"),
+        max_iterations=20_000,
+        oracle=None,
+    )
+    report = run_validate(scenario)
+    assert report.iterations == 20_000
+    assert len(pushes) == 127
+
+
 def cover_and_report_hashes(scenario, max_iters, tmp_path, capsys):
     """SHA-256 of the cover CSV and of the printed report without `elapsed`,
-    re-serialised with the CLI's json.dumps(indent=1) layout."""
+    re-serialised with the CLI's json.dumps(indent=1) layout. The report
+    hashes were re-recorded when the report gained `evaluated`; each equals
+    the hash of the earlier report with that one field inserted."""
     cover = tmp_path / "cover.csv"
     code = cli.main(
         [
@@ -126,7 +152,7 @@ def test_cli_cover_dump_of_identity_scenario(scenario_dir, tmp_path, capsys):
         scenario_dir / "identity.scn", 2000, tmp_path, capsys
     ) == (
         "5cdf5379847e389aff614e1ae0d02598a97c9553d30104a0db5bdd66efb43ac3",
-        "ec0443edf2425700372e669d845e77bacb28ca738508c78b6e6e898ce7f0cb09",
+        "c2cb55076fa74fe9ba31dc1e9b6c6fd5b29552d642d364028cc46a92db3b48a0",
     )
 
 
@@ -136,7 +162,7 @@ def test_cli_cover_dump_of_trilat_mlp_scenario(scenario_dir, tmp_path, capsys):
         scenario_dir / "trilat_mlp.scn", 300, tmp_path, capsys
     ) == (
         "800dd0aadf502de0e1a63d0cd5b9220635c7d25ff0e12ec96caafd7f28ad6e5d",
-        "6f115da9475cbe386a20cdb849823aa53cac1fb71229eeed6f3460652c99e38c",
+        "fb7c91d4a0998cc22d4ba234f85af8726a46672f686993029aea55f7b8fe5748",
     )
 
 
@@ -148,5 +174,5 @@ def test_cli_cover_dump_of_trilat_gd_scenario(scenario_dir, tmp_path, capsys):
         scenario_dir / "trilat_gd.scn", 300, tmp_path, capsys
     ) == (
         "3a326cf3025659b3f39785f979c5be5aeb647262a88d8c266ae5293ccc59395d",
-        "6dd94fc09572762f642976f840722ff357af996e93dcfca26460ae7ecac34b97",
+        "f910dc873dd95f6e4a6c201494c222134667e6e628cad972f528d5cfaa146653",
     )

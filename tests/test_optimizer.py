@@ -245,10 +245,12 @@ def tuple_heap_search(f, b_init, cfg):
                 rows = run[: min(optimizer.TIED_SPLITS, budget)]
             else:
                 rows = order[: min(optimizer.LOOKAHEAD, budget)]
-            n = optimizer._split_ahead(f, cover, rows, dims, cfg.delta, ahead)
-            if n is None:
+            split = optimizer._split_ahead(f, cover, rows, dims, cfg.delta, ahead)
+            if split is None:
                 break
+            n, rows, halves = split
             evaluated += n
+            ahead.update(zip(rows, halves.reshape(-1, 2).tolist()))
         left, right = ahead.pop(row)
         cover._pop()
         cover._push(left)
@@ -1112,17 +1114,21 @@ class TestLookahead:
             f_ub[at] = 0.25
         rows = cover._add(lb, ub, np.zeros(4), f_ub).tolist()
         batched, batches = recording(lambda box: Interval(0.0, 1.0))
-        ahead = {}
-        n = optimizer._split_ahead(batched, cover, rows, np.array([0]), 0.5, ahead)
+        split = optimizer._split_ahead(batched, cover, rows, np.array([0]), 0.5, {})
         if at == 0:
-            assert (n, batches, ahead) == (None, [], {})
+            assert (split, batches) == (None, [])
             return
+        n, done, halves = split
         assert n == 2 * at
         assert [len(batch) for batch in batches] == [2 * at]
-        assert list(ahead) == rows[:at]
-        assert [(box[0].lb, box[0].ub) for box in batches[0]] == [
+        assert done == rows[:at]
+        # The halves are new rows holding the boxes handed to f, in order.
+        assert not set(halves.tolist()) & set(rows)
+        halves_bounds = [(box[0].lb, box[0].ub) for box in batches[0]]
+        assert halves_bounds == [
             (lo, lo + 0.5) for i in range(at) for lo in (2.0 * i, 2.0 * i + 0.5)
         ]
+        assert list(zip(cover._lb[halves, 0], cover._ub[halves, 0])) == halves_bounds
 
     def test_no_split_ahead_past_the_cap(self, monkeypatch):
         f, b_init, kwargs = LOOKAHEAD_CASES["fifo_ties"]
@@ -1133,6 +1139,201 @@ class TestLookahead:
             res = moore_skelboe(batched, b_init, cfg)
             assert res.iterations == cap
             assert res.evaluated == 1 + 2 * cap
+
+
+def below_four(lb, ub):
+    # Boxes left of 4 tie on 0.0, the others on 1.0.
+    return np.where(lb[:, 0] >= 4.0, 1.0, 0.0), np.full(len(lb), 2.0)
+
+
+def narrow_at_four(lb, ub):
+    # Every box ties, and the boxes starting at 4 get narrower enclosures:
+    # [4, 4.5] is narrow enough to stop the search at delta 0.5.
+    width = (ub - lb)[:, 0]
+    return np.zeros(len(lb)), np.where(lb[:, 0] == 4.0, np.minimum(width, 1.0), 1.0)
+
+
+def zero_by_depth(sign):
+    # Every box ties on a zero whose sign flips from one bisection depth to
+    # the next. The halves of the initial box [0, 8] get the sign of sign,
+    # and so does the key of the run they start, which lasts.
+    def f(lb, ub):
+        depth = np.log2((ub - lb)[:, 0])
+        return np.copysign(0.0, sign * (0.5 - depth % 2.0)), np.ones(len(lb))
+
+    return f
+
+
+# (array objective, initial box, search config, LOOKAHEAD, whether it is
+# isotone, what a batch of the case looks like in batch_log's records).
+RETIRE_CASES = {
+    # Each run of equal widths is split whole; every half goes to the run
+    # of the next width, which the batch starts. Halves above the key are
+    # pushed one split at a time.
+    "run_emptied_into_a_new_run": (
+        lambda lb, ub: (-(ub - lb)[:, 0], np.ones(len(lb))),
+        IntervalBox.from_bounds([(0, 8)]),
+        dict(delta=1e-3, split_dims=(0,), max_iterations=300),
+        1,
+        True,
+        lambda b: b["tied"] and not b["ahead"] and b["emptied"]
+        and b["halves"] == {"above"} and not b["retired"],
+    ),
+    # Every box ties: a batch of a whole run of 2, 4, ... boxes leaves
+    # their halves as the run.
+    "run_emptied_into_its_halves": (
+        lambda lb, ub: (np.zeros(len(lb)), np.ones(len(lb))),
+        IntervalBox.from_bounds([(0, 8)]),
+        dict(delta=1e-3, split_dims=(0,), max_iterations=300),
+        1,
+        True,
+        lambda b: b["retired"] and b["emptied"] and b["halves"] == {"at"},
+    ),
+    "mixed_halves": (
+        lambda lb, ub: (np.floor(4.0 * lb[:, 0]) / 4.0, np.full(len(lb), 10.0)),
+        IntervalBox.from_bounds([(0, 1), (0, 1)]),
+        dict(delta=1e-3, split_dims=(0, 1), max_iterations=400),
+        1,
+        True,
+        lambda b: b["tied"] and not b["ahead"] and b["halves"] == {"at", "above"}
+        and not b["retired"],
+    ),
+    "halves_at_minus_zero_on_a_plus_zero_run": (
+        zero_by_depth(1.0),
+        IntervalBox.from_bounds([(0, 8)]),
+        dict(delta=1e-3, split_dims=(0,), max_iterations=300),
+        1,
+        True,
+        lambda b: b["retired"] and b["key"] == "0x0.0p+0" and b["zeros"] == {"-"},
+    ),
+    "halves_at_plus_zero_on_a_minus_zero_run": (
+        zero_by_depth(-1.0),
+        IntervalBox.from_bounds([(0, 8)]),
+        dict(delta=1e-3, split_dims=(0,), max_iterations=300),
+        1,
+        True,
+        lambda b: b["retired"] and b["key"] == "-0x0.0p+0" and b["zeros"] == {"+"},
+    ),
+    # Runs of 1, 2, 4, ... 64 boxes: 63 splits, then 37 of the run of 64.
+    "cut_by_the_iteration_cap": (
+        lambda lb, ub: (np.zeros(len(lb)), np.ones(len(lb))),
+        IntervalBox.from_bounds([(0, 8)]),
+        dict(delta=0.5, split_dims=(0,), max_iterations=100),
+        1,
+        True,
+        lambda b: b["retired"] and not b["emptied"] and b["rows"] == 37,
+    ),
+    # [4, 4.5] is the ninth box of the run of 16 boxes 0.5 wide.
+    "cut_by_a_narrow_box": (
+        narrow_at_four,
+        IntervalBox.from_bounds([(0, 8)]),
+        dict(delta=0.5, split_dims=(0,)),
+        1,
+        True,
+        lambda b: b["retired"] and not b["emptied"] and b["rows"] == 8,
+    ),
+    # [4, 8] is split ahead with [0, 4] and never reached: ahead holds it
+    # when the run of 0.0 outgrows LOOKAHEAD.
+    "entered_with_rows_ahead": (
+        below_four,
+        IntervalBox.from_bounds([(0, 8)]),
+        dict(delta=1e-3, split_dims=(0,), max_iterations=200),
+        4,
+        True,
+        lambda b: b["tied"] and b["ahead"] and not b["retired"],
+    ),
+    "a_half_below_the_key": (
+        non_isotone,
+        IntervalBox.from_bounds([(0, 1), (0, 2), (-0.5, 0.5)]),
+        dict(delta=1e-3, split_dims=(0, 1), max_iterations=700),
+        1,
+        False,
+        lambda b: b["tied"] and not b["ahead"] and "below" in b["halves"]
+        and not b["retired"],
+    ),
+}
+
+
+def batch_log(monkeypatch):
+    """Records each batch the search splits: whether it was split from the
+    front's run alone (more than LOOKAHEAD rows), whether rows were split
+    ahead before it, the rows split, whether they took the last row of the
+    front's run, the run's key, the signs of the zero lower bounds among
+    the halves, how the halves' lower bounds compare to the key, and
+    whether the cover retired the batch in one step."""
+    log = []
+    split_ahead, retire = optimizer._split_ahead, Cover._retire
+
+    def split_spy(f, cover, rows, dims, delta, ahead):
+        tied, had_ahead = len(rows) > optimizer.LOOKAHEAD, bool(ahead)
+        key = cover._keys[0]
+        last = cover._runs[key]
+        split = split_ahead(f, cover, rows, dims, delta, ahead)
+        if split is not None:
+            _, done, halves = split
+            keys = cover._f_lb[halves]
+            log.append(
+                {
+                    "tied": tied,
+                    "ahead": had_ahead,
+                    "rows": len(done),
+                    "emptied": last in done,
+                    "key": key.hex(),
+                    "zeros": set(np.where(np.signbit(keys[keys == 0.0]), "-", "+")),
+                    "halves": {
+                        name
+                        for name, hit in (
+                            ("below", keys < key),
+                            ("at", keys == key),
+                            ("above", keys > key),
+                        )
+                        if hit.any()
+                    },
+                    "retired": False,
+                }
+            )
+        return split
+
+    def retire_spy(cover, rows, halves):
+        log[-1]["retired"] = True
+        retire(cover, rows, halves)
+
+    monkeypatch.setattr(optimizer, "_split_ahead", split_spy)
+    monkeypatch.setattr(Cover, "_retire", retire_spy)
+    return log
+
+
+class TestTiedRetire:
+    """A batch split from the front's run alone leaves the cover in one
+    step (Cover._retire) when nothing was split ahead before it and every
+    half's lower bound equals the run's key. Each case is checked against
+    the same search at TIED_SPLITS = 1, which splits no batch from a run
+    alone, and against tuple_heap_search, which uses the same batches one
+    split at a time."""
+
+    @pytest.mark.parametrize("case", sorted(RETIRE_CASES))
+    def test_same_search_as_one_split_at_a_time(self, monkeypatch, case):
+        f, b_init, kwargs, lookahead, isotone, wanted = RETIRE_CASES[case]
+        cfg = MsConfig(**kwargs)
+        monkeypatch.setattr(optimizer, "LOOKAHEAD", lookahead)
+        monkeypatch.setattr(optimizer, "TIED_SPLITS", 1)
+        plain = moore_skelboe(f, b_init, cfg)
+        monkeypatch.setattr(optimizer, "TIED_SPLITS", 512)
+        _, iterations, evaluated, witness, ref = tuple_heap_search(f, b_init, cfg)
+        log = batch_log(monkeypatch)
+        res = moore_skelboe(f, b_init, cfg)
+        entries = list(map(hex_entry, res.cover.entries()))
+        assert entries == list(map(hex_entry, plain.cover.entries()))
+        assert entries == list(map(hex_entry, ref.entries()))
+        assert res.final_cover_size == len(entries)
+        assert res.stop_reason == plain.stop_reason
+        assert res.iterations == plain.iterations == iterations
+        assert bits(res.witness) == bits(plain.witness) == bits(witness)
+        assert res.evaluated == evaluated
+        if isotone:
+            # Every box of a tied batch is split before the search stops.
+            assert res.evaluated == plain.evaluated
+        assert any(map(wanted, log))
 
 
 def identity_enclosure(box):

@@ -220,6 +220,7 @@ class TestReportRoundTrip:
             stop_reason="width",
             iterations=42,
             cover_size=43,
+            evaluated=85,
             witness_param_box=IntervalBox.from_bounds([(0.1, 0.7), (5e-324, 0.5)]),
             oracle_max=math.pi,
             certified=True,
@@ -238,6 +239,7 @@ class TestReportRoundTrip:
             stop_reason="iteration cap",
             iterations=7,
             cover_size=8,
+            evaluated=15,
             witness_param_box=IntervalBox.from_bounds([(0, 1)]),
             oracle_max=None,
             certified=None,
@@ -298,7 +300,7 @@ class TestRunValidate:
         assert all(size <= 2 * LOOKAHEAD for size in sizes)
         assert report.search.evaluated == sum(sizes)
         assert report.search.evaluated >= 1 + 2 * report.iterations
-        assert "evaluated" not in report.to_dict()
+        assert report.evaluated == report.to_dict()["evaluated"] == sum(sizes)
         assert "nan_samples" not in report.to_dict()
 
     def test_unsound_stub_fails_certification(self, tmp_path, unsound_stub):
