@@ -46,12 +46,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .interval import Interval, IntervalBox, _bounds, _inorm_rows, _make, _row_box
+from .interval import (
+    Bounds, Interval, IntervalBox, _bounds, _inorm_rows, _make, _row_box
+)
 
 __all__ = ["ObservationModel", "EstimatorModel", "ErrorObjective"]
 
 Vector = tuple[float, ...]
-Bounds = tuple[np.ndarray, np.ndarray]
 
 
 class ObservationModel(ABC):

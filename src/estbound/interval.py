@@ -7,12 +7,11 @@ in `b`, the exact real value of x op y lies inside the returned interval.
 The exception, exact in IEEE arithmetic and so not widened: the square
 root of an exact zero bound.
 
-`inorm` is the Euclidean norm of an interval vector: the same bounds as the
-chain isqrt(iadd(...iadd(isqr(c0), isqr(c1))..., isqr(cn))), computed on
-bare floats with one Interval built at the end. `_inorm_rows` is its numpy
-form for many vectors at once, held as arrays of lower and upper bounds
-(`_bounds` reads one box into such arrays): the same bounds, bit for bit,
-one vector per row.
+`_inorm_rows` is the Euclidean norm of many interval vectors at once, held
+as arrays of lower and upper bounds (`Bounds`; `_bounds` reads one box into
+such arrays), one vector per row: per row, bit for bit the bounds of the
+chain isqrt(iadd(...iadd(isqr(c0), isqr(c1))..., isqr(cn))). `inorm` is
+its one-vector form.
 
 Intervals and boxes are immutable after construction; all operations are
 pure and safe to call concurrently.
@@ -37,6 +36,10 @@ __all__ = [
 ]
 
 _INF = math.inf
+
+# Bound arrays: the lower and the upper bounds of k boxes or intervals, one
+# per row.
+Bounds = tuple[np.ndarray, np.ndarray]
 
 
 def _down(x: float) -> float:
@@ -136,71 +139,39 @@ def isqrt(a: Interval) -> Interval:
     """
     if a.ub < 0.0:
         raise ValueError(f"isqrt of interval with negative upper bound: {a!r}")
-    lo_arg = a.lb if a.lb > 0.0 else 0.0
-    if lo_arg == 0.0:
-        lo = 0.0
-    else:
-        lo = _down(math.sqrt(lo_arg))
-        if lo < 0.0:
-            lo = 0.0
+    # The root of a positive float is at least about 2.2e-162, so rounding
+    # it down stays positive.
+    lo = _down(math.sqrt(a.lb)) if a.lb > 0.0 else 0.0
     hi = 0.0 if a.ub == 0.0 else _up(math.sqrt(a.ub))
     return _make(lo, hi)
 
 
 def inorm(components: Iterable[Interval]) -> Interval:
-    """Euclidean norm of an interval vector, outward-rounded.
+    """Euclidean norm of an interval vector, outward-rounded: `_inorm_rows`
+    on the vector as one row. A component with NaN or reversed bounds,
+    which only unchecked construction can produce, raises ValueError, as
+    does an empty vector.
+    """
+    comps = tuple(components)
+    if not comps:
+        raise ValueError("norm of an empty vector")
+    lo, hi = _inorm_rows(
+        np.array([[c.lb for c in comps]], dtype=np.float64),
+        np.array([[c.ub for c in comps]], dtype=np.float64),
+    )
+    return _make(lo.item(), hi.item())
+
+
+def _inorm_rows(lb: np.ndarray, ub: np.ndarray) -> Bounds:
+    """Euclidean norm of each row of the interval matrix with (k, n)
+    float64 bound arrays lb and ub, n >= 1, as the k lower and the k upper
+    bounds of the norms.
 
     Bit for bit the chain isqrt(iadd(...iadd(isqr(c0), isqr(c1))...,
-    isqr(cn))), summed left to right, without its intermediate Intervals.
-    A component with NaN or reversed bounds, which only unchecked
-    construction can produce, raises ValueError, as does an empty vector.
-    """
-    nextafter = math.nextafter
-    inf = _INF
-    acc_lo = acc_hi = None
-    for c in components:
-        lb = c.lb
-        ub = c.ub
-        if not lb <= ub:
-            raise ValueError(f"norm of a component with bounds [{lb!r}, {ub!r}]")
-        # isqr: the larger square stepped up; the smaller stepped down and
-        # clamped at 0, or exactly 0 when the component holds 0.
-        s_lb = lb * lb
-        s_ub = ub * ub
-        if s_lb > s_ub:
-            hi = nextafter(s_lb, inf)
-            lo = s_ub
-        else:
-            hi = nextafter(s_ub, inf)
-            lo = s_lb
-        if lb <= 0.0 <= ub:
-            lo = 0.0
-        else:
-            lo = nextafter(lo, -inf)
-            if lo < 0.0:
-                lo = 0.0
-        if acc_hi is None:
-            acc_lo = lo
-            acc_hi = hi
-        else:  # iadd
-            acc_lo = nextafter(acc_lo + lo, -inf)
-            acc_hi = nextafter(acc_hi + hi, inf)
-    if acc_hi is None:
-        raise ValueError("norm of an empty vector")
-    # isqrt. acc_hi > 0, as every upper square is stepped up from >= 0, and
-    # the root of a positive acc_lo rounds down to >= 0.
-    lo = nextafter(math.sqrt(acc_lo), -inf) if acc_lo > 0.0 else 0.0
-    return _make(lo, nextafter(math.sqrt(acc_hi), inf))
-
-
-def _inorm_rows(lb: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """inorm of each row of the interval matrix with (k, n) float64 bound
-    arrays lb and ub, as the k lower and the k upper bounds of the norms.
-
-    Bit for bit inorm on each row: the same squares, the same left-to-right
+    isqr(cn))) on each row: the same squares, the same left-to-right
     outward-rounded sum and the same clamped root, a column at a time over
     all rows. The first component in row order with NaN or reversed bounds
-    raises inorm's ValueError.
+    raises ValueError naming its bounds.
     """
     valid = lb <= ub
     if not valid.all():
@@ -212,7 +183,7 @@ def _inorm_rows(lb: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     inf = np.inf
     nextafter = np.nextafter
     # Squares overflow to inf, and the root of a negative lower sum is NaN
-    # before it is replaced by 0.0, both silently, as in inorm.
+    # before it is replaced by 0.0, both silently.
     with np.errstate(over="ignore", invalid="ignore"):
         s_lb = lb * lb
         s_ub = ub * ub
@@ -324,7 +295,7 @@ def _row_box(lb: np.ndarray, ub: np.ndarray) -> IntervalBox:
     return _box(tuple(map(_make, lb.tolist(), ub.tolist())))
 
 
-def _bounds(box: IntervalBox) -> tuple[np.ndarray, np.ndarray]:
+def _bounds(box: IntervalBox) -> Bounds:
     """The lower and the upper bounds of box, as two (1, dim) float64 arrays."""
     comps = box.components
     return (

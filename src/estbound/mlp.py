@@ -231,8 +231,11 @@ def _round_up(x: np.ndarray, scratch: np.ndarray) -> None:
 
 def _number(value) -> float:
     """A JSON number as a float; ValueError for a string (or a character of
-    one, or an object's key), true, false and an int beyond float range."""
-    if isinstance(value, float) or (type(value) is int and abs(value) <= _FLOAT_MAX):
+    one, or an object's key), true, false, an int beyond float range and
+    the non-finite floats Python's json reads from Infinity, NaN and 1e400."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float(value)
+    if type(value) is int and abs(value) <= _FLOAT_MAX:
         return float(value)
     raise ValueError(f"{value!r} is not a finite number")
 

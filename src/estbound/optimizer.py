@@ -69,13 +69,12 @@ from typing import Callable
 
 import numpy as np
 
-from .interval import Interval, IntervalBox, _bounds, _make, _row_box
+from .interval import Bounds, Interval, IntervalBox, _bounds, _make, _row_box
 
 __all__ = [
     "ObjectiveError", "CoverEntry", "Cover", "MsConfig", "MsResult", "moore_skelboe"
 ]
 
-Bounds = tuple[np.ndarray, np.ndarray]
 BoxObjective = Callable[[np.ndarray, np.ndarray], Bounds]
 
 # Front boxes split per objective call: 32 boxes, 64 halves, per call. The
@@ -230,8 +229,8 @@ class MsConfig:
     max_iterations: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
+        if not 0.0 < self.delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
         if not self.split_dims:
             raise ValueError("split_dims must not be empty")
         if self.max_iterations < 0:
@@ -420,9 +419,8 @@ def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResu
 
     lb, ub = _bounds(b_init)
     lb.flags.writeable = ub.flags.writeable = False
-    f_lb, f_ub = _evaluate(f, lb, ub)
     cover = Cover()
-    cover.insert(CoverEntry(b_init, _make(f_lb.item(), f_ub.item())))
+    cover._push(cover._add(lb, ub, *_evaluate(f, lb, ub)).item())
     keys, runs, nxt = cover._keys, cover._runs, cover._next
     # Not np.unique: its first call in a process costs about 12 ms.
     dims = np.array(sorted(set(cfg.split_dims)))

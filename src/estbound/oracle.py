@@ -50,7 +50,9 @@ class OracleConfig:
         if self.seed < 0:
             raise ValueError(f"oracle 'seed' must be non-negative, got {self.seed}")
         if self.mode not in ("random", "grid"):
-            raise ValueError(f"mode must be 'random' or 'grid', got {self.mode!r}")
+            raise ValueError(
+                f"oracle 'mode' must be 'random' or 'grid', got {self.mode!r}"
+            )
 
 
 @dataclass(frozen=True)

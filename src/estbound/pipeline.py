@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -96,7 +96,7 @@ def _parse_box(doc: dict, key: str, where: str) -> IntervalBox:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid {where} {key!r}: {exc}") from exc
     # A finite width and sum per component keep sampling and bisection
-    # midpoints in float range; they also rule out infinite bounds.
+    # midpoints in float range.
     if not all(math.isfinite(c.ub - c.lb) and math.isfinite(c.lb + c.ub) for c in box):
         raise ValueError(f"invalid {where} {key!r}: ub - lb and lb + ub must be finite")
     return box
@@ -125,7 +125,7 @@ class Scenario:
             oracle = OracleConfig(
                 samples=_integer(oracle, "samples", 100_000, "oracle"),
                 seed=_integer(oracle, "seed", 0, "oracle"),
-                mode=str(oracle.get("mode", "random")),
+                mode=oracle.get("mode", "random"),
             )
         return Scenario(
             param_box=_parse_box(doc, "param_box", "scenario"),
@@ -211,9 +211,11 @@ class ValidationReport:
     [eps_low, eps_high] encloses the worst-case estimation error; eps_high
     is the guaranteed (pessimistic) bound. certified is None when the
     oracle was disabled, otherwise whether the sampled maximum stayed
-    below eps_high and no sampled error was NaN. search holds the search
-    result, final cover included, and oracle the sampling result; the
-    written report leaves both out and equality ignores them.
+    below eps_high and no sampled error was NaN. oracle_max is None too
+    when every sampled error was NaN. search holds the search result,
+    final cover included, and oracle the sampling result; as fields with
+    compare=False, the written report leaves both out and equality ignores
+    them.
     """
 
     eps_low: float
@@ -232,44 +234,31 @@ class ValidationReport:
     oracle: OracleResult | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "eps_low": self.eps_low,
-            "eps_high": self.eps_high,
-            "delta": self.delta,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "iterations": self.iterations,
-            "cover_size": self.cover_size,
-            "evaluated": self.evaluated,
-            "witness_param_box": [[c.lb, c.ub] for c in self.witness_param_box],
-            "oracle_max": self.oracle_max,
-            "certified": self.certified,
-            "elapsed": self.elapsed,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        doc["witness_param_box"] = [[c.lb, c.ub] for c in self.witness_param_box]
+        return doc
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_dict(), indent=1) + "\n"
+        return json.dumps(self.to_dict(), indent=1, allow_nan=False) + "\n"
 
 
 def run_validate(scenario: Scenario) -> ValidationReport:
     """Run the full validation pipeline for one scenario."""
     start = time.perf_counter()
     objective = scenario.build_objective()
+    # Checked before the oracle spends its samples.
+    config = MsConfig(
+        delta=scenario.delta,
+        split_dims=objective.split_dims(),
+        max_iterations=scenario.max_iterations,
+    )
     # The oracle runs first: the two phases are independent, and this way
     # the oracle's chunk buffers are freed before the cover grows, rather
     # than allocated on top of a cover the report keeps.
     oracle_result = None
     if scenario.oracle is not None:
         oracle_result = sample_max_error(objective, scenario.oracle)
-    result = moore_skelboe(
-        objective.objective_box,
-        objective.initial_box(),
-        MsConfig(
-            delta=scenario.delta,
-            split_dims=objective.split_dims(),
-            max_iterations=scenario.max_iterations,
-        ),
-    )
+    result = moore_skelboe(objective.objective_box, objective.initial_box(), config)
     n = objective.n_params
     eps_high = -result.enclosure.lb + 0.0
     eps_low = -result.enclosure.ub + 0.0
@@ -277,7 +266,10 @@ def run_validate(scenario: Scenario) -> ValidationReport:
     oracle_max = None
     certified = None
     if oracle_result is not None:
-        oracle_max = oracle_result.max_observed
+        # NaN errors are never the maximum: with no argmax, no sample gave
+        # a number.
+        if oracle_result.argmax_x:
+            oracle_max = oracle_result.max_observed
         certified = certify(eps_high, oracle_result)
 
     return ValidationReport(

@@ -570,8 +570,11 @@ class TestArraySplitRule:
 
 class TestConfig:
     def test_bad_delta(self):
-        with pytest.raises(ValueError):
-            MsConfig(delta=0.0, split_dims=(0,))
+        for delta in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                MsConfig(delta=delta, split_dims=(0,))
+        with pytest.raises(ValueError, match="max_iterations"):
+            MsConfig(delta=1.0, split_dims=(0,), max_iterations=-1)
 
     def test_empty_split_dims(self):
         with pytest.raises(ValueError):

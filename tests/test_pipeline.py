@@ -39,8 +39,11 @@ TRILATERATION = {"type": "trilateration", "landmarks": [[10, -9], [5, 12], [-15,
 
 TRILAT_GD = json.loads((SCENARIO_DIR / "trilat_gd.scn").read_text())
 
-# An override value that leaves its key out of the scenario.
+# An override value that leaves its key out of the document.
 MISSING = object()
+
+# The error words for a weight file field that is not a list of numbers.
+NOT_A_NUMBER = ["layer 1", "is not a finite number"]
 
 
 class UnsoundStubEstimator(EstimatorModel):
@@ -77,6 +80,14 @@ class NanStubEstimator(EstimatorModel):
         return lb.copy(), ub.copy()
 
 
+class AllNanStubEstimator(NanStubEstimator):
+    """NanStubEstimator with a point evaluator that is NaN everywhere."""
+
+    def eval_points(self, rows):
+        self._check_rows(rows)
+        return np.full_like(rows, math.nan)
+
+
 @pytest.fixture
 def no_run(monkeypatch):
     """Fail the test if a validation runs its search or its oracle."""
@@ -105,6 +116,16 @@ def nan_stub(monkeypatch):
         Scenario,
         "build_estimator",
         lambda self, observation: NanStubEstimator(observation.n_obs),
+    )
+
+
+@pytest.fixture
+def all_nan_stub(monkeypatch):
+    """Scenarios build the stub that is NaN at every sample."""
+    monkeypatch.setattr(
+        Scenario,
+        "build_estimator",
+        lambda self, observation: AllNanStubEstimator(observation.n_obs),
     )
 
 
@@ -246,6 +267,25 @@ class TestReportRoundTrip:
             elapsed=0.5,
         )
         assert json.loads(report.to_json_text()) == report.to_dict()
+
+    def test_non_finite_floats_are_refused(self):
+        # The written report is strict JSON: no Infinity or NaN.
+        report = ValidationReport(
+            eps_low=0.0,
+            eps_high=math.inf,
+            delta=1e-2,
+            converged=False,
+            stop_reason="iteration cap",
+            iterations=0,
+            cover_size=1,
+            evaluated=1,
+            witness_param_box=IntervalBox.from_bounds([(0, 1)]),
+            oracle_max=None,
+            certified=None,
+            elapsed=0.5,
+        )
+        with pytest.raises(ValueError, match="JSON"):
+            report.to_json_text()
 
 
 class TestRunValidate:
@@ -470,6 +510,53 @@ class TestCli:
         assert captured.err == line and line.count("\n") == 1
         assert captured.out == ""
 
+    def test_all_samples_nan_exit_2(self, tmp_path, capsys, all_nan_stub):
+        # No sample gives a number: the report writes oracle_max as null,
+        # and both subcommands fail with the same line as when some do.
+        p = write_scenario(tmp_path / "nan.scn", BASE_DOC)
+        assert cli.main(["validate", "--scenario", str(p)]) == 2
+        out, line = capsys.readouterr()
+        assert json.loads(out)["oracle_max"] is None
+        assert "NaN at 2000 of 2000 oracle samples" in line
+        assert cli.main(["oracle", "--scenario", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == line and line.count("\n") == 1
+        assert captured.out == ""
+
+    def test_overflowing_descent(self, tmp_path, capsys):
+        # A descent step so large that every estimate overflows to NaN: the
+        # search names the overflow, the oracle alone the NaN samples. The
+        # suite turns a numpy RuntimeWarning into an error.
+        doc = dict(
+            TRILAT_GD,
+            estimator=dict(TRILAT_GD["estimator"], step=1e300),
+            oracle={"samples": 2000},
+        )
+        p = write_scenario(tmp_path / "gd.scn", doc)
+        assert cli.main(["validate", "--scenario", str(p)]) == 1
+        self.assert_one_line_error(capsys, "estimation error overflows")
+        assert cli.main(["oracle", "--scenario", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert "NaN at 2000 of 2000 oracle samples" in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "ms, flags, words",
+        [
+            ({"delta": -1}, [], ["delta", "-1"]),
+            ({"max_iterations": -1}, [], ["max_iterations"]),
+            ({}, ["--delta", "inf"], ["delta", "inf"]),
+            ({}, ["--delta", "nan"], ["delta", "nan"]),
+            ({}, ["--max-iters", "-1"], ["max_iterations"]),
+        ],
+    )
+    def test_bad_search_settings_exit_1_before_sampling(
+        self, tmp_path, capsys, no_run, ms, flags, words
+    ):
+        p = write_scenario(tmp_path / "s.scn", dict(BASE_DOC, ms=ms))
+        assert cli.main(["validate", "--scenario", str(p), *flags]) == 1
+        self.assert_one_line_error(capsys, *words)
+
     def test_flag_overrides(self, scenario_dir, capsys):
         code = cli.main(
             [
@@ -570,11 +657,11 @@ class TestCli:
             ({"param_box": [[1e308, 1.7e308], [0, 1]]}, ["param_box", "finite"]),
             ({"noise_box": [[-0.1, 0.1], [-1e308, 1e308]]}, ["noise_box", "finite"]),
             ({"estimator": {"type": "constant", "value": [1e308, 0]}}, ["overflows"]),
-            # A descent step so large that every estimate overflows to NaN;
-            # the suite turns a numpy RuntimeWarning into an error.
+            # Python's json reads Infinity, NaN and 1e400 as non-finite
+            # floats, which a strict parser rejects.
             (
-                dict(TRILAT_GD, estimator=dict(TRILAT_GD["estimator"], step=1e300)),
-                ["estimation error"],
+                dict(TRILAT_GD, estimator=dict(TRILAT_GD["estimator"], step=math.inf)),
+                ["'step'", "inf"],
             ),
             ({"observation": {"type": "trilateration"}}, ["'landmarks'"]),
             (
@@ -616,6 +703,16 @@ class TestCli:
                 },
                 ["2**28 corners"],
             ),
+            ({"ms": {"delta": 1e400}}, ["'delta'", "inf"]),
+            ({"estimator": {"type": "constant", "value": [math.nan]}}, ["'value'"]),
+            (
+                {"observation": dict(TRILATERATION, landmarks=[[math.inf, 0]])},
+                ["'landmarks'", "inf"],
+            ),
+            ({"oracle": {"mode": 7}}, ["oracle 'mode'", "7"]),
+            ({"oracle": {"mode": "sobol"}}, ["oracle 'mode'", "'sobol'"]),
+            ({"estimator": {"type": "mlp"}}, ["'weights_path'"]),
+            ({"estimator": {"type": "constant", "value": []}}, ["constant value"]),
         ],
     )
     def test_malformed_scenario_exit_1(self, tmp_path, capsys, override, words):
@@ -635,29 +732,52 @@ class TestCli:
             self.assert_one_line_error(capsys, "JSON object")
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, words",
         [
-            ("layers", 5),
-            ("meta", 5),
-            ("meta", [1]),
+            pytest.param("layers", 5, ["'layers'"], id="layers-5"),
+            pytest.param("layers", MISSING, ["'layers'"], id="layers-missing"),
+            pytest.param("layers", [], ["at least one layer"], id="layers-empty"),
+            pytest.param("meta", 5, ["'meta'"], id="meta-5"),
+            pytest.param("meta", [1], ["'meta'"], id="meta-value2"),
             # Fields of layer 1, which has 32 rows of 32 weights. A string
             # or an object is not a list of numbers, nor are true and false.
-            pytest.param("bias", "1" * 32, id="bias-string"),
-            pytest.param("bias", {str(i): 1 for i in range(32)}, id="bias-object"),
-            pytest.param("bias", [True] * 32, id="bias-true"),
-            pytest.param("bias", ["1"] * 32, id="bias-numeric-strings"),
-            pytest.param("weights", ["1" * 32] * 32, id="weights-strings"),
-            pytest.param("weights", [[False] * 32] * 32, id="weights-false"),
+            pytest.param("bias", "1" * 32, NOT_A_NUMBER, id="bias-string"),
+            pytest.param(
+                "bias", {str(i): 1 for i in range(32)}, NOT_A_NUMBER, id="bias-object"
+            ),
+            pytest.param("bias", [True] * 32, NOT_A_NUMBER, id="bias-true"),
+            pytest.param("bias", ["1"] * 32, NOT_A_NUMBER, id="bias-numeric-strings"),
+            pytest.param(
+                "weights", ["1" * 32] * 32, NOT_A_NUMBER, id="weights-strings"
+            ),
+            pytest.param(
+                "weights", [[False] * 32] * 32, NOT_A_NUMBER, id="weights-false"
+            ),
+            pytest.param(
+                "weights", [], ["layer 1", "no weight rows"], id="weights-empty"
+            ),
+            pytest.param(
+                "weights", [[]], ["layer 1", "zero-width"], id="weights-empty-row"
+            ),
+            pytest.param(
+                "weights",
+                [[1.0] * 32] * 31 + [[1.0] * 31],
+                ["layer 1", "inconsistent lengths"],
+                id="weights-ragged",
+            ),
+            pytest.param("activation", "tanh", ["layer 1", "'tanh'"], id="activation"),
         ],
     )
     def test_malformed_weight_file_exit_1(
-        self, scenario_dir, tmp_path, capsys, field, value
+        self, scenario_dir, tmp_path, capsys, field, value, words
     ):
         doc = json.loads((scenario_dir / "mlp_3x32x32x2.json").read_text())
-        if field in doc:
-            doc[field] = value
-        else:
+        if field not in ("layers", "meta"):
             doc["layers"][1][field] = value
+        elif value is MISSING:
+            del doc[field]
+        else:
+            doc[field] = value
         (tmp_path / "net.json").write_text(json.dumps(doc))
         p = write_scenario(
             tmp_path / "bad.scn",
@@ -669,10 +789,7 @@ class TestCli:
             ),
         )
         assert cli.main(["validate", "--scenario", str(p)]) == 1
-        if field in doc:
-            self.assert_one_line_error(capsys, f"'{field}'")
-        else:
-            self.assert_one_line_error(capsys, "layer 1", "is not a finite number")
+        self.assert_one_line_error(capsys, *words)
 
     def test_overflowing_weights_exit_1(self, scenario_dir, tmp_path, capsys):
         # The network's kernels overflow to inf and NaN; each run reports

@@ -3,11 +3,13 @@ imports, plus the two base classes that custom models subclass, so the
 README and the package cannot drift apart. Models spell their point
 evaluator once, as eval_points, and their box evaluator once, as
 eval_boxes, which takes and returns bound arrays; only the error objective
-reads boxes into such arrays. The CLI has two subcommands and uses only the
+reads boxes into such arrays. The README's table of the `validate` report
+names the report's fields, in order. The CLI has two subcommands and uses only the
 public names of the modules it imports from."""
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -30,6 +32,7 @@ from estbound.models import (
     IdentityObservation,
     TrilaterationModel,
 )
+from estbound.pipeline import load_scenario, run_validate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(estbound.__file__).resolve().parent
@@ -52,6 +55,25 @@ def test_root_exports_are_the_readme_example_and_base_classes():
     assert sorted(estbound.__all__) == sorted(expected)
     for name in estbound.__all__:
         getattr(estbound, name)
+
+
+def readme_report_fields():
+    """Field names in the first column of the README's table of the
+    `validate` report, in order."""
+    section = README.read_text().split("`validate` prints", 1)[1]
+    table = re.search(r"\| --- \| --- \|\n((?:\|.*\n)+)", section).group(1)
+    return [
+        name
+        for row in table.splitlines()
+        for name in re.findall(r"`(\w+)`", row.split("|")[1])
+    ]
+
+
+def test_readme_report_table_names_the_report_fields(scenario_dir):
+    scenario = dataclasses.replace(
+        load_scenario(scenario_dir / "identity.scn"), max_iterations=1, oracle=None
+    )
+    assert readme_report_fields() == list(run_validate(scenario).to_dict())
 
 
 def package_classes():
