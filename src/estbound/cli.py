@@ -42,12 +42,14 @@ def _build_parser() -> _Parser:
     p_val.add_argument("--max-iters", type=int, help="override iteration cap")
     p_val.add_argument("--output", help="write the report to this path")
     p_val.add_argument("--dump-cover", help="write the final cover as CSV")
+    p_val.set_defaults(run=_cmd_validate)
 
     p_ora = sub.add_parser("oracle", help="run only the sampling oracle")
     p_ora.add_argument("--scenario", required=True, help="scenario file (JSON)")
     p_ora.add_argument("--samples", type=int, help="override sample count")
     p_ora.add_argument("--seed", type=int, help="override sample seed")
     p_ora.add_argument("--mode", choices=("random", "grid"), help="override mode")
+    p_ora.set_defaults(run=_cmd_oracle)
     return parser
 
 
@@ -132,14 +134,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
+        return args.run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def entry() -> None:

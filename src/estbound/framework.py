@@ -55,67 +55,56 @@ __all__ = ["ObservationModel", "EstimatorModel", "ErrorObjective"]
 Vector = tuple[float, ...]
 
 
-class ObservationModel(ABC):
-    """Maps parameters (dim n_params) to ideal observations (dim n_obs)."""
+class _Model(ABC):
+    """The contract of both model kinds: a row-batched point evaluator and
+    a row-batched box evaluator that contains it."""
 
     n_params: int
     n_obs: int
+    # The input dim attribute, the input's name and the model's name.
+    _input: tuple[str, str, str]
 
     @abstractmethod
     def eval_points(self, rows: np.ndarray) -> np.ndarray:
-        """Observation at each row of a (k, n_params) float64 array, as a
-        (k, n_obs) array. Each row's floats must not depend on the other
-        rows."""
+        """Output at each row of a (k, input dim) float64 array, as a
+        (k, output dim) array. Each row's floats must not depend on the
+        other rows."""
 
     @abstractmethod
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
-        """Sound, isotone inclusion of eval_point over each parameter box, a
-        row of the (k, n_params) bounds, as (k, n_obs) bounds. Each row's
-        bounds must not depend on the other rows."""
+        """Sound inclusion of eval_point over each input box, a row of the
+        (k, input dim) bounds, as (k, output dim) bounds: x in the box
+        implies eval_point(x) in the result's row. Each row's bounds must
+        not depend on the other rows."""
 
     def eval_point(self, x: Sequence[float]) -> Vector:
-        """Observation at a single parameter vector: eval_points on one row."""
+        """Output at a single input vector: eval_points on one row."""
         return tuple(self.eval_points(np.array([x], dtype=np.float64))[0].tolist())
 
     def eval_box(self, box: IntervalBox) -> IntervalBox:
-        """Inclusion over a single parameter box: eval_boxes on one row."""
+        """Inclusion over a single input box: eval_boxes on one row."""
         lb, ub = self.eval_boxes(*_bounds(box))
         return _row_box(lb[0], ub[0])
 
     def _check_rows(self, rows: np.ndarray) -> None:
-        if rows.shape[-1] != self.n_params:
+        attr, vector, model = self._input
+        dim = getattr(self, attr)
+        if rows.shape[-1] != dim:
             raise ValueError(
-                f"parameter vector has dim {rows.shape[-1]}, model expects "
-                f"{self.n_params}"
+                f"{vector} vector has dim {rows.shape[-1]}, {model} expects {dim}"
             )
 
 
-class EstimatorModel(ABC):
+class ObservationModel(_Model):
+    """Maps parameters (dim n_params) to ideal observations (dim n_obs)."""
+
+    _input = ("n_params", "parameter", "model")
+
+
+class EstimatorModel(_Model):
     """Maps observations (dim n_obs) to parameter estimates (dim n_params)."""
 
-    n_obs: int
-    n_params: int
-
-    @abstractmethod
-    def eval_points(self, rows: np.ndarray) -> np.ndarray:
-        """Estimate from each row of a (k, n_obs) float64 array, as a
-        (k, n_params) array. Each row's floats must not depend on the other
-        rows."""
-
-    @abstractmethod
-    def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
-        """Sound inclusion of eval_point over each observation box, a row of
-        the (k, n_obs) bounds, as (k, n_params) bounds. Each row's bounds
-        must not depend on the other rows."""
-
-    def eval_point(self, y: Sequence[float]) -> Vector:
-        """Estimate from a single observation vector: eval_points on one row."""
-        return tuple(self.eval_points(np.array([y], dtype=np.float64))[0].tolist())
-
-    def eval_box(self, box: IntervalBox) -> IntervalBox:
-        """Inclusion over a single observation box: eval_boxes on one row."""
-        lb, ub = self.eval_boxes(*_bounds(box))
-        return _row_box(lb[0], ub[0])
+    _input = ("n_obs", "observation", "estimator")
 
     def error_vector_box(
         self, observation: ObservationModel, lb: np.ndarray, ub: np.ndarray
@@ -143,13 +132,6 @@ class EstimatorModel(ABC):
             return (
                 np.nextafter(lb[:, :n] - est_ub, -np.inf),
                 np.nextafter(ub[:, :n] - est_lb, np.inf),
-            )
-
-    def _check_rows(self, rows: np.ndarray) -> None:
-        if rows.shape[-1] != self.n_obs:
-            raise ValueError(
-                f"observation vector has dim {rows.shape[-1]}, estimator expects "
-                f"{self.n_obs}"
             )
 
 

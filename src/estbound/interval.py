@@ -258,15 +258,14 @@ class IntervalBox:
 
     def bisect(self, dim: int) -> tuple["IntervalBox", "IntervalBox"]:
         """Split component `dim` at its midpoint; other components are the
-        identical objects in both halves."""
+        identical objects in both halves. Raises ValueError unless the
+        midpoint lies strictly inside the component, the search's split
+        rule: not when it is degenerate, one ulp wide or infinite, nor when
+        lb + ub overflows."""
         c = self.components[dim]
-        if c.width <= 0.0:
-            raise ValueError(f"cannot bisect degenerate component {dim}: {c!r}")
         mid = 0.5 * (c.lb + c.ub)
-        if mid < c.lb:
-            mid = c.lb
-        elif mid > c.ub:
-            mid = c.ub
+        if not c.lb < mid < c.ub:
+            raise ValueError(f"cannot bisect component {dim} at {mid!r}: {c!r}")
         comps = list(self.components)
         comps[dim] = _make(c.lb, mid)
         left = tuple(comps)

@@ -230,11 +230,15 @@ class MsConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < np.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
+            raise ValueError(
+                f"ms 'delta' must be positive and finite, got {self.delta!r}"
+            )
         if not self.split_dims:
             raise ValueError("split_dims must not be empty")
         if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+            raise ValueError(
+                f"ms 'max_iterations' must be non-negative, got {self.max_iterations}"
+            )
         object.__setattr__(self, "split_dims", tuple(self.split_dims))
 
 

@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_DELTA = 1e-3
-DEFAULT_MAX_ITERATIONS = 1_000_000
 
 
 # The readers below take doc[key], or default when the key is absent, and
@@ -104,16 +103,30 @@ def _parse_box(doc: dict, key: str, where: str) -> IntervalBox:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One validation problem, as described by a scenario file."""
+    """One validation problem, as described by a scenario file.
+
+    search is the search's config, built from delta and max_iterations on
+    construction, so a scenario with bad search settings is never made. It
+    splits the parameter dimensions, as ErrorObjective.split_dims() does.
+    """
 
     param_box: IntervalBox
     noise_box: IntervalBox
     observation_spec: dict
     estimator_spec: dict
     delta: float = DEFAULT_DELTA
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
+    max_iterations: int = MsConfig.max_iterations
     oracle: OracleConfig | None = OracleConfig()
     base_dir: Path = Path(".")
+    search: MsConfig = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        search = MsConfig(
+            delta=self.delta,
+            split_dims=tuple(range(self.param_box.dim)),
+            max_iterations=self.max_iterations,
+        )
+        object.__setattr__(self, "search", search)
 
     @staticmethod
     def from_dict(doc: dict, base_dir: str | Path = ".") -> "Scenario":
@@ -123,9 +136,9 @@ class Scenario:
         oracle = _section(doc, "oracle", {}, nullable=True)
         if oracle is not None:
             oracle = OracleConfig(
-                samples=_integer(oracle, "samples", 100_000, "oracle"),
-                seed=_integer(oracle, "seed", 0, "oracle"),
-                mode=oracle.get("mode", "random"),
+                samples=_integer(oracle, "samples", OracleConfig.samples, "oracle"),
+                seed=_integer(oracle, "seed", OracleConfig.seed, "oracle"),
+                mode=oracle.get("mode", OracleConfig.mode),
             )
         return Scenario(
             param_box=_parse_box(doc, "param_box", "scenario"),
@@ -133,7 +146,9 @@ class Scenario:
             observation_spec=dict(_section(doc, "observation", {"type": "identity"})),
             estimator_spec=dict(_section(doc, "estimator", {"type": "identity"})),
             delta=_float(ms, "delta", DEFAULT_DELTA, "ms"),
-            max_iterations=_integer(ms, "max_iterations", DEFAULT_MAX_ITERATIONS, "ms"),
+            max_iterations=_integer(
+                ms, "max_iterations", MsConfig.max_iterations, "ms"
+            ),
             oracle=oracle,
             base_dir=Path(base_dir),
         )
@@ -246,19 +261,15 @@ def run_validate(scenario: Scenario) -> ValidationReport:
     """Run the full validation pipeline for one scenario."""
     start = time.perf_counter()
     objective = scenario.build_objective()
-    # Checked before the oracle spends its samples.
-    config = MsConfig(
-        delta=scenario.delta,
-        split_dims=objective.split_dims(),
-        max_iterations=scenario.max_iterations,
-    )
     # The oracle runs first: the two phases are independent, and this way
     # the oracle's chunk buffers are freed before the cover grows, rather
     # than allocated on top of a cover the report keeps.
     oracle_result = None
     if scenario.oracle is not None:
         oracle_result = sample_max_error(objective, scenario.oracle)
-    result = moore_skelboe(objective.objective_box, objective.initial_box(), config)
+    result = moore_skelboe(
+        objective.objective_box, objective.initial_box(), scenario.search
+    )
     n = objective.n_params
     eps_high = -result.enclosure.lb + 0.0
     eps_low = -result.enclosure.ub + 0.0

@@ -140,9 +140,17 @@ class TestBox:
         assert right == IntervalBox.from_bounds([(0, 4), (1.5, 2)])
 
     def test_bisect_degenerate_rejected(self):
-        b = IntervalBox.from_bounds([(3, 3)])
-        with pytest.raises(ValueError):
-            b.bisect(0)
+        # Nor is any other component whose midpoint is not strictly inside
+        # it, as the search's split rule requires.
+        for bounds in [
+            (3, 3),
+            (-math.inf, math.inf),  # the midpoint is NaN
+            (1e308, 1.7e308),  # lb + ub overflows to inf
+            (1.0, math.nextafter(1.0, 2.0)),  # one ulp wide
+        ]:
+            b = IntervalBox.from_bounds([(0, 1), bounds])
+            with pytest.raises(ValueError, match="cannot bisect component 1"):
+                b.bisect(1)
 
     def test_bisect_shares_untouched_components(self):
         b = IntervalBox.from_bounds([(0, 4), (1, 2)])
@@ -182,6 +190,13 @@ class TestBox:
     def test_non_interval_component_rejected(self):
         with pytest.raises(TypeError):
             IntervalBox([Interval(0, 1), (2, 3)])
+
+    def test_add(self):
+        a = IntervalBox.from_bounds([(0, 1), (-2, 3)])
+        b = IntervalBox.from_bounds([(0.5, 0.5), (1, 2)])
+        total = a + b
+        assert total == IntervalBox([iadd(x, y) for x, y in zip(a, b)])
+        assert total.contains((1.5, -1.0)) and total.contains((0.5, 5.0))
 
     def test_add_dim_mismatch_rejected(self):
         a = IntervalBox.from_bounds([(0, 1)])
@@ -263,7 +278,8 @@ def test_relu_exactness(a):
 def test_bisect_halves_rebuild_original(bounds, dim):
     box = IntervalBox(Interval(min(t), max(t)) for t in bounds)
     dim = dim % box.dim
-    if box[dim].width <= 0.0:
+    c = box[dim]
+    if not c.lb < 0.5 * (c.lb + c.ub) < c.ub:
         return
     left, right = box.bisect(dim)
     assert hull(left[dim], right[dim]) == box[dim]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -200,6 +201,19 @@ class TestSerialization:
         p.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="layer 1"):
             load_mlp(p)
+
+    @pytest.mark.parametrize(
+        "weights, bias, words",
+        [
+            (((1.0, math.inf),), (0.0,), "non-finite weight: inf"),
+            (((1.0, 0.0),), (math.nan,), "non-finite bias: nan"),
+        ],
+    )
+    def test_non_finite_layer_rejected(self, weights, bias, words):
+        # A weight file cannot hold these (its reader takes finite numbers
+        # only), so the layer's own check is reached only directly.
+        with pytest.raises(ValueError, match=words):
+            MlpLayer(weights, bias, "relu")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):

@@ -171,6 +171,47 @@ class TestIdentityAndConstant:
         assert est.eval_point((3.0, 4.0)) == (3.0, 4.0)
 
 
+class TestRejections:
+    @pytest.mark.parametrize(
+        "make, words",
+        [
+            pytest.param(lambda: IdentityObservation(0), "dim must be", id="obs-dim"),
+            pytest.param(lambda: IdentityEstimator(0), "dim must be", id="est-dim"),
+            pytest.param(
+                lambda: ConstantEstimator((1.0,), n_obs=0),
+                "n_obs must be >= 1",
+                id="constant-n_obs",
+            ),
+            pytest.param(
+                lambda: TrilaterationModel([(10, -9), (5, math.inf), (-15, 0)]),
+                r"landmark is not finite: \(5.0, inf\)",
+                id="landmark",
+            ),
+            pytest.param(
+                lambda: GradientDescentEstimator(
+                    TrilaterationModel(LANDMARKS), init=(math.nan, 15.0)
+                ),
+                r"init must be finite, got \(nan, 15.0\)",
+                id="descent-init",
+            ),
+        ],
+    )
+    def test_constructor_rejects(self, make, words):
+        with pytest.raises(ValueError, match=words):
+            make()
+
+    def test_dim_check_names_the_input(self, tri):
+        # One check for both model kinds, each message naming its input.
+        with pytest.raises(
+            ValueError, match="^parameter vector has dim 3, model expects 2$"
+        ):
+            tri.eval_points(np.zeros((1, 3)))
+        with pytest.raises(
+            ValueError, match="^observation vector has dim 2, estimator expects 3$"
+        ):
+            GradientDescentEstimator(tri).eval_boxes(np.zeros((1, 2)), np.ones((1, 2)))
+
+
 class TestIdentityErrorVectorContainsExactValue:
     """IdentityEstimator.error_vector_box against x - (g(x) + e), evaluated in
     mpmath at 60 digits and in the floats the point evaluators use. Parameter

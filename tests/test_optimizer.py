@@ -65,8 +65,9 @@ class CannotSplitError(ValueError):
 
 
 def _splittable(c):
-    # Whether IntervalBox.bisect's midpoint lies strictly inside c. It does
-    # not when c is degenerate or one ulp wide; then one half equals c.
+    # Whether c's midpoint lies strictly inside it, which IntervalBox.bisect
+    # requires. It does not when c is degenerate or one ulp wide, nor when
+    # lb + ub overflows.
     return c.lb < 0.5 * (c.lb + c.ub) < c.ub
 
 
@@ -571,10 +572,14 @@ class TestArraySplitRule:
 class TestConfig:
     def test_bad_delta(self):
         for delta in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="delta must be positive and finite"):
+            with pytest.raises(
+                ValueError, match="^ms 'delta' must be positive and finite, got"
+            ):
                 MsConfig(delta=delta, split_dims=(0,))
-        with pytest.raises(ValueError, match="max_iterations"):
-            MsConfig(delta=1.0, split_dims=(0,), max_iterations=-1)
+        with pytest.raises(
+            ValueError, match="^ms 'max_iterations' must be non-negative, got -5$"
+        ):
+            MsConfig(delta=1.0, split_dims=(0,), max_iterations=-5)
 
     def test_empty_split_dims(self):
         with pytest.raises(ValueError):

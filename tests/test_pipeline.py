@@ -8,7 +8,7 @@ import pytest
 from estbound.framework import EstimatorModel
 from estbound.interval import IntervalBox, iadd, isqr, isub, Interval
 from estbound import pipeline
-from estbound.optimizer import LOOKAHEAD, MsConfig, moore_skelboe
+from estbound.optimizer import LOOKAHEAD, CoverEntry, MsConfig, moore_skelboe
 from estbound.pipeline import (
     Scenario,
     ValidationReport,
@@ -90,13 +90,15 @@ class AllNanStubEstimator(NanStubEstimator):
 
 @pytest.fixture
 def no_run(monkeypatch):
-    """Fail the test if a validation runs its search or its oracle."""
+    """Fail the test if a validation runs its search or its oracle, or the
+    oracle subcommand samples."""
 
     def fail(*args, **kwargs):
         raise AssertionError("the validation ran")
 
     monkeypatch.setattr(pipeline, "moore_skelboe", fail)
     monkeypatch.setattr(pipeline, "sample_max_error", fail)
+    monkeypatch.setattr(cli, "sample_max_error", fail)
 
 
 @pytest.fixture
@@ -219,6 +221,25 @@ class TestScenarioParsing:
         sc = Scenario.from_dict(doc)  # identity estimator emits dim 3
         with pytest.raises(ValueError, match="estimator produces dim 3"):
             sc.build_objective()
+
+    @pytest.mark.parametrize(
+        "name", sorted(path.name for path in SCENARIO_DIR.glob("*.scn"))
+    )
+    def test_search_splits_the_objectives_dims(self, name):
+        sc = load_scenario(SCENARIO_DIR / name)
+        assert sc.search.split_dims == sc.build_objective().split_dims()
+        assert (sc.search.delta, sc.search.max_iterations) == (
+            sc.delta,
+            sc.max_iterations,
+        )
+
+    def test_search_is_built_on_every_construction(self):
+        sc = Scenario.from_dict(BASE_DOC)
+        assert dataclasses.replace(sc, delta=0.5).search.delta == 0.5
+        with pytest.raises(ValueError, match="^ms 'max_iterations'"):
+            dataclasses.replace(sc, max_iterations=-1)
+        with pytest.raises(ValueError, match="^ms 'delta'"):
+            Scenario(sc.param_box, sc.noise_box, {}, {}, delta=0.0)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope.scn"):
@@ -387,6 +408,14 @@ class TestDumpCover:
         header = out.read_text().splitlines()[0].split(",")
         assert len(header) == 2 * (2 + 1) + 2
 
+    def test_entry_of_another_dim_rejected(self, tmp_path):
+        entry = CoverEntry(IntervalBox.from_bounds([(0, 1), (2, 3)]), Interval(-1, 0))
+        with open(tmp_path / "c.csv", "w", newline="") as fh:
+            with pytest.raises(
+                ValueError, match=r"cover entry has 2 dims, header expects 1 \+ 0"
+            ):
+                dump_cover([entry], 1, 0, fh)
+
     def test_empty_entries_writes_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
         with open(out, "w", newline="") as fh:
@@ -543,19 +572,26 @@ class TestCli:
     @pytest.mark.parametrize(
         "ms, flags, words",
         [
-            ({"delta": -1}, [], ["delta", "-1"]),
-            ({"max_iterations": -1}, [], ["max_iterations"]),
-            ({}, ["--delta", "inf"], ["delta", "inf"]),
-            ({}, ["--delta", "nan"], ["delta", "nan"]),
-            ({}, ["--max-iters", "-1"], ["max_iterations"]),
+            ({"delta": -1}, [], ["ms 'delta'", "-1"]),
+            ({"max_iterations": -1}, [], ["ms 'max_iterations'", "-1"]),
+            ({}, ["--delta", "inf"], ["ms 'delta'", "inf"]),
+            ({}, ["--delta", "nan"], ["ms 'delta'", "nan"]),
+            ({}, ["--max-iters", "-1"], ["ms 'max_iterations'", "-1"]),
+            ({"delta": -1, "max_iterations": -5}, [], ["ms 'delta'", "-1"]),
         ],
     )
     def test_bad_search_settings_exit_1_before_sampling(
         self, tmp_path, capsys, no_run, ms, flags, words
     ):
-        p = write_scenario(tmp_path / "s.scn", dict(BASE_DOC, ms=ms))
+        doc = dict(BASE_DOC, ms=ms, oracle={"samples": 10**8})
+        p = write_scenario(tmp_path / "s.scn", doc)
         assert cli.main(["validate", "--scenario", str(p), *flags]) == 1
-        self.assert_one_line_error(capsys, *words)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(word in err for word in words)
+        if not flags:  # the oracle subcommand takes no search flags
+            assert cli.main(["oracle", "--scenario", str(p)]) == 1
+            assert capsys.readouterr().err == err
 
     def test_flag_overrides(self, scenario_dir, capsys):
         code = cli.main(
