@@ -27,15 +27,16 @@ were boxes split ahead of their turn across runs of equal lower bounds,
 which the search may never reach. Boxes of the front's run are all due, so
 when the run is longer than LOOKAHEAD the search splits up to
 `optimizer.TIED_SPLITS` (512) of them per call, 1024 halves. That costs no
-extra box, but memory per call grows with the batch: the network's box
-pass holds two (inputs, boxes, 2 * outputs) float64 arrays per layer, a
-38 MB peak (tracemalloc) at 1024 halves on the bundled 3x32x32x2 network,
-against 2.4 MB at 64. No bundled scenario ties on the network; on the
-identity scenario, where every box ties, 100k iterations take 205 calls
-instead of 3131.
+extra box, but memory grows with the batch: the network's box pass works
+in two (inputs, boxes, 2 * outputs) float64 arrays, which the model keeps
+for its lifetime, 32 MiB at 1024 halves on the bundled 3x32x32x2 network
+(a 37.5 MB tracemalloc peak), against 2 MiB at 64. No bundled scenario
+ties on the network; on the identity scenario, where every box ties, 100k
+iterations take 205 calls instead of 3131.
 
-All models must be stateless per call; objectives may be evaluated on many
-boxes concurrently.
+A model's results must not depend on its earlier calls. A model may keep
+working arrays between calls (the network does), so one objective must not
+be called from two threads at once; nothing in estbound does that.
 """
 
 from __future__ import annotations

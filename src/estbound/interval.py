@@ -254,6 +254,12 @@ class IntervalBox:
         return all(c.lb <= v <= c.ub for c, v in zip(self.components, x))
 
     def midpoint(self) -> tuple[float, ...]:
+        """The components' midpoints; ValueError for a component whose
+        midpoint is not in it: NaN for [-inf, inf], or inf when lb + ub
+        overflows and ub is finite."""
+        for i, c in enumerate(self.components):
+            if not c.lb <= 0.5 * (c.lb + c.ub) <= c.ub:
+                raise ValueError(f"component {i} has no midpoint in float range: {c!r}")
         return tuple(0.5 * (c.lb + c.ub) for c in self.components)
 
     def bisect(self, dim: int) -> tuple["IntervalBox", "IntervalBox"]:

@@ -34,6 +34,14 @@ it is dead once the products are taken (its first slice for the sums). At
 step took 15 us against 60 us for np.nextafter (one CPU, min of 7 timings).
 On the (64, 4) sums of a two-output layer the step's five numpy calls cost
 more, 6.9 us against 3.9 us, a loss too small to be worth a size switch.
+
+Both passes take their large working arrays from one float64 scratch
+array, which the model keeps for its lifetime and grows to its largest
+batch, so a call no larger allocates none and faults in no fresh pages;
+results are new arrays. On the bundled 3x32x32x2 network it holds 3 MiB
+after a 4096-row oracle chunk, 2 MiB at 64 halves per box call and 32 MiB
+at 1024. One model must not be called from two threads at once; nothing in
+estbound does that.
 """
 
 from __future__ import annotations
@@ -127,58 +135,82 @@ class MlpModel(EstimatorModel):
         # The box pass holds a layer's negated lower bounds and its upper
         # bounds in one array, so one upward rounding serves both: negation
         # is exact and round-to-nearest is symmetric. Per layer: weights
-        # (cols, 1, 2 * rows) for that array, where each term takes its
-        # input's lower bound rather than its upper one (lower bounds for
-        # w >= 0, upper bounds for w < 0, as the interval product of a
-        # point weight and an input interval does), bias, relu flag. The
-        # middle axis broadcasts over the boxes. The products and the sums
-        # are rounded with _round_up (see the module docstring).
+        # (cols, 1, 2 * rows) for that array; an int64 (cols, 2 * rows) mask,
+        # all ones where the term takes its input's lower bound rather than
+        # its upper one (lower bounds for w >= 0, upper bounds for w < 0, as
+        # the interval product of a point weight and an input interval
+        # does); bias; relu flag. The middle axis broadcasts over the boxes.
+        # The products and the sums are rounded with _round_up (see the
+        # module docstring).
         self._box_arrays = tuple(
             (
                 np.concatenate((-wt, wt), axis=1)[:, None, :],
-                np.concatenate((wt >= 0.0, wt < 0.0), axis=1)[:, None, :],
+                np.where(np.concatenate((wt >= 0.0, wt < 0.0), axis=1), -1, 0),
                 np.concatenate((-bias, bias)),
                 relu,
             )
             for wt, bias, relu in arrays
         )
+        self._width = max(l.rows for l in layers)
+        self._scratch = np.empty(0)
+
+    def _scratch_views(self, shape: tuple[int, ...], count: int) -> list[np.ndarray]:
+        """count float64 arrays of the given shape, laid end to end in the
+        model's scratch array, grown to fit (see the module docstring)."""
+        size = math.prod(shape)
+        if self._scratch.size < count * size:
+            self._scratch = np.empty(count * size)
+        return list(self._scratch[: count * size].reshape(count, *shape))
 
     def eval_points(self, rows: np.ndarray) -> np.ndarray:
         self._check_rows(rows)
         h = rows.T
+        # Two accumulators, used by the layers in turn, and the products;
+        # each layer uses their first rows.
+        acc_next, acc_free, prods = self._scratch_views((self._width, len(rows)), 3)
         # Like Python floats, the arrays overflow to inf and NaN without a
         # warning; the oracle reports both.
         with np.errstate(over="ignore", invalid="ignore"):
             for w_cols, bias, relu in self._arrays:
-                acc = np.zeros((len(bias), h.shape[1]))
-                prod = np.empty_like(acc)
+                acc, prod = acc_next[: len(bias)], prods[: len(bias)]
+                acc.fill(0.0)
                 for w, column in zip(w_cols, h):
                     np.multiply(w, column, out=prod)
                     acc += prod
-                del prod  # so the next layer's buffers do not add to the peak
                 acc += bias
                 if relu:
-                    acc[acc < 0.0] = 0.0
+                    mask = prod.view(np.bool_)[:, : len(rows)]  # prod is dead
+                    np.less(acc, 0.0, out=mask)
+                    np.copyto(acc, 0.0, where=mask)
                 h = acc
-        return h.T
+                acc_next, acc_free = acc_free, acc_next
+        return h.T.copy()
 
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
         self._check_rows(lb)
-        # C-ordered (inputs, boxes) arrays of the lower and of the upper
-        # bounds, so that each layer's bounds array below is C-ordered too.
-        h_lb, h_ub = lb.T.copy(), ub.T.copy()
+        # (inputs, boxes) float64 arrays of the lower and the upper bounds.
+        h_lb, h_ub = (b.T.astype(np.float64, order="C") for b in (lb, ub))
         # An overflow gives an infinite bound, which objective_box reports,
         # or a NaN bound, which the check below reports.
         with np.errstate(over="ignore", invalid="ignore"):
-            for layer, (w2, take_lb, bias2, relu) in enumerate(self._box_arrays):
+            for layer, (w2, lb_bits, bias2, relu) in enumerate(self._box_arrays):
                 # terms[j] holds the terms of input j for every box, each
                 # product stepped outward; they are summed one input at a time,
                 # rounding each add. C order keeps each terms[j] one contiguous
-                # block, where numpy's per-call cost is lowest. Once the
-                # products are taken, bounds is the rounding's scratch space.
-                bounds = np.where(take_lb, h_lb[:, :, None], h_ub[:, :, None])
-                terms = np.multiply(w2, bounds, order="C")
+                # block, where numpy's per-call cost is lowest.
+                bounds, terms = self._scratch_views((len(w2), len(lb), w2.shape[2]), 2)
+                # Each term's input bound, selected on the bits: ub's bits,
+                # xor'ed with those of lb ^ ub where lb_bits is all ones. Only
+                # np.copyto broadcasts: a ufunc buffers a broadcast operand,
+                # which is slower. Once the products are taken, bounds is the
+                # rounding's scratch space.
                 scratch = bounds.view(np.int64)
+                lb_i, ub_i = h_lb.view(np.int64), h_ub.view(np.int64)
+                np.copyto(scratch, (lb_i ^ ub_i)[:, :, None])
+                np.bitwise_and(scratch, lb_bits[:, None], out=scratch)
+                np.bitwise_xor(scratch, ub_i[:, :, None], out=scratch)
+                np.copyto(terms, w2)
+                np.multiply(terms, bounds, out=terms)
                 _round_up(terms, scratch)
                 acc = terms[0]
                 scratch = scratch[0]
@@ -197,11 +229,11 @@ class MlpModel(EstimatorModel):
                         f"Box({' x '.join(box)}): its bounds overflow"
                     )
                 rows = len(bias2) // 2
-                acc = acc.T.copy()
-                h_lb, h_ub = -acc[:rows], acc[rows:]
+                h = acc.T.copy()
+                h_lb, h_ub = h[:rows], h[rows:]
+                np.negative(h_lb, out=h_lb)
                 if relu:
-                    h_lb = np.where(h_lb > 0.0, h_lb, 0.0)
-                    h_ub = np.where(h_ub > 0.0, h_ub, 0.0)
+                    np.copyto(h, 0.0, where=h <= 0.0)
         return h_lb.T, h_ub.T
 
 

@@ -135,6 +135,8 @@ class ConstantEstimator(EstimatorModel):
         self.value = tuple(float(v) for v in value)
         if not self.value:
             raise ValueError("constant value must be non-empty")
+        if not all(math.isfinite(v) for v in self.value):
+            raise ValueError(f"constant value must be finite, got {self.value!r}")
         if n_obs < 1:
             raise ValueError("n_obs must be >= 1")
         self.n_obs = n_obs

@@ -30,9 +30,10 @@ __all__ = ["OracleConfig", "OracleResult", "sample_max_error", "certify"]
 
 # Samples drawn and evaluated per call; bounds the oracle's memory use.
 CHUNK = 4096
-# Largest sample count accepted: 100k samples take about 0.4 s on the bundled
-# network scenario and 5 s on the descent one, so the cap allows minutes to
-# hours of sampling there, while 10^12 samples would take weeks to years.
+# Largest sample count accepted: 100k samples take about 0.09 s on the bundled
+# network scenario and 0.13 s on the descent one (in-process, one CPU), so
+# the cap allows about one and a half to two and a half minutes of sampling
+# there, while 10^12 samples would take one to two weeks.
 MAX_SAMPLES = 10**8
 
 

@@ -171,6 +171,23 @@ class TestBox:
         b = IntervalBox.from_bounds([(0, 2), (-1, 1)])
         assert b.midpoint() == (1.0, 0.0)
 
+    def test_midpoint_of_degenerate_and_one_ulp_components(self):
+        up = math.nextafter(1.0, math.inf)
+        b = IntervalBox.from_bounds([(3.0, 3.0), (1.0, up), (0.0, math.inf)])
+        assert b.midpoint() == (3.0, 1.0, math.inf)
+        assert b.contains(b.midpoint())
+
+    @pytest.mark.parametrize(
+        "bounds, words",
+        [
+            ([(0, 1), (-math.inf, math.inf)], r"component 1 .*\[-inf, inf\]"),
+            ([(1e308, 1.7e308), (0, 1)], r"component 0 .*1\.7e\+308"),
+        ],
+    )
+    def test_midpoint_outside_its_component_rejected(self, bounds, words):
+        with pytest.raises(ValueError, match=words):
+            IntervalBox.from_bounds(bounds).midpoint()
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             IntervalBox([])

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,13 @@ class TestBoxPass:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_integer_bound_arrays_read_as_floats(self):
+        m = single_layer([[1, -2], [3, 0.5]], [0.25, -1], "linear")
+        lb, ub = np.array([[-1, 0], [2, -7]]), np.array([[2, 3], [2, 5]])
+        got = m.eval_boxes(lb, ub)
+        want = m.eval_boxes(lb.astype(np.float64), ub.astype(np.float64))
+        assert bits(got) == bits(want)
+
     def test_nan_bound_is_rejected_before_relu(self):
         # Layer 0 overflows to [inf, inf] in its first neuron; layer 1
         # weighs that neuron by 0.0, and 0 * inf is NaN. Relu would map the
@@ -219,3 +227,58 @@ class TestSerialization:
         with pytest.raises(ValueError, match="cannot read"):
             load_mlp(tmp_path / "nope.json")
 
+
+
+def bits(arrays):
+    return [np.ascontiguousarray(a).view(np.int64).tolist() for a in arrays]
+
+
+class TestScratch:
+    """Both passes work in one scratch array that the model keeps: a call no
+    larger than an earlier one allocates little, results never share it,
+    and what it held before never shows in a result."""
+
+    @pytest.fixture
+    def load(self, scenario_dir):
+        return lambda: load_mlp(scenario_dir / "mlp_3x32x32x2.json")
+
+    @staticmethod
+    def inputs(seed, k):
+        # k rows of points in and around the bundled network's input range,
+        # and k boxes with those lower bounds.
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(-1.0, 15.0, (k, 3))
+        return rows, rows + rng.uniform(0.0, 0.5, (k, 3))
+
+    @pytest.mark.parametrize("pass_, k", [("eval_boxes", 64), ("eval_points", 4096)])
+    def test_repeat_call_allocates_little(self, load, pass_, k):
+        # Without the scratch such a call allocates about 2.4 MB (64 halves)
+        # or 3 MB (4096 rows); with it, the results and a few small arrays.
+        net, args = load(), self.inputs(1, k)[: 2 if pass_ == "eval_boxes" else 1]
+        getattr(net, pass_)(*args)
+        tracemalloc.start()
+        try:
+            getattr(net, pass_)(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
+
+    def test_results_do_not_share_the_scratch(self, load):
+        net = load()
+        lb, ub = self.inputs(2, 64)
+        first = [*net.eval_boxes(lb, ub), net.eval_points(lb)]
+        kept = bits(first)
+        lb, ub = self.inputs(3, 64)
+        net.eval_boxes(lb, ub)
+        net.eval_points(ub)
+        assert bits(first) == kept
+
+    def test_large_then_small_batch_equals_a_fresh_model(self, load):
+        net = load()
+        lb, ub = self.inputs(4, 4096)
+        net.eval_points(lb)
+        net.eval_boxes(lb[:1024], ub[:1024])
+        lb, ub = self.inputs(5, 3)
+        assert bits(net.eval_points(lb)) == bits(load().eval_points(lb))
+        assert bits(net.eval_boxes(lb, ub)) == bits(load().eval_boxes(lb, ub))

@@ -183,6 +183,11 @@ class TestRejections:
                 id="constant-n_obs",
             ),
             pytest.param(
+                lambda: ConstantEstimator((1.0, math.nan), n_obs=1),
+                r"constant value must be finite, got \(1.0, nan\)",
+                id="constant-value",
+            ),
+            pytest.param(
                 lambda: TrilaterationModel([(10, -9), (5, math.inf), (-15, 0)]),
                 r"landmark is not finite: \(5.0, inf\)",
                 id="landmark",
