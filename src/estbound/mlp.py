@@ -6,10 +6,14 @@ as it is and never trains it.
 
 Both passes are numpy kernels that vectorise only over independent values,
 so they round exactly as a one-value-at-a-time loop would. The forward
-pass takes a batch of rows and holds them feature-major, one array row per
-neuron and one column per input row; per layer it sums the weighted inputs
-of every output in column order, starting from 0.0, adds the bias and
-applies relu.
+pass copies a batch of rows into contiguous columns, one array row per
+neuron; per layer it sums the weighted inputs of each output in column
+order from 0.0, adds the bias and applies relu as np.maximum(x, 0.0), the
+loop's `0.0 if x < 0.0` bit for bit: x is never -0.0, and np.maximum keeps
+a NaN's bits. It works _BLOCK (16) outputs at a time, so at 4096 rows a
+block's sums and products (512 KiB each) stay in a 2 MiB per-core L2. Blocks
+split the outputs, not the rows: numpy's broadcast multiply runs about 4x
+slower per element on rows of up to a third of its 8192-element buffer.
 
 The interval forward pass takes the bound arrays of a batch of boxes, one
 row per box, and propagates one interval per neuron and box. Per layer,
@@ -25,27 +29,23 @@ validation method only needs soundness, not tightness.
 
 Rounding upward is what the box pass spends most of its time on. Every
 rounding, of the products, of each column sum and of the bias add, is an
-integer step on the bits (`_round_up`), which gives np.nextafter's result
-at a fraction of its cost on the arrays a batch of front boxes fills; the
-step needs an int64 scratch array of the rounded array's shape, and the
-array the products' input bounds were gathered into serves as one, since
-it is dead once the products are taken (its first slice for the sums). At
-64 boxes per call the hidden layers' sums are (64, 64) arrays, where one
-step took 15 us against 60 us for np.nextafter (one CPU, min of 7 timings).
-On the (64, 4) sums of a two-output layer the step's five numpy calls cost
-more, 6.9 us against 3.9 us, a loss too small to be worth a size switch.
+integer step on the bits (`_round_up`): np.nextafter's result at a
+fraction of its cost, 15 us against 60 us on the (64, 64) sums of 64 boxes
+(one CPU, min of 7 timings), though 6.9 against 3.9 us on a two-output
+layer's (64, 4), too small a loss for a size switch. Its int64 scratch is
+the array the products' input bounds were gathered into, dead by then.
 
 Both passes take their large working arrays from one float64 scratch
-array, which the model keeps for its lifetime and grows to its largest
-batch, so a call no larger allocates none and faults in no fresh pages;
-results are new arrays. On the bundled 3x32x32x2 network it holds 3 MiB
-after a 4096-row oracle chunk, 2 MiB at 64 halves per box call and 32 MiB
-at 1024. One model must not be called from two threads at once; nothing in
-estbound does that.
+array that the model keeps and grows to its largest batch, so a call no
+larger allocates none and faults in no fresh pages; results are new
+arrays. On the bundled 3x32x32x2 network it holds 2.6 MiB after a
+4096-row oracle chunk, 2 MiB at 64 halves per box call and 32 MiB at 1024.
+No two threads may call one model at once, and none in estbound do.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -60,6 +60,7 @@ __all__ = ["MlpLayer", "MlpModel", "load_mlp"]
 
 _ACTIVATIONS = ("relu", "linear")
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+_BLOCK = 16  # output neurons per block of the point pass
 
 
 @dataclass(frozen=True)
@@ -135,13 +136,10 @@ class MlpModel(EstimatorModel):
         # The box pass holds a layer's negated lower bounds and its upper
         # bounds in one array, so one upward rounding serves both: negation
         # is exact and round-to-nearest is symmetric. Per layer: weights
-        # (cols, 1, 2 * rows) for that array; an int64 (cols, 2 * rows) mask,
-        # all ones where the term takes its input's lower bound rather than
-        # its upper one (lower bounds for w >= 0, upper bounds for w < 0, as
-        # the interval product of a point weight and an input interval
-        # does); bias; relu flag. The middle axis broadcasts over the boxes.
-        # The products and the sums are rounded with _round_up (see the
-        # module docstring).
+        # (cols, 1, 2 * rows), the middle axis broadcasting over the boxes;
+        # an int64 (cols, 2 * rows) mask, all ones where the term takes its
+        # input's lower bound (a lower bound's for w >= 0, an upper bound's
+        # for w < 0, as an interval product does); bias; relu flag.
         self._box_arrays = tuple(
             (
                 np.concatenate((-wt, wt), axis=1)[:, None, :],
@@ -154,35 +152,38 @@ class MlpModel(EstimatorModel):
         self._width = max(l.rows for l in layers)
         self._scratch = np.empty(0)
 
-    def _scratch_views(self, shape: tuple[int, ...], count: int) -> list[np.ndarray]:
-        """count float64 arrays of the given shape, laid end to end in the
-        model's scratch array, grown to fit (see the module docstring)."""
-        size = math.prod(shape)
-        if self._scratch.size < count * size:
-            self._scratch = np.empty(count * size)
-        return list(self._scratch[: count * size].reshape(count, *shape))
+    def _scratch_arrays(self, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+        """float64 arrays of the given shapes, end to end in the scratch."""
+        sizes = [math.prod(shape) for shape in shapes]
+        if self._scratch.size < sum(sizes):
+            self._scratch = np.empty(sum(sizes))
+        ends = itertools.accumulate(sizes)
+        parts = (self._scratch[end - size : end] for size, end in zip(sizes, ends))
+        return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
     def eval_points(self, rows: np.ndarray) -> np.ndarray:
         self._check_rows(rows)
-        h = rows.T
-        # Two accumulators, used by the layers in turn, and the products;
-        # each layer uses their first rows.
-        acc_next, acc_free, prods = self._scratch_views((self._width, len(rows)), 3)
+        n = len(rows)
+        # Input columns, two accumulators the layers fill in turn, one block's products.
+        h, acc_next, acc_free, prods = self._scratch_arrays(
+            (self.n_obs, n), (self._width, n), (self._width, n), (_BLOCK, n)
+        )
+        np.copyto(h, rows.T)
         # Like Python floats, the arrays overflow to inf and NaN without a
         # warning; the oracle reports both.
         with np.errstate(over="ignore", invalid="ignore"):
             for w_cols, bias, relu in self._arrays:
-                acc, prod = acc_next[: len(bias)], prods[: len(bias)]
-                acc.fill(0.0)
-                for w, column in zip(w_cols, h):
-                    np.multiply(w, column, out=prod)
-                    acc += prod
-                acc += bias
-                if relu:
-                    mask = prod.view(np.bool_)[:, : len(rows)]  # prod is dead
-                    np.less(acc, 0.0, out=mask)
-                    np.copyto(acc, 0.0, where=mask)
-                h = acc
+                for start in range(0, len(bias), _BLOCK):
+                    block = slice(start, min(start + _BLOCK, len(bias)))
+                    acc, prod = acc_next[block], prods[: block.stop - start]
+                    acc.fill(0.0)
+                    for w, column in zip(w_cols[:, block], h):
+                        np.multiply(w, column, out=prod)
+                        acc += prod
+                    acc += bias[block]
+                    if relu:
+                        np.maximum(acc, 0.0, out=acc)
+                h = acc_next[: len(bias)]
                 acc_next, acc_free = acc_free, acc_next
         return h.T.copy()
 
@@ -194,16 +195,15 @@ class MlpModel(EstimatorModel):
         # or a NaN bound, which the check below reports.
         with np.errstate(over="ignore", invalid="ignore"):
             for layer, (w2, lb_bits, bias2, relu) in enumerate(self._box_arrays):
-                # terms[j] holds the terms of input j for every box, each
-                # product stepped outward; they are summed one input at a time,
-                # rounding each add. C order keeps each terms[j] one contiguous
-                # block, where numpy's per-call cost is lowest.
-                bounds, terms = self._scratch_views((len(w2), len(lb), w2.shape[2]), 2)
-                # Each term's input bound, selected on the bits: ub's bits,
-                # xor'ed with those of lb ^ ub where lb_bits is all ones. Only
-                # np.copyto broadcasts: a ufunc buffers a broadcast operand,
-                # which is slower. Once the products are taken, bounds is the
-                # rounding's scratch space.
+                # terms[j] holds input j's terms for every box, each product
+                # stepped outward, summed one input at a time with a rounding
+                # per add; C order keeps each terms[j] one contiguous block.
+                shape = (len(w2), len(lb), w2.shape[2])
+                bounds, terms = self._scratch_arrays(shape, shape)
+                # Each term's input bound, selected on the bits: ub's, xor'ed
+                # with lb ^ ub where lb_bits is all ones. Only np.copyto
+                # broadcasts (a ufunc buffers a broadcast operand: slower).
+                # Once the products are taken, bounds is _round_up's scratch.
                 scratch = bounds.view(np.int64)
                 lb_i, ub_i = h_lb.view(np.int64), h_ub.view(np.int64)
                 np.copyto(scratch, (lb_i ^ ub_i)[:, :, None])
@@ -233,7 +233,7 @@ class MlpModel(EstimatorModel):
                 h_lb, h_ub = h[:rows], h[rows:]
                 np.negative(h_lb, out=h_lb)
                 if relu:
-                    np.copyto(h, 0.0, where=h <= 0.0)
+                    np.maximum(h, 0.0, out=h)
         return h_lb.T, h_ub.T
 
 

@@ -30,10 +30,10 @@ __all__ = ["OracleConfig", "OracleResult", "sample_max_error", "certify"]
 
 # Samples drawn and evaluated per call; bounds the oracle's memory use.
 CHUNK = 4096
-# Largest sample count accepted: 100k samples take about 0.09 s on the bundled
+# Largest sample count accepted: 100k samples take about 0.07 s on the bundled
 # network scenario and 0.13 s on the descent one (in-process, one CPU), so
-# the cap allows about one and a half to two and a half minutes of sampling
-# there, while 10^12 samples would take one to two weeks.
+# the cap allows about one and a quarter to two and a quarter minutes of
+# sampling there, while 10^12 samples would take one to two weeks.
 MAX_SAMPLES = 10**8
 
 

@@ -389,6 +389,60 @@ class TestNetworkBitIdentity:
         # sum and the bias add each step once more.
         assert first.eval_box(boxes[0])[0].ub == 4 * 5e-324
 
+    def test_column_sum_of_negative_zeros(self):
+        # The first two upper-bound terms, -1e-300 * (5e-324 / 1e-300), each
+        # round to -5e-324 and step up to -0.0, and so does their sum. The
+        # rounding must step that sum as +0.0: stepped on its own bits it
+        # becomes a NaN, which the next step wraps back to -0.0, losing the
+        # third term (the upper bound came out 5e-324).
+        model = MlpModel([MlpLayer(((-1e-300, -1e-300, 1.0),), (0.0,), "linear")])
+        y = 5e-324 / 1e-300
+        box = IntervalBox.point((y, y, 100.0))
+        check_boxes(model, [box])
+        assert model.eval_box(box)[0].ub >= 100.0
+
+    @pytest.mark.parametrize("width", [1, 15, 16, 17, 33])
+    def test_blocked_point_pass(self, width):
+        # The point pass works through a layer 16 outputs at a time: layers
+        # narrower than, equal to and wider than one block, under an input
+        # wider than every layer, at batch sizes on both sides of 2730 rows,
+        # where numpy's broadcast multiply changes path (1696 is the last
+        # chunk of a 100k-sample oracle).
+        rng = random.Random(width)
+        sizes = [width + 2, width, width, width]
+        layers = []
+        for cols, act in zip(sizes, ("relu", "linear", "relu")):
+            weights = [[rng.uniform(-2, 2) for _ in range(cols)] for _ in range(width)]
+            weights[0][-1] = 0.0
+            bias = [rng.choice([0.0, -0.0, rng.uniform(-1, 1)]) for _ in range(width)]
+            layers.append(MlpLayer(tuple(map(tuple, weights)), tuple(bias), act))
+        model = MlpModel(layers)
+        rows = np.random.default_rng(width).uniform(-3, 3, (4096, width + 2))
+        rows[::5, 0] = -0.0
+        expected = [bits(reference_eval_point(model, row)) for row in rows.tolist()]
+        for k in (0, 1, 1696, 2048, 2049, 2730, 2731, 4096):
+            for batch in (rows[:k], np.asfortranarray(rows[:k])):
+                out = model.eval_points(batch)
+                assert out.shape == (k, width)
+                assert [bits(r) for r in out.tolist()] == expected[:k]
+
+
+@pytest.mark.parametrize("size", [7, 64, 4096, 131072])
+def test_maximum_is_relu(size):
+    # Both network passes apply relu as np.maximum(x, 0.0, out=x), which is
+    # `0.0 if x <= 0.0 else x` bit for bit only while numpy returns the
+    # second operand of two zeros and a NaN operand with its payload. numpy
+    # picks its loop by length and processor, so each length is checked on
+    # the running host.
+    patterns = [0x8000000000000000, 0, 0x7FF8000000000123, 0xFFF8000000000456]
+    patterns += [0x7FF0000000000001, 0x8000000000000001, 1, 0xFFF0000000000000]
+    patterns += [0x7FF0000000000000, 0xBFF0000000000000, 0x3FF0000000000000]
+    x = np.resize(np.array(patterns, dtype=np.uint64).view(np.float64), size)
+    with np.errstate(invalid="ignore"):
+        want = np.where(x <= 0.0, 0, x.view(np.int64))
+        np.maximum(x, 0.0, out=x)
+    assert (x.view(np.int64) == want).all()
+
 
 def rounded_up(values):
     x = np.array(values, dtype=np.float64)
