@@ -27,12 +27,9 @@ were boxes split ahead of their turn across runs of equal lower bounds,
 which the search may never reach. Boxes of the front's run are all due, so
 when the run is longer than LOOKAHEAD the search splits up to
 `optimizer.TIED_SPLITS` (512) of them per call, 1024 halves. That costs no
-extra box, but memory grows with the batch: the network's box pass works
-in two (inputs, boxes, 2 * outputs) float64 arrays, which the model keeps
-for its lifetime, 32 MiB at 1024 halves on the bundled 3x32x32x2 network
-(a 37.5 MB tracemalloc peak), against 2 MiB at 64. No bundled scenario
-ties on the network; on the identity scenario, where every box ties, 100k
-iterations take 205 calls instead of 3131.
+extra box, but memory grows with the batch: the network keeps its largest
+batch's working arrays (`mlp`'s module docstring gives their size). No
+bundled scenario ties on the network.
 
 A model's results must not depend on its earlier calls. A model may keep
 working arrays between calls (the network does), so one objective must not
@@ -189,11 +186,17 @@ class ErrorObjective:
     ) -> float | np.ndarray:
         """Euclidean distance between x and its estimate under noise e.
 
-        x and e are either one sample each, giving a float, or 2-D arrays
-        holding one sample per row, giving a 1-D array of distances.
+        x and e are one sample each, giving a float, or 2-D arrays of as
+        many rows, one sample per row, giving a 1-D array of distances.
         """
         xs = np.asarray(x, dtype=np.float64)
         es = np.asarray(e, dtype=np.float64)
+        one = xs.ndim == es.ndim == 1
+        if not one and not (xs.ndim == es.ndim == 2 and len(xs) == len(es)):
+            raise ValueError(
+                f"x has shape {xs.shape} and e has shape {es.shape}, expected "
+                "one sample each or 2-D arrays with as many rows"
+            )
         if es.shape[-1] != self.n_obs:
             raise ValueError(
                 f"noise vector has dim {es.shape[-1]}, expected {self.n_obs}"
@@ -207,7 +210,7 @@ class ErrorObjective:
         for d in diff.T:
             acc = acc + d * d
         dist = np.sqrt(acc)
-        return float(dist[0]) if xs.ndim == 1 else dist
+        return float(dist[0]) if one else dist
 
     def objective_box(
         self, lb: np.ndarray | IntervalBox, ub: np.ndarray | None = None

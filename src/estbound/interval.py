@@ -68,11 +68,6 @@ class Interval:
         self.lb = lb
         self.ub = ub
 
-    @staticmethod
-    def point(v: float) -> "Interval":
-        """Degenerate interval [v, v]."""
-        return Interval(v, v)
-
     @property
     def width(self) -> float:
         return self.ub - self.lb
@@ -220,11 +215,6 @@ class IntervalBox:
     def from_bounds(bounds: Iterable[tuple[float, float]]) -> "IntervalBox":
         """Build from (lb, ub) pairs."""
         return IntervalBox(Interval(lo, hi) for lo, hi in bounds)
-
-    @staticmethod
-    def point(values: Sequence[float]) -> "IntervalBox":
-        """Degenerate box around a point."""
-        return IntervalBox(Interval(v, v) for v in values)
 
     @property
     def dim(self) -> int:

@@ -36,16 +36,18 @@ iteration cap or a box that cannot be split. So on an isotone objective a
 tied batch adds no evaluated box. Across runs it is a guess, which is why
 LOOKAHEAD is small.
 
-A tied batch split while no other box waits split ahead is the head of the
-front's run. When all its halves tie with the run too, it leaves the cover
-in one step: its rows are cut off the run and their halves chained onto
-the run's tail in order. That is the cover one split per iteration would
-leave, since no half reaches the front before the rest of the batch. A
-half below the run's key would, and an objective that is not isotone can
-give one; a half above it belongs to another run. So the search checks
-that every half ties, and otherwise uses the batch as a LOOKAHEAD batch
-is: each box split ahead leaves the cover when it reaches the front, its
-halves put in its place.
+A tied batch is the head of the front's run, where no box waits split
+ahead: boxes split ahead lead their runs, since a LOOKAHEAD batch splits a
+prefix of cover order and halves join their runs at the tail, and the
+front was not split ahead. When all the batch's halves tie with the run,
+it leaves the cover in one step: its rows are cut off the run and their
+halves chained onto the run's tail in order. That is the cover one split
+per iteration would leave, since no half reaches the front before the rest
+of the batch. A half below the run's key would, and an objective that is
+not isotone can give one; a half above it belongs to another run. So the
+search checks that every half ties, and otherwise uses the batch as a
+LOOKAHEAD batch is: each box split ahead leaves the cover when it reaches
+the front, its halves put in its place.
 
 Each enclosure depends only on its own box, and the splits, insertion
 order and tie-breaking are those of one split per call, so every result is
@@ -113,10 +115,7 @@ class Cover:
     a run are listed in _free, to be reused first.
 
     _pop takes the front row and _push appends a row to its run. _retire
-    takes the first rows of the front's run at once and chains their
-    halves onto the run's tail: the cover of a _pop and two _push per row,
-    as long as every half's lower bound equals the run's key, so that none
-    reaches the front before the last of those rows."""
+    leaves the cover of a _pop and two _push per row of a tied batch."""
 
     def __init__(self) -> None:
         self._keys: list[float] = []
@@ -313,32 +312,10 @@ def _evaluate(f: BoxObjective, lb: np.ndarray, ub: np.ndarray) -> Bounds:
     return f_lb, f_ub
 
 
-def _following(cover: Cover, count: int) -> list[int]:
-    """Up to count cover rows after the front, in cover order: the runs of
-    the keys met by a best-first walk of the key heap from its root, the
-    front's run first."""
-    keys, runs, nxt = cover._keys, cover._runs, cover._next
-    # Keys are distinct, so the index never takes part in a comparison.
-    frontier = [(keys[0], 0)]
-    out: list[int] = []
-    while frontier and len(out) <= count:
-        key, i = heapq.heappop(frontier)
-        for child in range(2 * i + 1, min(2 * i + 3, len(keys))):
-            heapq.heappush(frontier, (keys[child], child))
-        row = last = runs[key]
-        while len(out) <= count:
-            row = nxt[row]
-            out.append(row)
-            if row == last:
-                break
-    return out[1:]
-
-
-def _front_run(cover: Cover, count: int) -> list[int]:
-    """Up to count rows of the front's run, in cover order, the front
-    first."""
+def _run(cover: Cover, key: float, count: int) -> list[int]:
+    """Up to count rows of the run of key, in cover order."""
     nxt = cover._next
-    row = last = cover._runs[cover._keys[0]]
+    row = last = cover._runs[key]
     out: list[int] = []
     for _ in range(count):
         row = nxt[row]
@@ -346,6 +323,22 @@ def _front_run(cover: Cover, count: int) -> list[int]:
         if row == last:
             break
     return out
+
+
+def _following(cover: Cover, count: int) -> list[int]:
+    """Up to count cover rows after the front, in cover order: the runs of
+    the keys met by a best-first walk of the key heap from its root, the
+    front's run first."""
+    keys = cover._keys
+    # Keys are distinct, so the index never takes part in a comparison.
+    frontier = [(keys[0], 0)]
+    out: list[int] = []
+    while frontier and len(out) <= count:
+        key, i = heapq.heappop(frontier)
+        for child in range(2 * i + 1, min(2 * i + 3, len(keys))):
+            heapq.heappush(frontier, (keys[child], child))
+        out += _run(cover, key, count + 1 - len(out))
+    return out[1:]
 
 
 def _split_ahead(
@@ -446,7 +439,7 @@ def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResu
         if row not in ahead:
             # No more splits than the iteration cap leaves are made ahead.
             budget = cfg.max_iterations - iterations
-            rows = _front_run(cover, min(TIED_SPLITS, budget))
+            rows = _run(cover, key, min(TIED_SPLITS, budget))
             tied = len(rows) > LOOKAHEAD
             if not tied:
                 rows = [row] + _following(cover, min(LOOKAHEAD, budget) - 1)
@@ -456,10 +449,8 @@ def moore_skelboe(f: BoxObjective, b_init: IntervalBox, cfg: MsConfig) -> MsResu
                 break
             n, rows, halves = split
             evaluated += n
-            # With nothing else split ahead, a tied batch is the head of the
-            # front's run. If its halves all tie with the run, it leaves the
-            # cover at once; otherwise it is used one split at a time.
-            if tied and not ahead and (cover._f_lb[halves] == key).all():
+            # A tied batch whose halves all tie leaves the cover at once.
+            if tied and (cover._f_lb[halves] == key).all():
                 cover._retire(rows, halves)
                 iterations += len(rows)
                 continue

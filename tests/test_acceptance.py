@@ -90,8 +90,8 @@ def test_criterion_1_interval_soundness_suite():
 
 
 def test_criterion_2_analytic_objectives():
-    one = Interval.point(1.0)
-    minus_two = Interval.point(-2.0)
+    one = Interval(1.0, 1.0)
+    minus_two = Interval(-2.0, -2.0)
 
     t0 = time.perf_counter()
     res1 = moore_skelboe(

@@ -56,6 +56,18 @@ class TestErrorPoint:
         with pytest.raises(ValueError, match="dim"):
             obj.error_point((1.0, 2.0), (0.1,))
 
+    @pytest.mark.parametrize(
+        "x_shape, e_shape", [((2,), (3, 2)), ((3, 2), (2,)), ((2, 2), (3, 2))]
+    )
+    def test_sample_count_mismatch(self, x_shape, e_shape):
+        # Broadcasting one side over the other's rows would drop rows or
+        # reuse one sample; both shapes are named instead.
+        obj = identity_objective()
+        with pytest.raises(ValueError) as err:
+            obj.error_point(np.zeros(x_shape), np.zeros(e_shape))
+        assert f"shape {x_shape}" in str(err.value)
+        assert f"shape {e_shape}" in str(err.value)
+
     def test_perfect_estimate_zero_noise(self):
         obj = identity_objective()
         assert obj.error_point((0.3, 0.7), (0.0, 0.0)) == 0.0
@@ -75,16 +87,17 @@ class TestErrorBox:
 
     def test_identity_point_box(self):
         obj = identity_objective()
-        out = error_enclosure(obj, IntervalBox.point((1.0, 2.0)), obj.noise_box)
+        x = IntervalBox.from_bounds([(1.0, 1.0), (2.0, 2.0)])
+        out = error_enclosure(obj, x, obj.noise_box)
         assert out.lb <= 0.0 + 1e-12
         assert out.ub >= math.sqrt(0.02)
         assert out.ub <= math.sqrt(0.02) + 1e-12
 
     def test_degenerate_everything(self):
         obj = identity_objective()
-        out = error_enclosure(
-            obj, IntervalBox.point((0.5, 0.5)), IntervalBox.point((0.0, 0.0))
-        )
+        x = IntervalBox.from_bounds([(0.5, 0.5), (0.5, 0.5)])
+        e = IntervalBox.from_bounds([(0.0, 0.0), (0.0, 0.0)])
+        out = error_enclosure(obj, x, e)
         assert out.lb == 0.0
         assert out.ub <= 1e-13
 

@@ -176,3 +176,27 @@ def test_cli_cover_dump_of_trilat_gd_scenario(scenario_dir, tmp_path, capsys):
         "3a326cf3025659b3f39785f979c5be5aeb647262a88d8c266ae5293ccc59395d",
         "f910dc873dd95f6e4a6c201494c222134667e6e628cad972f528d5cfaa146653",
     )
+
+
+def test_cli_cover_dump_of_constant_scenario_to_width(scenario_dir, tmp_path, capsys):
+    # A budget the search never reaches: it stops on width after 42
+    # iterations, and the grid oracle runs.
+    assert cover_and_report_hashes(
+        scenario_dir / "constant.scn", 100_000, tmp_path, capsys
+    ) == (
+        "a2c6edbc76d14f9da3492d7f01c64159ca5ffeef61bc699477fa2e423ded9a8d",
+        "9fedaffa938c2087f584cb84156af2ebc53cf7c78e77aa5341c57466125f9c81",
+    )
+
+
+def test_cli_cover_dump_of_trilat_mlp_scenario_to_unsplittable_front(
+    scenario_dir, tmp_path, capsys
+):
+    # Parameter-only splitting runs out: the search stops on an unsplittable
+    # front after 3367 iterations, with 6745 boxes evaluated.
+    assert cover_and_report_hashes(
+        scenario_dir / "trilat_mlp.scn", 20_000, tmp_path, capsys
+    ) == (
+        "5542c6f9fb02c1f1eb778f68cf979d420275fe2229bdb33d7e1c09d6c1bcd923",
+        "887e065459628aaa87efc9b803a3c9e068f99056da1250c57853606c914da933",
+    )

@@ -338,7 +338,7 @@ edge_bound = st.sampled_from(
 any_bound = st.one_of(st.floats(allow_nan=False), edge_bound)
 norm_component = st.one_of(
     st.tuples(any_bound, any_bound).map(lambda t: Interval(min(t), max(t))),
-    any_bound.map(Interval.point),  # degenerate
+    any_bound.map(lambda v: Interval(v, v)),  # degenerate
 )
 
 

@@ -8,7 +8,8 @@ must give each row of a batch of bound arrays the bounds of a one-box
 reference; the box references are loops of interval operations, with the
 scalar product, quotient and unit direction below. The box passes of the
 trilateration model, the descent and the network must also contain the
-exact value, checked against mpmath.
+exact value, checked against mpmath, and so must the error objective of
+each committed scenario, end to end.
 """
 
 import math
@@ -102,7 +103,7 @@ def reference_descent_point(est, y):
 
 def _mul_scalar(w, a):
     """The product of the float w and the interval a, outward-rounded: the
-    bounds of imul(Interval.point(w), a) from two products instead of four."""
+    bounds of imul(Interval(w, w), a) from two products instead of four."""
     if w >= 0.0:
         lo = w * a.lb
         hi = w * a.ub
@@ -147,7 +148,7 @@ def reference_eval_box(model, box):
             acc = _mul_scalar(row[0], values[0])
             for w, v in zip(row[1:], values[1:]):
                 acc = iadd(acc, _mul_scalar(w, v))
-            acc = iadd(acc, Interval.point(b))
+            acc = iadd(acc, Interval(b, b))
             if layer.activation == "relu":
                 acc = irelu(acc)
             out.append(acc)
@@ -159,8 +160,8 @@ def reference_distances_box(model, box):
     """Scalar trilateration box pass: per landmark, the distance enclosure."""
     out = []
     for ax, ay in model.landmarks:
-        dx = isub(Interval.point(ax), box[0])
-        dy = isub(Interval.point(ay), box[1])
+        dx = isub(Interval(ax, ax), box[0])
+        dy = isub(Interval(ay, ay), box[1])
         out.append(isqrt(iadd(isqr(dx), isqr(dy))))
     return IntervalBox(out)
 
@@ -168,12 +169,12 @@ def reference_distances_box(model, box):
 def reference_descent_box(est, box):
     """Scalar descent box pass: the steps of reference_descent_point in
     interval arithmetic, each direction enclosed by _unit_direction."""
-    x0, x1 = Interval.point(est.init[0]), Interval.point(est.init[1])
+    x0, x1 = Interval(est.init[0], est.init[0]), Interval(est.init[1], est.init[1])
     for _ in range(est.iterations):
-        gx = gy = Interval.point(0.0)
+        gx = gy = Interval(0.0, 0.0)
         for (ax, ay), y in zip(est.observation.landmarks, box):
-            dx = isub(x0, Interval.point(ax))
-            dy = isub(x1, Interval.point(ay))
+            dx = isub(x0, Interval(ax, ax))
+            dy = isub(x1, Interval(ay, ay))
             d = isqrt(iadd(isqr(dx), isqr(dy)))
             t = _mul_scalar(2.0, isub(d, y))
             gx = iadd(gx, imul(t, _unit_direction(dx, d)))
@@ -332,7 +333,8 @@ class TestNetworkBitIdentity:
         model = boundary_model(net, y, index)
         check_points(model, [y, [v + 1e-9 for v in y], [v - 1e-9 for v in y]])
         rng = random.Random(11 + index)
-        check_boxes(model, [IntervalBox.point(y)] + sample_boxes(rng, y, 30))
+        point = IntervalBox.from_bounds(zip(y, y))
+        check_boxes(model, [point] + sample_boxes(rng, y, 30))
 
     def test_signed_zeros_and_zero_weights(self, net):
         rng = random.Random(5)
@@ -367,7 +369,10 @@ class TestNetworkBitIdentity:
                 (v, v) if i == flat else (v, v + rng.uniform(0, 2))
                 for i, v in enumerate(y)
             ]
-            boxes += [IntervalBox.from_bounds(bounds), IntervalBox.point(y)]
+            boxes += [
+                IntervalBox.from_bounds(bounds),
+                IntervalBox.from_bounds(zip(y, y)),
+            ]
         check_boxes(net, boxes)
 
     def test_negative_weight_on_zero_bound(self):
@@ -397,7 +402,7 @@ class TestNetworkBitIdentity:
         # third term (the upper bound came out 5e-324).
         model = MlpModel([MlpLayer(((-1e-300, -1e-300, 1.0),), (0.0,), "linear")])
         y = 5e-324 / 1e-300
-        box = IntervalBox.point((y, y, 100.0))
+        box = IntervalBox.from_bounds([(y, y), (y, y), (100.0, 100.0)])
         check_boxes(model, [box])
         assert model.eval_box(box)[0].ub >= 100.0
 
@@ -581,7 +586,8 @@ class TestModelBoxBatches:
         for model in (IdentityObservation(3), IdentityEstimator(3)):
             check_boxes(model, boxes, lambda model, box: box)
         constant = ConstantEstimator((15.0, -0.0), n_obs=3)
-        check_boxes(constant, boxes, lambda model, box: IntervalBox.point(model.value))
+        value = IntervalBox.from_bounds(zip(constant.value, constant.value))
+        check_boxes(constant, boxes, lambda model, box: value)
 
 
 class TestDescentBoxPass:
@@ -602,7 +608,7 @@ class TestDescentBoxPass:
                 lows = [c - rng.uniform(0, width) for c in center]
                 boxes.append(IntervalBox.from_bounds([(lo, lo + width) for lo in lows]))
         boxes += [
-            IntervalBox.point((12.0, 18.0, 7.5)),
+            IntervalBox.from_bounds([(12.0, 12.0), (18.0, 18.0), (7.5, 7.5)]),
             IntervalBox.from_bounds([(-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]),
             IntervalBox.from_bounds([(-0.0, 1.0), (5.0, 5.0), (0.0, 40.0)]),
             IntervalBox.from_bounds([(-5.0, -0.0), (0.0, 0.0), (0.0, 40.0)]),
@@ -850,7 +856,7 @@ class TestNetworkContainsExactValue:
                 for y in [corner] + inside:
                     exact = self.exact(mpmath, model, y)
                     assert all(c.lb <= v <= c.ub for c, v in zip(out, exact))
-                    point_out = model.eval_box(IntervalBox.point(y))
+                    point_out = model.eval_box(IntervalBox.from_bounds(zip(y, y)))
                     assert all(c.lb <= v <= c.ub for c, v in zip(point_out, exact))
                     assert point_out.contains(model.eval_point(y))
 
@@ -893,7 +899,7 @@ class TestRangeModelsContainExactValue:
             for point in [corner] + inside:
                 values = exact(point)
                 assert all(c.lb <= v <= c.ub for c, v in zip(out, values))
-                point_out = model.eval_box(IntervalBox.point(point))
+                point_out = model.eval_box(IntervalBox.from_bounds(zip(point, point)))
                 assert all(c.lb <= v <= c.ub for c, v in zip(point_out, values))
                 assert point_out.contains(model.eval_point(point))
 
@@ -932,3 +938,57 @@ class TestRangeModelsContainExactValue:
             boxes += sample_boxes(rng, est.observation.eval_point(x), 2)
         with mpmath.workdps(60):
             self.check(est, boxes, lambda y: self.exact_descent(mpmath, est, y), rng)
+
+
+class TestObjectiveContainsExactError:
+    """objective_box of each committed scenario against the error
+    ||x - psi(g(x) + e)|| evaluated in mpmath at 60 digits, at corners and
+    inner points of random sub-boxes of the initial box, from the whole box
+    down to points: the observation, the noise, the estimator (the identity
+    estimator's padded error_vector_box and the constant one included) and
+    the norm, end to end."""
+
+    @staticmethod
+    def exact_error(mpmath, obj, point):
+        n = obj.n_params
+        x = [mpmath.mpf(v) for v in point[:n]]
+        if isinstance(obj.observation, TrilaterationModel):
+            ideal = TestRangeModelsContainExactValue.exact_distances(
+                mpmath, obj.observation.landmarks, point[:n]
+            )
+        else:
+            ideal = x
+        y = [g + mpmath.mpf(v) for g, v in zip(ideal, point[n:])]
+        est = obj.estimator
+        if isinstance(est, MlpModel):
+            estimate = TestNetworkContainsExactValue.exact(mpmath, est, y)
+        elif isinstance(est, GradientDescentEstimator):
+            estimate = TestRangeModelsContainExactValue.exact_descent(mpmath, est, y)
+        elif isinstance(est, ConstantEstimator):
+            estimate = [mpmath.mpf(v) for v in est.value]
+        else:
+            assert isinstance(est, IdentityEstimator)
+            estimate = y
+        return mpmath.sqrt(sum((xi - xh) ** 2 for xi, xh in zip(x, estimate)))
+
+    @pytest.mark.parametrize("name", ["constant", "identity", "trilat_gd", "trilat_mlp"])
+    def test_random_sub_boxes(self, scenario_dir, name):
+        mpmath = pytest.importorskip("mpmath")
+        obj = load_scenario(scenario_dir / f"{name}.scn").build_objective()
+        initial = obj.initial_box()
+        rng = random.Random(23)
+        boxes = [initial]
+        for scale in [1.0, 1.0, 0.1, 1e-3, 1e-9, 0.0]:
+            bounds = []
+            for c in initial:
+                lo = rng.uniform(c.lb, c.ub)
+                bounds.append((lo, min(lo + scale * rng.uniform(0, c.width), c.ub)))
+            boxes.append(IntervalBox.from_bounds(bounds))
+        with mpmath.workdps(60):
+            for box in boxes:
+                out = obj.objective_box(box)
+                corners = [[rng.choice((c.lb, c.ub)) for c in box] for _ in range(3)]
+                inside = [[rng.uniform(c.lb, c.ub) for c in box] for _ in range(3)]
+                for point in corners + inside:
+                    exact = self.exact_error(mpmath, obj, point)
+                    assert -out.ub <= exact <= -out.lb, (box, point)

@@ -77,7 +77,7 @@ class TestBoxPass:
         for _ in range(20):
             m = random_model(rng)
             y = tuple(rng.uniform(-2, 2) for _ in range(m.n_obs))
-            out = m.eval_box(IntervalBox.point(y))
+            out = m.eval_box(IntervalBox.from_bounds(zip(y, y)))
             val = m.eval_point(y)
             for v, c in zip(val, out):
                 assert c.lb <= v <= c.ub

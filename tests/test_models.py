@@ -57,9 +57,9 @@ class AffineObservation(ObservationModel):
             box = [Interval(lo, hi) for lo, hi in zip(lows, highs)]
             comps = []
             for row, bi in zip(self.a, self.b):
-                acc = Interval.point(bi)
+                acc = Interval(bi, bi)
                 for aij, xj in zip(row, box):
-                    acc = iadd(acc, imul(Interval.point(aij), xj))
+                    acc = iadd(acc, imul(Interval(aij, aij), xj))
                 comps.append(acc)
             out_lb.append([c.lb for c in comps])
             out_ub.append([c.ub for c in comps])
@@ -102,7 +102,7 @@ class TestTrilaterationPoint:
 
 class TestTrilaterationBox:
     def test_point_box_at_landmark(self, tri):
-        out = tri.eval_box(IntervalBox.point((10.0, -9.0)))
+        out = tri.eval_box(IntervalBox.from_bounds([(10.0, 10.0), (-9.0, -9.0)]))
         assert out[0].lb == 0.0
         assert out[0].ub <= 1e-12
 
@@ -164,7 +164,7 @@ class TestIdentityAndConstant:
     def test_constant_estimator_box_is_point(self):
         est = ConstantEstimator((1.5, -2.0), n_obs=4)
         out = est.eval_box(IntervalBox.from_bounds([(0, 9)] * 4))
-        assert out == IntervalBox.point((1.5, -2.0))
+        assert out == IntervalBox.from_bounds([(1.5, 1.5), (-2.0, -2.0)])
 
     def test_identity_estimator_round_trips(self):
         est = IdentityEstimator(2)
@@ -330,7 +330,7 @@ class TestGradientDescentBox:
     def test_point_box_brackets_point_result(self, tri):
         est = GradientDescentEstimator(tri, iterations=50, step=0.01)
         y = tri.eval_point((12.0, 18.0))
-        out = est.eval_box(IntervalBox.point(y))
+        out = est.eval_box(IntervalBox.from_bounds(zip(y, y)))
         xhat = est.eval_point(y)
         for v, c in zip(xhat, out):
             assert c.lb <= v <= c.ub

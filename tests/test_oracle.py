@@ -103,7 +103,7 @@ class TestGridMode:
             IdentityObservation(2),
             IdentityEstimator(2),
             IntervalBox.from_bounds([(0, 1), (0, 1)]),
-            IntervalBox.point((0.0, 0.0)),
+            IntervalBox.from_bounds([(0.0, 0.0), (0.0, 0.0)]),
         )
         res = sample_max_error(obj, OracleConfig(samples=100, seed=0, mode="grid"))
         assert res.max_observed <= 1e-12

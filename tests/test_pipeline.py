@@ -373,7 +373,7 @@ class TestRunValidate:
 
 class TestDumpCover:
     def test_paraboloid_rows_tile_the_domain(self, tmp_path):
-        one = Interval.point(1.0)
+        one = Interval(1.0, 1.0)
 
         def f(box):
             return isqr(isub(box[0], one))

@@ -6,7 +6,8 @@ eval_boxes, which takes and returns bound arrays; only the error objective
 reads boxes into such arrays. The README's table of the `validate` report
 names the report's fields, in order. The CLI has two subcommands and uses only the
 public names of the modules it imports from. The benchmark's microbenchmark
-child still runs, so every name of the package it calls still exists."""
+child still runs, so every name of the package it calls still exists. No
+name in the package is kept alive by the tests alone."""
 
 import argparse
 import ast
@@ -200,7 +201,7 @@ def refuse(cls, *args):
 
 Interval.__new__ = refuse
 try:
-    Interval.point(0.0)
+    Interval(0.0, 0.0)
 except AssertionError:
     pass
 else:
@@ -262,6 +263,75 @@ def test_models_import_no_box_type(module):
         for alias in node.names
     }
     assert imported & {"IntervalBox", "_box", "_bounds"} == set()
+
+
+def bound_names(node):
+    """The names a statement of a module or a class body defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def definitions(module, tree):
+    """(qualified name, name, whether it is a class member) for each name
+    that tree defines at module level outside its __all__ and each member
+    of its classes. Dunder names are left out: the protocols call them."""
+    body = {name: node for node in tree.body for name in bound_names(node)}
+    exported = ast.literal_eval(body["__all__"].value)
+    found = [(f"{module}.{name}", name, False) for name in body if name not in exported]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            found += [
+                (f"{module}.{cls.name}.{name}", name, True)
+                for child in cls.body
+                for name in bound_names(child)
+            ]
+    return [item for item in found if not item[1].startswith("__")]
+
+
+def references(tree):
+    """The names tree reads or imports, and the attribute and keyword
+    names it uses."""
+    names, attributes = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            attributes.add(node.arg)
+    return names, attributes
+
+
+def test_every_private_name_and_member_has_a_caller_outside_the_tests():
+    # A name that only the tests use is code in src/ that exists for them.
+    # Callers are the package, the benchmark and the README's Python code
+    # blocks; argparse calls the parser's error override.
+    modules = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    callers = list(modules.values())
+    callers += [ast.parse(p.read_text()) for p in README.parent.glob("perfbench/*.py")]
+    callers += [
+        ast.parse(code)
+        for code in re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    ]
+    names, attributes = set(), set()
+    for tree in callers:
+        read, used = references(tree)
+        names |= read
+        attributes |= used
+    unused = [
+        qualified
+        for module, tree in sorted(modules.items())
+        for qualified, name, member in definitions(module, tree)
+        if name not in (attributes if member else names | attributes)
+    ]
+    assert unused == ["cli._Parser.error"]
 
 
 def test_cli_subcommands_are_validate_and_oracle():
