@@ -31,6 +31,11 @@ extra box, but memory grows with the batch: the network keeps its largest
 batch's working arrays (`mlp`'s module docstring gives their size). No
 bundled scenario ties on the network.
 
+An estimator may also carry a cheaper point pass with a bound on its
+distance from eval_points (`screen_points`, the network's BLAS pass); the
+oracle screens its samples with it through `ErrorObjective.screen_error`
+and computes error_point only where the bound leaves the maximum open.
+
 A model's results must not depend on its earlier calls. A model may keep
 working arrays between calls (the network does), so one objective must not
 be called from two threads at once; nothing in estbound does that.
@@ -132,6 +137,15 @@ class EstimatorModel(_Model):
                 np.nextafter(ub[:, :n] - est_lb, np.inf),
             )
 
+    # A cheaper point pass than eval_points, or None where eval_points is
+    # the cheapest. screen_points(rows) takes eval_points' rows and returns
+    # the outputs at each row, a (k, n_params) array, and per output a
+    # (n_params,) bound on their distance from eval_points' outputs, over
+    # all the rows: |screen_points(rows)[0] - eval_points(rows)| <= bound
+    # wherever the bound is finite, and eval_points' outputs are finite
+    # there too. ErrorObjective.screen_error uses it (see MlpModel's).
+    screen_points = None
+
 
 class ErrorObjective:
     """Estimation error over a parameter box and a noise box.
@@ -202,15 +216,47 @@ class ErrorObjective:
                 f"noise vector has dim {es.shape[-1]}, expected {self.n_obs}"
             )
         rows = np.atleast_2d(xs)
-        diff = rows - self.estimator.eval_points(
-            self.observation.eval_points(rows) + es
-        )
-        # Sequential sum of squares, mirroring the interval evaluation order.
-        acc = 0.0
-        for d in diff.T:
-            acc = acc + d * d
-        dist = np.sqrt(acc)
+        y = self.observation.eval_points(rows) + es
+        dist = _distance(rows, self.estimator.eval_points(y))
         return float(dist[0]) if one else dist
+
+    def screen_error(
+        self, x: np.ndarray, e: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """error_point's distances at the samples, one per row of the 2-D
+        arrays x and e, taken from the estimator's screen_points, and per
+        sample a bound on how far each can be from error_point's: where
+        that slack is finite, error_point's distance is finite and within
+        it. An estimator without screen_points gives error_point's
+        distances and a zero slack.
+
+        The slack adds to the screen's spread D (the sum of its bounds,
+        no less than their Euclidean norm) the rounding of both norms.
+        With c = gamma_{m+2} for m = n_params terms and an underflow term
+        t = sqrt(m) 2^-537, the float norm of x - p for an estimate p is
+        within c ||x - p|| + t of the exact one: the m differences, their
+        squares and m - 1 adds are each rounded once, then the square
+        root. So
+        error_point's distance is within D + c (2 (s + t) / (1 - c) + D)
+        + 2 t of the screen's s. That is evaluated in floats, with a
+        factor 1 + gamma_16 over its own roundings. A slack that takes
+        s + slack above 2^511 is infinite: below it, no square of the
+        exact differences can overflow.
+        """
+        if self.estimator.screen_points is None:
+            values = self.error_point(x, e)
+            return values, np.zeros(len(values))
+        y = self.observation.eval_points(x) + e
+        estimate, bound = self.estimator.screen_points(y)
+        values = _distance(x, estimate)
+        m = self.n_params
+        c = _gamma(m + 2)
+        t = math.sqrt(m) * 2.0**-537
+        pad = 1.0 + _gamma(16)
+        spread = float(np.sum(bound))
+        offset = (spread + c * (2.0 * t / (1.0 - c) + spread) + 2.0 * t) * pad
+        slack = offset + (2.0 * c / (1.0 - c) * pad) * values
+        return values, np.where(values + slack <= 2.0**511, slack, np.inf)
 
     def objective_box(
         self, lb: np.ndarray | IntervalBox, ub: np.ndarray | None = None
@@ -253,3 +299,23 @@ class ErrorObjective:
     def split_dims(self) -> tuple[int, ...]:
         """Indices the optimizer may split: the parameter components only."""
         return tuple(range(self.n_params))
+
+
+def _distance(rows: np.ndarray, estimates: np.ndarray) -> np.ndarray:
+    """Euclidean distance of each row of rows from its estimate: the
+    differences' squares summed in column order from 0.0, mirroring the
+    interval evaluation order, then the square root."""
+    acc = 0.0
+    for d in (rows - estimates).T:
+        acc = acc + d * d
+    return np.sqrt(acc)
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u) for the unit roundoff u = 2^-53 of IEEE
+    binary64: k rounded operations on a sum or product change it by a
+    factor within 1 +- gamma_k (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Lemma 3.1). Its float is below the real value by at
+    most two roundings; the bounds that use it pad for that."""
+    ku = k * 2.0**-53
+    return ku / (1.0 - ku)

@@ -1,19 +1,42 @@
-"""Dense relu networks as estimators: forward pass, interval forward pass,
-and loading from a JSON weight file.
+"""Dense relu networks as estimators: forward pass, its BLAS screen,
+interval forward pass, and loading from a JSON weight file.
 
 The network is a given, fixed artifact: the validation method certifies it
 as it is and never trains it.
 
-Both passes are numpy kernels that vectorise only over independent values,
-so they round exactly as a one-value-at-a-time loop would. The forward
-pass copies a batch of rows into contiguous columns, one array row per
-neuron; per layer it sums the weighted inputs of each output in column
-order from 0.0, adds the bias and applies relu as np.maximum(x, 0.0), the
-loop's `0.0 if x < 0.0` bit for bit: x is never -0.0, and np.maximum keeps
-a NaN's bits. It works _BLOCK (16) outputs at a time, so at 4096 rows a
+The forward and the interval pass are numpy kernels that vectorise only
+over independent values, so they round exactly as a one-value-at-a-time
+loop would. The forward pass copies a batch of rows into contiguous
+columns, one array row per neuron; per layer it sums the weighted inputs
+of each output in column order from 0.0, adds the bias and applies relu
+as np.maximum(x, 0.0), the loop's `0.0 if x < 0.0` bit for bit: x is
+never -0.0, and np.maximum keeps a NaN's bits. It works _BLOCK (16) outputs at a time, so at 4096 rows a
 block's sums and products (512 KiB each) stay in a 2 MiB per-core L2. Blocks
 split the outputs, not the rows: numpy's broadcast multiply runs about 4x
 slower per element on rows of up to a third of its 8192-element buffer.
+
+The screen (`screen_points`) is the forward pass at BLAS speed, for the
+oracle: one np.matmul per layer on (rows, neurons) arrays, then the bias
+and relu. BLAS sums in an order of its own, maybe with fused multiply-adds
+and over threads, so its outputs may differ from the forward pass's in the
+last bits; the screen returns with them a bound, per output neuron and over
+all the rows, on that difference. It holds for IEEE binary64 arithmetic
+rounding to nearest with gradual underflow, in any summation order, with or
+without FMA. A layer with n inputs takes inputs within delta of the forward
+pass's, the screen's at most M in magnitude. Each pass's sums are within
+gamma_{n+1} (|W| |h| + |b|) of the exact ones, whatever the order, plus
+n 2^-1075 from underflow (Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, section 3.1), so the outputs differ by at most
+
+    delta' = |W| delta + gamma_{n+1} (|W| (2 M + delta) + 2 |b|) + (n + 1) 2^-1074.
+
+Relu is 1-Lipschitz, so it passes delta' on unchanged. delta' is evaluated
+in floats with the underflow term doubled, for underflow in the bound's own
+products, and a factor 1 + gamma_{n+10} over its roundings. Where |W| (2 M
++ delta) + 2 |b| is above 2^1022 or NaN, delta' is infinite: below it no
+sum of either pass can overflow, so a finite bound also says that the
+forward pass's outputs are finite. The first layer's delta is 0 and its M
+the largest input magnitude.
 
 The interval forward pass takes the bound arrays of a batch of boxes, one
 row per box, and propagates one interval per neuron and box. Per layer,
@@ -35,11 +58,12 @@ fraction of its cost, 15 us against 60 us on the (64, 64) sums of 64 boxes
 layer's (64, 4), too small a loss for a size switch. Its int64 scratch is
 the array the products' input bounds were gathered into, dead by then.
 
-Both passes take their large working arrays from one float64 scratch
+All three passes take their large working arrays from one float64 scratch
 array that the model keeps and grows to its largest batch, so a call no
 larger allocates none and faults in no fresh pages; results are new
-arrays. On the bundled 3x32x32x2 network it holds 2.6 MiB after a
-4096-row oracle chunk, 2 MiB at 64 halves per box call and 32 MiB at 1024.
+arrays. On the bundled 3x32x32x2 network it holds 2 MiB after the screen
+of a 4096-row oracle chunk, 2.6 MiB after a forward pass of one, 2 MiB at
+64 halves per box call and 32 MiB at 1024.
 No two threads may call one model at once, and none in estbound do.
 """
 
@@ -54,13 +78,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .framework import Bounds, EstimatorModel
+from .framework import Bounds, EstimatorModel, _gamma
 
 __all__ = ["MlpLayer", "MlpModel", "load_mlp"]
 
 _ACTIVATIONS = ("relu", "linear")
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 _BLOCK = 16  # output neurons per block of the point pass
+# A screen bound is infinite where a layer's |W| (2 M + delta) + 2 |b|
+# exceeds this: below it, neither pass's sums can overflow.
+_SPREAD_LIMIT = 2.0**1022
 
 
 @dataclass(frozen=True)
@@ -149,6 +176,11 @@ class MlpModel(EstimatorModel):
             )
             for wt, bias, relu in arrays
         )
+        # The screen, per layer: weights (cols, rows) and their magnitudes,
+        # bias, relu flag.
+        self._screen_arrays = tuple(
+            (wt, np.abs(wt), bias, relu) for wt, bias, relu in arrays
+        )
         self._width = max(l.rows for l in layers)
         self._scratch = np.empty(0)
 
@@ -186,6 +218,34 @@ class MlpModel(EstimatorModel):
                 h = acc_next[: len(bias)]
                 acc_next, acc_free = acc_free, acc_next
         return h.T.copy()
+
+    def screen_points(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """eval_points' outputs from one BLAS matmul per layer, and per
+        output neuron a bound over all the rows on their distance from
+        eval_points' (the module docstring gives the bound)."""
+        self._check_rows(rows)
+        n = len(rows)
+        # Two (rows, width) regions the layers write in turn.
+        bufs = self._scratch_arrays((n * self._width,), (n * self._width,))
+        h = rows
+        delta = np.zeros(self.n_obs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (wt, abs_wt, bias, relu), buf in zip(
+                self._screen_arrays, itertools.cycle(bufs)
+            ):
+                cols = len(wt)
+                # The largest input magnitude, NaN if any input is NaN.
+                top = np.maximum(h.max(initial=0.0), -h.min(initial=0.0))
+                spread = (2.0 * top + delta) @ abs_wt + 2.0 * np.abs(bias)
+                delta = delta @ abs_wt + _gamma(cols + 1) * spread
+                delta += (2 * cols + 4) * 2.0**-1074
+                delta *= 1.0 + _gamma(cols + 10)
+                delta = np.where(spread <= _SPREAD_LIMIT, delta, np.inf)
+                h = np.matmul(h, wt, out=buf[: n * len(bias)].reshape(n, len(bias)))
+                h += bias
+                if relu:
+                    np.maximum(h, 0.0, out=h)
+        return h.copy(), delta
 
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
         self._check_rows(lb)

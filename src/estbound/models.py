@@ -65,10 +65,14 @@ class TrilaterationModel(ObservationModel):
 
     def eval_points(self, rows: np.ndarray) -> np.ndarray:
         self._check_rows(rows)
-        # One row per landmark, one column per point.
+        # One row per landmark, one column per point; squared, summed and
+        # rooted in place, so a call allocates two arrays, not six.
         dx = self._landmark_rows[:, :1] - rows[:, 0]
         dy = self._landmark_rows[:, 1:] - rows[:, 1]
-        return np.sqrt(dx * dx + dy * dy).T
+        np.multiply(dx, dx, out=dx)
+        np.multiply(dy, dy, out=dy)
+        np.add(dx, dy, out=dx)
+        return np.sqrt(dx, out=dx).T
 
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
         # inorm((isub(ax, x0), isub(ay, x1))) per box and landmark, on

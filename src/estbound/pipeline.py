@@ -105,9 +105,11 @@ def _parse_box(doc: dict, key: str, where: str) -> IntervalBox:
 class Scenario:
     """One validation problem, as described by a scenario file.
 
-    search is the search's config, built from delta and max_iterations on
-    construction, so a scenario with bad search settings is never made. It
-    splits the parameter dimensions, as ErrorObjective.split_dims() does.
+    search is the search's config, built from delta, max_iterations and
+    split on construction, so a scenario with bad search settings is never
+    made. split "params", the paper's rule, splits the parameter dimensions,
+    as ErrorObjective.split_dims() does; "all" splits every dimension of
+    the search box, the noise ones too.
     """
 
     param_box: IntervalBox
@@ -116,14 +118,22 @@ class Scenario:
     estimator_spec: dict
     delta: float = DEFAULT_DELTA
     max_iterations: int = MsConfig.max_iterations
+    split: str = "params"
     oracle: OracleConfig | None = OracleConfig()
     base_dir: Path = Path(".")
     search: MsConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.split not in ("params", "all"):
+            raise ValueError(
+                f"ms 'split' must be 'params' or 'all', got {self.split!r}"
+            )
+        dims = self.param_box.dim
+        if self.split == "all":
+            dims += self.noise_box.dim
         search = MsConfig(
             delta=self.delta,
-            split_dims=tuple(range(self.param_box.dim)),
+            split_dims=tuple(range(dims)),
             max_iterations=self.max_iterations,
         )
         object.__setattr__(self, "search", search)
@@ -149,6 +159,7 @@ class Scenario:
             max_iterations=_integer(
                 ms, "max_iterations", MsConfig.max_iterations, "ms"
             ),
+            split=ms.get("split", "params"),
             oracle=oracle,
             base_dir=Path(base_dir),
         )

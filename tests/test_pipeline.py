@@ -18,6 +18,7 @@ from estbound.pipeline import (
 )
 from estbound import cli
 from conftest import SCENARIO_DIR
+from test_golden import cover_and_report_hashes
 from test_optimizer import per_box
 
 
@@ -164,6 +165,14 @@ class TestScenarioParsing:
         assert sc.max_iterations == 2000 and type(sc.max_iterations) is int
         assert (sc.oracle.samples, sc.oracle.seed) == (100_000, 3)
 
+    def test_split_rule(self):
+        sc = Scenario.from_dict(BASE_DOC)  # 2 parameters, 2 noise dims
+        assert sc.split == "params" and sc.search.split_dims == (0, 1)
+        doc = dict(BASE_DOC, ms=dict(BASE_DOC["ms"], split="all"))
+        assert Scenario.from_dict(doc).search.split_dims == (0, 1, 2, 3)
+        with pytest.raises(ValueError, match="^ms 'split' must be 'params' or 'all'"):
+            dataclasses.replace(sc, split="noise")
+
     def test_sections_must_be_objects(self):
         for override in ({"ms": [1]}, {"ms": None}, {"oracle": "off"}):
             with pytest.raises(ValueError, match="must be an object"):
@@ -227,7 +236,11 @@ class TestScenarioParsing:
     )
     def test_search_splits_the_objectives_dims(self, name):
         sc = load_scenario(SCENARIO_DIR / name)
-        assert sc.search.split_dims == sc.build_objective().split_dims()
+        objective = sc.build_objective()
+        if sc.split == "params":
+            assert sc.search.split_dims == objective.split_dims()
+        else:
+            assert sc.search.split_dims == tuple(range(objective.initial_box().dim))
         assert (sc.search.delta, sc.search.max_iterations) == (
             sc.delta,
             sc.max_iterations,
@@ -334,6 +347,18 @@ class TestRunValidate:
         # stops before it reaches them.
         assert report.search.evaluated == 6745
         assert report.converged is False
+
+    def test_noise_splitting_scenario(self, scenario_dir, tmp_path, capsys):
+        # trilat_mlp with every dimension split: at 20000 iterations its
+        # enclosure is [4.912, 6.628], inside the paper's rule's [3.775,
+        # 8.195] at 2000 (tests/test_golden.py) and no longer stalled on an
+        # unsplittable front.
+        assert cover_and_report_hashes(
+            scenario_dir / "trilat_mlp_all.scn", 20_000, tmp_path, capsys
+        ) == (
+            "b798e53ff9e2fc1f456a45a66296bf92e4d454664181452ad3a590738888e29b",
+            "fe5214ac8b441161884288e5dbc36260d0f112455d8b043493f7f1c3ee51a061",
+        )
 
     def test_oracle_disabled_leaves_fields_none(self, tmp_path):
         p = write_scenario(tmp_path / "s.scn", dict(BASE_DOC, oracle=None))
@@ -578,6 +603,9 @@ class TestCli:
             ({}, ["--delta", "nan"], ["ms 'delta'", "nan"]),
             ({}, ["--max-iters", "-1"], ["ms 'max_iterations'", "-1"]),
             ({"delta": -1, "max_iterations": -5}, [], ["ms 'delta'", "-1"]),
+            ({"split": "noise"}, [], ["ms 'split'", "'noise'"]),
+            ({"split": ["all"]}, [], ["ms 'split'", "['all']"]),
+            ({"split": None}, [], ["ms 'split'", "None"]),
         ],
     )
     def test_bad_search_settings_exit_1_before_sampling(
