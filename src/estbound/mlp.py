@@ -40,23 +40,46 @@ the largest input magnitude.
 
 The interval forward pass takes the bound arrays of a batch of boxes, one
 row per box, and propagates one interval per neuron and box. Per layer,
-each input's bounds are scaled by the weights, taking the lower or upper
-bound by the weight's sign, and each product is rounded outward. The
-products are summed one input column at a time, rounding outward after
-every add, then the bias is added, rounded outward, and the exact relu
-image is taken; a NaN bound before it is an error. Evaluating several boxes
-at once shares numpy's per-call cost among them; each box gets the bounds
-it would get alone. This is the plainest possible bound propagation; it
-gets looser as networks grow deeper, which is acceptable here because the
-validation method only needs soundness, not tightness.
+each term is the upper bound of a weight times an input's interval, the
+larger of its two end products, rounded up; the negated weights give the
+negated lower bounds the same way, so one upward rounding serves both
+bounds (negation is exact and round-to-nearest is symmetric). The terms
+are summed one input column at a time, rounding up after every add, then
+the bias is added, rounded up, and the exact relu image is taken; a NaN
+bound before it is an error. Evaluating several boxes at once shares
+numpy's per-call cost among them; each box gets the bounds it would get
+alone. This is the plainest possible bound propagation; it gets looser as
+networks grow deeper, which is acceptable here because the validation
+method only needs soundness, not tightness.
 
-Rounding upward is what the box pass spends most of its time on. Every
-rounding, of the products, of each column sum and of the bias add, is an
-integer step on the bits (`_round_up`): np.nextafter's result at a
-fraction of its cost, 15 us against 60 us on the (64, 64) sums of 64 boxes
-(one CPU, min of 7 timings), though 6.9 against 3.9 us on a two-output
-layer's (64, 4), too small a loss for a size switch. Its int64 scratch is
-the array the products' input bounds were gathered into, dead by then.
+Rounding upward is an integer step on the bits (`_step_up`): add one to a
+float's int64 view if it is not negative, subtract one if it is. That is
+np.nextafter(x, inf) bit for bit except on -0.0, +inf and NaN, at 5 us
+against 39 us on the (64, 64) sums of 64 boxes and 2.1 against 2.3 us on
+a two-output layer's (64, 4) (one CPU, min of 7 timings). `_round_up`
+maps -0.0 to +0.0 and +inf to the largest float first, which makes it
+exact on every float but NaN, at 1.6 to 1.75 times the step's cost. Two
+arguments let the pass take the bare step on its column sums:
+
+- No sum is -0.0. In round-to-nearest, x + y is -0.0 only if x and y
+  both are. The bias has -0.0 mapped to +0.0 in __init__ and the terms
+  after their rounding, so no sum in the column loop is -0.0, though a
+  rounded sum may be: -5e-324 steps to -0.0. Zeros of either sign give
+  the same sums after that, so the bounds are unchanged.
+- No sum overflows. A rounding to nearest or a step up scales a
+  magnitude by at most 1 + 2^-52 and adds at most 2^-1074, and an output
+  of n inputs takes 2 n + 2 of them; for n below 2^49 every product and
+  partial sum is then below 1.3 (sum_j |w_j| M + |b|) + 2^-1020, M the
+  largest input magnitude. A layer's limit (`_overflow_limit`) is
+  (2^1021 - max |b|) / max_k sum_j |w_jk|, evaluated in floats, whose
+  roundings add less than a factor 1.07. With every input inside
+  (-limit, limit), no value reaches 2^1022 and no step meets +inf. A NaN
+  or an infinite input fails that comparison.
+
+A batch with an input outside a layer's limit, such as one that
+overflows, takes `_round_up` at every rounding of that layer; every other
+layer of a batch maps -0.0 out of its products around a bare step and
+takes the bare step on its sums. The bits are the same either way.
 
 All three passes take their large working arrays from one float64 scratch
 array that the model keeps and grows to its largest batch, so a call no
@@ -163,15 +186,14 @@ class MlpModel(EstimatorModel):
         # The box pass holds a layer's negated lower bounds and its upper
         # bounds in one array, so one upward rounding serves both: negation
         # is exact and round-to-nearest is symmetric. Per layer: weights
-        # (cols, 1, 2 * rows), the middle axis broadcasting over the boxes;
-        # an int64 (cols, 2 * rows) mask, all ones where the term takes its
-        # input's lower bound (a lower bound's for w >= 0, an upper bound's
-        # for w < 0, as an interval product does); bias; relu flag.
+        # [-w | w] as a (cols, 2 * rows) array; bias [-b | b], -0.0 mapped
+        # to +0.0; the input magnitude below which no sum overflows; relu
+        # flag.
         self._box_arrays = tuple(
             (
-                np.concatenate((-wt, wt), axis=1)[:, None, :],
-                np.where(np.concatenate((wt >= 0.0, wt < 0.0), axis=1), -1, 0),
-                np.concatenate((-bias, bias)),
+                np.concatenate((-wt, wt), axis=1),
+                np.concatenate((-bias, bias)) + 0.0,
+                _overflow_limit(wt, bias),
                 relu,
             )
             for wt, bias, relu in arrays
@@ -249,36 +271,16 @@ class MlpModel(EstimatorModel):
 
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
         self._check_rows(lb)
-        # (inputs, boxes) float64 arrays of the lower and the upper bounds.
-        h_lb, h_ub = (b.T.astype(np.float64, order="C") for b in (lb, ub))
+        # One (2 * inputs, boxes) float64 array: the lower bounds over the
+        # upper bounds, one array row per input.
+        h = np.concatenate((lb.T, ub.T), dtype=np.float64)
         # An overflow gives an infinite bound, which objective_box reports,
         # or a NaN bound, which the check below reports.
         with np.errstate(over="ignore", invalid="ignore"):
-            for layer, (w2, lb_bits, bias2, relu) in enumerate(self._box_arrays):
-                # terms[j] holds input j's terms for every box, each product
-                # stepped outward, summed one input at a time with a rounding
-                # per add; C order keeps each terms[j] one contiguous block.
-                shape = (len(w2), len(lb), w2.shape[2])
-                bounds, terms = self._scratch_arrays(shape, shape)
-                # Each term's input bound, selected on the bits: ub's, xor'ed
-                # with lb ^ ub where lb_bits is all ones. Only np.copyto
-                # broadcasts (a ufunc buffers a broadcast operand: slower).
-                # Once the products are taken, bounds is _round_up's scratch.
-                scratch = bounds.view(np.int64)
-                lb_i, ub_i = h_lb.view(np.int64), h_ub.view(np.int64)
-                np.copyto(scratch, (lb_i ^ ub_i)[:, :, None])
-                np.bitwise_and(scratch, lb_bits[:, None], out=scratch)
-                np.bitwise_xor(scratch, ub_i[:, :, None], out=scratch)
-                np.copyto(terms, w2)
-                np.multiply(terms, bounds, out=terms)
-                _round_up(terms, scratch)
-                acc = terms[0]
-                scratch = scratch[0]
-                for t in terms[1:]:
-                    np.add(acc, t, out=acc)
-                    _round_up(acc, scratch)
-                np.add(acc, bias2, out=acc)
-                _round_up(acc, scratch)
+            for layer, (w2, bias2, limit, relu) in enumerate(self._box_arrays):
+                shape = (len(w2), h.shape[1], w2.shape[1])
+                scratch = self._scratch_arrays(shape, shape)
+                acc = _layer_up(h, w2, bias2, limit, *scratch)
                 # A NaN bound (an infinite bound times a zero weight, or inf -
                 # inf) says nothing, and relu would turn it into 0.0.
                 if np.isnan(acc).any():
@@ -288,13 +290,80 @@ class MlpModel(EstimatorModel):
                         f"network layer {layer} gives a NaN bound on "
                         f"Box({' x '.join(box)}): its bounds overflow"
                     )
-                rows = len(bias2) // 2
                 h = acc.T.copy()
-                h_lb, h_ub = h[:rows], h[rows:]
-                np.negative(h_lb, out=h_lb)
+                lower = h[: len(bias2) // 2]
+                np.negative(lower, out=lower)
                 if relu:
                     np.maximum(h, 0.0, out=h)
-        return h_lb.T, h_ub.T
+        rows = len(h) // 2
+        return h[:rows].T, h[rows:].T
+
+
+def _overflow_limit(wt: np.ndarray, bias: np.ndarray) -> float:
+    """The input magnitude below which no product or sum of _layer_up's
+    pass through a layer with weights wt (cols, rows) and bias reaches
+    2^1022 (the module docstring gives the argument)."""
+    room = 2.0**1021 - float(np.abs(bias).max())
+    spread = float(np.abs(wt).sum(axis=0).max())
+    return room / spread if spread > 0.0 else math.copysign(math.inf, room)
+
+
+def _layer_up(
+    h: np.ndarray,
+    w2: np.ndarray,
+    bias2: np.ndarray,
+    limit: float,
+    terms: np.ndarray,
+    other: np.ndarray,
+) -> np.ndarray:
+    """One layer of the box pass before its activation. h is a (2 * inputs,
+    boxes) array, the inputs' lower bounds over their upper bounds; w2 is
+    [-w | w] (inputs, 2 * rows) and bias2 [-b | b] with no -0.0. Returns the
+    (boxes, 2 * rows) upper bounds of h's image under w2 plus bias2, every
+    product and every add rounded up: the negated lower bounds of the
+    layer's sums, then their upper bounds. terms and other are float64
+    scratch of shape (inputs, boxes, 2 * rows); the result is a view of
+    terms. limit is the layer's _overflow_limit."""
+    h_lb, h_ub = h[: len(w2)], h[len(w2) :]
+    # terms[j] holds input j's terms for every box, each the upper bound of
+    # w2[j] times the input's interval: the larger of its two end products.
+    # C order keeps each terms[j] one contiguous block.
+    np.einsum("jb,jk->jbk", h_lb, w2, out=terms)
+    np.einsum("jb,jk->jbk", h_ub, w2, out=other)
+    np.maximum(terms, other, out=terms)
+    # Once the products are taken, other is the rounding's int64 scratch.
+    scratch = other.view(np.int64)
+    # Inside the limit no sum reaches +inf (a NaN fails both comparisons),
+    # and with -0.0 mapped out of the rounded terms no sum is -0.0, so the
+    # column sums take the bare step.
+    if -limit < h.min(initial=0.0) and h.max(initial=0.0) < limit:
+        np.add(terms, 0.0, out=terms)
+        _step_up(terms, scratch)
+        np.add(terms, 0.0, out=terms)
+        step = _step_up
+    else:
+        _round_up(terms, scratch)
+        step = _round_up
+    acc = terms[0]
+    scratch = scratch[0]
+    for t in terms[1:]:
+        np.add(acc, t, out=acc)
+        step(acc, scratch)
+    np.add(acc, bias2, out=acc)
+    step(acc, scratch)
+    return acc
+
+
+def _step_up(x: np.ndarray, scratch: np.ndarray) -> None:
+    """np.nextafter(x, np.inf) in place, bit for bit, for a float64 array x
+    that holds no -0.0, no +inf and no NaN: adding one to the int64 view of
+    a float that is not negative, and subtracting one from that of a
+    negative float, steps it to its neighbour towards +inf. scratch is an
+    int64 array of x's shape that the step overwrites."""
+    bits = x.view(np.int64)
+    np.right_shift(bits, 63, out=scratch)
+    np.bitwise_or(scratch, 1, out=scratch)
+    np.add(bits, scratch, out=bits)
 
 
 def _round_up(x: np.ndarray, scratch: np.ndarray) -> None:
@@ -303,22 +372,18 @@ def _round_up(x: np.ndarray, scratch: np.ndarray) -> None:
     its per-element libm call. scratch is an int64 array of x's shape that
     the step overwrites.
 
-    -0.0 is first mapped to +0.0 and +inf to the largest float; then adding
-    one to the int64 view of a float that is not negative, and subtracting
-    one from that of a negative float, steps it to its neighbour towards
-    +inf. A NaN stays NaN, except the one whose bits are all ones after the
-    sign (0x7fffffffffffffff), which wraps to -0.0, and the one just past
-    -inf (0xfff0000000000001), which steps to -inf. eval_boxes never rounds
-    either: a product or sum of two non-NaN floats that is NaN is the
-    processor's default NaN, 2^51 steps from both, and the layer's NaN check
-    rejects it after at most one step per input column and two more.
+    -0.0 is first mapped to +0.0 and +inf to the largest float, then
+    _step_up steps. A NaN stays NaN, except the one whose bits are all ones
+    after the sign (0x7fffffffffffffff), which wraps to -0.0, and the one
+    just past -inf (0xfff0000000000001), which steps to -inf. eval_boxes
+    never rounds either: a product or sum of two non-NaN floats that is NaN
+    is the processor's default NaN, 2^51 steps from both, and the layer's
+    NaN check rejects it after at most one step per input column and two
+    more.
     """
     np.add(x, 0.0, out=x)
     np.minimum(x, _FLOAT_MAX, out=x)
-    bits = x.view(np.int64)
-    np.right_shift(bits, 63, out=scratch)
-    np.bitwise_or(scratch, 1, out=scratch)
-    np.add(bits, scratch, out=bits)
+    _step_up(x, scratch)
 
 
 def _number(value) -> float:

@@ -12,9 +12,11 @@ exact value, checked against mpmath, and so must the error objective of
 each committed scenario, end to end.
 """
 
+import dataclasses
 import math
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from estbound.interval import (
     isqrt,
     isub,
 )
-from estbound.mlp import MlpLayer, MlpModel, _round_up, load_mlp
+from estbound import mlp
+from estbound.mlp import MlpLayer, MlpModel, _round_up, _step_up, load_mlp
 from estbound.models import (
     ConstantEstimator,
     GradientDescentEstimator,
@@ -42,7 +45,7 @@ from estbound.models import (
     _first_max,
     _first_min,
 )
-from estbound.pipeline import load_scenario
+from estbound.pipeline import load_scenario, run_validate
 from conftest import bounds_of
 from test_interval import irelu
 
@@ -406,6 +409,17 @@ class TestNetworkBitIdentity:
         check_boxes(model, [box])
         assert model.eval_box(box)[0].ub >= 100.0
 
+    def test_bias_add_to_a_negative_zero_sum(self):
+        # The upper bound's terms round up to -1e-323 and 5e-324, and their
+        # sum, -5e-324, steps up to -0.0. Added to the bias -0.0 it stays
+        # -0.0, which the bare step would turn into a NaN; the pass keeps
+        # -0.0 out of the bias, and the bound is 5e-324.
+        model = MlpModel([MlpLayer(((-1e-300, 1.0),), (-0.0,), "linear")])
+        y = 1.5e-323 / 1e-300
+        box = IntervalBox.from_bounds([(y, y), (0.0, 0.0)])
+        check_boxes(model, [box])
+        assert model.eval_box(box)[0].ub == 5e-324
+
     @pytest.mark.parametrize("width", [1, 15, 16, 17, 33])
     def test_blocked_point_pass(self, width):
         # The point pass works through a layer 16 outputs at a time: layers
@@ -490,6 +504,225 @@ class TestRoundUp:
         with np.errstate(invalid="ignore"):
             products = np.array([0.0, -0.0, 0.0]) * np.array([1, 1, -1]) * math.inf
         assert np.isnan(rounded_up([math.nan, -math.nan, *products])).all()
+
+
+def in_step_domain(pattern):
+    """Whether an int64 bit pattern is in _step_up's domain: every float but
+    -0.0, +inf and the NaNs."""
+    neg_zero, inf = -(2**63), 0x7FF0000000000000
+    magnitude = pattern & (2**63 - 1)
+    return pattern != neg_zero and (magnitude < inf or pattern == neg_zero + inf)
+
+
+def from_bits(pattern):
+    return float(np.array(pattern, dtype=np.int64).view(np.float64))
+
+
+class TestStepUp:
+    """The bare step of the box pass's column sums against np.nextafter,
+    over its domain."""
+
+    @given(
+        st.lists(
+            st.integers(-(2**63), 2**63 - 1).filter(in_step_domain),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    def test_arbitrary_bit_patterns(self, patterns):
+        x = np.array(patterns, dtype=np.int64).view(np.float64)
+        with np.errstate(over="ignore"):
+            expected = np.nextafter(x, np.inf)
+        got = x.copy()
+        _step_up(got, np.empty(x.shape, dtype=np.int64))
+        assert bits(got) == bits(expected)
+
+    def test_domain_edges(self):
+        tiny = 5e-324
+        largest = 1.7976931348623157e308
+        values = [0.0, tiny, -tiny, 2.0**-1022, -(2.0**-1022), largest, -largest]
+        values.append(-math.inf)
+        got = np.array(values)
+        _step_up(got, np.empty(got.shape, dtype=np.int64))
+        assert bits(got) == bits(math.nextafter(v, math.inf) for v in values)
+        # -5e-324 steps to -0.0 (which the step itself must not be given)
+        # and the largest float to +inf.
+        assert bits(got[[2, 5]]) == bits([-0.0, math.inf])
+
+
+def guard_network(case, layer):
+    """The first layer + 1 layers of a 2-3-2-1 network, linear but for the
+    relu of layer 1. In the "bias" case the last layer's bias takes most of
+    its overflow limit's room, 2^1021."""
+    layers = [
+        MlpLayer(
+            ((3.0, -2.0), (0.5, 1.0), (-1.0, -0.25)), (0.25, -0.5, 0.0), "linear"
+        ),
+        MlpLayer(((1.5, -4.0, 2.0), (0.125, 1.0, -1.0)), (1.0, -2.0), "relu"),
+        MlpLayer(((2.0, -1.0),), (0.5,), "linear"),
+    ][: layer + 1]
+    if case == "bias":
+        big = tuple(f * 2.0**1021 for f in (0.875, -0.75, 0.5)[: layers[-1].rows])
+        layers[-1] = MlpLayer(layers[-1].weights, big, layers[-1].activation)
+    return MlpModel(layers)
+
+
+def scaled_boxes(scale):
+    """Three boxes scaled by scale and one small box."""
+    base = [
+        [(-1.0, 0.5), (0.25, 1.0)],
+        [(-0.75, -0.5), (-1.0, 1.0)],
+        [(0.0, 0.0), (1.0, 1.0)],
+    ]
+    boxes = [[(scale * lo, scale * hi) for lo, hi in box] for box in base]
+    return [IntervalBox.from_bounds(b) for b in boxes + [[(0.1, 0.2), (-0.3, 0.4)]]]
+
+
+def largest_input(model, layer, boxes):
+    """The largest bound magnitude that reaches the given layer."""
+    lb, ub = bounds_of(boxes, 2)
+    if layer:
+        lb, ub = MlpModel(model.layers[:layer]).eval_boxes(lb, ub)
+    return max(np.abs(lb).max(), np.abs(ub).max())
+
+
+@pytest.fixture
+def clamped_layers(monkeypatch):
+    """The (inputs, 2 * rows) of each layer whose terms _round_up rounds,
+    that is each layer pass that took the clamped path."""
+    seen = []
+    round_up = mlp._round_up
+
+    def recording(x, scratch):
+        if x.ndim == 3:
+            seen.append((x.shape[0], x.shape[2]))
+        round_up(x, scratch)
+
+    monkeypatch.setattr(mlp, "_round_up", recording)
+    return seen
+
+
+class TestOverflowGuard:
+    """Both sides of each layer's overflow limit, bit for bit against
+    reference_eval_box: below it the layer's sums take the bare step, at
+    and above it every rounding takes _round_up."""
+
+    @pytest.mark.parametrize("case", ["weights", "bias"])
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_just_below_and_above_the_limit(self, case, layer, clamped_layers):
+        model = guard_network(case, layer)
+        limit = model._box_arrays[layer][2]
+        # Adjacent scales whose inputs to the layer fall below the limit and
+        # reach it: double a scale until they reach it, then bisect the bits
+        # of the positive floats between.
+        def below_limit(pattern):
+            boxes = scaled_boxes(from_bits(pattern))
+            return largest_input(model, layer, boxes) < limit
+
+        below = above = int(np.array(1.0).view(np.int64))
+        while below_limit(above):
+            below, above = above, int(np.array(2 * from_bits(above)).view(np.int64))
+        while above - below > 1:
+            mid = (below + above) // 2
+            if below_limit(mid):
+                below = mid
+            else:
+                above = mid
+        # Below the limit, every output's exact sum_j |w_j| M + |b| is within
+        # 0.1% of 2^1021: the premise of the module docstring's argument
+        # that no sum overflows.
+        weights, bias = model.layers[layer].weights, model.layers[layer].bias
+        largest = largest_input(model, layer, scaled_boxes(from_bits(below)))
+        spread = max(sum(map(abs, map(Fraction, row))) for row in weights)
+        room = max(map(abs, map(Fraction, bias)))
+        assert Fraction(largest) * spread + room < 2**1021 * 1.001
+        shape = (model.layers[layer].cols, 2 * model.layers[layer].rows)
+        for side, clamped in ((below, False), (above, True)):
+            boxes = scaled_boxes(from_bits(side))
+            clamped_layers.clear()
+            lb, ub = model.eval_boxes(*bounds_of(boxes, 2))
+            assert (shape in clamped_layers) == clamped
+            assert np.isfinite(lb).all() and np.isfinite(ub).all()
+            check_boxes(model, boxes)
+
+    def test_overflowing_boxes(self, clamped_layers):
+        # test_mlp's overflow network with a unit weight where it has a zero.
+        # The second box lies outside layer 0's limit, and its first neuron
+        # overflows to [largest float, inf] there, so every layer of a batch
+        # holding it takes the clamped path.
+        model = MlpModel(
+            [
+                MlpLayer(((1e10,), (1e-300,)), (0.0, 0.0), "relu"),
+                MlpLayer(((1.0, 1.0),), (0.5,), "relu"),
+                MlpLayer(((1.0,),), (0.0,), "linear"),
+            ]
+        )
+        boxes = [
+            IntervalBox.from_bounds([(0.0, 1.0)]),
+            IntervalBox.from_bounds([(1e300, 2e300)]),
+        ]
+        check_boxes(model, boxes)
+        clamped_layers.clear()
+        lb, ub = model.eval_boxes(*bounds_of(boxes, 1))
+        assert clamped_layers == [(1, 4), (2, 2), (1, 2)]
+        assert ub[1, 0] == math.inf
+        clamped_layers.clear()
+        model.eval_boxes(*bounds_of(boxes[:1], 1))
+        assert clamped_layers == []
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_nan_names_the_first_overflowing_box(self, zero):
+        # Layer 0 is linear, so a box can take either bound of its first
+        # neuron to infinity; layer 1 weighs that neuron by a zero, and 0 *
+        # inf is NaN. The products put the NaN in both of the term's slots,
+        # where a bound select put it in one: the error must still name
+        # layer 1 and the first such box of the batch.
+        model = MlpModel(
+            [
+                MlpLayer(((1e10,), (1.0,)), (0.0, 0.0), "linear"),
+                MlpLayer(((zero, 1.0),), (0.5,), "linear"),
+            ]
+        )
+        fine = [(0.0, 1.0)]
+        low = [(-2e300, 1.0)]
+        high = [(1.0, 2e300)]
+        both = [(-2e300, 2e300)]
+        for batch, first in (
+            ([fine, low, high, both], "[-2e+300, 1.0]"),
+            ([fine, high, low], "[1.0, 2e+300]"),
+            ([both, fine], "[-2e+300, 2e+300]"),
+        ):
+            boxes = [IntervalBox.from_bounds(b) for b in batch]
+            with pytest.raises(ValueError) as error:
+                model.eval_boxes(*bounds_of(boxes, 1))
+            assert str(error.value) == (
+                f"network layer 1 gives a NaN bound on Box({first}): "
+                "its bounds overflow"
+            )
+        check_boxes(model, [IntervalBox.from_bounds(fine)])
+
+
+def test_network_scenario_never_clamps(scenario_dir, clamped_layers, monkeypatch):
+    # Every batch of the network scenario's search lies far inside each
+    # layer's overflow limit, so no layer pass may take the slower clamped
+    # path: a guard that silently fails shows here in seconds.
+    steps = []
+    step_up = mlp._step_up
+
+    def counting(x, scratch):
+        steps.append(x.shape)
+        step_up(x, scratch)
+
+    scenario = dataclasses.replace(
+        load_scenario(scenario_dir / "trilat_mlp.scn"),
+        max_iterations=2000,
+        oracle=None,
+    )
+    monkeypatch.setattr(mlp, "_step_up", counting)
+    report = run_validate(scenario)
+    assert report.iterations == 2000
+    assert clamped_layers == []
+    assert len(steps) > 0
 
 
 class TestDescentBitIdentity:
