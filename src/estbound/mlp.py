@@ -6,10 +6,12 @@ as it is and never trains it.
 
 The forward and the interval pass are numpy kernels that vectorise only
 over independent values, so they round exactly as a one-value-at-a-time
-loop would. The forward pass copies a batch of rows into contiguous
-columns, one array row per neuron; per layer it sums the weighted inputs
-of each output in column order from 0.0, adds the bias and applies relu
-as np.maximum(x, 0.0), the loop's `0.0 if x < 0.0` bit for bit: x is
+loop would. The one exception, the interval pass's BLAS product per layer
+(below), adds only exact zeros to each product, so it rounds that way
+too. The forward pass copies a batch of rows into contiguous columns, one
+array row per neuron; per layer it sums the weighted inputs of each
+output in column order from 0.0, adds the bias and applies relu as
+np.maximum(x, 0.0), the loop's `0.0 if x < 0.0` bit for bit: x is
 never -0.0, and np.maximum keeps a NaN's bits. It works _BLOCK (16) outputs at a time, so at 4096 rows a
 block's sums and products (512 KiB each) stay in a 2 MiB per-core L2. Blocks
 split the outputs, not the rows: numpy's broadcast multiply runs about 4x
@@ -52,13 +54,32 @@ alone. This is the plainest possible bound propagation; it gets looser as
 networks grow deeper, which is acceptable here because the validation
 method only needs soundness, not tightness.
 
+A layer takes all its terms from one np.matmul. Its inputs are a stack
+S[j] = (-l_j, u_j, 1) per input j, its weights w2 = [-w | w] the stack
+W[j] = (-min(w2, 0), max(w2, 0), 0), and W @ S holds in entry (j, k, box)
+the sum (-min(v, 0)) (-l) + max(v, 0) u + 0 * 1 for v = w2[j, k]. For
+l <= u, as in every box, the larger end product of v [l, u] is v u for
+v > 0 and v l otherwise, and it is the one product of the three that can
+be nonzero; the other two are a zero times a finite float, exact zeros.
+So the BLAS's summation order, its fused multiply-adds and its threads do
+not matter: every entry is that end product rounded once, and the +0 * 1
+term maps -0.0 to +0.0, since in round-to-nearest x + y is -0.0 only if
+x and y both are. The entry is the larger end product plus 0.0, bit for
+bit, on any BLAS that keeps gradual underflow; one that flushed subnormal
+products or inputs to zero would change subnormal terms, and
+test_kernels checks the host's BLAS on them. A zero weight times an
+infinite input is NaN, not zero, so the stacked product runs only on a
+batch inside the layer's overflow limit (below), whose inputs are all
+finite; other batches take the larger of the two end products from
+np.multiply and np.maximum, with every rounding clamped (`_round_up`).
+
 Rounding upward is an integer step on the bits (`_step_up`): add one to a
 float's int64 view if it is not negative, subtract one if it is. That is
-np.nextafter(x, inf) bit for bit except on -0.0, +inf and NaN, at 5 us
-against 39 us on the (64, 64) sums of 64 boxes and 2.1 against 2.3 us on
-a two-output layer's (64, 4) (one CPU, min of 7 timings). `_round_up`
+np.nextafter(x, inf) bit for bit except on -0.0, +inf and NaN, at 4.3 us
+against 39 us on the (64, 64) sums of 64 boxes and 1.7 against 2.2 us on
+a two-output layer's (4, 64) (one CPU, min of 25 timings). `_round_up`
 maps -0.0 to +0.0 and +inf to the largest float first, which makes it
-exact on every float but NaN, at 1.6 to 1.75 times the step's cost. Two
+exact on every float but NaN, at about 1.7 times the step's cost. Two
 arguments let the pass take the bare step on its column sums:
 
 - No sum is -0.0. In round-to-nearest, x + y is -0.0 only if x and y
@@ -77,16 +98,18 @@ arguments let the pass take the bare step on its column sums:
   or an infinite input fails that comparison.
 
 A batch with an input outside a layer's limit, such as one that
-overflows, takes `_round_up` at every rounding of that layer; every other
-layer of a batch maps -0.0 out of its products around a bare step and
-takes the bare step on its sums. The bits are the same either way.
+overflows, takes the clamped path of that layer, `_round_up` at every
+rounding. Every other layer of a batch takes the stacked product, which
+holds no -0.0, steps it up bare, maps -0.0 out again (-5e-324 steps to
+-0.0) and takes the bare step on its sums. The bits are the same either
+way.
 
 All three passes take their large working arrays from one float64 scratch
 array that the model keeps and grows to its largest batch, so a call no
 larger allocates none and faults in no fresh pages; results are new
 arrays. On the bundled 3x32x32x2 network it holds 2 MiB after the screen
-of a 4096-row oracle chunk, 2.6 MiB after a forward pass of one, 2 MiB at
-64 halves per box call and 32 MiB at 1024.
+of a 4096-row oracle chunk, 2.6 MiB after a forward pass of one, 2.1 MiB
+at 64 halves per box call and 33.5 MiB at 1024.
 No two threads may call one model at once, and none in estbound do.
 """
 
@@ -185,18 +208,24 @@ class MlpModel(EstimatorModel):
         )
         # The box pass holds a layer's negated lower bounds and its upper
         # bounds in one array, so one upward rounding serves both: negation
-        # is exact and round-to-nearest is symmetric. Per layer: weights
-        # [-w | w] as a (cols, 2 * rows) array; bias [-b | b], -0.0 mapped
-        # to +0.0; the input magnitude below which no sum overflows; relu
-        # flag.
+        # is exact and round-to-nearest is symmetric. Per layer: the stacked
+        # weights (-min(w2, 0), max(w2, 0), 0) of w2 = [-w | w] as a (cols,
+        # 2 * rows, 3) array; w2 as a (cols, 2 * rows) array; bias [-b | b]
+        # as a (2 * rows, 1) column, -0.0 mapped to +0.0; the input
+        # magnitude below which no sum overflows; relu flag.
         self._box_arrays = tuple(
             (
-                np.concatenate((-wt, wt), axis=1),
-                np.concatenate((-bias, bias)) + 0.0,
+                np.stack(
+                    (-np.minimum(w2, 0.0), np.maximum(w2, 0.0), np.zeros_like(w2)),
+                    axis=2,
+                ),
+                w2,
+                np.concatenate((-bias, bias))[:, None] + 0.0,
                 _overflow_limit(wt, bias),
                 relu,
             )
             for wt, bias, relu in arrays
+            for w2 in [np.concatenate((-wt, wt), axis=1)]
         )
         # The screen, per layer: weights (cols, rows) and their magnitudes,
         # bias, relu flag.
@@ -271,32 +300,53 @@ class MlpModel(EstimatorModel):
 
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
         self._check_rows(lb)
-        # One (2 * inputs, boxes) float64 array: the lower bounds over the
-        # upper bounds, one array row per input.
-        h = np.concatenate((lb.T, ub.T), dtype=np.float64)
+        n = len(lb)
+        # Two stack regions the layers write in turn, the terms, and the
+        # rounding's scratch.
+        stack_size = 3 * max(self.n_obs, self._width) * n
+        terms_size = max(w2.size for _, w2, *_ in self._box_arrays) * n
+        stacks, terms, other = self._scratch_arrays(
+            (2, stack_size), (terms_size,), (terms_size,)
+        )
+        stack = _fill_stack(stacks[0], lb.T, ub.T, relu=False)
         # An overflow gives an infinite bound, which objective_box reports,
         # or a NaN bound, which the check below reports.
         with np.errstate(over="ignore", invalid="ignore"):
-            for layer, (w2, bias2, limit, relu) in enumerate(self._box_arrays):
-                shape = (len(w2), h.shape[1], w2.shape[1])
-                scratch = self._scratch_arrays(shape, shape)
-                acc = _layer_up(h, w2, bias2, limit, *scratch)
+            for layer, (w3, w2, bias2, limit, relu) in enumerate(self._box_arrays):
+                shape = (len(w2), w2.shape[1], n)
+                work = (buf[: w2.size * n].reshape(shape) for buf in (terms, other))
+                acc = _layer_up(stack, w3, w2, bias2, limit, *work)
                 # A NaN bound (an infinite bound times a zero weight, or inf -
                 # inf) says nothing, and relu would turn it into 0.0.
                 if np.isnan(acc).any():
-                    i = int(np.isnan(acc).any(axis=1).argmax())
+                    i = int(np.isnan(acc).any(axis=0).argmax())
                     box = map("[{!r}, {!r}]".format, lb[i].tolist(), ub[i].tolist())
                     raise ValueError(
                         f"network layer {layer} gives a NaN bound on "
                         f"Box({' x '.join(box)}): its bounds overflow"
                     )
-                h = acc.T.copy()
-                lower = h[: len(bias2) // 2]
+                rows = len(bias2) // 2
+                lower = acc[:rows]
                 np.negative(lower, out=lower)
-                if relu:
-                    np.maximum(h, 0.0, out=h)
-        rows = len(h) // 2
-        return h[:rows].T, h[rows:].T
+                stack = _fill_stack(stacks[(layer + 1) % 2], lower, acc[rows:], relu)
+        return -stack[:, 0].T, stack[:, 1].T.copy()
+
+
+def _fill_stack(
+    buf: np.ndarray, lower: np.ndarray, upper: np.ndarray, relu: bool
+) -> np.ndarray:
+    """The box pass's (inputs, 3, boxes) stack (-l, u, 1) of the (inputs,
+    boxes) bounds l = lower and u = upper, after relu if relu is set. It is
+    a view of three (inputs, boxes) planes at the start of the flat float64
+    array buf, so each write below is one contiguous pass."""
+    planes = buf[: 3 * lower.size].reshape(3, *lower.shape)
+    np.copyto(planes[0], lower)
+    np.copyto(planes[1], upper)
+    if relu:
+        np.maximum(planes[:2], 0.0, out=planes[:2])
+    np.negative(planes[0], out=planes[0])
+    planes[2] = 1.0
+    return planes.transpose(1, 0, 2)
 
 
 def _overflow_limit(wt: np.ndarray, bias: np.ndarray) -> float:
@@ -309,39 +359,41 @@ def _overflow_limit(wt: np.ndarray, bias: np.ndarray) -> float:
 
 
 def _layer_up(
-    h: np.ndarray,
+    stack: np.ndarray,
+    w3: np.ndarray,
     w2: np.ndarray,
     bias2: np.ndarray,
     limit: float,
     terms: np.ndarray,
     other: np.ndarray,
 ) -> np.ndarray:
-    """One layer of the box pass before its activation. h is a (2 * inputs,
-    boxes) array, the inputs' lower bounds over their upper bounds; w2 is
-    [-w | w] (inputs, 2 * rows) and bias2 [-b | b] with no -0.0. Returns the
-    (boxes, 2 * rows) upper bounds of h's image under w2 plus bias2, every
-    product and every add rounded up: the negated lower bounds of the
-    layer's sums, then their upper bounds. terms and other are float64
-    scratch of shape (inputs, boxes, 2 * rows); the result is a view of
-    terms. limit is the layer's _overflow_limit."""
-    h_lb, h_ub = h[: len(w2)], h[len(w2) :]
-    # terms[j] holds input j's terms for every box, each the upper bound of
-    # w2[j] times the input's interval: the larger of its two end products.
-    # C order keeps each terms[j] one contiguous block.
-    np.einsum("jb,jk->jbk", h_lb, w2, out=terms)
-    np.einsum("jb,jk->jbk", h_ub, w2, out=other)
-    np.maximum(terms, other, out=terms)
+    """One layer of the box pass before its activation. stack is the
+    (inputs, 3, boxes) stack (-l, u, 1) of the inputs' bounds; w2 is [-w |
+    w] (inputs, 2 * rows), w3 its stacked weights (-min(w2, 0), max(w2, 0),
+    0) (inputs, 2 * rows, 3) and bias2 the (2 * rows, 1) column [-b | b]
+    with no -0.0. Returns the (2 * rows, boxes) upper bounds of the image of
+    [l, u] under w2 plus bias2, every product and every add rounded up: the
+    negated lower bounds of the layer's sums over their upper bounds. terms
+    and other are float64 scratch of shape (inputs, 2 * rows, boxes); the
+    result is a view of terms. limit is the layer's _overflow_limit."""
+    bounds = stack[:, :2]
     # Once the products are taken, other is the rounding's int64 scratch.
     scratch = other.view(np.int64)
-    # Inside the limit no sum reaches +inf (a NaN fails both comparisons),
-    # and with -0.0 mapped out of the rounded terms no sum is -0.0, so the
-    # column sums take the bare step.
-    if -limit < h.min(initial=0.0) and h.max(initial=0.0) < limit:
-        np.add(terms, 0.0, out=terms)
+    # Inside the limit every input is finite and no sum reaches +inf (a NaN
+    # fails both comparisons): terms[j, k] is the upper bound of w2[j, k]
+    # times input j's interval from one exact BLAS product per layer, with
+    # no -0.0. Rounded up and -0.0 mapped out again, the terms give no
+    # column sum -0.0, so the sums take the bare step.
+    if -limit < bounds.min(initial=0.0) and bounds.max(initial=0.0) < limit:
+        np.matmul(w3, stack, out=terms)
         _step_up(terms, scratch)
         np.add(terms, 0.0, out=terms)
         step = _step_up
     else:
+        # The larger of the two end products, where 0 * inf is NaN.
+        np.multiply(w2[:, :, None], -stack[:, None, 0], out=terms)
+        np.multiply(w2[:, :, None], stack[:, None, 1], out=other)
+        np.maximum(terms, other, out=terms)
         _round_up(terms, scratch)
         step = _round_up
     acc = terms[0]
@@ -361,7 +413,9 @@ def _step_up(x: np.ndarray, scratch: np.ndarray) -> None:
     negative float, steps it to its neighbour towards +inf. scratch is an
     int64 array of x's shape that the step overwrites."""
     bits = x.view(np.int64)
-    np.right_shift(bits, 63, out=scratch)
+    # sign(bits) | 1 is (bits >> 63) | 1, +1 or -1, and numpy's int64 sign
+    # is the cheaper of the two on L1-sized arrays.
+    np.sign(bits, out=scratch)
     np.bitwise_or(scratch, 1, out=scratch)
     np.add(bits, scratch, out=bits)
 

@@ -20,8 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from estbound.interval import (
     Interval,
@@ -463,6 +464,42 @@ def test_maximum_is_relu(size):
     assert (x.view(np.int64) == want).all()
 
 
+# Weights and bounds for the box pass's product stage: signed zeros, the
+# smallest subnormal and normal, and magnitudes whose products are
+# subnormal (1e-160 * 1e-160) or underflow to zero (1e-170 * 1e-170), among
+# floats small enough that no product overflows.
+stage_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e-160, -1e-170]),
+    st.floats(-1e150, 1e150),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stacked_product_is_one_rounded_product(data):
+    # Each entry of the stacked np.matmul holds one product and exact
+    # zeros, so it must be the element-by-element upper bound of the weight
+    # times the input's interval, -0.0 mapped to +0.0, whatever order,
+    # fused multiply-adds, threads or kernel the BLAS picks for the shape.
+    # A BLAS that flushes subnormals to zero fails here.
+    inputs, rows, boxes = (data.draw(st.integers(1, n)) for n in (40, 40, 70))
+    weights = data.draw(arrays(np.float64, (rows, inputs), elements=stage_floats))
+    ends = data.draw(arrays(np.float64, (2, inputs, boxes), elements=stage_floats))
+    # Ordered ends, equal ends, and the zero pairs [0.0, -0.0], [-0.0, 0.0].
+    first, second = ends
+    equal = data.draw(arrays(np.bool_, (inputs, boxes)))
+    swap = ~equal & (second < first)
+    lower = np.where(swap, second, first)
+    upper = np.where(equal, first, np.where(swap, first, second))
+    layer = MlpLayer(tuple(map(tuple, weights.tolist())), (0.0,) * rows, "linear")
+    w3, w2 = MlpModel([layer])._box_arrays[0][:2]
+    stack = mlp._fill_stack(np.empty(3 * inputs * boxes), lower, upper, relu=False)
+    got = np.matmul(w3, stack, out=np.empty((inputs, 2 * rows, boxes)))
+    v = w2[:, :, None]
+    want = np.where(v > 0, v * upper[:, None], v * lower[:, None]) + 0.0
+    assert (got.view(np.int64) == want.view(np.int64)).all()
+
+
 def rounded_up(values):
     x = np.array(values, dtype=np.float64)
     # Signaling NaNs raise numpy's invalid-value flag.
@@ -589,15 +626,25 @@ def largest_input(model, layer, boxes):
 @pytest.fixture
 def clamped_layers(monkeypatch):
     """The (inputs, 2 * rows) of each layer whose terms _round_up rounds,
-    that is each layer pass that took the clamped path."""
+    that is each layer pass that took the clamped path, read from the
+    layer's [-w | w] weights, whatever the layout of its terms."""
     seen = []
-    round_up = mlp._round_up
+    layer_up, round_up = mlp._layer_up, mlp._round_up
+    rounded = []
+
+    def recording_layer(stack, w3, w2, *rest):
+        rounded.clear()
+        acc = layer_up(stack, w3, w2, *rest)
+        if rounded:
+            seen.append(w2.shape)
+        return acc
 
     def recording(x, scratch):
         if x.ndim == 3:
-            seen.append((x.shape[0], x.shape[2]))
+            rounded.append(x.shape)
         round_up(x, scratch)
 
+    monkeypatch.setattr(mlp, "_layer_up", recording_layer)
     monkeypatch.setattr(mlp, "_round_up", recording)
     return seen
 
@@ -611,7 +658,7 @@ class TestOverflowGuard:
     @pytest.mark.parametrize("layer", [0, 1, 2])
     def test_just_below_and_above_the_limit(self, case, layer, clamped_layers):
         model = guard_network(case, layer)
-        limit = model._box_arrays[layer][2]
+        limit = model._box_arrays[layer][3]
         # Adjacent scales whose inputs to the layer fall below the limit and
         # reach it: double a scale until they reach it, then bisect the bits
         # of the positive floats between.
@@ -704,8 +751,9 @@ class TestOverflowGuard:
 
 def test_network_scenario_never_clamps(scenario_dir, clamped_layers, monkeypatch):
     # Every batch of the network scenario's search lies far inside each
-    # layer's overflow limit, so no layer pass may take the slower clamped
-    # path: a guard that silently fails shows here in seconds.
+    # layer's overflow limit, so every layer pass must take its products
+    # from one stacked np.matmul and no layer pass may take the slower
+    # clamped path: a guard that silently fails shows here in seconds.
     steps = []
     step_up = mlp._step_up
 
@@ -713,16 +761,38 @@ def test_network_scenario_never_clamps(scenario_dir, clamped_layers, monkeypatch
         steps.append(x.shape)
         step_up(x, scratch)
 
+    products = []
+    matmul = np.matmul
+
+    def counting_matmul(*args, **kwargs):
+        products.append(np.shape(args[0]))
+        return matmul(*args, **kwargs)
+
+    matmuls_per_pass = []
+    layer_up = mlp._layer_up
+
+    def counting_layer(*args):
+        before = len(products)
+        acc = layer_up(*args)
+        matmuls_per_pass.append(len(products) - before)
+        return acc
+
     scenario = dataclasses.replace(
         load_scenario(scenario_dir / "trilat_mlp.scn"),
         max_iterations=2000,
         oracle=None,
     )
     monkeypatch.setattr(mlp, "_step_up", counting)
+    monkeypatch.setattr(mlp, "_layer_up", counting_layer)
+    monkeypatch.setattr(np, "matmul", counting_matmul)
     report = run_validate(scenario)
     assert report.iterations == 2000
     assert clamped_layers == []
     assert len(steps) > 0
+    # Three layers per batch, one product call per layer pass.
+    assert len(matmuls_per_pass) % 3 == 0
+    assert set(matmuls_per_pass) == {1}
+    assert len(products) == len(matmuls_per_pass)
 
 
 class TestDescentBitIdentity:
