@@ -32,9 +32,10 @@ batch's working arrays (`mlp`'s module docstring gives their size). No
 bundled scenario ties on the network.
 
 An estimator may also carry a cheaper point pass with a bound on its
-distance from eval_points (`screen_points`, the network's BLAS pass); the
-oracle screens its samples with it through `ErrorObjective.screen_error`
-and computes error_point only where the bound leaves the maximum open.
+distance from eval_points (`screen_points`, the network's binary32 BLAS
+pass); the oracle screens its samples with it through
+`ErrorObjective.screen_error` and computes error_point only where the
+bound leaves the maximum open.
 
 A model's results must not depend on its earlier calls. A model may keep
 working arrays between calls (the network does), so one objective must not
@@ -139,11 +140,13 @@ class EstimatorModel(_Model):
 
     # A cheaper point pass than eval_points, or None where eval_points is
     # the cheapest. screen_points(rows) takes eval_points' rows and returns
-    # the outputs at each row, a (k, n_params) array, and per output a
-    # (n_params,) bound on their distance from eval_points' outputs, over
-    # all the rows: |screen_points(rows)[0] - eval_points(rows)| <= bound
-    # wherever the bound is finite, and eval_points' outputs are finite
-    # there too. ErrorObjective.screen_error uses it (see MlpModel's).
+    # the outputs at each row, a (k, n_params) float64 array, and per
+    # output a (n_params,) bound on their distance from eval_points'
+    # outputs, over all the rows: |screen_points(rows)[0] -
+    # eval_points(rows)| <= bound wherever the bound is finite, and
+    # eval_points' outputs are finite there too. The pass may work in a
+    # lower precision than eval_points, as MlpModel's binary32 one does, as
+    # long as the bound covers it. ErrorObjective.screen_error uses it.
     screen_points = None
 
 
@@ -311,11 +314,12 @@ def _distance(rows: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u) for the unit roundoff u = 2^-53 of IEEE
-    binary64: k rounded operations on a sum or product change it by a
-    factor within 1 +- gamma_k (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, Lemma 3.1). Its float is below the real value by at
-    most two roundings; the bounds that use it pad for that."""
-    ku = k * 2.0**-53
-    return ku / (1.0 - ku)
+def _gamma(k: int, u: float = 2.0**-53) -> float:
+    """gamma_k = k u / (1 - k u) for a unit roundoff u, by default IEEE
+    binary64's 2^-53 (binary32's is 2^-24): k rounded operations on a sum
+    or product change it by a factor within 1 +- gamma_k (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, Lemma 3.1), for k u < 1;
+    it is infinite otherwise. Its float is below the real value by at most
+    two roundings; the bounds that use it pad for that."""
+    ku = k * u
+    return ku / (1.0 - ku) if ku < 1.0 else math.inf

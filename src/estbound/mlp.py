@@ -1,5 +1,5 @@
-"""Dense relu networks as estimators: forward pass, its BLAS screen,
-interval forward pass, and loading from a JSON weight file.
+"""Dense relu networks as estimators: forward pass, its binary32 BLAS
+screen, interval forward pass, and loading from a JSON weight file.
 
 The network is a given, fixed artifact: the validation method certifies it
 as it is and never trains it.
@@ -17,28 +17,55 @@ block's sums and products (512 KiB each) stay in a 2 MiB per-core L2. Blocks
 split the outputs, not the rows: numpy's broadcast multiply runs about 4x
 slower per element on rows of up to a third of its 8192-element buffer.
 
-The screen (`screen_points`) is the forward pass at BLAS speed, for the
-oracle: one np.matmul per layer on (rows, neurons) arrays, then the bias
-and relu. BLAS sums in an order of its own, maybe with fused multiply-adds
-and over threads, so its outputs may differ from the forward pass's in the
-last bits; the screen returns with them a bound, per output neuron and over
-all the rows, on that difference. It holds for IEEE binary64 arithmetic
-rounding to nearest with gradual underflow, in any summation order, with or
-without FMA. A layer with n inputs takes inputs within delta of the forward
-pass's, the screen's at most M in magnitude. Each pass's sums are within
-gamma_{n+1} (|W| |h| + |b|) of the exact ones, whatever the order, plus
-n 2^-1075 from underflow (Higham, Accuracy and Stability of Numerical
-Algorithms, 2002, section 3.1), so the outputs differ by at most
+The screen (`screen_points`) is the forward pass at BLAS speed in IEEE
+binary32, for the oracle: the rows are cast to binary32, then each layer
+is one np.matmul on (rows, neurons) arrays against the weights cast to
+binary32 once in __init__, then the bias add and relu in place; the
+outputs are cast back to float64. BLAS sums in an order of its own, maybe
+with fused multiply-adds and over threads, and binary32 keeps 24 bits, so
+its outputs differ from the forward pass's; the screen returns with them a
+bound, per output neuron and over all the rows, on that difference. It
+holds in any summation order, with or without FMA, and whether the
+binary32 arithmetic has gradual underflow, flushes results to zero or
+reads subnormal operands as zero; the forward pass and the bound's own
+evaluation are numpy's binary64, with gradual underflow. Write u = 2^-53
+and gamma_k for binary64, u' = 2^-24 and gamma'_k for binary32, and L =
+2^-126, binary32's smallest normal magnitude: a cast, product or sum that
+underflows, or an operand read as zero, moves a value by less than L. A
+layer with n inputs takes inputs x' within delta of the forward pass's x,
+with |x'| below M, the largest input magnitude plus L (a maximum taken
+with subnormals read as zero may miss one); so |x| <= M + delta. With W
+the weights and b the bias, W' = fl32(W) and b' = fl32(b), |W| standing
+for a neuron's row sum of weight magnitudes against a scalar:
 
-    delta' = |W| delta + gamma_{n+1} (|W| (2 M + delta) + 2 |b|) + (n + 1) 2^-1074.
+- The exact sums W' x' + b' and W x + b differ by at most |W| delta +
+  u' (|W| M + |b|) + L (n M + 1): the input gap, and the casts, each
+  within u' of its value or L of it.
+- The forward pass's sums are within gamma_{n+1} (|W| (M + delta) + |b|)
+  of exact, whatever the order (Higham, Accuracy and Stability of
+  Numerical Algorithms, 2002, section 3.1), plus its underflow.
+- The screen's are within gamma'_{n+1} (|W'| M + |b'|) of exact, plus
+  L (n M + |W'|) for the products' operands read as zero and L for each
+  of its 2 n roundings, 2 n adds' operands, the relu and the output cast,
+  every one scaled by the at most n + 1 roundings after it.
 
-Relu is 1-Lipschitz, so it passes delta' on unchanged. delta' is evaluated
-in floats with the underflow term doubled, for underflow in the bound's own
-products, and a factor 1 + gamma_{n+10} over its roundings. Where |W| (2 M
-+ delta) + 2 |b| is above 2^1022 or NaN, delta' is infinite: below it no
-sum of either pass can overflow, so a finite bound also says that the
-forward pass's outputs are finite. The first layer's delta is 0 and its M
-the largest input magnitude.
+Binary64 underflow, in the forward pass and in the bound's evaluation,
+adds less than 2^-1000 n, and one more L covers it. With P = L (2 n M +
+|W'| + 4 n + 4), the outputs differ by at most
+
+    delta' = |W| delta + u' (|W| M + |b|) + gamma_{n+1} (|W| (M + delta) + |b|)
+             + gamma'_{n+1} (|W'| M + |b'| + P) + P.
+
+Relu is 1-Lipschitz, so it passes delta' on unchanged. The first layer's
+delta is the input cast, u' M + L. delta' is evaluated in floats with a
+factor 1 + gamma_{n+16} over its roundings, of which no term takes more
+than n + 12. Where |W| (M + delta) + |b| is above 2^1022 or NaN, or the
+binary32 reach (1 + gamma'_{n+1}) (|W'| M + |b'| + P) is above 2^125,
+delta' is infinite: below them no sum of either pass can overflow, so a
+finite bound also says that the forward pass's outputs are finite. A
+weight, bias or row beyond binary32's range casts to an infinity, which
+makes the bound infinite, so the oracle confirms every sample with
+error_point: the same result, only slower.
 
 The interval forward pass takes the bound arrays of a batch of boxes, one
 row per box, and propagates one interval per neuron and box. Per layer,
@@ -105,11 +132,12 @@ holds no -0.0, steps it up bare, maps -0.0 out again (-5e-324 steps to
 way.
 
 All three passes take their large working arrays from one float64 scratch
-array that the model keeps and grows to its largest batch, so a call no
-larger allocates none and faults in no fresh pages; results are new
-arrays. On the bundled 3x32x32x2 network it holds 2 MiB after the screen
-of a 4096-row oracle chunk, 2.6 MiB after a forward pass of one, 2.1 MiB
-at 64 halves per box call and 33.5 MiB at 1024.
+array that the model keeps and grows to its largest batch (the screen's
+are binary32 views of it), so a call no larger allocates none and faults
+in no fresh pages; results are new arrays. On the bundled 3x32x32x2
+network it holds 1.05 MiB after the screen of a 4096-row oracle chunk,
+2.6 MiB after a forward pass of one, 2.1 MiB at 64 halves per box call
+and 33.5 MiB at 1024.
 No two threads may call one model at once, and none in estbound do.
 """
 
@@ -131,9 +159,15 @@ __all__ = ["MlpLayer", "MlpModel", "load_mlp"]
 _ACTIVATIONS = ("relu", "linear")
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 _BLOCK = 16  # output neurons per block of the point pass
-# A screen bound is infinite where a layer's |W| (2 M + delta) + 2 |b|
-# exceeds this: below it, neither pass's sums can overflow.
+# binary32's unit roundoff and its smallest normal magnitude, the screen's
+# precision and the most a value can lose to flushed or absent underflow.
+_U32 = 2.0**-24
+_TINY32 = 2.0**-126
+# A screen bound is infinite where a layer's binary64 spread |W| (M +
+# delta) + |b| exceeds the first, or its binary32 reach the second: below
+# them, neither pass's sums can overflow.
 _SPREAD_LIMIT = 2.0**1022
+_REACH_LIMIT32 = 2.0**125
 
 
 @dataclass(frozen=True)
@@ -227,22 +261,44 @@ class MlpModel(EstimatorModel):
             for wt, bias, relu in arrays
             for w2 in [np.concatenate((-wt, wt), axis=1)]
         )
-        # The screen, per layer: weights (cols, rows) and their magnitudes,
-        # bias, relu flag.
-        self._screen_arrays = tuple(
-            (wt, np.abs(wt), bias, relu) for wt, bias, relu in arrays
-        )
+        # The screen, per layer: weights (cols, rows) and bias in binary32,
+        # relu flag; for its bound, |W| and float64 (rows,) arrays of the
+        # column sums of |W| and of |fl32(W)|, |b| and |fl32(b)|. A weight
+        # beyond binary32's range casts to an infinity, which makes the
+        # bound infinite.
+        with np.errstate(over="ignore"):
+            self._screen_arrays = tuple(
+                (
+                    wt32,
+                    bias32,
+                    relu,
+                    np.abs(wt),
+                    np.abs(wt).sum(axis=0),
+                    np.abs(wt32).sum(axis=0, dtype=np.float64),
+                    np.abs(bias),
+                    np.abs(bias32).astype(np.float64),
+                )
+                for wt, bias, relu in arrays
+                for wt32, bias32 in [(wt.astype(np.float32), bias.astype(np.float32))]
+            )
         self._width = max(l.rows for l in layers)
         self._scratch = np.empty(0)
 
-    def _scratch_arrays(self, *shapes: tuple[int, ...]) -> list[np.ndarray]:
-        """float64 arrays of the given shapes, end to end in the scratch."""
-        sizes = [math.prod(shape) for shape in shapes]
+    def _scratch_arrays(
+        self, *shapes: tuple[int, ...], dtype=np.float64
+    ) -> list[np.ndarray]:
+        """Arrays of the given shapes and dtype, end to end in the float64
+        scratch, each from a float64 boundary."""
+        counts = [math.prod(shape) for shape in shapes]
+        sizes = [-(-count * np.dtype(dtype).itemsize // 8) for count in counts]
         if self._scratch.size < sum(sizes):
             self._scratch = np.empty(sum(sizes))
         ends = itertools.accumulate(sizes)
         parts = (self._scratch[end - size : end] for size, end in zip(sizes, ends))
-        return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+        return [
+            part.view(dtype)[:count].reshape(shape)
+            for part, count, shape in zip(parts, counts, shapes)
+        ]
 
     def eval_points(self, rows: np.ndarray) -> np.ndarray:
         self._check_rows(rows)
@@ -271,32 +327,40 @@ class MlpModel(EstimatorModel):
         return h.T.copy()
 
     def screen_points(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """eval_points' outputs from one BLAS matmul per layer, and per
-        output neuron a bound over all the rows on their distance from
+        """eval_points' outputs from one binary32 BLAS matmul per layer, and
+        per output neuron a bound over all the rows on their distance from
         eval_points' (the module docstring gives the bound)."""
         self._check_rows(rows)
         n = len(rows)
-        # Two (rows, width) regions the layers write in turn.
-        bufs = self._scratch_arrays((n * self._width,), (n * self._width,))
-        h = rows
-        delta = np.zeros(self.n_obs)
+        # The rows in binary32, and two (rows, width) regions the layers
+        # write in turn.
+        h, *bufs = self._scratch_arrays(
+            (n, self.n_obs), (n * self._width,), (n * self._width,), dtype=np.float32
+        )
         with np.errstate(over="ignore", invalid="ignore"):
-            for (wt, abs_wt, bias, relu), buf in zip(
+            np.copyto(h, rows, casting="same_kind")
+            # The first layer's inputs differ by the cast.
+            delta = np.full(self.n_obs, _U32 * _magnitude(h) + _TINY32)
+            for (w32, b32, relu, abs_w, mag, mag32, abs_b, abs_b32), buf in zip(
                 self._screen_arrays, itertools.cycle(bufs)
             ):
-                cols = len(wt)
-                # The largest input magnitude, NaN if any input is NaN.
-                top = np.maximum(h.max(initial=0.0), -h.min(initial=0.0))
-                spread = (2.0 * top + delta) @ abs_wt + 2.0 * np.abs(bias)
-                delta = delta @ abs_wt + _gamma(cols + 1) * spread
-                delta += (2 * cols + 4) * 2.0**-1074
-                delta *= 1.0 + _gamma(cols + 10)
-                delta = np.where(spread <= _SPREAD_LIMIT, delta, np.inf)
-                h = np.matmul(h, wt, out=buf[: n * len(bias)].reshape(n, len(bias)))
-                h += bias
+                cols = len(w32)
+                top = _magnitude(h)
+                gap = delta @ abs_w
+                base = top * mag + abs_b
+                spread = gap + base
+                pad = _TINY32 * (2 * cols * top + mag32 + (4 * cols + 4))
+                reach32 = top * mag32 + abs_b32 + pad
+                err32 = _gamma(cols + 1, _U32) * reach32
+                delta = gap + _U32 * base + _gamma(cols + 1) * spread + err32 + pad
+                delta *= 1.0 + _gamma(cols + 16)
+                fits = (spread <= _SPREAD_LIMIT) & (reach32 + err32 <= _REACH_LIMIT32)
+                delta = np.where(fits, delta, np.inf)
+                h = np.matmul(h, w32, out=buf[: n * len(b32)].reshape(n, len(b32)))
+                h += b32
                 if relu:
                     np.maximum(h, 0.0, out=h)
-        return h.copy(), delta
+        return h.astype(np.float64), delta
 
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
         self._check_rows(lb)
@@ -330,6 +394,13 @@ class MlpModel(EstimatorModel):
                 np.negative(lower, out=lower)
                 stack = _fill_stack(stacks[(layer + 1) % 2], lower, acc[rows:], relu)
         return -stack[:, 0].T, stack[:, 1].T.copy()
+
+
+def _magnitude(h: np.ndarray) -> float:
+    """The screen's M for its binary32 inputs h: their largest magnitude
+    plus 2^-126, as a maximum taken with subnormals read as zero may miss
+    one; NaN if h holds a NaN."""
+    return float(np.maximum(h.max(initial=0.0), -h.min(initial=0.0))) + _TINY32
 
 
 def _fill_stack(

@@ -43,11 +43,11 @@ __all__ = ["OracleConfig", "OracleResult", "sample_max_error", "certify"]
 
 # Samples drawn and evaluated per call; bounds the oracle's memory use.
 CHUNK = 4096
-# Largest sample count accepted: 100k samples take about 0.03-0.04 s on the
-# bundled network scenario and 0.19-0.21 s on the descent one (in-process,
-# one CPU), so the cap allows about half a minute to three and a half
-# minutes of sampling there, while 10^12 samples would take half a week to
-# three and a half weeks.
+# Largest sample count accepted: 100k samples take about 0.016-0.028 s on
+# the bundled network scenario and 0.16-0.25 s on the descent one
+# (in-process after a first call, which also imports numpy.random, one
+# CPU), so the cap allows about 16 s to four minutes of sampling there,
+# while 10^12 samples would take two days to four weeks.
 MAX_SAMPLES = 10**8
 
 
@@ -103,12 +103,21 @@ def _grid_points(lows, highs, dim, budget):
 
 
 def _random_chunks(lows, highs, samples, seed):
-    # Row-wise chunks of one PCG64 stream: each value takes one draw, in
-    # row-major order, so the rows equal a single draw of all samples.
+    """Row-wise chunks of one PCG64 stream, uniform over [lows, highs]:
+    each value takes one draw, in row-major order, so the rows equal a
+    single draw of all samples. Each is low + (high - low) * u for a
+    draw u in [0, 1), Generator.uniform's value bit for bit. The rows are
+    one reused buffer: each chunk overwrites the rows yielded before it."""
     rng = np.random.Generator(np.random.PCG64(seed))
+    low = np.array(lows, dtype=np.float64)
+    span = np.array(highs, dtype=np.float64) - low
+    buf = np.empty((min(CHUNK, samples), len(lows)))
     for start in range(0, samples, CHUNK):
-        size = min(CHUNK, samples - start)
-        yield rng.uniform(lows, highs, size=(size, len(lows)))
+        rows = buf[: min(CHUNK, samples - start)]
+        rng.random(out=rows)
+        rows *= span
+        rows += low
+        yield rows
 
 
 def _grid_chunks(lows, highs, budget):
@@ -123,12 +132,20 @@ def sample_max_error(obj: ErrorObjective, cfg: OracleConfig) -> OracleResult:
     they are counted.
     Random mode draws uniformly over the search box; grid mode evaluates
     every corner of the box plus a regular interior grid, and refuses a box
-    with more than MAX_SAMPLES corners. An error that overflows float range
-    raises ValueError, as objective_box does."""
+    with more than MAX_SAMPLES corners. A box component whose width
+    ub - lb is not finite, which neither mode can sample, and an error that
+    overflows float range raise ValueError, the second as objective_box
+    does."""
     n = obj.n_params
     box = obj.initial_box()
     lows = [c.lb for c in box]
     highs = [c.ub for c in box]
+    for i, (lo, hi) in enumerate(zip(lows, highs)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(
+                f"search box component {i}, [{lo!r}, {hi!r}]: ub - lb must be "
+                "finite to sample it"
+            )
     if cfg.mode == "grid" and 2**box.dim > MAX_SAMPLES:
         raise ValueError(
             f"grid oracle evaluates all 2**{box.dim} corners of the search box, "

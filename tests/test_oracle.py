@@ -135,6 +135,32 @@ class TestRandomMode:
         res = sample_max_error(obj, OracleConfig(samples=5000, seed=4))
         assert res.max_observed <= math.sqrt(0.02)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, 2**40 + 3])
+    def test_draws_are_generator_uniform_bit_for_bit(self, seed):
+        # Zero-width and negative components, and a last chunk shorter than
+        # CHUNK; the chunks share one buffer, so each is copied as it comes.
+        lows = [0.0, -3.5, 2.0, -1e10, -0.25, -0.0]
+        highs = [1.0, -1.25, 2.0, 1e10, -0.25, 0.0]
+        samples = 2 * CHUNK + 123
+        chunks = [
+            rows.copy() for rows in oracle._random_chunks(lows, highs, samples, seed)
+        ]
+        assert [len(rows) for rows in chunks] == [CHUNK, CHUNK, 123]
+        rng = np.random.Generator(np.random.PCG64(seed))
+        expected = rng.uniform(lows, highs, size=(samples, len(lows)))
+        assert np.vstack(chunks).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", ["random", "grid"])
+    def test_box_wider_than_float_range_is_refused(self, mode):
+        obj = ErrorObjective(
+            IdentityObservation(2),
+            IdentityEstimator(2),
+            IntervalBox.from_bounds([(0.0, 1.0), (-1e308, 1e308)]),
+            IntervalBox.from_bounds([(-0.1, 0.1)] * 2),
+        )
+        with pytest.raises(ValueError, match=r"component 1, \[-1e\+308, 1e\+308\]"):
+            sample_max_error(obj, OracleConfig(samples=100, mode=mode))
+
 
 class Recording(ErrorObjective):
     """Identity objective that records the rows the oracle evaluates and,

@@ -711,6 +711,16 @@ class TestCli:
                 },
                 ["'iterations'"],
             ),
+            *(
+                (
+                    {
+                        "observation": TRILATERATION,
+                        "estimator": {"type": "gradient_descent", "iterations": n},
+                    },
+                    ["gradient_descent 'iterations'", "1 to 10000"],
+                )
+                for n in (0, 10_001, 1e12)
+            ),
             ({"oracle": {"samples": True}}, ["'samples'"]),
             ({"oracle": {"samples": 2.7}}, ["'samples'"]),
             ({"oracle": {"seed": "1"}}, ["'seed'"]),
