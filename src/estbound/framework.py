@@ -93,6 +93,10 @@ class _Model(ABC):
     def _check_rows(self, rows: np.ndarray) -> None:
         attr, vector, model = self._input
         dim = getattr(self, attr)
+        if rows.ndim != 2:
+            raise ValueError(
+                f"{vector} vectors must be a 2-D array of rows, got shape {rows.shape}"
+            )
         if rows.shape[-1] != dim:
             raise ValueError(
                 f"{vector} vector has dim {rows.shape[-1]}, {model} expects {dim}"

@@ -8,14 +8,11 @@ The forward and the interval pass are numpy kernels that vectorise only
 over independent values, so they round exactly as a one-value-at-a-time
 loop would. The one exception, the interval pass's BLAS product per layer
 (below), adds only exact zeros to each product, so it rounds that way
-too. The forward pass copies a batch of rows into contiguous columns, one
-array row per neuron; per layer it sums the weighted inputs of each
-output in column order from 0.0, adds the bias and applies relu as
-np.maximum(x, 0.0), the loop's `0.0 if x < 0.0` bit for bit: x is
-never -0.0, and np.maximum keeps a NaN's bits. It works _BLOCK (16) outputs at a time, so at 4096 rows a
-block's sums and products (512 KiB each) stay in a 2 MiB per-core L2. Blocks
-split the outputs, not the rows: numpy's broadcast multiply runs about 4x
-slower per element on rows of up to a third of its 8192-element buffer.
+too. The forward pass holds a batch of rows as one array row per neuron;
+per layer it sums the weighted inputs of each output in column order from
+0.0, adds the bias and applies relu as np.maximum(x, 0.0), the loop's
+`0.0 if x < 0.0` bit for bit: x is never -0.0, and np.maximum keeps a
+NaN's bits.
 
 The screen (`screen_points`) is the forward pass at BLAS speed in IEEE
 binary32, for the oracle: the rows are cast to binary32, then each layer
@@ -131,13 +128,12 @@ holds no -0.0, steps it up bare, maps -0.0 out again (-5e-324 steps to
 -0.0) and takes the bare step on its sums. The bits are the same either
 way.
 
-All three passes take their large working arrays from one float64 scratch
-array that the model keeps and grows to its largest batch (the screen's
-are binary32 views of it), so a call no larger allocates none and faults
-in no fresh pages; results are new arrays. On the bundled 3x32x32x2
-network it holds 1.05 MiB after the screen of a 4096-row oracle chunk,
-2.6 MiB after a forward pass of one, 2.1 MiB at 64 halves per box call
-and 33.5 MiB at 1024.
+The screen and the box pass take their large working arrays from one
+float64 scratch array that the model keeps and grows to its largest batch
+(the screen's are binary32 views of it), so a call no larger allocates
+none and faults in no fresh pages; results are new arrays. On the bundled
+3x32x32x2 network it holds 1.05 MiB after the screen of a 4096-row oracle
+chunk, 2.1 MiB at 64 halves per box call and 33.5 MiB at 1024.
 No two threads may call one model at once, and none in estbound do.
 """
 
@@ -158,7 +154,6 @@ __all__ = ["MlpLayer", "MlpModel", "load_mlp"]
 
 _ACTIVATIONS = ("relu", "linear")
 _FLOAT_MAX = float(np.finfo(np.float64).max)
-_BLOCK = 16  # output neurons per block of the point pass
 # binary32's unit roundoff and its smallest normal magnitude, the screen's
 # precision and the most a value can lose to flushed or absent underflow.
 _U32 = 2.0**-24
@@ -302,28 +297,18 @@ class MlpModel(EstimatorModel):
 
     def eval_points(self, rows: np.ndarray) -> np.ndarray:
         self._check_rows(rows)
-        n = len(rows)
-        # Input columns, two accumulators the layers fill in turn, one block's products.
-        h, acc_next, acc_free, prods = self._scratch_arrays(
-            (self.n_obs, n), (self._width, n), (self._width, n), (_BLOCK, n)
-        )
-        np.copyto(h, rows.T)
+        h = rows.T
         # Like Python floats, the arrays overflow to inf and NaN without a
         # warning; the oracle reports both.
         with np.errstate(over="ignore", invalid="ignore"):
             for w_cols, bias, relu in self._arrays:
-                for start in range(0, len(bias), _BLOCK):
-                    block = slice(start, min(start + _BLOCK, len(bias)))
-                    acc, prod = acc_next[block], prods[: block.stop - start]
-                    acc.fill(0.0)
-                    for w, column in zip(w_cols[:, block], h):
-                        np.multiply(w, column, out=prod)
-                        acc += prod
-                    acc += bias[block]
-                    if relu:
-                        np.maximum(acc, 0.0, out=acc)
-                h = acc_next[: len(bias)]
-                acc_next, acc_free = acc_free, acc_next
+                acc = np.zeros((len(bias), len(rows)))
+                for w, column in zip(w_cols, h):
+                    acc += w * column
+                acc += bias
+                if relu:
+                    np.maximum(acc, 0.0, out=acc)
+                h = acc
         return h.T.copy()
 
     def screen_points(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -234,9 +234,10 @@ def bits(arrays):
 
 
 class TestScratch:
-    """Both passes work in one scratch array that the model keeps: a call no
-    larger than an earlier one allocates little, results never share it,
-    and what it held before never shows in a result."""
+    """The screen and the box pass work in one scratch array that the model
+    keeps: a call no larger than an earlier one allocates little, results
+    never share it, and what it held before never shows in a result, the
+    point pass's included."""
 
     @pytest.fixture
     def load(self, scenario_dir):
@@ -251,12 +252,13 @@ class TestScratch:
         return rows, rows + rng.uniform(0.0, 0.5, (k, 3))
 
     @pytest.mark.parametrize(
-        "pass_, k", [("eval_boxes", 64), ("eval_points", 4096), ("eval_points", 1696)]
+        "pass_, k",
+        [("eval_boxes", 64), ("screen_points", 4096), ("screen_points", 1696)],
     )
     def test_repeat_call_allocates_little(self, load, pass_, k):
         # Without the scratch such a call allocates about 2.4 MB (64 halves)
-        # or 2.7 MB (4096 rows); with it, the results and a few small arrays.
-        # 1696 rows is the last chunk of a 100k-sample oracle.
+        # or 1.2 MB (4096 rows); with it, the results and a few small arrays.
+        # 4096 and 1696 rows are the chunks of a 100k-sample oracle.
         net, args = load(), self.inputs(1, k)[: 2 if pass_ == "eval_boxes" else 1]
         getattr(net, pass_)(*args)
         tracemalloc.start()
@@ -266,13 +268,6 @@ class TestScratch:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 1024
-
-    def test_point_pass_scratch_size(self, load):
-        # The input's 3 columns, two accumulators of 32 rows and the products
-        # of one 16-neuron block: 83 floats per row.
-        net = load()
-        net.eval_points(self.inputs(6, 4096)[0])
-        assert net._scratch.size <= 83 * 4096
 
     def test_results_do_not_share_the_scratch(self, load):
         net = load()

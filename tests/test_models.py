@@ -6,6 +6,7 @@ import pytest
 
 from estbound.framework import ObservationModel
 from estbound.interval import Interval, IntervalBox, iadd, imul
+from estbound.mlp import load_mlp
 from estbound.models import (
     ConstantEstimator,
     GradientDescentEstimator,
@@ -205,7 +206,7 @@ class TestRejections:
         with pytest.raises(ValueError, match=words):
             make()
 
-    def test_dim_check_names_the_input(self, tri):
+    def test_dim_check_names_the_input(self, tri, scenario_dir):
         # One check for both model kinds, each message naming its input.
         with pytest.raises(
             ValueError, match="^parameter vector has dim 3, model expects 2$"
@@ -215,6 +216,22 @@ class TestRejections:
             ValueError, match="^observation vector has dim 2, estimator expects 3$"
         ):
             GradientDescentEstimator(tri).eval_boxes(np.zeros((1, 2)), np.ones((1, 2)))
+        # A single row of the right length is not a batch of rows.
+        net = load_mlp(scenario_dir / "mlp_3x32x32x2.json")
+        for model, dim, vector in [
+            (net, 3, "observation"),
+            (GradientDescentEstimator(tri), 3, "observation"),
+            (tri, 2, "parameter"),
+        ]:
+            row = np.arange(5.0, 5.0 + dim)
+            words = (
+                rf"^{vector} vectors must be a 2-D array of rows, "
+                rf"got shape \({dim},\)$"
+            )
+            with pytest.raises(ValueError, match=words):
+                model.eval_points(row)
+            with pytest.raises(ValueError, match=words):
+                model.eval_boxes(row, row + 1.0)
 
 
 class TestIdentityErrorVectorContainsExactValue:

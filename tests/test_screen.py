@@ -17,7 +17,7 @@ from estbound.interval import IntervalBox
 from estbound.mlp import MlpLayer, MlpModel
 from estbound.models import IdentityObservation
 from estbound.oracle import CHUNK, OracleConfig, OracleResult, sample_max_error
-from estbound.pipeline import load_scenario
+from estbound.pipeline import load_scenario, run_validate
 
 U = Fraction(1, 2**53)
 U32 = Fraction(1, 2**24)
@@ -347,6 +347,22 @@ def test_confirmed_samples_on_the_network_scenario(monkeypatch):
     result = sample_max_error(obj, OracleConfig(samples=100_000, seed=0))
     assert result.samples_used == 100_000
     assert 1 <= sum(confirmed) <= 10
+
+
+def test_point_pass_traffic_of_a_network_validation(monkeypatch):
+    # The network's exact point pass is a plain loop sized for the oracle's
+    # confirmations: a whole validation hands it 3 rows today. A change that
+    # sent the oracle's chunks back to it would fail here.
+    rows = []
+    eval_points = MlpModel.eval_points
+
+    def counting(self, x):
+        rows.append(len(x))
+        return eval_points(self, x)
+
+    monkeypatch.setattr(MlpModel, "eval_points", counting)
+    run_validate(load_scenario(SCENARIO_DIR / "trilat_mlp.scn"))
+    assert 1 <= sum(rows) <= 10
 
 
 @pytest.mark.parametrize("seed", [1, 2, 11])
