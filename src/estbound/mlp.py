@@ -65,18 +65,16 @@ makes the bound infinite, so the oracle confirms every sample with
 error_point: the same result, only slower.
 
 The interval forward pass takes the bound arrays of a batch of boxes, one
-row per box, and propagates one interval per neuron and box. Per layer,
-each term is the upper bound of a weight times an input's interval, the
-larger of its two end products, rounded up; the negated weights give the
-negated lower bounds the same way, so one upward rounding serves both
-bounds (negation is exact and round-to-nearest is symmetric). The terms
-are summed one input column at a time, rounding up after every add, then
-the bias is added, rounded up, and the exact relu image is taken; a NaN
-bound before it is an error. Evaluating several boxes at once shares
-numpy's per-call cost among them; each box gets the bounds it would get
-alone. This is the plainest possible bound propagation; it gets looser as
-networks grow deeper, which is acceptable here because the validation
-method only needs soundness, not tightness.
+row per box, and propagates one interval per neuron and box; each box
+gets the bounds it would get alone. Per layer, each term is the upper
+bound of a weight times an input's interval, the larger of its two end
+products, rounded up; the negated weights give the negated lower bounds
+the same way, so one upward rounding serves both bounds (negation is
+exact and round-to-nearest is symmetric). The terms are summed one input
+column at a time, rounding up after every add, then the bias is added,
+rounded up, and the exact relu image is taken. This is the plainest
+possible bound propagation; it gets looser as networks grow deeper, which
+is acceptable here because the validation method only needs soundness.
 
 A layer takes all its terms from one np.matmul. Its inputs are a stack
 S[j] = (-l_j, u_j, 1) per input j, its weights w2 = [-w | w] the stack
@@ -85,26 +83,18 @@ the sum (-min(v, 0)) (-l) + max(v, 0) u + 0 * 1 for v = w2[j, k]. For
 l <= u, as in every box, the larger end product of v [l, u] is v u for
 v > 0 and v l otherwise, and it is the one product of the three that can
 be nonzero; the other two are a zero times a finite float, exact zeros.
-So the BLAS's summation order, its fused multiply-adds and its threads do
-not matter: every entry is that end product rounded once, and the +0 * 1
-term maps -0.0 to +0.0, since in round-to-nearest x + y is -0.0 only if
-x and y both are. The entry is the larger end product plus 0.0, bit for
-bit, on any BLAS that keeps gradual underflow; one that flushed subnormal
-products or inputs to zero would change subnormal terms, and
-test_kernels checks the host's BLAS on them. A zero weight times an
-infinite input is NaN, not zero, so the stacked product runs only on a
-batch inside the layer's overflow limit (below), whose inputs are all
-finite; other batches take the larger of the two end products from
-np.multiply and np.maximum, with every rounding clamped (`_round_up`).
+So on any BLAS that keeps gradual underflow, whatever its summation
+order, fused multiply-adds and threads, every entry is that end product
+rounded once plus 0.0, bit for bit: the +0 * 1 term maps -0.0 to +0.0, as
+in round-to-nearest x + y is -0.0 only if x and y both are. test_kernels
+checks the host's BLAS on subnormal terms, which a BLAS that flushed
+subnormals to zero would change.
 
-Rounding upward is an integer step on the bits (`_step_up`): add one to a
-float's int64 view if it is not negative, subtract one if it is. That is
-np.nextafter(x, inf) bit for bit except on -0.0, +inf and NaN, at 4.3 us
-against 39 us on the (64, 64) sums of 64 boxes and 1.7 against 2.2 us on
-a two-output layer's (4, 64) (one CPU, min of 25 timings). `_round_up`
-maps -0.0 to +0.0 and +inf to the largest float first, which makes it
-exact on every float but NaN, at about 1.7 times the step's cost. Two
-arguments let the pass take the bare step on its column sums:
+Rounding upward is an integer step on the bits (`_step_up`), bit for bit
+np.nextafter(x, inf) except on -0.0, +inf and NaN, at 4.3 us against 39
+us on the (64, 64) sums of 64 boxes and 1.7 against 2.2 us on a
+two-output layer's (4, 64) (one CPU, min of 25 timings). Two arguments
+let the pass take it on every rounding:
 
 - No sum is -0.0. In round-to-nearest, x + y is -0.0 only if x and y
   both are. The bias has -0.0 mapped to +0.0 in __init__ and the terms
@@ -118,15 +108,15 @@ arguments let the pass take the bare step on its column sums:
   largest input magnitude. A layer's limit (`_overflow_limit`) is
   (2^1021 - max |b|) / max_k sum_j |w_jk|, evaluated in floats, whose
   roundings add less than a factor 1.07. With every input inside
-  (-limit, limit), no value reaches 2^1022 and no step meets +inf. A NaN
-  or an infinite input fails that comparison.
+  (-limit, limit), no value reaches 2^1022 and no step meets +inf.
 
-A batch with an input outside a layer's limit, such as one that
-overflows, takes the clamped path of that layer, `_round_up` at every
-rounding. Every other layer of a batch takes the stacked product, which
-holds no -0.0, steps it up bare, maps -0.0 out again (-5e-324 steps to
--0.0) and takes the bare step on its sums. The bits are the same either
-way.
+A batch with an input to a layer at or beyond its limit, an infinite or
+NaN one included (a zero weight times an infinite input is NaN), is
+refused before the product: a ValueError names the layer, the limit and
+the batch's first such box, and a validation run ends with exit 1. Each
+batch is checked on its own bounds, so should rounding take a sub-box
+past a limit that its parent box met, the run ends the same way, never
+with a wrong bound.
 
 The screen and the box pass take their large working arrays from one
 float64 scratch array that the model keeps and grows to its largest batch
@@ -235,12 +225,9 @@ class MlpModel(EstimatorModel):
         self._arrays = tuple(
             (wt[:, :, None], bias[:, None], relu) for wt, bias, relu in arrays
         )
-        # The box pass holds a layer's negated lower bounds and its upper
-        # bounds in one array, so one upward rounding serves both: negation
-        # is exact and round-to-nearest is symmetric. Per layer: the stacked
-        # weights (-min(w2, 0), max(w2, 0), 0) of w2 = [-w | w] as a (cols,
-        # 2 * rows, 3) array; w2 as a (cols, 2 * rows) array; bias [-b | b]
-        # as a (2 * rows, 1) column, -0.0 mapped to +0.0; the input
+        # The box pass, per layer: the stacked weights (-min(w2, 0), max(w2,
+        # 0), 0) of w2 = [-w | w] as a (cols, 2 * rows, 3) array; bias [-b |
+        # b] as a (2 * rows, 1) column, -0.0 mapped to +0.0; the input
         # magnitude below which no sum overflows; relu flag.
         self._box_arrays = tuple(
             (
@@ -248,7 +235,6 @@ class MlpModel(EstimatorModel):
                     (-np.minimum(w2, 0.0), np.maximum(w2, 0.0), np.zeros_like(w2)),
                     axis=2,
                 ),
-                w2,
                 np.concatenate((-bias, bias))[:, None] + 0.0,
                 _overflow_limit(wt, bias),
                 relu,
@@ -353,31 +339,29 @@ class MlpModel(EstimatorModel):
         # Two stack regions the layers write in turn, the terms, and the
         # rounding's scratch.
         stack_size = 3 * max(self.n_obs, self._width) * n
-        terms_size = max(w2.size for _, w2, *_ in self._box_arrays) * n
+        terms_size = max(w3[..., 0].size for w3, *_ in self._box_arrays) * n
         stacks, terms, other = self._scratch_arrays(
             (2, stack_size), (terms_size,), (terms_size,)
         )
         stack = _fill_stack(stacks[0], lb.T, ub.T, relu=False)
-        # An overflow gives an infinite bound, which objective_box reports,
-        # or a NaN bound, which the check below reports.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for layer, (w3, w2, bias2, limit, relu) in enumerate(self._box_arrays):
-                shape = (len(w2), w2.shape[1], n)
-                work = (buf[: w2.size * n].reshape(shape) for buf in (terms, other))
-                acc = _layer_up(stack, w3, w2, bias2, limit, *work)
-                # A NaN bound (an infinite bound times a zero weight, or inf -
-                # inf) says nothing, and relu would turn it into 0.0.
-                if np.isnan(acc).any():
-                    i = int(np.isnan(acc).any(axis=0).argmax())
-                    box = map("[{!r}, {!r}]".format, lb[i].tolist(), ub[i].tolist())
-                    raise ValueError(
-                        f"network layer {layer} gives a NaN bound on "
-                        f"Box({' x '.join(box)}): its bounds overflow"
-                    )
-                rows = len(bias2) // 2
-                lower = acc[:rows]
-                np.negative(lower, out=lower)
-                stack = _fill_stack(stacks[(layer + 1) % 2], lower, acc[rows:], relu)
+        for layer, (w3, bias2, limit, relu) in enumerate(self._box_arrays):
+            # Inside the limit every input is finite (a NaN fails the
+            # comparisons) and no sum overflows.
+            bounds = stack[:, :2]
+            if n and not -limit < bounds.min() <= bounds.max() < limit:
+                inside = ((-limit < bounds) & (bounds < limit)).all(axis=(0, 1))
+                i = int(inside.argmin())
+                box = map("[{!r}, {!r}]".format, lb[i].tolist(), ub[i].tolist())
+                raise ValueError(
+                    f"network layer {layer} input overflows its limit {limit!r} "
+                    f"on Box({' x '.join(box)})"
+                )
+            shape = (*w3.shape[:2], n)
+            work = (buf[: math.prod(shape)].reshape(shape) for buf in (terms, other))
+            acc = _layer_up(stack, w3, bias2, *work)
+            lower, upper = acc.reshape(2, len(bias2) // 2, n)
+            np.negative(lower, out=lower)
+            stack = _fill_stack(stacks[(layer + 1) % 2], lower, upper, relu)
         return -stack[:, 0].T, stack[:, 1].T.copy()
 
 
@@ -408,7 +392,8 @@ def _fill_stack(
 def _overflow_limit(wt: np.ndarray, bias: np.ndarray) -> float:
     """The input magnitude below which no product or sum of _layer_up's
     pass through a layer with weights wt (cols, rows) and bias reaches
-    2^1022 (the module docstring gives the argument)."""
+    2^1022 (the module docstring gives the argument); eval_boxes refuses a
+    batch with an input to the layer at or beyond it."""
     room = 2.0**1021 - float(np.abs(bias).max())
     spread = float(np.abs(wt).sum(axis=0).max())
     return room / spread if spread > 0.0 else math.copysign(math.inf, room)
@@ -417,48 +402,33 @@ def _overflow_limit(wt: np.ndarray, bias: np.ndarray) -> float:
 def _layer_up(
     stack: np.ndarray,
     w3: np.ndarray,
-    w2: np.ndarray,
     bias2: np.ndarray,
-    limit: float,
     terms: np.ndarray,
     other: np.ndarray,
 ) -> np.ndarray:
-    """One layer of the box pass before its activation. stack is the
-    (inputs, 3, boxes) stack (-l, u, 1) of the inputs' bounds; w2 is [-w |
-    w] (inputs, 2 * rows), w3 its stacked weights (-min(w2, 0), max(w2, 0),
-    0) (inputs, 2 * rows, 3) and bias2 the (2 * rows, 1) column [-b | b]
-    with no -0.0. Returns the (2 * rows, boxes) upper bounds of the image of
-    [l, u] under w2 plus bias2, every product and every add rounded up: the
-    negated lower bounds of the layer's sums over their upper bounds. terms
-    and other are float64 scratch of shape (inputs, 2 * rows, boxes); the
-    result is a view of terms. limit is the layer's _overflow_limit."""
-    bounds = stack[:, :2]
-    # Once the products are taken, other is the rounding's int64 scratch.
+    """One layer of the box pass before its activation, for inputs inside
+    its _overflow_limit: the (2 * rows, boxes) upper bounds of the image of
+    the inputs' intervals [l, u] under w2 = [-w | w] plus bias2, every
+    product and add rounded up, that is the negated lower bounds of the
+    layer's sums over their upper bounds, as a view of terms. stack is the
+    (inputs, 3, boxes) stack (-l, u, 1), w3 the (inputs, 2 * rows, 3)
+    stacked weights of w2, bias2 the (2 * rows, 1) column [-b | b] with no
+    -0.0; terms and other are float64 scratch of shape (inputs, 2 * rows,
+    boxes)."""
     scratch = other.view(np.int64)
-    # Inside the limit every input is finite and no sum reaches +inf (a NaN
-    # fails both comparisons): terms[j, k] is the upper bound of w2[j, k]
-    # times input j's interval from one exact BLAS product per layer, with
-    # no -0.0. Rounded up and -0.0 mapped out again, the terms give no
-    # column sum -0.0, so the sums take the bare step.
-    if -limit < bounds.min(initial=0.0) and bounds.max(initial=0.0) < limit:
-        np.matmul(w3, stack, out=terms)
-        _step_up(terms, scratch)
-        np.add(terms, 0.0, out=terms)
-        step = _step_up
-    else:
-        # The larger of the two end products, where 0 * inf is NaN.
-        np.multiply(w2[:, :, None], -stack[:, None, 0], out=terms)
-        np.multiply(w2[:, :, None], stack[:, None, 1], out=other)
-        np.maximum(terms, other, out=terms)
-        _round_up(terms, scratch)
-        step = _round_up
+    # One exact BLAS product gives every term with no -0.0; rounded up and
+    # -0.0 mapped out again, the terms give no column sum -0.0, so the sums
+    # take the bare step.
+    np.matmul(w3, stack, out=terms)
+    _step_up(terms, scratch)
+    np.add(terms, 0.0, out=terms)
     acc = terms[0]
     scratch = scratch[0]
     for t in terms[1:]:
         np.add(acc, t, out=acc)
-        step(acc, scratch)
+        _step_up(acc, scratch)
     np.add(acc, bias2, out=acc)
-    step(acc, scratch)
+    _step_up(acc, scratch)
     return acc
 
 
@@ -474,26 +444,6 @@ def _step_up(x: np.ndarray, scratch: np.ndarray) -> None:
     np.sign(bits, out=scratch)
     np.bitwise_or(scratch, 1, out=scratch)
     np.add(bits, scratch, out=bits)
-
-
-def _round_up(x: np.ndarray, scratch: np.ndarray) -> None:
-    """Round every element of the float64 array x up to the next float, in
-    place: bit for bit np.nextafter(x, np.inf), at a fraction of the cost of
-    its per-element libm call. scratch is an int64 array of x's shape that
-    the step overwrites.
-
-    -0.0 is first mapped to +0.0 and +inf to the largest float, then
-    _step_up steps. A NaN stays NaN, except the one whose bits are all ones
-    after the sign (0x7fffffffffffffff), which wraps to -0.0, and the one
-    just past -inf (0xfff0000000000001), which steps to -inf. eval_boxes
-    never rounds either: a product or sum of two non-NaN floats that is NaN
-    is the processor's default NaN, 2^51 steps from both, and the layer's
-    NaN check rejects it after at most one step per input column and two
-    more.
-    """
-    np.add(x, 0.0, out=x)
-    np.minimum(x, _FLOAT_MAX, out=x)
-    _step_up(x, scratch)
 
 
 def _number(value) -> float:

@@ -35,7 +35,7 @@ from estbound.interval import (
     isub,
 )
 from estbound import mlp
-from estbound.mlp import MlpLayer, MlpModel, _round_up, _step_up, load_mlp
+from estbound.mlp import MlpLayer, MlpModel, _step_up, load_mlp
 from estbound.models import (
     ConstantEstimator,
     GradientDescentEstimator,
@@ -492,55 +492,13 @@ def test_stacked_product_is_one_rounded_product(data):
     lower = np.where(swap, second, first)
     upper = np.where(equal, first, np.where(swap, first, second))
     layer = MlpLayer(tuple(map(tuple, weights.tolist())), (0.0,) * rows, "linear")
-    w3, w2 = MlpModel([layer])._box_arrays[0][:2]
+    w3 = MlpModel([layer])._box_arrays[0][0]
+    w2 = np.concatenate((-weights.T, weights.T), axis=1)
     stack = mlp._fill_stack(np.empty(3 * inputs * boxes), lower, upper, relu=False)
     got = np.matmul(w3, stack, out=np.empty((inputs, 2 * rows, boxes)))
     v = w2[:, :, None]
     want = np.where(v > 0, v * upper[:, None], v * lower[:, None]) + 0.0
     assert (got.view(np.int64) == want.view(np.int64)).all()
-
-
-def rounded_up(values):
-    x = np.array(values, dtype=np.float64)
-    # Signaling NaNs raise numpy's invalid-value flag.
-    with np.errstate(invalid="ignore"):
-        _round_up(x, np.empty(x.shape, dtype=np.int64))
-    return x
-
-
-class TestRoundUp:
-    """The integer step of the network's box pass against np.nextafter."""
-
-    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=50))
-    def test_arbitrary_bit_patterns(self, patterns):
-        x = np.array(patterns, dtype=np.int64).view(np.float64)
-        with np.errstate(invalid="ignore"):
-            expected = np.nextafter(x, np.inf)
-        got = rounded_up(x)
-        nan = np.isnan(x)
-        assert (got.view(np.int64)[~nan] == expected.view(np.int64)[~nan]).all()
-        # The one NaN whose bits after the sign are all ones wraps to -0.0
-        # (see _round_up); every other NaN stays NaN.
-        wraps = x.view(np.int64) == 2**63 - 1
-        assert np.isnan(got[nan & ~wraps]).all()
-        assert bits(got[wraps]) == bits([-0.0] * int(wraps.sum()))
-
-    def test_edge_values(self):
-        tiny = 5e-324
-        smallest_normal = 2.2250738585072014e-308
-        largest = 1.7976931348623157e308
-        values = [0.0, -0.0, tiny, -tiny, smallest_normal, -smallest_normal]
-        values += [largest, -largest, math.inf, -math.inf]
-        got = rounded_up(values)
-        assert bits(got) == bits(math.nextafter(v, math.inf) for v in values)
-        # -0.0 steps to the smallest subnormal, the largest float to inf,
-        # inf stays inf and -inf steps to the most negative float.
-        assert bits(got[[1, 6, 8, 9]]) == bits([tiny, math.inf, math.inf, -largest])
-
-    def test_nan_stays_nan(self):
-        with np.errstate(invalid="ignore"):
-            products = np.array([0.0, -0.0, 0.0]) * np.array([1, 1, -1]) * math.inf
-        assert np.isnan(rounded_up([math.nan, -math.nan, *products])).all()
 
 
 def in_step_domain(pattern):
@@ -589,14 +547,16 @@ class TestStepUp:
 
 def guard_network(case, layer):
     """The first layer + 1 layers of a 2-3-2-1 network, linear but for the
-    relu of layer 1. In the "bias" case the last layer's bias takes most of
-    its overflow limit's room, 2^1021."""
+    relu of layer 1. Layer 2's weights are large enough that its inputs
+    reach its overflow limit before layer 1's reach layer 1's. In the
+    "bias" case the last layer's bias takes most of its limit's room,
+    2^1021."""
     layers = [
         MlpLayer(
             ((3.0, -2.0), (0.5, 1.0), (-1.0, -0.25)), (0.25, -0.5, 0.0), "linear"
         ),
         MlpLayer(((1.5, -4.0, 2.0), (0.125, 1.0, -1.0)), (1.0, -2.0), "relu"),
-        MlpLayer(((2.0, -1.0),), (0.5,), "linear"),
+        MlpLayer(((16.0, -8.0),), (0.5,), "linear"),
     ][: layer + 1]
     if case == "bias":
         big = tuple(f * 2.0**1021 for f in (0.875, -0.75, 0.5)[: layers[-1].rows])
@@ -623,42 +583,39 @@ def largest_input(model, layer, boxes):
     return max(np.abs(lb).max(), np.abs(ub).max())
 
 
-@pytest.fixture
-def clamped_layers(monkeypatch):
-    """The (inputs, 2 * rows) of each layer whose terms _round_up rounds,
-    that is each layer pass that took the clamped path, read from the
-    layer's [-w | w] weights, whatever the layout of its terms."""
-    seen = []
-    layer_up, round_up = mlp._layer_up, mlp._round_up
-    rounded = []
-
-    def recording_layer(stack, w3, w2, *rest):
-        rounded.clear()
-        acc = layer_up(stack, w3, w2, *rest)
-        if rounded:
-            seen.append(w2.shape)
-        return acc
-
-    def recording(x, scratch):
-        if x.ndim == 3:
-            rounded.append(x.shape)
-        round_up(x, scratch)
-
-    monkeypatch.setattr(mlp, "_layer_up", recording_layer)
-    monkeypatch.setattr(mlp, "_round_up", recording)
-    return seen
+def exact_eval_box(model, box):
+    """The network's natural interval extension over box in exact
+    rationals, as (lower, upper) Fractions per output: per neuron, the bias
+    plus the smaller and the larger end product of each weight times its
+    input's interval, then relu. Floats are exact rationals, so this
+    contains the exact image of box with no rounding in it, and the float
+    pass must contain it."""
+    values = [(Fraction(c.lb), Fraction(c.ub)) for c in box]
+    for layer in model.layers:
+        out = []
+        for row, b in zip(layer.weights, layer.bias):
+            low = high = Fraction(b)
+            for w, (lo, hi) in zip(map(Fraction, row), values):
+                low += min(w * lo, w * hi)
+                high += max(w * lo, w * hi)
+            if layer.activation == "relu":
+                low, high = max(low, Fraction(0)), max(high, Fraction(0))
+            out.append((low, high))
+        values = out
+    return values
 
 
 class TestOverflowGuard:
-    """Both sides of each layer's overflow limit, bit for bit against
-    reference_eval_box: below it the layer's sums take the bare step, at
-    and above it every rounding takes _round_up."""
+    """Both sides of each layer's overflow limit: below it the pass must
+    give reference_eval_box's bounds bit for bit and contain the exact
+    image of each box; at and above it the pass must refuse the batch and
+    name the layer, the limit and the batch's first box beyond it."""
 
     @pytest.mark.parametrize("case", ["weights", "bias"])
     @pytest.mark.parametrize("layer", [0, 1, 2])
-    def test_just_below_and_above_the_limit(self, case, layer, clamped_layers):
+    def test_just_below_and_above_the_limit(self, case, layer):
         model = guard_network(case, layer)
-        limit = model._box_arrays[layer][3]
+        limit = model._box_arrays[layer][2]
         # Adjacent scales whose inputs to the layer fall below the limit and
         # reach it: double a scale until they reach it, then bisect the bits
         # of the positive floats between.
@@ -679,24 +636,33 @@ class TestOverflowGuard:
         # 0.1% of 2^1021: the premise of the module docstring's argument
         # that no sum overflows.
         weights, bias = model.layers[layer].weights, model.layers[layer].bias
-        largest = largest_input(model, layer, scaled_boxes(from_bits(below)))
+        boxes = scaled_boxes(from_bits(below))
+        largest = largest_input(model, layer, boxes)
         spread = max(sum(map(abs, map(Fraction, row))) for row in weights)
         room = max(map(abs, map(Fraction, bias)))
         assert Fraction(largest) * spread + room < 2**1021 * 1.001
-        shape = (model.layers[layer].cols, 2 * model.layers[layer].rows)
-        for side, clamped in ((below, False), (above, True)):
-            boxes = scaled_boxes(from_bits(side))
-            clamped_layers.clear()
-            lb, ub = model.eval_boxes(*bounds_of(boxes, 2))
-            assert (shape in clamped_layers) == clamped
-            assert np.isfinite(lb).all() and np.isfinite(ub).all()
-            check_boxes(model, boxes)
+        lb, ub = model.eval_boxes(*bounds_of(boxes, 2))
+        assert np.isfinite(lb).all() and np.isfinite(ub).all()
+        check_boxes(model, boxes)
+        for low, high, box in zip(lb.tolist(), ub.tolist(), boxes):
+            exact = exact_eval_box(model, box)
+            assert all(l <= e_lo for l, (e_lo, _) in zip(map(Fraction, low), exact))
+            assert all(e_hi <= u for u, (_, e_hi) in zip(map(Fraction, high), exact))
+        # At the next scale up, the first box whose input to the layer
+        # reaches the limit is refused.
+        boxes = scaled_boxes(from_bits(above))
+        first = next(b for b in boxes if largest_input(model, layer, [b]) >= limit)
+        with pytest.raises(ValueError) as error:
+            model.eval_boxes(*bounds_of(boxes, 2))
+        assert str(error.value) == (
+            f"network layer {layer} input overflows its limit {limit!r} on {first!r}"
+        )
 
-    def test_overflowing_boxes(self, clamped_layers):
+    def test_overflowing_boxes(self):
         # test_mlp's overflow network with a unit weight where it has a zero.
-        # The second box lies outside layer 0's limit, and its first neuron
-        # overflows to [largest float, inf] there, so every layer of a batch
-        # holding it takes the clamped path.
+        # The second box lies outside layer 0's limit, about 2.2e297, so a
+        # batch holding it is refused at layer 0, and the first box alone
+        # passes.
         model = MlpModel(
             [
                 MlpLayer(((1e10,), (1e-300,)), (0.0, 0.0), "relu"),
@@ -708,52 +674,59 @@ class TestOverflowGuard:
             IntervalBox.from_bounds([(0.0, 1.0)]),
             IntervalBox.from_bounds([(1e300, 2e300)]),
         ]
-        check_boxes(model, boxes)
-        clamped_layers.clear()
-        lb, ub = model.eval_boxes(*bounds_of(boxes, 1))
-        assert clamped_layers == [(1, 4), (2, 2), (1, 2)]
-        assert ub[1, 0] == math.inf
-        clamped_layers.clear()
-        model.eval_boxes(*bounds_of(boxes[:1], 1))
-        assert clamped_layers == []
+        limit = model._box_arrays[0][2]
+        with pytest.raises(ValueError) as error:
+            model.eval_boxes(*bounds_of(boxes, 1))
+        assert str(error.value) == (
+            f"network layer 0 input overflows its limit {limit!r} on {boxes[1]!r}"
+        )
+        check_boxes(model, boxes[:1])
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_nan_names_the_first_overflowing_box(self, zero):
-        # Layer 0 is linear, so a box can take either bound of its first
-        # neuron to infinity; layer 1 weighs that neuron by a zero, and 0 *
-        # inf is NaN. The products put the NaN in both of the term's slots,
-        # where a bound select put it in one: the error must still name
-        # layer 1 and the first such box of the batch.
+        # Layer 1 weighs layer 0's first neuron by a zero of either sign, so
+        # a box taking that neuron to infinity would make 0 * inf, a NaN
+        # bound, there. Layer 0's limit is 2^1021 / 1e10, so the boxes
+        # reaching 2e300 are refused before any such product, and so are an
+        # infinite and a NaN input; the error must name layer 0 and the
+        # first such box of the batch.
         model = MlpModel(
             [
                 MlpLayer(((1e10,), (1.0,)), (0.0, 0.0), "linear"),
                 MlpLayer(((zero, 1.0),), (0.5,), "linear"),
             ]
         )
-        fine = [(0.0, 1.0)]
-        low = [(-2e300, 1.0)]
-        high = [(1.0, 2e300)]
-        both = [(-2e300, 2e300)]
+        limit = model._box_arrays[0][2]
+        fine = (0.0, 1.0)
+        low = (-2e300, 1.0)
+        high = (1.0, 2e300)
+        both = (-2e300, 2e300)
+        infinite = (1.0, math.inf)
+        nan = (math.nan, math.nan)
         for batch, first in (
             ([fine, low, high, both], "[-2e+300, 1.0]"),
             ([fine, high, low], "[1.0, 2e+300]"),
             ([both, fine], "[-2e+300, 2e+300]"),
+            ([fine, infinite, low], "[1.0, inf]"),
+            ([fine, fine, nan], "[nan, nan]"),
+            ([(-math.inf, 0.0)], "[-inf, 0.0]"),
         ):
-            boxes = [IntervalBox.from_bounds(b) for b in batch]
+            lb, ub = np.array(batch).T[:, :, None]
             with pytest.raises(ValueError) as error:
-                model.eval_boxes(*bounds_of(boxes, 1))
+                model.eval_boxes(lb, ub)
             assert str(error.value) == (
-                f"network layer 1 gives a NaN bound on Box({first}): "
-                "its bounds overflow"
+                f"network layer 0 input overflows its limit {limit!r} on Box({first})"
             )
-        check_boxes(model, [IntervalBox.from_bounds(fine)])
+        check_boxes(model, [IntervalBox.from_bounds([fine])])
 
 
-def test_network_scenario_never_clamps(scenario_dir, clamped_layers, monkeypatch):
+def test_network_scenario_takes_one_product_per_layer_pass(
+    scenario_dir, monkeypatch
+):
     # Every batch of the network scenario's search lies far inside each
-    # layer's overflow limit, so every layer pass must take its products
-    # from one stacked np.matmul and no layer pass may take the slower
-    # clamped path: a guard that silently fails shows here in seconds.
+    # layer's overflow limit, so the search must run to its cap with no
+    # refusal, and every layer pass must take its products from one
+    # stacked np.matmul: a guard that silently fails shows here in seconds.
     steps = []
     step_up = mlp._step_up
 
@@ -787,7 +760,6 @@ def test_network_scenario_never_clamps(scenario_dir, clamped_layers, monkeypatch
     monkeypatch.setattr(np, "matmul", counting_matmul)
     report = run_validate(scenario)
     assert report.iterations == 2000
-    assert clamped_layers == []
     assert len(steps) > 0
     # Three layers per batch, one product call per layer pass.
     assert len(matmuls_per_pass) % 3 == 0

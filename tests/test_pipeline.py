@@ -883,6 +883,22 @@ class TestCli:
             assert cli.main(argv) == 1
             self.assert_one_line_error(capsys, "overflows")
 
+    def test_layer_1_input_beyond_its_limit_exit_1(
+        self, scenario_dir, tmp_path, capsys
+    ):
+        # A huge weight in layer 1 leaves layer 0's overflow limit as it was
+        # and takes layer 1's to about 2.2, below the bounds that layer 0
+        # gives it on the search box: the search stops in layer 1.
+        doc = json.loads((scenario_dir / "mlp_3x32x32x2.json").read_text())
+        doc["layers"][1]["weights"][0][0] = 1e307
+        (tmp_path / "net.json").write_text(json.dumps(doc))
+        scn = json.loads((scenario_dir / "trilat_mlp.scn").read_text())
+        scn["estimator"]["weights_path"] = "net.json"
+        off = write_scenario(tmp_path / "off.scn", dict(scn, oracle=None))
+        argv = ["validate", "--scenario", str(off), "--max-iters", "50"]
+        assert cli.main(argv) == 1
+        self.assert_one_line_error(capsys, "network layer 1 input overflows")
+
     def test_oracle_samples_above_cap_exit_1(self, scenario_dir, capsys):
         code = cli.main(
             [
