@@ -50,9 +50,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .interval import (
-    Bounds, Interval, IntervalBox, _bounds, _inorm_rows, _make, _row_box
-)
+from .interval import Bounds, Interval, IntervalBox, _bounds, _inorm_rows, _make
+from .interval import _add_rows, _row_box, _sub_rows
 
 __all__ = ["ObservationModel", "EstimatorModel", "ErrorObjective"]
 
@@ -122,25 +121,15 @@ class EstimatorModel(_Model):
         enclosure of x - eval_point(observation(x) + e) over that box, as
         (k, n_params) bounds.
 
-        The default chains the two box evaluators, each over all rows in
-        one eval_boxes call, adds the noise as iadd does and subtracts as
-        isub does. Estimators with structure that cancels the parameter
-        dependency (the identity estimator) override this with a tighter,
-        still-sound enclosure.
+        The default chains the two box evaluators, each in one eval_boxes
+        call over all rows, adding and subtracting as iadd and isub do. An
+        estimator whose structure cancels the parameter dependency (the
+        identity) overrides it with a tighter, still sound enclosure.
         """
         n = observation.n_params
-        y_lb, y_ub = observation.eval_boxes(lb[:, :n], ub[:, :n])
-        # iadd and isub on arrays; like Python floats, they overflow to inf
-        # and inf - inf gives NaN, which the norm rejects, without a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            y_lb = np.nextafter(y_lb + lb[:, n:], -np.inf)
-            y_ub = np.nextafter(y_ub + ub[:, n:], np.inf)
-        est_lb, est_ub = self.eval_boxes(y_lb, y_ub)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (
-                np.nextafter(lb[:, :n] - est_ub, -np.inf),
-                np.nextafter(ub[:, :n] - est_lb, np.inf),
-            )
+        x = lb[:, :n], ub[:, :n]
+        y = _add_rows(observation.eval_boxes(*x), (lb[:, n:], ub[:, n:]))
+        return _sub_rows(x, self.eval_boxes(*y))
 
     # A cheaper point pass than eval_points, or None where eval_points is
     # the cheapest. screen_points(rows) takes eval_points' rows and returns
@@ -279,6 +268,8 @@ class ErrorObjective:
         A NaN or reversed error bound raises inorm's ValueError, and an
         error that overflows float range one naming its box; the first
         holds for any box of the batch, the second for the first such box.
+        A model's ValueError is raised again with the hull of the batch's
+        boxes appended.
         """
         if isinstance(lb, IntervalBox):
             f_lb, f_ub = self.objective_box(*_bounds(lb))
@@ -288,7 +279,11 @@ class ErrorObjective:
             raise ValueError(
                 f"search box has dim {lb.shape[-1]}, expected {n} + {m} = {n + m}"
             )
-        e_lb, e_ub = self.estimator.error_vector_box(self.observation, lb, ub)
+        try:
+            e_lb, e_ub = self.estimator.error_vector_box(self.observation, lb, ub)
+        except ValueError as exc:
+            hull = _row_box(lb.min(axis=0), ub.max(axis=0))
+            raise ValueError(f"{exc}, within search box {hull!r}") from exc
         norm_lb, norm_ub = _inorm_rows(e_lb, e_ub)
         overflow = norm_ub == math.inf
         if overflow.any():

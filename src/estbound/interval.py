@@ -5,13 +5,16 @@ the next representable float after the native floating-point computation,
 so real-arithmetic containment survives rounding: if x is in `a` and y is
 in `b`, the exact real value of x op y lies inside the returned interval.
 The exception, exact in IEEE arithmetic and so not widened: the square
-root of an exact zero bound.
+root of an exact zero bound. An end product 0 * inf of a product is NaN
+and stands for 0 (IEEE Std 1788-2015); it is skipped, as 0 lies in the
+hull of the others or a factor with two infinite ends holds no real. With
+none left (0 * [-inf, inf]) imul gives 0, `_mul_rows` NaN.
 
-`_inorm_rows` is the Euclidean norm of many interval vectors at once, held
-as arrays of lower and upper bounds (`Bounds`; `_bounds` reads one box into
-such arrays), one vector per row: per row, bit for bit the bounds of the
-chain isqrt(iadd(...iadd(isqr(c0), isqr(c1))..., isqr(cn))). `inorm` is
-its one-vector form.
+Bound arrays (`Bounds`) hold intervals as `(lb, ub)` array pairs. Their
+operations broadcast and, like Python floats, overflow and make NaN
+silently: `_add_rows`, `_sub_rows`, `_scale_rows` (by a positive float)
+and `_mul_rows` are iadd, isub and imul, bit for bit, per element;
+`_div_rows` divides by positive intervals; `_inorm_rows` is row-wise inorm.
 
 Intervals and boxes are immutable after construction; all operations are
 pure and safe to call concurrently.
@@ -37,8 +40,6 @@ __all__ = [
 
 _INF = math.inf
 
-# Bound arrays: the lower and the upper bounds of k boxes or intervals, one
-# per row.
 Bounds = tuple[np.ndarray, np.ndarray]
 
 
@@ -103,12 +104,19 @@ def isub(a: Interval, b: Interval) -> Interval:
 
 
 def imul(a: Interval, b: Interval) -> Interval:
-    """Product via endpoint products, outward-rounded."""
+    """Product via endpoint products, outward-rounded; a NaN end product,
+    0 * inf, is skipped (see the module docstring)."""
     p0 = a.lb * b.lb
     p1 = a.lb * b.ub
     p2 = a.ub * b.lb
     p3 = a.ub * b.ub
-    return _make(_down(min(p0, p1, p2, p3)), _up(max(p0, p1, p2, p3)))
+    lo = min(p0, p1, p2, p3)
+    hi = max(p0, p1, p2, p3)
+    # Python's min and max skip a NaN end product unless it comes first.
+    if lo != lo:
+        ends = [p for p in (p0, p1, p2, p3) if p == p] or [0.0]
+        lo, hi = min(ends), max(ends)
+    return _make(_down(lo), _up(hi))
 
 
 def isqr(a: Interval) -> Interval:
@@ -150,11 +158,46 @@ def inorm(components: Iterable[Interval]) -> Interval:
     comps = tuple(components)
     if not comps:
         raise ValueError("norm of an empty vector")
-    lo, hi = _inorm_rows(
-        np.array([[c.lb for c in comps]], dtype=np.float64),
-        np.array([[c.ub for c in comps]], dtype=np.float64),
-    )
+    bounds = np.array([[c.lb for c in comps], [c.ub for c in comps]], dtype=np.float64)
+    lo, hi = _inorm_rows(*bounds[:, None])
     return _make(lo.item(), hi.item())
+
+
+def _add_rows(a: Bounds, b: Bounds) -> Bounds:
+    """iadd on bound arrays."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.nextafter(a[0] + b[0], -_INF), np.nextafter(a[1] + b[1], _INF)
+
+
+def _sub_rows(a: Bounds, b: Bounds) -> Bounds:
+    """isub on bound arrays."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.nextafter(a[0] - b[1], -_INF), np.nextafter(a[1] - b[0], _INF)
+
+
+def _scale_rows(c: float, a: Bounds) -> Bounds:
+    """imul(Interval(c, c), a) on bound arrays, for a positive finite c."""
+    with np.errstate(over="ignore"):
+        return np.nextafter(c * a[0], -_INF), np.nextafter(c * a[1], _INF)
+
+
+def _mul_rows(a: Bounds, b: Bounds) -> Bounds:
+    """imul on bound arrays; np.fmin and np.fmax skip a NaN end product."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p0, p1, p2, p3 = a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]
+        lo = np.fmin(np.fmin(p0, p1), np.fmin(p2, p3))
+        hi = np.fmax(np.fmax(p0, p1), np.fmax(p2, p3))
+        return np.nextafter(lo, -_INF), np.nextafter(hi, _INF)
+
+
+def _div_rows(a: Bounds, b: Bounds) -> Bounds:
+    """a / b on bound arrays for b > 0 (other b give meaningless bounds):
+    a's lower bound over b's two ends gives the lower bound, a's upper bound
+    the upper, by np.fmin and np.fmax, which skip a NaN quotient, inf / inf."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lo = np.fmin(a[0] / b[0], a[0] / b[1])
+        hi = np.fmax(a[1] / b[0], a[1] / b[1])
+        return np.nextafter(lo, -_INF), np.nextafter(hi, _INF)
 
 
 def _inorm_rows(lb: np.ndarray, ub: np.ndarray) -> Bounds:
@@ -175,24 +218,22 @@ def _inorm_rows(lb: np.ndarray, ub: np.ndarray) -> Bounds:
             f"norm of a component with bounds [{lb[i, j].item()!r}, "
             f"{ub[i, j].item()!r}]"
         )
-    inf = np.inf
-    nextafter = np.nextafter
     # Squares overflow to inf, and the root of a negative lower sum is NaN
     # before it is replaced by 0.0, both silently.
     with np.errstate(over="ignore", invalid="ignore"):
         s_lb = lb * lb
         s_ub = ub * ub
-        hi = nextafter(np.maximum(s_lb, s_ub), inf)
-        lo = nextafter(np.minimum(s_lb, s_ub), -inf)
+        hi = np.nextafter(np.maximum(s_lb, s_ub), _INF)
+        lo = np.nextafter(np.minimum(s_lb, s_ub), -_INF)
         np.maximum(lo, 0.0, out=lo)
         lo[(lb <= 0.0) & (0.0 <= ub)] = 0.0
         acc_lo = lo[:, 0]
         acc_hi = hi[:, 0]
         for j in range(1, lb.shape[1]):
-            acc_lo = nextafter(acc_lo + lo[:, j], -inf)
-            acc_hi = nextafter(acc_hi + hi[:, j], inf)
-        root_lo = np.where(acc_lo > 0.0, nextafter(np.sqrt(acc_lo), -inf), 0.0)
-        return root_lo, nextafter(np.sqrt(acc_hi), inf)
+            acc_lo = np.nextafter(acc_lo + lo[:, j], -_INF)
+            acc_hi = np.nextafter(acc_hi + hi[:, j], _INF)
+        root_lo = np.where(acc_lo > 0.0, np.nextafter(np.sqrt(acc_lo), -_INF), 0.0)
+        return root_lo, np.nextafter(np.sqrt(acc_hi), _INF)
 
 
 class IntervalBox:

@@ -200,7 +200,7 @@ class MlpLayer:
 class MlpModel(EstimatorModel):
     """Feed-forward dense network acting as an estimator."""
 
-    def __init__(self, layers: Sequence[MlpLayer], meta: dict | None = None) -> None:
+    def __init__(self, layers: Sequence[MlpLayer]) -> None:
         layers = tuple(layers)
         if not layers:
             raise ValueError("model must have at least one layer")
@@ -211,7 +211,6 @@ class MlpModel(EstimatorModel):
                     f"{i - 1} produces {layers[i - 1].rows}"
                 )
         self.layers = layers
-        self.meta = dict(meta or {})
         self.n_obs = layers[0].cols
         self.n_params = layers[-1].rows
         # Per layer: weights transposed to C-ordered (cols, rows), so that
@@ -487,6 +486,6 @@ def load_mlp(path: str | Path) -> MlpModel:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"weight file {path}, layer {i}: {exc}") from exc
     try:
-        return MlpModel(layers, meta=doc.get("meta"))
+        return MlpModel(layers)
     except ValueError as exc:
         raise ValueError(f"weight file {path}: {exc}") from exc

@@ -16,7 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .framework import Bounds, EstimatorModel, ObservationModel
-from .interval import _inorm_rows
+from .interval import (
+    _add_rows, _div_rows, _inorm_rows, _mul_rows, _scale_rows, _sub_rows
+)
 
 __all__ = [
     "IdentityObservation",
@@ -75,15 +77,16 @@ class TrilaterationModel(ObservationModel):
         return np.sqrt(dx, out=dx).T
 
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
-        # inorm((isub(ax, x0), isub(ay, x1))) per box and landmark, on
-        # (k, landmarks, 2) arrays; like Python floats, they overflow
-        # to inf without a warning.
         self._check_rows(lb)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d_lb = np.nextafter(self._landmark_rows - ub[:, None, :], -np.inf)
-            d_ub = np.nextafter(self._landmark_rows - lb[:, None, :], np.inf)
-        norm_lb, norm_ub = _inorm_rows(d_lb.reshape(-1, 2), d_ub.reshape(-1, 2))
-        return norm_lb.reshape(-1, self.n_obs), norm_ub.reshape(-1, self.n_obs)
+        return self._ranges((lb, ub))[1]
+
+    def _ranges(self, x: Bounds) -> tuple[Bounds, Bounds]:
+        """The offsets x - a of the (k, 2) boxes x from each landmark a, as
+        (k, landmarks, 2) bounds, and their norms (exactly those of a - x)."""
+        a = self._landmark_rows
+        d = _sub_rows((x[0][:, None, :], x[1][:, None, :]), (a, a))
+        r_lb, r_ub = _inorm_rows(d[0].reshape(-1, 2), d[1].reshape(-1, 2))
+        return d, (r_lb.reshape(-1, self.n_obs), r_ub.reshape(-1, self.n_obs))
 
 
 class IdentityEstimator(EstimatorModel):
@@ -117,11 +120,9 @@ class IdentityEstimator(EstimatorModel):
         # per rounding (|y + e| <= 2S); the 4 ulp(S) pad loses <= ulp(S) to
         # its own rounding, so 3 ulp(S) >= 2 ulp(S) remains.
         n = observation.n_params
+        lo, hi = _add_rows((0.0, 0.0), (lb[:, n:], ub[:, n:]))
         # Like Python floats, the arrays overflow to inf without a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            # C = 0 + e, rounded as iadd rounds
-            lo = np.nextafter(lb[:, n:], -np.inf)
-            hi = np.nextafter(ub[:, n:], np.inf)
             s = np.maximum(np.maximum(-lb[:, :n], ub[:, :n]), np.maximum(-lo, hi))
             np.maximum(s, 1.0, out=s)
             # 4 ulp(S). np.spacing(s) is math.ulp(s) for s >= 1 except at the
@@ -159,31 +160,26 @@ class ConstantEstimator(EstimatorModel):
 _UNIT_BOUND = 1.0 + 1e-9
 
 
-def _first_min(values: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise min of the arrays as Python's min takes it over the same
-    floats in the same order: the first of tied values (0.0 and -0.0), and
-    a NaN only in first place, where no comparison replaces it. np.minimum
-    does neither."""
-    out = values[0]
-    for v in values[1:]:
-        out = np.where(v < out, v, out)
-    return out
-
-
-def _first_max(values: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise max, as _first_min."""
-    out = values[0]
-    for v in values[1:]:
-        out = np.where(v > out, v, out)
-    return out
+def _unit_directions(d: Bounds, r: Bounds) -> Bounds:
+    """Enclosures of d / r clamped to the unit range; all of it where r's
+    lower bound is 0 (which covers the point pass's skipped term at a
+    landmark) or where the clamp empties the range."""
+    u_lb, u_ub = _div_rows(d, r)
+    # Not np.maximum: a NaN bound fails its test and is clamped.
+    u_lb = np.where(u_lb > -_UNIT_BOUND, u_lb, -_UNIT_BOUND)
+    u_ub = np.where(u_ub < _UNIT_BOUND, u_ub, _UNIT_BOUND)
+    full = (r[0] <= 0.0) | (u_lb > u_ub)
+    u_lb[full] = -_UNIT_BOUND
+    u_ub[full] = _UNIT_BOUND
+    return u_lb, u_ub
 
 
 # Largest descent step count accepted: a validation of the bundled descent
 # scenario at its committed budgets takes 0.7 s of CPU at 50 steps, 26.5 s
 # at 2000 and 60 s at 4300 (in-process, one CPU). Above about 4340 steps
-# the search box's enclosure overflows, so at the cap the validation ends
-# on its first box after 38 s, nearly all of it the oracle's 100k samples
-# at about 3.8 ms per step; 10^12 steps would take over a century.
+# the search box's enclosure overflows, and the validation fails on its
+# first box, before the oracle: in 0.9 s at the cap. 10^12 steps of the
+# oracle's 100k samples, at about 3.8 ms per step, would take a century.
 MAX_DESCENT_STEPS = 10**4
 
 
@@ -214,8 +210,8 @@ class GradientDescentEstimator(EstimatorModel):
                 f"gradient_descent 'iterations' must be 1 to {MAX_DESCENT_STEPS}, "
                 f"got {iterations}"
             )
-        if not step > 0.0:
-            raise ValueError(f"step must be positive, got {step!r}")
+        if not 0.0 < step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {step!r}")
         self.observation = observation
         self.iterations = iterations
         self.step = float(step)
@@ -253,53 +249,19 @@ class GradientDescentEstimator(EstimatorModel):
         return np.stack((x0, x1), axis=1)
 
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
-        # The point pass's steps in interval arithmetic, on (k, ...) bound
-        # arrays, each bound stepped outward with nextafter as `interval`
-        # steps it, and in the order of a scalar interval loop: per step
-        # and landmark, dx = isub(x0, ax), dy = isub(x1, ay), d =
-        # inorm((dx, dy)), t = 2 * isub(d, y) and the unit directions
-        # dx / d and dy / d (four quotients, clamped to the unit range, or
-        # all of it where d reaches 0 or the clamp empties the range), then
-        # g = iadd(g, imul(t, u)) in landmark order from 0 and x = isub(x,
-        # step * g). Like Python floats, the arrays overflow to inf and NaN
-        # without a warning; a NaN difference makes the norm raise.
+        # The point pass's steps in interval arithmetic, in the order of a
+        # scalar interval loop; a NaN difference makes the norm raise.
         self._check_rows(lb)
-        k, n = lb.shape
-        inf = np.inf
-        nextafter = np.nextafter
-        landmarks = self.observation._landmark_rows
-        step = self.step
         # Noise bounds as (k, landmarks, 1) columns, broadcast over x0, x1.
-        y_lb = lb[:, :, None]
-        y_ub = ub[:, :, None]
-        x_lb = np.tile(self.init, (k, 1))
-        x_ub = x_lb.copy()
-        with np.errstate(all="ignore"):
-            for _ in range(self.iterations):
-                # (k, landmarks, 2): dx and dy of each landmark.
-                d_lb = nextafter(x_lb[:, None, :] - landmarks, -inf)
-                d_ub = nextafter(x_ub[:, None, :] - landmarks, inf)
-                r_lb, r_ub = _inorm_rows(d_lb.reshape(-1, 2), d_ub.reshape(-1, 2))
-                r_lb = r_lb.reshape(k, n, 1)
-                r_ub = r_ub.reshape(k, n, 1)
-                t_lb = nextafter(2.0 * nextafter(r_lb - y_ub, -inf), -inf)
-                t_ub = nextafter(2.0 * nextafter(r_ub - y_lb, inf), inf)
-                q = (d_lb / r_lb, d_lb / r_ub, d_ub / r_lb, d_ub / r_ub)
-                u_lb = nextafter(_first_min(q), -inf)
-                u_ub = nextafter(_first_max(q), inf)
-                # Not np.maximum: a NaN bound fails its test and is clamped.
-                u_lb = np.where(u_lb > -_UNIT_BOUND, u_lb, -_UNIT_BOUND)
-                u_ub = np.where(u_ub < _UNIT_BOUND, u_ub, _UNIT_BOUND)
-                full = (r_lb <= 0.0) | (u_lb > u_ub)
-                u_lb[full] = -_UNIT_BOUND
-                u_ub[full] = _UNIT_BOUND
-                p = (t_lb * u_lb, t_lb * u_ub, t_ub * u_lb, t_ub * u_ub)
-                p_lb = nextafter(_first_min(p), -inf)
-                p_ub = nextafter(_first_max(p), inf)
-                g_lb = g_ub = 0.0
-                for j in range(n):
-                    g_lb = nextafter(g_lb + p_lb[:, j], -inf)
-                    g_ub = nextafter(g_ub + p_ub[:, j], inf)
-                x_lb = nextafter(x_lb - nextafter(step * g_ub, inf), -inf)
-                x_ub = nextafter(x_ub - nextafter(step * g_lb, -inf), inf)
-        return x_lb, x_ub
+        y = lb[:, :, None], ub[:, :, None]
+        x = (np.tile(self.init, (len(lb), 1)),) * 2
+        for _ in range(self.iterations):
+            d, (r_lb, r_ub) = self.observation._ranges(x)
+            r = r_lb[:, :, None], r_ub[:, :, None]
+            t = _scale_rows(2.0, _sub_rows(r, y))
+            p_lb, p_ub = _mul_rows(t, _unit_directions(d, r))
+            g = 0.0, 0.0
+            for j in range(self.n_obs):
+                g = _add_rows(g, (p_lb[:, j], p_ub[:, j]))
+            x = _sub_rows(x, _scale_rows(self.step, g))
+        return x

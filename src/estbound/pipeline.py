@@ -272,9 +272,10 @@ def run_validate(scenario: Scenario) -> ValidationReport:
     """Run the full validation pipeline for one scenario."""
     start = time.perf_counter()
     objective = scenario.build_objective()
-    # The oracle runs first: the two phases are independent, and this way
-    # the oracle's chunk buffers are freed before the cover grows, rather
-    # than allocated on top of a cover the report keeps.
+    # The initial box first, so that a search that fails on it fails before
+    # the oracle; the search evaluates it again. Then the oracle: its chunk
+    # buffers are freed before the cover grows, not allocated on top of it.
+    objective.objective_box(objective.initial_box())
     oracle_result = None
     if scenario.oracle is not None:
         oracle_result = sample_max_error(objective, scenario.oracle)

@@ -221,6 +221,29 @@ class TestObjectiveBox:
             obj.objective_box(*bounds_of([obj.initial_box(), huge, huger], 4))
         assert str(info.value).endswith(f"on {huge!r}")
 
+    def test_model_error_names_the_search_box(self):
+        # The search hands in the two halves of the box it splits; a model's
+        # error gets their hull, that box, appended.
+        class RefusingEstimator(EstimatorModel):
+            n_obs = n_params = 2
+
+            def eval_points(self, rows):
+                return rows.copy()
+
+            def eval_boxes(self, lb, ub):
+                raise ValueError("refused")
+
+        obj = ErrorObjective(
+            IdentityObservation(2),
+            RefusingEstimator(),
+            IntervalBox.from_bounds([(0, 1)] * 2),
+            IntervalBox.from_bounds([(-0.1, 0.1)] * 2),
+        )
+        box = obj.initial_box()
+        with pytest.raises(ValueError) as info:
+            obj.objective_box(*bounds_of(list(box.bisect(1)), 4))
+        assert str(info.value) == f"refused, within search box {box!r}"
+
     def test_reversed_estimate_rejected_as_inorm_rejects_it(self):
         # A custom box pass that returns reversed bounds gives a reversed
         # difference, which the norm rejects with inorm's message.

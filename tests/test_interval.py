@@ -90,6 +90,23 @@ class TestElementaryOps:
     def test_mul_mixed_signs(self):
         assert_brackets(imul(Interval(-1, 2), Interval(3, 4)), -4.0, 8.0)
 
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            # The first end product, -inf * 0.0, is NaN.
+            ((-math.inf, 1.0), (0.0, 1.0), (-math.inf, 1.0000000000000002)),
+            # The second, -inf * -0.0, is NaN.
+            ((-math.inf, 1.0), (-1.0, -0.0), (-1.0000000000000002, math.inf)),
+            ((0.0, 2.0), (1.0, math.inf), (-5e-324, math.inf)),
+            # No end product is a number: 0 * [-inf, inf] is 0.
+            ((-0.0, 0.0), (-math.inf, math.inf), (-5e-324, 5e-324)),
+        ],
+    )
+    def test_mul_skips_a_nan_end_product(self, a, b, expected):
+        for x, y in ((a, b), (b, a)):
+            got = imul(Interval(*x), Interval(*y))
+            assert (got.lb, got.ub) == expected
+
     def test_neg_exact(self):
         assert ineg(Interval(-1, 2)) == Interval(-2, 1)
 

@@ -27,7 +27,12 @@ from hypothesis.extra.numpy import arrays
 from estbound.interval import (
     Interval,
     IntervalBox,
+    _add_rows,
+    _div_rows,
     _make,
+    _mul_rows,
+    _scale_rows,
+    _sub_rows,
     iadd,
     imul,
     isqr,
@@ -43,8 +48,6 @@ from estbound.models import (
     IdentityObservation,
     TrilaterationModel,
     _UNIT_BOUND,
-    _first_max,
-    _first_min,
 )
 from estbound.pipeline import load_scenario, run_validate
 from conftest import bounds_of
@@ -118,14 +121,16 @@ def _mul_scalar(w, a):
 
 
 def _div(a, b):
-    """Quotient for a strictly positive divisor, outward-rounded."""
-    q0 = a.lb / b.lb
-    q1 = a.lb / b.ub
-    q2 = a.ub / b.lb
-    q3 = a.ub / b.ub
-    lo = math.nextafter(min(q0, q1, q2, q3), -math.inf)
-    hi = math.nextafter(max(q0, q1, q2, q3), math.inf)
-    return _make(lo, hi)
+    """Quotient for a strictly positive divisor, outward-rounded: the lower
+    bound is the lesser of a.lb over b's two ends, the upper bound the
+    greater of a.ub over them, a NaN quotient (inf / inf) skipped, as
+    np.fmin and np.fmax skip it."""
+    q0, q1 = a.lb / b.lb, a.lb / b.ub
+    q2, q3 = a.ub / b.lb, a.ub / b.ub
+    # Python's min and max skip a NaN unless it comes first.
+    lo = min(q0, q1) if q0 == q0 else q1
+    hi = max(q2, q3) if q2 == q2 else q3
+    return _make(math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
 
 
 def _unit_direction(num, dist):
@@ -919,8 +924,8 @@ class TestDescentBoxPass:
         # At (-2 ulp(0), 1.0), dx to the landmark (0, 0) is [-3, -1] ulp(0):
         # its unit direction's upper bound rounds up from -ulp(0) to -0.0.
         # A noise bound of 1e308 makes t's lower bound -inf, so the second of
-        # the four products, -inf * -0.0, is NaN. Python's min and max skip
-        # it there; np.minimum and np.maximum would return it.
+        # the four products, -inf * -0.0, is NaN. np.fmin and np.fmax skip
+        # it, as imul does; np.minimum and np.maximum would return it.
         model = TrilaterationModel([(0.0, 0.0), (20.0, 0.0), (0.0, 20.0)])
         box = IntervalBox.from_bounds([(0.0, 1e308), (19.0, 21.0), (19.0, 21.0)])
         for iterations in (1, 2):
@@ -933,24 +938,123 @@ class TestDescentBoxPass:
         assert lb.tolist() == [[-math.inf, -math.inf]]
         assert ub.tolist() == [[math.inf, math.inf]]
 
-    def test_selection_takes_the_first_of_ties_and_nan_by_position(self):
-        nan = math.nan
-        rows = [
-            (1.0, nan, 2.0, 3.0),
-            (nan, 1.0, 2.0, 3.0),
-            (3.0, 2.0, 1.0, nan),
-            (0.0, -0.0, 1.0, -1.0),
-            (-0.0, 0.0, -1.0, 1.0),
-            (0.0, -0.0, 0.0, -0.0),
-            (-0.0, 0.0, -0.0, 0.0),
-            (math.inf, nan, -math.inf, nan),
-        ]
-        columns = tuple(np.array(c) for c in zip(*rows))
-        assert bits(_first_min(columns)) == bits(min(row) for row in rows)
-        assert bits(_first_max(columns)) == bits(max(row) for row in rows)
-        # numpy's own reductions differ on these rows.
-        assert bits(np.minimum.reduce(columns)) != bits(min(row) for row in rows)
-        assert bits(np.maximum.reduce(columns)) != bits(max(row) for row in rows)
+    def test_nan_product_first(self):
+        # At (2 ulp(0), 1.0), dx to the landmark (0, 0) is [1, 3] ulp(0): its
+        # unit direction's lower bound rounds down from ulp(0) to 0.0, so the
+        # first of the four products, -inf * 0.0, is NaN. Python's min and
+        # max would keep a NaN that comes first.
+        model = TrilaterationModel([(0.0, 0.0), (20.0, 0.0), (0.0, 20.0)])
+        box = IntervalBox.from_bounds([(0.0, 1e308), (19.0, 21.0), (19.0, 21.0)])
+        for iterations in (1, 2):
+            est = GradientDescentEstimator(
+                model, iterations=iterations, step=0.01, init=(2 * 5e-324, 1.0)
+            )
+            lb, ub = est.eval_boxes(*bounds_of([box], 3))
+            assert rows_bits(lb, ub) == [box_bits(reference_descent_box(est, box))]
+            assert not np.isnan(lb).any() and not np.isnan(ub).any()
+        assert lb.tolist() == [[-math.inf, -math.inf]]
+        assert ub.tolist() == [[math.inf, math.inf]]
+
+
+def edge_floats(**limits):
+    """Finite floats, drawing signed zeros, subnormals and the largest
+    float often."""
+    edges = (0.0, -0.0, 5e-324, -5e-324, -1.5e-320, 2.2e-308, 1.7976931348623157e308)
+    low = limits.get("min_value", -math.inf)
+    return st.one_of(
+        st.sampled_from([v for v in edges if v >= low]),
+        st.floats(allow_nan=False, allow_infinity=False, **limits),
+    )
+
+
+def intervals(**limits):
+    return st.lists(edge_floats(**limits), min_size=2, max_size=2).map(
+        lambda ends: _make(min(ends), max(ends))
+    )
+
+
+def as_rows(ivs):
+    """The bound arrays of a list of intervals."""
+    return np.array([iv.lb for iv in ivs]), np.array([iv.ub for iv in ivs])
+
+
+def interval_bits(ivs):
+    return [(iv.lb.hex(), iv.ub.hex()) for iv in ivs]
+
+
+class TestBoundArrayOps:
+    """interval's bound-array operations against their scalar operations,
+    bit for bit, and against the exact results of their end values."""
+
+    @staticmethod
+    def check(array_op, scalar_op, exact_op, a, b):
+        lb, ub = array_op(as_rows(a), as_rows(b))
+        got = [_make(lo, hi) for lo, hi in zip(lb.tolist(), ub.tolist())]
+        assert interval_bits(got) == interval_bits(map(scalar_op, a, b))
+        for g, x, y in zip(got, a, b):
+            exact = [
+                exact_op(Fraction(p), Fraction(q))
+                for p in (x.lb, x.ub)
+                for q in (y.lb, y.ub)
+            ]
+            assert g.lb == -math.inf or Fraction(g.lb) <= min(exact)
+            assert g.ub == math.inf or max(exact) <= Fraction(g.ub)
+
+    @given(st.lists(st.tuples(intervals(), intervals()), min_size=1, max_size=8))
+    @settings(max_examples=300)
+    def test_add_sub_mul(self, pairs):
+        a, b = zip(*pairs)
+        self.check(_add_rows, iadd, lambda p, q: p + q, a, b)
+        self.check(_sub_rows, isub, lambda p, q: p - q, a, b)
+        self.check(_mul_rows, imul, lambda p, q: p * q, a, b)
+
+    @given(
+        st.lists(intervals(), min_size=1, max_size=8), edge_floats(min_value=5e-324)
+    )
+    @settings(max_examples=300)
+    def test_scale_by_a_positive_float(self, a, c):
+        scale = lambda _, rows: _scale_rows(c, rows)  # noqa: E731
+        self.check(scale, imul, lambda p, q: p * q, [Interval(c, c)] * len(a), a)
+
+    @given(
+        st.lists(
+            st.tuples(intervals(), intervals(min_value=5e-324)), min_size=1, max_size=8
+        )
+    )
+    @settings(max_examples=300)
+    def test_div_by_positive_intervals(self, pairs):
+        a, b = zip(*pairs)
+        self.check(_div_rows, _div, lambda p, q: p / q, a, b)
+
+    def test_zero_times_infinity(self):
+        # An end product 0 * inf is NaN and skipped, by imul and _mul_rows
+        # alike, except where no end product is left, a zero interval times
+        # one with two infinite ends: imul gives 0, _mul_rows NaN bounds.
+        inf = math.inf
+        ends = (-inf, -1.0, -0.0, 0.0, 1.0, inf)
+        ivs = [_make(lo, hi) for lo in ends for hi in ends if lo <= hi]
+        a, b = zip(*[(x, y) for x in ivs for y in ivs])
+        lb, ub = _mul_rows(as_rows(a), as_rows(b))
+        for lo, hi, x, y in zip(lb.tolist(), ub.tolist(), a, b):
+            want = imul(x, y)
+            zero = (x.lb == x.ub == 0.0 and math.isinf(y.lb) and math.isinf(y.ub)) or (
+                y.lb == y.ub == 0.0 and math.isinf(x.lb) and math.isinf(x.ub)
+            )
+            if zero:
+                assert (want.lb, want.ub) == (-5e-324, 5e-324)
+                assert math.isnan(lo) and math.isnan(hi)
+            else:
+                assert not math.isnan(want.lb) and not math.isnan(want.ub)
+                assert bits([lo, hi]) == bits([want.lb, want.ub])
+        # A quotient inf / inf is NaN and skipped too.
+        divisors = [_make(lo, hi) for lo, hi in ((5e-324, 1.0), (1.0, inf), (inf, inf))]
+        a, b = zip(*[(x, y) for x in ivs for y in divisors])
+        lb, ub = _div_rows(as_rows(a), as_rows(b))
+        got = [_make(lo, hi) for lo, hi in zip(lb.tolist(), ub.tolist())]
+        assert interval_bits(got) == interval_bits(map(_div, a, b))
+        assert _div(Interval(-inf, 1.0), Interval(1.0, inf)) == Interval(
+            -inf, 1.0000000000000002
+        )
 
 
 class TestIdentityErrorVector:

@@ -139,7 +139,8 @@ class TestSerialization:
         model = load_mlp(path)
         assert [l.rows for l in model.layers] == [32, 32, 2]
         assert model.n_obs == 3 and model.n_params == 2
-        assert "seed" in model.meta and "trained_on" in model.meta
+        meta = json.loads(path.read_text())["meta"]
+        assert "seed" in meta and "trained_on" in meta
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = random.Random(41)

@@ -311,6 +311,8 @@ class TestGradientDescentPoint:
             GradientDescentEstimator(tri, step=0.0)
         with pytest.raises(ValueError, match="step"):
             GradientDescentEstimator(tri, step=-0.1)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            GradientDescentEstimator(tri, step=math.inf)
 
     def test_residual_decreases_on_well_posed_instance(self, tri):
         rng = random.Random(9)

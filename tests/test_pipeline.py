@@ -897,7 +897,23 @@ class TestCli:
         off = write_scenario(tmp_path / "off.scn", dict(scn, oracle=None))
         argv = ["validate", "--scenario", str(off), "--max-iters", "50"]
         assert cli.main(argv) == 1
-        self.assert_one_line_error(capsys, "network layer 1 input overflows")
+        # The refused box is the network's input; the search box is named.
+        box = load_scenario(off).build_objective().initial_box()
+        self.assert_one_line_error(
+            capsys, "network layer 1 input overflows", f"within search box {box!r}"
+        )
+
+    def test_initial_box_overflow_exit_1_before_the_oracle(
+        self, scenario_dir, tmp_path, capsys, monkeypatch
+    ):
+        doc = json.loads((scenario_dir / "constant.scn").read_text())
+        doc["estimator"]["value"] = [1e308, 0]
+        p = write_scenario(tmp_path / "huge.scn", doc)
+        calls = []
+        monkeypatch.setattr(pipeline, "sample_max_error", lambda *a: calls.append(a))
+        assert cli.main(["validate", "--scenario", str(p)]) == 1
+        self.assert_one_line_error(capsys, "overflows float range")
+        assert calls == []
 
     def test_oracle_samples_above_cap_exit_1(self, scenario_dir, capsys):
         code = cli.main(

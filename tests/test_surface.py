@@ -1,6 +1,7 @@
 """The package root exports exactly the names the README's library example
 imports, plus the two base classes that custom models subclass, so the
-README and the package cannot drift apart. Models spell their point
+README and the package cannot drift apart. Only `interval` steps bound
+arrays outward. Models spell their point
 evaluator once, as eval_points, and their box evaluator once, as
 eval_boxes, which takes and returns bound arrays; only the error objective
 reads boxes into such arrays. The README's table of the `validate` report
@@ -251,6 +252,19 @@ def test_only_the_framework_and_the_search_read_boxes_into_bound_arrays():
         if calls_of(ast.parse(path.read_text()), "_bounds")
     ]
     assert callers == ["framework.py", "optimizer.py"]
+
+
+def test_only_interval_steps_bound_arrays_outward():
+    # One spelling of the rounding rule for bound arrays.
+    callers = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "nextafter"
+        and getattr(node.value, "id", None) == "np"
+    ]
+    assert set(callers) == {"interval.py"}
 
 
 @pytest.mark.parametrize("module", ["models.py", "mlp.py"])
