@@ -7,8 +7,8 @@ one-row form) and a row-batched box evaluator (`eval_boxes`; `eval_box` is
 its one-box form) that must be a sound inclusion of the point one: x in X
 implies eval_point(x) in eval_box(X). A batch of k boxes is held as bound
 arrays (`Bounds`), a (k, dim) float64 array of lower and one of upper
-bounds; `IntervalBox`es are read into bound arrays (`interval._bounds`)
-only by the one-box forms here and by the search's initial box.
+bounds, of one shape; `interval._bounds` reads `IntervalBox`es into them
+only for the one-box forms here, the search's initial box and `Cover.insert`.
 
 `ErrorObjective` composes the two into the estimation error
 e(x, e) = ||x - estimate(observation(x) + e)|| and its negation, the objective
@@ -89,7 +89,7 @@ class _Model(ABC):
         lb, ub = self.eval_boxes(*_bounds(box))
         return _row_box(lb[0], ub[0])
 
-    def _check_rows(self, rows: np.ndarray) -> None:
+    def _check_rows(self, rows: np.ndarray, upper: np.ndarray | None = None) -> None:
         attr, vector, model = self._input
         dim = getattr(self, attr)
         if rows.ndim != 2:
@@ -100,6 +100,8 @@ class _Model(ABC):
             raise ValueError(
                 f"{vector} vector has dim {rows.shape[-1]}, {model} expects {dim}"
             )
+        if upper is not None:
+            _check_upper(rows, upper)
 
 
 class ObservationModel(_Model):
@@ -279,6 +281,7 @@ class ErrorObjective:
             raise ValueError(
                 f"search box has dim {lb.shape[-1]}, expected {n} + {m} = {n + m}"
             )
+        _check_upper(lb, ub)
         try:
             e_lb, e_ub = self.estimator.error_vector_box(self.observation, lb, ub)
         except ValueError as exc:
@@ -301,6 +304,12 @@ class ErrorObjective:
     def split_dims(self) -> tuple[int, ...]:
         """Indices the optimizer may split: the parameter components only."""
         return tuple(range(self.n_params))
+
+
+def _check_upper(lb: np.ndarray, ub: np.ndarray) -> None:
+    """ValueError unless the upper bounds ub have the shape of the lower lb."""
+    if ub.shape != lb.shape:
+        raise ValueError(f"upper bounds have shape {ub.shape}, lower bounds {lb.shape}")
 
 
 def _distance(rows: np.ndarray, estimates: np.ndarray) -> np.ndarray:

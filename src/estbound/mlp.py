@@ -76,7 +76,8 @@ rounded up, and the exact relu image is taken. This is the plainest
 possible bound propagation; it gets looser as networks grow deeper, which
 is acceptable here because the validation method only needs soundness.
 
-A layer takes all its terms from one np.matmul. Its inputs are a stack
+A layer takes all its terms from one np.matmul. Its inputs are one
+(3, inputs, boxes) array of planes (-l, u, 1), read as a stack
 S[j] = (-l_j, u_j, 1) per input j, its weights w2 = [-w | w] the stack
 W[j] = (-min(w2, 0), max(w2, 0), 0), and W @ S holds in entry (j, k, box)
 the sum (-min(v, 0)) (-l) + max(v, 0) u + 0 * 1 for v = w2[j, k]. For
@@ -88,7 +89,11 @@ order, fused multiply-adds and threads, every entry is that end product
 rounded once plus 0.0, bit for bit: the +0 * 1 term maps -0.0 to +0.0, as
 in round-to-nearest x + y is -0.0 only if x and y both are. test_kernels
 checks the host's BLAS on subnormal terms, which a BLAS that flushed
-subnormals to zero would change.
+subnormals to zero would change. A layer writes its result, the upper
+bounds of [-l; u], straight into the next layer's planes: as it is, or
+after relu as np.minimum(-l, -0.0), -max(l, 0.0) bit for bit as numpy
+returns the second operand of two zeros, and np.maximum(u, 0.0);
+test_kernels checks both rules on the host.
 
 Rounding upward is an integer step on the bits (`_step_up`), bit for bit
 np.nextafter(x, inf) except on -0.0, +inf and NaN, at 4.3 us against 39
@@ -333,20 +338,22 @@ class MlpModel(EstimatorModel):
         return h.astype(np.float64), delta
 
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
-        self._check_rows(lb)
+        self._check_rows(lb, ub)
         n = len(lb)
-        # Two stack regions the layers write in turn, the terms, and the
-        # rounding's scratch.
-        stack_size = 3 * max(self.n_obs, self._width) * n
+        # Two plane regions the layers write in turn, the terms, their scratch.
         terms_size = max(w3[..., 0].size for w3, *_ in self._box_arrays) * n
-        stacks, terms, other = self._scratch_arrays(
-            (2, stack_size), (terms_size,), (terms_size,)
+        regions, terms, other = self._scratch_arrays(
+            (2, 3 * max(self.n_obs, self._width) * n), (terms_size,), (terms_size,)
         )
-        stack = _fill_stack(stacks[0], lb.T, ub.T, relu=False)
+        planes = regions[0][: 3 * lb.size].reshape(3, self.n_obs, n)
+        # Cast, then negate: negated in int64, -2**63 would stay -2**63.
+        np.negative(lb.T, out=planes[0], dtype=np.float64)
+        np.copyto(planes[1], ub.T)
+        planes[2] = 1.0
         for layer, (w3, bias2, limit, relu) in enumerate(self._box_arrays):
             # Inside the limit every input is finite (a NaN fails the
             # comparisons) and no sum overflows.
-            bounds = stack[:, :2]
+            bounds = planes[:2]
             if n and not -limit < bounds.min() <= bounds.max() < limit:
                 inside = ((-limit < bounds) & (bounds < limit)).all(axis=(0, 1))
                 i = int(inside.argmin())
@@ -357,11 +364,17 @@ class MlpModel(EstimatorModel):
                 )
             shape = (*w3.shape[:2], n)
             work = (buf[: math.prod(shape)].reshape(shape) for buf in (terms, other))
-            acc = _layer_up(stack, w3, bias2, *work)
-            lower, upper = acc.reshape(2, len(bias2) // 2, n)
-            np.negative(lower, out=lower)
-            stack = _fill_stack(stacks[(layer + 1) % 2], lower, upper, relu)
-        return -stack[:, 0].T, stack[:, 1].T.copy()
+            acc = _layer_up(planes.transpose(1, 0, 2), w3, bias2, *work)
+            rows = len(bias2) // 2
+            halves = acc.reshape(2, rows, n)
+            planes = regions[(layer + 1) % 2][: 3 * rows * n].reshape(3, rows, n)
+            if relu:
+                np.minimum(halves[0], -0.0, out=planes[0])
+                np.maximum(halves[1], 0.0, out=planes[1])
+            else:
+                planes[:2] = halves
+            planes[2] = 1.0
+        return -planes[0].T, planes[1].T.copy()
 
 
 def _magnitude(h: np.ndarray) -> float:
@@ -369,23 +382,6 @@ def _magnitude(h: np.ndarray) -> float:
     plus 2^-126, as a maximum taken with subnormals read as zero may miss
     one; NaN if h holds a NaN."""
     return float(np.maximum(h.max(initial=0.0), -h.min(initial=0.0))) + _TINY32
-
-
-def _fill_stack(
-    buf: np.ndarray, lower: np.ndarray, upper: np.ndarray, relu: bool
-) -> np.ndarray:
-    """The box pass's (inputs, 3, boxes) stack (-l, u, 1) of the (inputs,
-    boxes) bounds l = lower and u = upper, after relu if relu is set. It is
-    a view of three (inputs, boxes) planes at the start of the flat float64
-    array buf, so each write below is one contiguous pass."""
-    planes = buf[: 3 * lower.size].reshape(3, *lower.shape)
-    np.copyto(planes[0], lower)
-    np.copyto(planes[1], upper)
-    if relu:
-        np.maximum(planes[:2], 0.0, out=planes[:2])
-    np.negative(planes[0], out=planes[0])
-    planes[2] = 1.0
-    return planes.transpose(1, 0, 2)
 
 
 def _overflow_limit(wt: np.ndarray, bias: np.ndarray) -> float:

@@ -43,7 +43,8 @@ class IdentityObservation(ObservationModel):
         return rows.copy()
 
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
-        return self.eval_points(lb), self.eval_points(ub)
+        self._check_rows(lb, ub)
+        return lb.copy(), ub.copy()
 
 
 class TrilaterationModel(ObservationModel):
@@ -77,7 +78,7 @@ class TrilaterationModel(ObservationModel):
         return np.sqrt(dx, out=dx).T
 
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
-        self._check_rows(lb)
+        self._check_rows(lb, ub)
         return self._ranges((lb, ub))[1]
 
     def _ranges(self, x: Bounds) -> tuple[Bounds, Bounds]:
@@ -103,7 +104,8 @@ class IdentityEstimator(EstimatorModel):
         return rows.copy()
 
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
-        return self.eval_points(lb), self.eval_points(ub)
+        self._check_rows(lb, ub)
+        return lb.copy(), ub.copy()
 
     def error_vector_box(
         self, observation: ObservationModel, lb: np.ndarray, ub: np.ndarray
@@ -152,7 +154,8 @@ class ConstantEstimator(EstimatorModel):
         return np.tile(self.value, (len(rows), 1))
 
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
-        return self.eval_points(lb), self.eval_points(ub)
+        self._check_rows(lb, ub)
+        return np.tile(self.value, (len(lb), 1)), np.tile(self.value, (len(ub), 1))
 
 
 # Direction components of (x - a)/||x - a|| lie in [-1, 1]; the clamp below
@@ -251,7 +254,7 @@ class GradientDescentEstimator(EstimatorModel):
     def eval_boxes(self, lb: np.ndarray, ub: np.ndarray) -> Bounds:
         # The point pass's steps in interval arithmetic, in the order of a
         # scalar interval loop; a NaN difference makes the norm raise.
-        self._check_rows(lb)
+        self._check_rows(lb, ub)
         # Noise bounds as (k, landmarks, 1) columns, broadcast over x0, x1.
         y = lb[:, :, None], ub[:, :, None]
         x = (np.tile(self.init, (len(lb), 1)),) * 2

@@ -200,6 +200,9 @@ class TestObjectiveBox:
             obj.objective_box(IntervalBox.from_bounds([(0, 1)] * 3))
         with pytest.raises(ValueError, match="search box has dim 3"):
             obj.objective_box(np.zeros((2, 3)), np.ones((2, 3)))
+        words = r"^upper bounds have shape \(1, 4\), lower bounds \(2, 4\)$"
+        with pytest.raises(ValueError, match=words):
+            obj.objective_box(np.zeros((2, 4)), np.ones((1, 4)))
 
     def test_overflow_rejected(self):
         obj = ErrorObjective(

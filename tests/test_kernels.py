@@ -427,12 +427,12 @@ class TestNetworkBitIdentity:
         assert model.eval_box(box)[0].ub == 5e-324
 
     @pytest.mark.parametrize("width", [1, 15, 16, 17, 33])
-    def test_blocked_point_pass(self, width):
-        # The point pass works through a layer 16 outputs at a time: layers
-        # narrower than, equal to and wider than one block, under an input
-        # wider than every layer, at batch sizes on both sides of 2730 rows,
-        # where numpy's broadcast multiply changes path (1696 is the last
-        # chunk of a 100k-sample oracle).
+    def test_point_pass_across_widths_and_buffer_edge(self, width):
+        # Layers of widths around 16, under an input wider than every
+        # layer, at batch sizes on both sides of 2730 rows, a third of
+        # numpy's ufunc buffer, where its broadcast multiply changes path
+        # (1696 is the last chunk of a 100k-sample oracle), in C and
+        # Fortran order.
         rng = random.Random(width)
         sizes = [width + 2, width, width, width]
         layers = []
@@ -456,17 +456,23 @@ class TestNetworkBitIdentity:
 def test_maximum_is_relu(size):
     # Both network passes apply relu as np.maximum(x, 0.0, out=x), which is
     # `0.0 if x <= 0.0 else x` bit for bit only while numpy returns the
-    # second operand of two zeros and a NaN operand with its payload. numpy
-    # picks its loop by length and processor, so each length is checked on
-    # the running host.
+    # second operand of two zeros and a NaN operand with its payload. The
+    # box pass takes the negated lower bounds' relu as np.minimum(x, -0.0),
+    # which is then -max(-x, 0.0) bit for bit. numpy picks its loop by
+    # length and processor, so each length is checked on the running host.
     patterns = [0x8000000000000000, 0, 0x7FF8000000000123, 0xFFF8000000000456]
     patterns += [0x7FF0000000000001, 0x8000000000000001, 1, 0xFFF0000000000000]
     patterns += [0x7FF0000000000000, 0xBFF0000000000000, 0x3FF0000000000000]
     x = np.resize(np.array(patterns, dtype=np.uint64).view(np.float64), size)
     with np.errstate(invalid="ignore"):
         want = np.where(x <= 0.0, 0, x.view(np.int64))
+        # -max(-x, 0.0), max as above, each negation a flip of the sign bit.
+        sign = np.int64(-(2**63))
+        negated = np.where(x >= 0.0, 0, x.view(np.int64) ^ sign) ^ sign
+        low = np.minimum(x, -0.0)
         np.maximum(x, 0.0, out=x)
     assert (x.view(np.int64) == want).all()
+    assert (low.view(np.int64) == negated).all()
 
 
 # Weights and bounds for the box pass's product stage: signed zeros, the
@@ -499,8 +505,10 @@ def test_stacked_product_is_one_rounded_product(data):
     layer = MlpLayer(tuple(map(tuple, weights.tolist())), (0.0,) * rows, "linear")
     w3 = MlpModel([layer])._box_arrays[0][0]
     w2 = np.concatenate((-weights.T, weights.T), axis=1)
-    stack = mlp._fill_stack(np.empty(3 * inputs * boxes), lower, upper, relu=False)
-    got = np.matmul(w3, stack, out=np.empty((inputs, 2 * rows, boxes)))
+    # The box pass's planes (-l, u, 1), read as its (inputs, 3, boxes) stack.
+    planes = np.stack((-lower, upper, np.ones_like(lower)))
+    out = np.empty((inputs, 2 * rows, boxes))
+    got = np.matmul(w3, planes.transpose(1, 0, 2), out=out)
     v = w2[:, :, None]
     want = np.where(v > 0, v * upper[:, None], v * lower[:, None]) + 0.0
     assert (got.view(np.int64) == want.view(np.int64)).all()

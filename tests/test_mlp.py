@@ -126,8 +126,10 @@ class TestBoxPass:
         assert encloses(m.eval_box(outer), m.eval_box(inner))
 
     def test_integer_bound_arrays_read_as_floats(self):
+        # -2**63 is cast before it is negated: negated as an int64 it wraps.
         m = single_layer([[1, -2], [3, 0.5]], [0.25, -1], "linear")
-        lb, ub = np.array([[-1, 0], [2, -7]]), np.array([[2, 3], [2, 5]])
+        lb = np.array([[-1, 0], [2, -7], [-(2**63), 0]])
+        ub = np.array([[2, 3], [2, 5], [2**63 - 1, 1]])
         got = m.eval_boxes(lb, ub)
         want = m.eval_boxes(lb.astype(np.float64), ub.astype(np.float64))
         assert bits(got) == bits(want)

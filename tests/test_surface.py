@@ -155,7 +155,9 @@ def test_the_contract_test_covers_every_concrete_model():
 def test_eval_boxes_takes_and_returns_bound_arrays(name):
     # (k, in) lower and upper bound arrays give two float64 (k, out) arrays,
     # each row the row a one-row call gives; a wrong width raises the
-    # message _check_rows gives for point rows.
+    # message _check_rows gives for point rows, and upper bounds of
+    # another shape than the lower ones, one column or one row, raise one
+    # naming both shapes.
     model = MODELS[name]()
     if isinstance(model, ObservationModel):
         n_in, n_out = model.n_params, model.n_obs
@@ -180,6 +182,11 @@ def test_eval_boxes_takes_and_returns_bound_arrays(name):
     with pytest.raises(ValueError) as got:
         model.eval_boxes(wrong, wrong)
     assert str(got.value) == str(expected.value)
+    lb = np.zeros((2, n_in))
+    for ub in (np.full((2, 1), 3.0), np.full((1, n_in), 3.0)):
+        words = f"upper bounds have shape {ub.shape}, lower bounds {lb.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(words)}$"):
+            model.eval_boxes(lb, ub)
 
 
 # Run in a fresh interpreter: a class whose __new__ was replaced cannot be
